@@ -19,6 +19,7 @@ from enum import Enum
 
 from .errors import SingularFrameError, UsageError
 from .group import GroupElement, compose, inverse, prolong_act
+from .taylor import TruncatedSeries
 
 SINGULAR_THRESHOLD = 1e-30
 _CANCEL_ULPS = 32.0 * sys.float_info.epsilon
@@ -49,29 +50,25 @@ def pivot_value(jet, kind):
     return jet.u[(0, 1)]
 
 
-def is_singular_pivot(p, cancellation_scale=0.0):
-    """True when a pivot is a hard zero or a pure cancellation artifact.
-
-    `cancellation_scale` is the magnitude of the terms that were summed to
-    form the pivot.  A result within a few ulps of that scale means the sum
-    cancelled to roundoff, i.e. the exact pivot is zero; u_x needs no such
-    scale because it is a single coordinate, not a sum.
-    """
-    return abs(p) < SINGULAR_THRESHOLD or abs(p) <= _CANCEL_ULPS * cancellation_scale
-
-
-def _cancellation_scale(kind, u, u_t, u_x):
-    if kind is FrameKind.T_NORMALIZED:
-        return abs(u_t) + abs(u * u_x)
-    return 0.0
-
-
 def require_regular_pivot(jet, kind):
+    """Pivot of `kind` at `jet` and its branch sign; raises where the frame is singular.
+
+    Jet entries may be floats or truncated series around a base point; the
+    singular test and the branch read the base-point values.  A pivot is
+    singular when it is a hard zero or a pure cancellation artifact: the
+    time-normalized pivot is a sum, and a result within a few ulps of the
+    magnitude of its terms means the exact pivot is zero.  u_x is a single
+    coordinate, not a sum, and needs no such scale.
+    """
     p = pivot_value(jet, kind)
-    scale = _cancellation_scale(kind, jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)])
-    if is_singular_pivot(p, scale):
-        raise SingularFrameError(kind.pivot_name, p, f"at (t, x) = ({jet.t}, {jet.x})")
-    return p
+    p0, u, u_t, u_x = p, jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)]
+    if isinstance(p, TruncatedSeries):
+        p0, u, u_t, u_x = p.value, u.value, u_t.value, u_x.value
+    scale = abs(u_t) + abs(u * u_x) if kind is FrameKind.T_NORMALIZED else 0.0
+    if abs(p0) < SINGULAR_THRESHOLD or abs(p0) <= _CANCEL_ULPS * scale:
+        t, x = (c.value if isinstance(c, TruncatedSeries) else c for c in (jet.t, jet.x))
+        raise SingularFrameError(kind.pivot_name, p0, f"at (t, x) = ({t}, {x})")
+    return p, 1 if p0 > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,10 @@ def moving_frame(jet, kind):
     pivot coordinate to branch = sign(pivot).  Applying the returned element
     to `jet` therefore lands exactly on the cross-section.
     """
-    p = require_regular_pivot(jet, kind)
+    p, branch = require_regular_pivot(jet, kind)
     eps4 = math.log(abs(p)) / kind.weight_denominator
     rho = GroupElement(-jet.t, -jet.x, -jet.u[(0, 0)], eps4)
-    return FrameResult(rho=rho, branch=1 if p > 0 else -1, pivot=p)
+    return FrameResult(rho=rho, branch=branch, pivot=p)
 
 
 def equivariance_defect(jet, g, kind):

@@ -12,8 +12,11 @@ Derivative coordinates of any order transform in closed form: the boost mixes
 t-derivatives into x-derivatives through a binomial sum and the scaling acts
 with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  The module also hosts
 the infinitesimal side: vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u)
-+ c4*(3t d_t + x d_x - 2u d_u), their prolongation coefficients, and a
-finite-difference application of the prolonged field to jet functions.
++ c4*(3t d_t + x d_x - 2u d_u), their prolongation coefficients, and the
+exact application of the prolonged field to jet functions in Taylor forward
+mode: each coordinate c is lifted to the order-1 series c + eps*(its
+coefficient), and the eps coefficient of the result is the derivative along
+the flow.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .jets import Jet
+from .taylor import TruncatedSeries
 
 _MAX_PROLONG_ORDER = 30  # binomial weights stay exact integers well past this
 
@@ -175,58 +179,58 @@ def eta_alpha(v, alpha, jet):
     return out
 
 
-def _perturbed(jet, which, delta):
-    if which == "t":
-        return Jet(jet.order, jet.t + delta, jet.x, dict(jet.u))
-    if which == "x":
-        return Jet(jet.order, jet.t, jet.x + delta, dict(jet.u))
-    u = dict(jet.u)
-    u[which] += delta
-    return Jet(jet.order, jet.t, jet.x, u)
+def _lift(c, dc):
+    """c + dc*eps: an order-1 series in the flow parameter eps (the dt slot)."""
+    return TruncatedSeries.affine(c, dc, 0.0, 1)
 
 
-def pr_v_apply(v, F, jet, step=1e-6):
-    """Apply the prolonged vector field to a jet function by finite differences.
+def _eps_coefficient(value):
+    """d/deps at eps = 0 of a lifted computation; a plain number is constant."""
+    if not isinstance(value, TruncatedSeries):
+        return 0.0
+    d = value.coeff(1, 0)
+    if not math.isfinite(d):
+        raise DomainError("derivative along the flow is not finite at this point")
+    return d
 
-    Returns tau*dF/dt + xi*dF/dx + sum_alpha eta^alpha * dF/du_alpha at `jet`,
-    with every partial taken by a central difference of relative step `step`.
-    Vanishes (up to the finite-difference error) exactly when F is a
-    differential invariant of the one-parameter group generated by v.
+
+def pr_v_apply(v, F, jet):
+    """Apply the prolonged vector field to a jet function, exactly.
+
+    Every coordinate is lifted along the flow of v, t + eps*tau,
+    x + eps*xi, u_alpha + eps*eta^alpha, and F is evaluated once on that
+    jet of series; the eps coefficient of the result is
+    tau*dF/dt + xi*dF/dx + sum_alpha eta^alpha * dF/du_alpha at `jet`.
+    F may use only arithmetic that TruncatedSeries supports.  The result
+    vanishes (up to roundoff) exactly when F is a differential invariant of
+    the one-parameter group generated by v.
     """
-
-    def partial(which, base):
-        h = step * max(1.0, abs(base))
-        hi = F(_perturbed(jet, which, +h))
-        lo = F(_perturbed(jet, which, -h))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise DomainError(f"jet function not finite near the base jet ({which})")
-        return (hi - lo) / (2.0 * h)
-
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
-    total = v.tau(t, x, u) * partial("t", t) + v.xi(t, x, u) * partial("x", x)
-    for alpha in jet.indices():
-        coeff = eta_alpha(v, alpha, jet)
-        if coeff != 0.0:
-            total += coeff * partial(alpha, jet.u[alpha])
-    return total
+    lifted = Jet(
+        jet.order,
+        _lift(t, v.tau(t, x, u)),
+        _lift(x, v.xi(t, x, u)),
+        {alpha: _lift(c, eta_alpha(v, alpha, jet)) for alpha, c in jet.u.items()},
+    )
+    return _eps_coefficient(F(lifted))
 
 
-def determining_equation_residuals(v, t, x, u, step=0.5):
+def determining_equation_residuals(v, t, x, u):
     """Residuals of the eight linear constraints the coefficients must satisfy.
 
     tau_x = tau_u = xi_u = eta_t = eta_x = 0,
     eta = xi_t - (2/3) u tau_t,  eta_u = -(2/3) tau_t,  eta_u = -2 xi_x.
 
-    Partials are taken by central differences; the coefficient functions are
-    affine, so any step gives the exact derivative up to roundoff.
+    Each partial is exact: the coordinate is lifted to c + eps, as in
+    :func:`pr_v_apply`, and the eps coefficient of the coefficient function
+    is read off.
     """
+    point = {"t": t, "x": x, "u": u}
 
     def d(f, which):
-        args = {"t": t, "x": x, "u": u}
-        hi, lo = dict(args), dict(args)
-        hi[which] += step
-        lo[which] -= step
-        return (f(**hi) - f(**lo)) / (2.0 * step)
+        args = dict(point)
+        args[which] = _lift(args[which], 1.0)
+        return _eps_coefficient(f(**args))
 
     tau, xi, eta = v.tau, v.xi, v.eta
     tau_t = d(tau, "t")

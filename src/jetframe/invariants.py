@@ -12,11 +12,13 @@ the pivot's own entry equals the branch sign.  On jets of solutions the
 invariantized equation collapses to  branch + I[0,3] = 0  (time-normalized)
 and  I[1,0] + I[0,3] = 0  (space-normalized).
 
-Invariant differentiation is carried out along an exact solution in Taylor
-arithmetic (a :class:`SolutionGerm`), so recurrence and commutator identities
-can be checked without finite differences.  Throughout, the branch sign s
-multiplies the correction terms; on the positive branch every formula reduces
-to its classical form.
+The closed form is written once and runs on any jet whose entries support
+the arithmetic of a :class:`TruncatedSeries`: on floats it gives I_alpha at a
+point, and on series (a :class:`SolutionGerm` expanded along an exact
+solution) it gives the Taylor expansion of I_alpha, so invariant
+differentiation, recurrence and commutator identities are checked without
+finite differences.  Throughout, the branch sign s multiplies the correction
+terms; on the positive branch every formula reduces to its classical form.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from typing import Dict
 
 from .errors import (
     DegeneratePointError,
-    SingularFrameError,
+    DomainError,
     UnsupportedFrameError,
     UsageError,
 )
-from .frame import FrameKind, is_singular_pivot, require_regular_pivot
-from .jets import MultiIndex, multi_indices
+from .frame import FrameKind, require_regular_pivot
+from .jets import Jet, MultiIndex, multi_indices
 from .solutions import jet_of_solution
 from .taylor import TruncatedSeries, series_pow
 
@@ -44,13 +46,32 @@ def _weight(alpha, kind):
     return 3 * a1 + a2 + 2, kind.weight_denominator
 
 
+def _signed_pow(p, branch, w_num, w_den):
+    """|p|^(-w_num/w_den), the fractional-power prefactor of a frame.
+
+    A float pivot p gives exp(-w*ln|p|); a series pivot gives
+    series_pow(branch*p, -w), whose constant term branch*p is positive.
+    A pivot just above the singular threshold can overflow this power at
+    high weight; that is a DomainError, not an arithmetic crash.
+    """
+    try:
+        if isinstance(p, TruncatedSeries):
+            return series_pow(branch * p, -w_num / w_den)
+        return math.exp(-w_num * math.log(abs(p)) / w_den)
+    except OverflowError:
+        raise DomainError(
+            f"frame prefactor |pivot|^(-{w_num}/{w_den}) overflows a double"
+        ) from None
+
+
 def normalized_invariant(jet, alpha, kind):
     """Invariant I_alpha of the chosen frame, read off a single jet.
 
     Equals the alpha-entry of the jet after applying its own moving frame;
     the closed form above avoids actually constructing the frame.  (0, 0)
     returns 0 identically (the invariantized u), and on the negative branch
-    the prefactor uses |pivot| with the sign carried separately.
+    the prefactor uses |pivot| with the sign carried separately.  Entries may
+    be floats or truncated series; the result has the same type.
     """
     a1, a2 = alpha
     if a1 < 0 or a2 < 0:
@@ -59,13 +80,13 @@ def normalized_invariant(jet, alpha, kind):
         raise UsageError(f"alpha={alpha} exceeds jet order {jet.order}")
     if a1 + a2 == 0:
         return 0.0
-    p = require_regular_pivot(jet, kind)
+    p, branch = require_regular_pivot(jet, kind)
     w_num, w_den = _weight(alpha, kind)
     u = jet.u[(0, 0)]
     acc = 0.0
     for k in range(a1 + 1):
         acc += math.comb(a1, k) * u**k * jet.u[(a1 - k, a2 + k)]
-    return math.exp(-w_num * math.log(abs(p)) / w_den) * acc
+    return _signed_pow(p, branch, w_num, w_den) * acc
 
 
 @dataclass(frozen=True)
@@ -97,8 +118,7 @@ def invariant_table(jet, kind, order):
     """Tabulate every I_alpha with total order <= `order` at one jet."""
     if order > jet.order:
         raise UsageError(f"table order {order} exceeds jet order {jet.order}")
-    p = require_regular_pivot(jet, kind)
-    branch = 1 if p > 0 else -1
+    _, branch = require_regular_pivot(jet, kind)
     values = {alpha: normalized_invariant(jet, alpha, kind) for alpha in multi_indices(order)}
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
     phantoms = {"t": 0.0, "x": 0.0, "u": 0.0, pivot_key: float(branch)}
@@ -140,23 +160,10 @@ class SolutionGerm:
             self._entries[alpha] = parent.dt() if a1 else parent.dx()
         return self._entries[alpha]
 
-    def pivot_series(self, kind, order):
-        if kind is FrameKind.T_NORMALIZED:
-            u = self.jet_entry((0, 0)).truncated(order)
-            return self.jet_entry((1, 0)).truncated(order) + u * self.jet_entry((0, 1)).truncated(order)
-        return self.jet_entry((0, 1)).truncated(order)
-
-    def branch(self, kind):
-        p = self.pivot_series(kind, 0).value
-        u = self.jet_entry((0, 0)).value
-        u_t = self.jet_entry((1, 0)).value if self.order >= 1 else 0.0
-        u_x = self.jet_entry((0, 1)).value if self.order >= 1 else 0.0
-        scale = abs(u_t) + abs(u * u_x) if kind is FrameKind.T_NORMALIZED else 0.0
-        if is_singular_pivot(p, scale):
-            raise SingularFrameError(
-                kind.pivot_name, p, f"at (t, x) = ({self.t0}, {self.x0})"
-            )
-        return 1 if p > 0 else -1
+    def series_jet(self, jet_order, series_order):
+        """Jet at the base point whose entries are the series of every u_alpha."""
+        u = {a: self.jet_entry(a).truncated(series_order) for a in multi_indices(jet_order)}
+        return Jet(order=jet_order, t=self.t0, x=self.x0, u=u)
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution."""
@@ -167,33 +174,26 @@ class SolutionGerm:
             )
         if a1 + a2 == 0:
             return TruncatedSeries.constant(0.0, order)  # invariantized u vanishes
-        s = self.branch(kind)
-        w_num, w_den = _weight(alpha, kind)
-        prefactor = series_pow(float(s) * self.pivot_series(kind, order), -w_num / w_den)
-        u = self.jet_entry((0, 0)).truncated(order)
-        acc = TruncatedSeries.constant(0.0, order)
-        for k in range(a1 + 1):
-            acc = acc + math.comb(a1, k) * (u**k) * self.jet_entry((a1 - k, a2 + k)).truncated(order)
-        return prefactor * acc
+        return normalized_invariant(self.series_jet(a1 + a2, order), alpha, kind)
 
     def differentiate(self, series, direction, kind):
         """Apply the frame's invariant derivative; series order drops by one.
 
         time-normalized:  D_t^i = |pivot|^(-3/5) (D_t + u D_x),  D_x^i = |pivot|^(-1/5) D_x
         space-normalized: D_t^i = |u_x|^(-1) (D_t + u D_x),      D_x^i = |u_x|^(-1/3) D_x
+
+        i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
+        the frame's weight denominator.
         """
         if series.order < 1:
             raise UsageError("series too short to differentiate")
-        r = series.order - 1
-        s = self.branch(kind)
-        p = float(s) * self.pivot_series(kind, r)
+        jet = self.series_jet(1, series.order - 1)
+        p, branch = require_regular_pivot(jet, kind)
         if direction is InvDirection.T:
-            base = series.dt() + self.jet_entry((0, 0)).truncated(r) * series.dx()
-            exponent = -3.0 / 5.0 if kind is FrameKind.T_NORMALIZED else -1.0
+            base, weight = series.dt() + jet.u[(0, 0)] * series.dx(), 3
         else:
-            base = series.dx()
-            exponent = -1.0 / 5.0 if kind is FrameKind.T_NORMALIZED else -1.0 / 3.0
-        return series_pow(p, exponent) * base
+            base, weight = series.dx(), 1
+        return _signed_pow(p, branch, weight, kind.weight_denominator) * base
 
 
 def invariant_derivative(solution, t0, x0, alpha, direction, kind):
@@ -291,7 +291,8 @@ def reconstruct_generators(solution, t0, x0, kind):
     (reconstructed, direct) so callers can compare against the closed form.
     """
     germ = SolutionGerm(solution, t0, x0, 4)
-    s = float(germ.branch(kind))
+    _, branch = require_regular_pivot(germ.series_jet(1, 0), kind)
+    s = float(branch)
     if kind is FrameKind.T_NORMALIZED:
         F = germ.invariant_series((0, 1), kind, 2)
         dtF = germ.differentiate(F, InvDirection.T, kind)

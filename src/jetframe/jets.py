@@ -28,7 +28,9 @@ class Jet:
 
     `u` maps every multi-index of total order <= `order` to the value of the
     corresponding derivative coordinate; `u[(0, 0)]` is the value of u itself.
-    Instances are treated as immutable: operations return new jets.
+    Coordinates may also be truncated series around the point, which is how
+    the closed forms are expanded along a solution or differentiated along a
+    flow.  Instances are treated as immutable: operations return new jets.
     """
 
     order: int

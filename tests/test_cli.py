@@ -56,6 +56,16 @@ def test_eval_rational_time_frame_is_singular(capsys):
     assert out == ""
 
 
+def test_eval_prefactor_overflow_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--solution", "soliton", "--x0", "60", "--frame", "x", "--order", "12",
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("jetframe: ") and "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_eval_constant_is_singular(capsys):
     code, _, err = run_cli(capsys, "eval", "--solution", "constant", "--u0", "5", "--frame", "x")
     assert code == EXIT_DOMAIN

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jetframe.errors import UsageError
+from jetframe.errors import DomainError, UsageError
 from jetframe.group import (
     GroupElement,
     VectorField,
@@ -245,14 +245,35 @@ def test_pr_v_on_coordinate_u():
 def test_pr_v_annihilates_low_order_invariant():
     rng = np.random.default_rng(17)
     for _ in range(10):
-        jet = random_free_jet(rng, 2, min_pivot=0.5)
+        jet = random_free_jet(rng, 2)
 
         def F(j):
             return normalized_invariant(j, (0, 1), FrameKind.T_NORMALIZED)
 
         value = abs(F(jet))
         for v in VectorField.basis():
-            assert abs(pr_v_apply(v, F, jet)) <= 1e-6 * (1.0 + value)
+            assert abs(pr_v_apply(v, F, jet)) <= 1e-12 * (1.0 + value)
+
+
+def test_pr_v_on_coordinates_is_exact():
+    # the lift carries each coordinate's coefficient as its eps term, so
+    # applying the field to a coordinate returns that coefficient bit for bit
+    rng = np.random.default_rng(19)
+    jet = random_free_jet(rng, 4)
+    t, x, u = jet.t, jet.x, jet.u[(0, 0)]
+    for v in VectorField.basis():
+        assert pr_v_apply(v, lambda j: j.t, jet) == v.tau(t, x, u)
+        assert pr_v_apply(v, lambda j: j.x, jet) == v.xi(t, x, u)
+        for alpha in multi_indices(4):
+            assert pr_v_apply(v, lambda j: j.u[alpha], jet) == eta_alpha(v, alpha, jet)
+
+
+def test_pr_v_non_finite_result_is_domain_error():
+    rng = np.random.default_rng(21)
+    jet = random_free_jet(rng, 1)
+    blow_up = TruncatedSeries.affine(0.0, math.inf, 0.0, 1)
+    with pytest.raises(DomainError):
+        pr_v_apply(VectorField.scaling(), lambda j: j.u[(0, 1)] + blow_up, jet)
 
 
 def test_determining_equations_hold():

@@ -3,6 +3,7 @@ import pytest
 
 from jetframe.errors import (
     DegeneratePointError,
+    DomainError,
     SingularFrameError,
     UnsupportedFrameError,
     UsageError,
@@ -329,3 +330,48 @@ def test_germ_orders_are_validated():
     series = germ.invariant_series((1, 0), FrameKind.X_NORMALIZED, 1)
     with pytest.raises(UsageError):
         germ.differentiate(series.truncated(0), InvDirection.X, FrameKind.X_NORMALIZED)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+def test_germ_invariant_series_is_the_closed_form(kind, branch):
+    rng = np.random.default_rng(41 + branch)
+    alphas = [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (2, 1), (3, 0)]
+    for _ in range(4):
+        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        germ = SolutionGerm(sol, t0, x0, 5)
+        jet = jet_of_solution(sol, t0, x0, 3)
+        for alpha in alphas:
+            want = normalized_invariant(jet, alpha, kind)
+            for order in (0, 2):
+                got = germ.invariant_series(alpha, kind, order).value
+                assert rel(got, want) <= 1e-12, (alpha, kind, branch, order)
+
+
+def test_rational_germ_is_singular_in_time_frame():
+    # u = x/t: the time-normalized pivot u_t + u*u_x is zero only up to
+    # cancellation at these points, so only the cancellation test catches it
+    for t0, x0 in ((1.3, 0.7), (0.7, -1.9), (-0.9, 0.4)):
+        germ = SolutionGerm(Rational(), t0, x0, 3)
+        assert pivot_value(germ.series_jet(1, 0), FrameKind.T_NORMALIZED).value != 0.0
+        with pytest.raises(SingularFrameError):
+            germ.invariant_series((0, 1), FrameKind.T_NORMALIZED, 1)
+        series = germ.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
+        with pytest.raises(SingularFrameError):
+            germ.differentiate(series, InvDirection.X, FrameKind.T_NORMALIZED)
+
+
+def test_prefactor_overflow_is_domain_error():
+    # far out on the soliton tail u_x ~ 1e-25 is regular, but its -38/3
+    # power at alpha = (12, 0) exceeds the double range
+    sol, x0 = Soliton(), 60.0
+    jet = jet_of_solution(sol, 0.0, x0, 12)
+    germ = SolutionGerm(sol, 0.0, x0, 13)
+    for compute in (
+        lambda: normalized_invariant(jet, (12, 0), FrameKind.X_NORMALIZED),
+        lambda: germ.invariant_series((12, 0), FrameKind.X_NORMALIZED, 1),
+    ):
+        with pytest.raises(DomainError) as info:
+            compute()
+        assert not isinstance(info.value, SingularFrameError)
+        assert "overflows" in str(info.value)
