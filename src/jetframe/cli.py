@@ -176,7 +176,10 @@ def _cmd_eval(args):
 
 def _default_seed():
     env = os.environ.get("JETFRAME_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"JETFRAME_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_verify(args):

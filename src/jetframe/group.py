@@ -28,8 +28,6 @@ from .errors import DomainError, UsageError
 from .jets import Jet
 from .taylor import TruncatedSeries
 
-_MAX_PROLONG_ORDER = 30  # binomial weights stay exact integers well past this
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -99,8 +97,6 @@ def prolong_act(g, jet):
     which is closed at fixed total order because the boost trades one
     t-derivative for one x-derivative at a time.
     """
-    if jet.order > _MAX_PROLONG_ORDER:
-        raise UsageError(f"prolonged action supported up to order {_MAX_PROLONG_ORDER}")
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     values = {(0, 0): U0}
     for alpha in jet.indices():

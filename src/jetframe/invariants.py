@@ -36,7 +36,7 @@ from .errors import (
 )
 from .frame import FrameKind, require_regular_pivot
 from .jets import Jet, MultiIndex, multi_indices
-from .solutions import jet_of_solution
+from .solutions import _expansion, jet_of_solution
 from .taylor import TruncatedSeries, series_pow
 
 
@@ -145,7 +145,7 @@ class SolutionGerm:
         self.t0 = float(t0)
         self.x0 = float(x0)
         self.order = order
-        self._master = solution.series(t0, x0, order)
+        self._master = _expansion(solution, t0, x0, order)
         self._entries = {(0, 0): self._master}
 
     def jet_entry(self, alpha):
@@ -160,9 +160,9 @@ class SolutionGerm:
             self._entries[alpha] = parent.dt() if a1 else parent.dx()
         return self._entries[alpha]
 
-    def series_jet(self, jet_order, series_order):
-        """Jet at the base point whose entries are the series of every u_alpha."""
-        u = {a: self.jet_entry(a).truncated(series_order) for a in multi_indices(jet_order)}
+    def series_jet(self, jet_order, order):
+        """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
+        u = {a: self.jet_entry(a).truncated(order) for a in multi_indices(jet_order)}
         return Jet(order=jet_order, t=self.t0, x=self.x0, u=u)
 
     def invariant_series(self, alpha, kind, order):

@@ -7,19 +7,27 @@ u_alpha = d^(a1+a2) u / dt^a1 dx^a2, so (0, 0) is u itself, (1, 0) is u_t,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from .errors import UsageError
 
 MultiIndex = Tuple[int, int]
 
+# Largest jet or series order.  A product table of order M holds C(M+4, 4)
+# index triples, so the cap also bounds the memory a single order can claim.
+MAX_ORDER = 30
 
-def multi_indices(order: int) -> Iterator[MultiIndex]:
-    """All multi-indices with total order <= `order`, graded, t-degree minor."""
-    for d in range(order + 1):
-        for a1 in range(d + 1):
-            yield (a1, d - a1)
+
+@functools.lru_cache(maxsize=None)
+def multi_indices(order: int) -> Tuple[MultiIndex, ...]:
+    """All multi-indices with total order <= `order`, graded, t-degree minor.
+
+    This is the storage order of :class:`~jetframe.taylor.TruncatedSeries`
+    coefficients as well as the iteration order of every jet.
+    """
+    return tuple((a1, d - a1) for d in range(order + 1) for a1 in range(d + 1))
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,8 @@ class Jet:
     u: Dict[MultiIndex, float] = field(repr=False)
 
     def __post_init__(self):
-        if self.order < 0:
-            raise UsageError(f"jet order must be non-negative, got {self.order}")
+        if not 0 <= self.order <= MAX_ORDER:
+            raise UsageError(f"jet order must lie in [0, {MAX_ORDER}], got {self.order}")
         missing = [a for a in multi_indices(self.order) if a not in self.u]
         if missing:
             raise UsageError(f"incomplete jet: missing entries {missing[:4]}")
@@ -54,5 +62,5 @@ class Jet:
                 f"jet of order {self.order} has no entry for alpha={alpha}"
             ) from None
 
-    def indices(self) -> Iterator[MultiIndex]:
+    def indices(self) -> Tuple[MultiIndex, ...]:
         return multi_indices(self.order)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 from .jets import Jet, multi_indices
 from .taylor import TruncatedSeries, series_recip, series_sech
@@ -42,6 +44,10 @@ class Constant(Solution):
 
     u0: float = 0.0
     name = "constant"
+
+    def __post_init__(self):
+        if not math.isfinite(self.u0):
+            raise UsageError(f"constant solution value must be finite, got {self.u0}")
 
     def series(self, t0, x0, order):
         return TruncatedSeries.constant(self.u0, order)
@@ -70,8 +76,10 @@ class Soliton(Solution):
     name = "soliton"
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise UsageError(f"soliton speed must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise UsageError(f"soliton speed must be positive and finite, got {self.c}")
+        if not math.isfinite(self.phase):
+            raise UsageError(f"soliton phase must be finite, got {self.phase}")
 
     def series(self, t0, x0, order):
         k = 0.5 * math.sqrt(self.c)
@@ -120,19 +128,35 @@ def make_solution(name, **params):
     raise UsageError(f"unknown solution {name!r}; pick one of {CATALOG}")
 
 
-def jet_of_solution(solution, t0, x0, order, series_order=None):
+def _expansion(solution, t0, x0, order):
+    """`solution.series(t0, x0, order)` with its failures typed.
+
+    A non-finite base point is a :class:`UsageError`; an arithmetic failure
+    or a non-finite coefficient (the point is too far out for double
+    precision) is a :class:`DomainError`.
+    """
+    if not (math.isfinite(t0) and math.isfinite(x0)):
+        raise UsageError(f"base point must be finite, got (t0, x0) = ({t0}, {x0})")
+    try:
+        s = solution.series(t0, x0, order)
+        finite = np.isfinite(s.coeffs).all()
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"{solution.name} expansion at ({t0}, {x0}) leaves double-precision range"
+        )
+    return s
+
+
+def jet_of_solution(solution, t0, x0, order):
     """Jet of a solution at (t0, x0) with all derivatives up to `order`.
 
-    The underlying expansion is carried to `series_order` (default order + 2,
-    headroom for checks that differentiate invariants once more) and the jet
-    entries are read off as i! j! times the series coefficients.
+    The solution is expanded to exactly `order` (no coefficient of degree
+    <= order depends on where the expansion is cut), and the jet entries are
+    read off as i! j! times the series coefficients.
     """
-    if order < 0:
-        raise UsageError(f"jet order must be non-negative, got {order}")
-    K = order + 2 if series_order is None else series_order
-    if K < order:
-        raise UsageError("series order must be at least the jet order")
-    s = solution.series(t0, x0, K)
+    s = _expansion(solution, t0, x0, order)
     values = {alpha: s.derivative_value(*alpha) for alpha in multi_indices(order)}
     return Jet(order=order, t=float(t0), x=float(x0), u=values)
 

@@ -6,18 +6,22 @@ exact up to truncation, which is what lets jets of analytic solutions be
 produced to machine precision: the derivative d^(i+j)u/dt^i dx^j is just
 i! j! times the (i, j) coefficient of the expansion of u.
 
-Coefficients are stored densely in graded-lexicographic order (total degree
-major, t-degree minor), so a series of order M owns (M+1)(M+2)/2 scalars and
-truncation to a lower order is a prefix slice.
+Coefficients are stored densely in the graded-lexicographic order of
+:func:`~jetframe.jets.multi_indices` (total degree major, t-degree minor), so
+a series of order M owns (M+1)(M+2)/2 scalars and truncation to a lower order
+is a prefix slice.  Every kernel below reads that layout from the cached
+index tables derived from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .jets import MAX_ORDER, multi_indices
 
 
 def triangle_size(order: int) -> int:
@@ -25,8 +29,39 @@ def triangle_size(order: int) -> int:
 
 
 def _pos(i, j):
+    """Storage position of the (i, j) coefficient: the inverse of multi_indices."""
     d = i + j
     return d * (d + 1) // 2 + i
+
+
+def _read_only(table):
+    table.flags.writeable = False  # cached tables are shared by every caller
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(order):
+    """The t- and x-exponent rows (i, j) of the coefficients, in storage order."""
+    return _read_only(np.array(multi_indices(order)).T)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_table(order):
+    """(lhs, rhs, out) position rows of every coefficient pair a product keeps.
+
+    Pairs run lhs-major in storage order, as in the schoolbook double loop.
+    """
+    i, j = _exponents(order)
+    degree = i + j
+    lhs, rhs = np.nonzero(degree[:, None] + degree <= order)
+    return _read_only(np.stack((lhs, rhs, _pos(i[lhs] + i[rhs], j[lhs] + j[rhs]))))
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_table(order, di, dj):
+    """(source, factor) rows of the d/dt (di=1) or d/dx (dj=1) of an order-`order` series."""
+    i, j = _exponents(order - 1)
+    return _read_only(np.stack((_pos(i + di, j + dj), i + 1 if di else j + 1)))
 
 
 class TruncatedSeries:
@@ -35,8 +70,8 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
-        if order < 0:
-            raise UsageError(f"series order must be non-negative, got {order}")
+        if not 0 <= order <= MAX_ORDER:
+            raise UsageError(f"series order must lie in [0, {MAX_ORDER}], got {order}")
         self.order = order
         if coeffs is None:
             self.coeffs = np.zeros(triangle_size(order))
@@ -90,12 +125,8 @@ class TruncatedSeries:
         return TruncatedSeries(order, self.coeffs[: triangle_size(order)].copy())
 
     def evaluate(self, dt, dx):
-        total = 0.0
-        for d in range(self.order, -1, -1):
-            base = d * (d + 1) // 2
-            for i in range(d + 1):
-                total += self.coeffs[base + i] * dt**i * dx ** (d - i)
-        return total
+        i, j = _exponents(self.order)
+        return self.coeffs @ (dt**i * dx**j)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:6])
@@ -132,23 +163,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.order, self.coeffs * float(other))
         self._check_order(other)
-        M = self.order
-        out = np.zeros(triangle_size(M))
-        a, b = self.coeffs, other.coeffs
-        for d1 in range(M + 1):
-            base1 = d1 * (d1 + 1) // 2
-            for i1 in range(d1 + 1):
-                c1 = a[base1 + i1]
-                if c1 == 0.0:
-                    continue
-                for d2 in range(M - d1 + 1):
-                    base2 = d2 * (d2 + 1) // 2
-                    based = (d1 + d2) * (d1 + d2 + 1) // 2 + i1
-                    for i2 in range(d2 + 1):
-                        c2 = b[base2 + i2]
-                        if c2 != 0.0:
-                            out[based + i2] += c1 * c2
-        return TruncatedSeries(M, out)
+        lhs, rhs, out = _product_table(self.order)
+        products = self.coeffs[lhs] * other.coeffs[rhs]
+        return TruncatedSeries(self.order, np.bincount(out, products, triangle_size(self.order)))
 
     __rmul__ = __mul__
 
@@ -162,25 +179,20 @@ class TruncatedSeries:
 
     # -- differentiation ---------------------------------------------------
 
-    def dt(self):
-        """Formal derivative with respect to the t-offset (order drops by 1)."""
+    def _derivative(self, di, dj):
+        """d/dt for (di, dj) = (1, 0), d/dx for (0, 1); the order drops by 1."""
         if self.order == 0:
             raise UsageError("cannot differentiate an order-0 series")
-        out = TruncatedSeries(self.order - 1)
-        for d in range(self.order):
-            for i in range(d + 1):
-                out.coeffs[_pos(i, d - i)] = (i + 1) * self.coeffs[_pos(i + 1, d - i)]
-        return out
+        source, factor = _derivative_table(self.order, di, dj)
+        return TruncatedSeries(self.order - 1, factor * self.coeffs[source])
+
+    def dt(self):
+        """Formal derivative with respect to the t-offset (order drops by 1)."""
+        return self._derivative(1, 0)
 
     def dx(self):
         """Formal derivative with respect to the x-offset."""
-        if self.order == 0:
-            raise UsageError("cannot differentiate an order-0 series")
-        out = TruncatedSeries(self.order - 1)
-        for d in range(self.order):
-            for i in range(d + 1):
-                out.coeffs[_pos(i, d - i)] = (d - i + 1) * self.coeffs[_pos(i, d - i + 1)]
-        return out
+        return self._derivative(0, 1)
 
 
 # -- analytic composition ----------------------------------------------------

@@ -406,6 +406,12 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
     if isinstance(suites, str):
         suites = (suites,)
     names = list(SUITES) if "all" in suites else list(suites)
+    if not names:
+        raise UsageError(f"no suite requested; valid names: {list(SUITES)}")
+    if samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
+    if order < 0:
+        raise UsageError(f"order must be non-negative, got {order}")
     unknown = [n for n in names if n not in _SUITE_FUNCS]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")

@@ -1,3 +1,7 @@
+import warnings
+
+import pytest
+
 from jetframe.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -189,3 +193,68 @@ def test_verify_deterministic_output(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--solution", "soliton", "--frame", "x", "--x0", "1e5"),
+        ("--solution", "soliton", "--frame", "x", "--c", "1e308", "--x0", "0.5"),
+        ("--solution", "rational", "--frame", "x", "--t0", "1e-300", "--x0", "1"),
+    ],
+    ids=["soliton-far-tail", "soliton-huge-speed", "rational-near-pole"],
+)
+def test_eval_arithmetic_failure_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("jetframe: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--solution", "soliton", "--c", "nan"),
+        ("--solution", "soliton", "--phase", "nan"),
+        ("--solution", "soliton", "--t0", "inf"),
+        ("--solution", "constant", "--u0", "inf"),
+    ],
+    ids=["c-nan", "phase-nan", "t0-inf", "u0-inf"],
+)
+def test_eval_non_finite_input_is_usage_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out, err = run_cli(capsys, "eval", "--frame", "x", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
+
+
+def test_eval_order_cap(capsys):
+    argv = ("eval", "--solution", "soliton", "--frame", "x", "--t0", "0.3", "--x0", "0.7")
+    code, out, err = run_cli(capsys, *argv, "--order", "31")
+    assert code == EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    code, out, _ = run_cli(capsys, *argv, "--order", "30")
+    assert code == EXIT_OK
+    assert len(parse_json_lines(out)) == 1 + 4 + 31 * 32 // 2  # meta, phantoms, invariants
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--samples", "0"), ("--samples", "-3"), ("--suites", ","), ("--order", "-2")],
+    ids=["zero-samples", "negative-samples", "empty-suite-list", "negative-order"],
+)
+def test_verify_vacuous_run_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("jetframe: ")
+
+
+def test_env_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("JETFRAME_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suites", "group-axioms", "--samples", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "JETFRAME_SEED" in err

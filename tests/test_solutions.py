@@ -139,11 +139,10 @@ def test_make_solution_factory():
         make_solution("nosuch")
 
 
-def test_jet_series_headroom_default():
-    # the default expansion order is two above the jet order, so consumers can
-    # differentiate invariants once without re-expanding
-    jet = jet_of_solution(Soliton(), 0.2, 0.4, 3)
-    again = jet_of_solution(Soliton(), 0.2, 0.4, 3, series_order=5)
-    assert jet.u == again.u
-    with pytest.raises(UsageError):
-        jet_of_solution(Soliton(), 0.0, 0.0, 3, series_order=2)
+@pytest.mark.parametrize("sol", [Soliton(c=1.3, phase=0.1), Rational()], ids=lambda s: s.name)
+def test_jet_independent_of_truncation_order(sol):
+    # the order-3 jet is expanded to order 3 only; every entry must equal the
+    # one read off the order-5 expansion bit for bit
+    low = jet_of_solution(sol, 0.7, 0.4, 3)
+    high = jet_of_solution(sol, 0.7, 0.4, 5)
+    assert low.u == {a: high.u[a] for a in multi_indices(3)}

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from jetframe.errors import DomainError, UsageError
+from jetframe.jets import MAX_ORDER, Jet, multi_indices
 from jetframe.taylor import (
     TruncatedSeries,
+    _pos,
     analytic,
     series_exp,
     series_ln,
@@ -155,9 +157,13 @@ def test_derivatives_of_exponential():
 
 def test_formal_derivatives_shift_coefficients():
     rng = np.random.default_rng(21)
-    a = random_series(rng, 5)
-    assert a.dt().coeff(1, 2) == pytest.approx(2.0 * a.coeff(2, 2))
-    assert a.dx().coeff(2, 1) == pytest.approx(2.0 * a.coeff(2, 2))
+    for order in range(1, 7):
+        a = random_series(rng, order)
+        dt, dx = a.dt(), a.dx()
+        assert dt.order == dx.order == order - 1
+        for i, j in multi_indices(order - 1):
+            assert dt.coeff(i, j) == (i + 1) * a.coeff(i + 1, j)
+            assert dx.coeff(i, j) == (j + 1) * a.coeff(i, j + 1)
     with pytest.raises(UsageError):
         TruncatedSeries.constant(1.0, 0).dt()
 
@@ -170,3 +176,30 @@ def test_truncated_is_prefix():
     np.testing.assert_array_equal(b.coeffs, a.coeffs[: triangle_size(3)])
     with pytest.raises(UsageError):
         b.truncated(4)
+
+
+def naive_product(a, b):
+    # schoolbook double loop over (i, j) exponents, kept to the common order
+    M = a.order
+    out = np.zeros(triangle_size(M))
+    for i1, j1 in multi_indices(M):
+        for i2, j2 in multi_indices(M - i1 - j1):
+            out[_pos(i1 + i2, j1 + j2)] += a.coeffs[_pos(i1, j1)] * b.coeffs[_pos(i2, j2)]
+    return out
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_mul_matches_naive_loop(order):
+    rng = np.random.default_rng(100 + order)
+    dense = [random_series(rng, order) for _ in range(2)]
+    affine = [TruncatedSeries.affine(*rng.uniform(-2, 2, 3), order) for _ in range(2)]
+    for a, b in [dense, affine, (dense[0], affine[1]), (affine[0], dense[1])]:
+        np.testing.assert_array_equal((a * b).coeffs, naive_product(a, b))
+
+
+def test_order_cap():
+    TruncatedSeries(MAX_ORDER)
+    with pytest.raises(UsageError):
+        TruncatedSeries(MAX_ORDER + 1)
+    with pytest.raises(UsageError):
+        Jet(order=MAX_ORDER + 1, t=0.0, x=0.0, u={a: 0.0 for a in multi_indices(MAX_ORDER + 1)})
