@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -109,46 +110,28 @@ def _eval_records(args, table):
     return records
 
 
+_CHECK_COLUMNS = ("name", "samples", "max_defect", "tolerance", "passed", "seed")
+
+
 def _verify_records(reports, seed):
     records = [{"record": "meta", "command": "verify", "seed": seed}]
     for r in reports:
-        records.append(
-            {
-                "record": "check",
-                "name": r.name,
-                "samples": r.samples,
-                "max_defect": r.max_defect,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "seed": r.seed,
-            }
-        )
+        record = {"record": "check", **{c: getattr(r, c) for c in _CHECK_COLUMNS}}
+        if not math.isfinite(r.max_defect):
+            record["max_defect"] = None  # strict JSON has no inf or NaN
+        records.append(record)
     return records
 
 
-def _csv_table(records):
-    lines = []
-    for r in records:
-        if r["record"] != "invariant":
-            payload = ", ".join(f"{k}={v}" for k, v in r.items() if k != "record")
-            lines.append(f"# {r['record']}: {payload}")
-    lines.append("alpha1,alpha2,value")
-    for r in records:
-        if r["record"] == "invariant":
-            lines.append(f"{r['alpha1']},{r['alpha2']},{r['value']!r}")
-    return "\n".join(lines)
-
-
-def _csv_reports(records):
+def _csv(records, row_record, columns):
+    """A `#` comment per non-row record, then the header and one line per row record."""
     lines = [
-        f"# meta: {', '.join(f'{k}={v}' for k, v in records[0].items() if k != 'record')}",
-        "name,samples,max_defect,tolerance,passed,seed",
+        f"# {r['record']}: " + ", ".join(f"{k}={v}" for k, v in r.items() if k != "record")
+        for r in records
+        if r["record"] != row_record
     ]
-    for r in records[1:]:
-        lines.append(
-            f"{r['name']},{r['samples']},{r['max_defect']!r},{r['tolerance']!r},"
-            f"{r['passed']},{r['seed']}"
-        )
+    lines.append(",".join(columns))
+    lines += [",".join(str(r[c]) for c in columns) for r in records if r["record"] == row_record]
     return "\n".join(lines)
 
 
@@ -170,7 +153,7 @@ def _cmd_eval(args):
     if args.format == "json-lines":
         print(format_json_lines(records))
     else:
-        print(_csv_table(records))
+        print(_csv(records, "invariant", ("alpha1", "alpha2", "value")))
     return EXIT_OK
 
 
@@ -190,7 +173,7 @@ def _cmd_verify(args):
     if args.format == "json-lines":
         print(format_json_lines(records))
     else:
-        print(_csv_reports(records))
+        print(_csv(records, "check", _CHECK_COLUMNS))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(

@@ -203,22 +203,26 @@ def invariant_derivative(solution, t0, x0, alpha, direction, kind):
     return germ.differentiate(F, direction, kind).value
 
 
-def invariant_commutator(solution, t0, x0, alpha, kind):
-    """Value of the frame's commutator bracket applied to I_alpha.
+def _bracket(germ, alpha, kind):
+    """I_alpha, D_t^i I_alpha, D_x^i I_alpha and the oriented bracket on it, at the base point.
 
     The bracket follows each frame's own orientation convention:
     [D_t^i, D_x^i] for the time-normalized frame and [D_x^i, D_t^i] for the
     space-normalized one.
     """
-    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 2)
     F = germ.invariant_series(alpha, kind, 2)
     dtF = germ.differentiate(F, InvDirection.T, kind)
     dxF = germ.differentiate(F, InvDirection.X, kind)
     dt_dx = germ.differentiate(dxF, InvDirection.T, kind).value
     dx_dt = germ.differentiate(dtF, InvDirection.X, kind).value
-    if kind is FrameKind.T_NORMALIZED:
-        return dt_dx - dx_dt
-    return dx_dt - dt_dx
+    bracket = dt_dx - dx_dt if kind is FrameKind.T_NORMALIZED else dx_dt - dt_dx
+    return F.value, dtF.value, dxF.value, bracket
+
+
+def invariant_commutator(solution, t0, x0, alpha, kind):
+    """Value of the frame's commutator bracket applied to I_alpha (see :func:`_bracket`)."""
+    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 2)
+    return _bracket(germ, alpha, kind)[3]
 
 
 def recurrence_rhs(table, alpha, direction):
@@ -294,27 +298,13 @@ def reconstruct_generators(solution, t0, x0, kind):
     _, branch = require_regular_pivot(germ.series_jet(1, 0), kind)
     s = float(branch)
     if kind is FrameKind.T_NORMALIZED:
-        F = germ.invariant_series((0, 1), kind, 2)
-        dtF = germ.differentiate(F, InvDirection.T, kind)
-        dxF = germ.differentiate(F, InvDirection.X, kind)
-        i01, dt, dx = F.value, dtF.value, dxF.value
-        bracket = (
-            germ.differentiate(dxF, InvDirection.T, kind).value
-            - germ.differentiate(dtF, InvDirection.X, kind).value
-        )
+        i01, dt, dx, bracket = _bracket(germ, (0, 1), kind)
         num = bracket - (3.0 / 5.0) * s * (dt + (8.0 / 5.0) * i01**2) * dt + (6.0 / 5.0) * i01 * dx
         den = (9.0 / 25.0) * i01 * dt - (1.0 / 5.0) * s * dx
         _guard_denominator(den, (num, (9.0 / 25.0) * i01 * dt, (1.0 / 5.0) * dx))
         reconstructed = num / den
     else:
-        F = germ.invariant_series((1, 0), kind, 2)
-        dtF = germ.differentiate(F, InvDirection.T, kind)
-        dxF = germ.differentiate(F, InvDirection.X, kind)
-        i10, dt, dx = F.value, dtF.value, dxF.value
-        bracket = (
-            germ.differentiate(dtF, InvDirection.X, kind).value
-            - germ.differentiate(dxF, InvDirection.T, kind).value
-        )
+        i10, dt, dx, bracket = _bracket(germ, (1, 0), kind)
         den = (5.0 / 9.0) * i10 * dx - s * dt
         num = bracket - (1.0 / 3.0) * s * (dx + 2.0) * dx
         _guard_denominator(den, (num, (5.0 / 9.0) * i10 * dx, dt))

@@ -34,8 +34,8 @@ def multi_indices(order: int) -> Tuple[MultiIndex, ...]:
 class Jet:
     """A point of the order-N jet space.
 
-    `u` maps every multi-index of total order <= `order` to the value of the
-    corresponding derivative coordinate; `u[(0, 0)]` is the value of u itself.
+    `u` maps exactly the multi-indices of total order <= `order` to the values
+    of the corresponding derivative coordinates; `u[(0, 0)]` is the value of u itself.
     Coordinates may also be truncated series around the point, which is how
     the closed forms are expanded along a solution or differentiated along a
     flow.  Instances are treated as immutable: operations return new jets.
@@ -49,9 +49,13 @@ class Jet:
     def __post_init__(self):
         if not 0 <= self.order <= MAX_ORDER:
             raise UsageError(f"jet order must lie in [0, {MAX_ORDER}], got {self.order}")
-        missing = [a for a in multi_indices(self.order) if a not in self.u]
+        indices = multi_indices(self.order)
+        missing = [a for a in indices if a not in self.u]
         if missing:
             raise UsageError(f"incomplete jet: missing entries {missing[:4]}")
+        if len(self.u) > len(indices):
+            extra = [a for a in self.u if a not in indices]
+            raise UsageError(f"jet of order {self.order} has entries beyond it: {extra[:4]}")
         object.__setattr__(self, "u", dict(self.u))  # detach from the caller's dict
 
     def value(self, alpha: MultiIndex) -> float:

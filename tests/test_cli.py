@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -170,6 +171,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert parse_json_lines(out)[1]["passed"] is False
 
 
+def test_verify_nan_defect_fails_with_strict_json(capsys, monkeypatch):
+    import math
+
+    import jetframe.verify as verify
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    monkeypatch.setattr(verify, "normalized_invariant", lambda *args: math.nan)
+    code, out, err = run_cli(capsys, "verify", "--suites", "invariance", "--samples", "3")
+    assert code == EXIT_CHECK_FAILED
+    records = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    assert records[1]["max_defect"] is None and records[1]["passed"] is False
+    assert parse_json_lines(out) == records
+    assert "FAIL invariance" in err
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("JETFRAME_SEED", "77")
     code, out, _ = run_cli(capsys, "verify", "--suites", "group-axioms", "--samples", "5")
@@ -242,8 +260,14 @@ def test_eval_order_cap(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--samples", "0"), ("--samples", "-3"), ("--suites", ","), ("--order", "-2")],
-    ids=["zero-samples", "negative-samples", "empty-suite-list", "negative-order"],
+    [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--suites", ","),
+        ("--order", "-2"),
+        ("--order", "0", "--suites", "invariance,infinitesimal", "--samples", "5"),
+    ],
+    ids=["zero-samples", "negative-samples", "empty-suite-list", "negative-order", "zero-order"],
 )
 def test_verify_vacuous_run_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

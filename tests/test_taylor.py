@@ -203,3 +203,9 @@ def test_order_cap():
         TruncatedSeries(MAX_ORDER + 1)
     with pytest.raises(UsageError):
         Jet(order=MAX_ORDER + 1, t=0.0, x=0.0, u={a: 0.0 for a in multi_indices(MAX_ORDER + 1)})
+
+
+def test_jet_rejects_entries_beyond_its_order():
+    Jet(order=0, t=0, x=0, u={(0, 0): 1.0})
+    with pytest.raises(UsageError, match="beyond"):
+        Jet(order=0, t=0, x=0, u={(0, 0): 1.0, (0, 1): 2.0})

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import pytest
 
-from jetframe.errors import UsageError
+import jetframe.verify as verify
+from jetframe.errors import DegeneratePointError, UsageError
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
 
@@ -55,7 +57,11 @@ def test_report_invariant_passed_iff_within_tolerance():
     for name in SUITES:
         assert name in DEFAULT_TOLERANCES
     reports = run_suite(suites=("all",), seed=5, samples=6, order=6)
+    # one count per sample checked: reconstruction checks each frame kind
+    # that found a nondegenerate point, singular-sets at least 5 points
+    expected = {"reconstruction": 12, "singular-sets": max(6, 5)}
     for r in reports:
+        assert r.samples == expected.get(r.name, 6)
         assert r.passed == (r.max_defect <= r.tolerance)
         assert dataclasses.asdict(r).keys() == {
             "name",
@@ -77,3 +83,39 @@ def test_singular_sets_suite_is_exact():
 def test_suite_name_order_is_canonical():
     reports = run_suite(suites=("phantom", "group-axioms"), seed=0, samples=5)
     assert [r.name for r in reports] == ["group-axioms", "phantom"]
+
+
+_REAL_INVARIANT = verify.normalized_invariant
+
+
+@pytest.mark.parametrize(
+    "formula, patched, suites",
+    [
+        ("normalized_invariant", lambda *args: math.nan, ("invariance", "infinitesimal")),
+        (
+            "normalized_invariant",  # NaN among finite defects of the same sample
+            lambda jet, alpha, kind: math.nan if alpha == (1, 1) else _REAL_INVARIANT(jet, alpha, kind),
+            ("invariance", "infinitesimal"),
+        ),
+        ("commutator_coefficients", lambda *args: (math.nan, math.nan), ("commutators",)),
+    ],
+    ids=["invariant-everywhere", "invariant-at-one-alpha", "commutator-coefficients"],
+)
+def test_nan_formula_fails_its_suites(monkeypatch, formula, patched, suites):
+    monkeypatch.setattr(verify, formula, patched)
+    reports = run_suite(suites, seed=0, samples=3, order=3)
+    assert [r.name for r in reports] == list(suites)
+    for r in reports:
+        assert not r.passed
+        assert r.max_defect == math.inf
+
+
+def test_suite_without_samples_fails(monkeypatch):
+    def degenerate(*args):
+        raise DegeneratePointError("every draw is degenerate")
+
+    monkeypatch.setattr(verify, "reconstruct_generators", degenerate)
+    (report,) = run_suite(("reconstruction",), seed=0, samples=1, order=4)
+    assert report.samples == 0
+    assert report.max_defect == math.inf
+    assert report.passed is False
