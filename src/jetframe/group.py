@@ -10,7 +10,11 @@ scaling eps4, acting on base variables as
 
 Derivative coordinates of any order transform in closed form: the boost mixes
 t-derivatives into x-derivatives through a binomial sum and the scaling acts
-with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  The module also hosts
+with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  This transformation
+law is written once, in :func:`_weight` and :func:`_boosted`: it drives
+:func:`prolong_act`, the infinitesimal coefficients :func:`eta_alpha`, and the
+normalized invariants, which are the prolonged action evaluated at the moving
+frame, I_alpha = (rho . z)_alpha.  The module also hosts
 the infinitesimal side: vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u)
 + c4*(3t d_t + x d_x - 2u d_u), their prolongation coefficients, and the
 exact application of the prolonged field to jet functions in Taylor forward
@@ -85,6 +89,30 @@ def inverse(g):
     )
 
 
+def _weight(alpha):
+    """Scaling weight 3*a1 + a2 + 2 of the derivative coordinate u_alpha."""
+    a1, a2 = alpha
+    return 3 * a1 + a2 + 2
+
+
+def _boosted(jet, alpha, b):
+    """sum_k C(a1, k) b^k u[a1 - k, a2 + k]: u_alpha after a Galilean boost by b.
+
+    Closed at fixed total order, because the boost trades one t-derivative
+    for one x-derivative at a time.  `b` and the jet entries may be floats or
+    truncated series.  A power or product that leaves double-precision range
+    is a DomainError, not an arithmetic crash.
+    """
+    a1, a2 = alpha
+    acc = 0.0
+    try:
+        for k in range(a1 + 1):
+            acc += math.comb(a1, k) * b**k * jet.u[(a1 - k, a2 + k)]
+    except OverflowError:
+        raise DomainError(f"boosted coordinate u_{alpha} overflows a double") from None
+    return acc
+
+
 def prolong_act(g, jet):
     """Prolonged action of g on a jet; the output jet has the same order.
 
@@ -92,21 +120,16 @@ def prolong_act(g, jet):
     with multi-index (a1, a2), a1 + a2 >= 1, becomes
 
         U_alpha = exp(-(3*a1 + a2 + 2)*eps4)
-                  * sum_k (-eps3)^k C(a1, k) u[a1 - k, a2 + k]
+                  * sum_k C(a1, k) (-eps3)^k u[a1 - k, a2 + k]
 
-    which is closed at fixed total order because the boost trades one
-    t-derivative for one x-derivative at a time.
+    i.e. the boost by -eps3 followed by the scaling of weight 3*a1 + a2 + 2.
     """
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     values = {(0, 0): U0}
     for alpha in jet.indices():
-        a1, a2 = alpha
-        if a1 + a2 == 0:
+        if alpha == (0, 0):
             continue
-        acc = 0.0
-        for k in range(a1 + 1):
-            acc += (-g.eps3) ** k * math.comb(a1, k) * jet.u[(a1 - k, a2 + k)]
-        values[alpha] = math.exp(-(3 * a1 + a2 + 2) * g.eps4) * acc
+        values[alpha] = math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3)
     return Jet(order=jet.order, t=T, x=X, u=values)
 
 
@@ -169,7 +192,7 @@ def eta_alpha(v, alpha, jet):
         raise UsageError(f"invalid multi-index {alpha}")
     if a1 + a2 == 0:
         return v.eta(jet.t, jet.x, jet.u[(0, 0)])
-    out = -(3 * a1 + a2 + 2) * v.c4 * jet.value(alpha)
+    out = -_weight(alpha) * v.c4 * jet.value(alpha)
     if a1 > 0:
         out -= a1 * v.c3 * jet.value((a1 - 1, a2 + 1))
     return out

@@ -1,8 +1,11 @@
 """Closed-form normalized differential invariants and their calculus.
 
-For a multi-index alpha = (a1, a2) with a1 + a2 >= 1, both frames share the
-binomial core  S_alpha = sum_k C(a1, k) u^k u[a1-k, a2+k]  and differ only in
-the fractional-power prefactor built from their pivot:
+A normalized invariant is the prolonged group action evaluated at the moving
+frame, I_alpha = (rho(z) . z)_alpha.  The transformation law is written once,
+in :mod:`jetframe.group`: with the frame's boost -eps3 = u and scaling
+exp(-eps4) = |pivot|^(-1/denominator), the group's binomial boost sum
+S_alpha = sum_k C(a1, k) u^k u[a1-k, a2+k] and its weight 3*a1 + a2 + 2 give,
+for a multi-index alpha = (a1, a2) with a1 + a2 >= 1,
 
     time-normalized:   I_alpha = |u_t + u*u_x|^(-(3*a1+a2+2)/5) * S_alpha
     space-normalized:  I_alpha = |u_x|^(-(3*a1+a2+2)/3)        * S_alpha
@@ -34,16 +37,11 @@ from .errors import (
     UnsupportedFrameError,
     UsageError,
 )
-from .frame import FrameKind, require_regular_pivot
+from .frame import FrameKind, moving_frame, require_regular_pivot
+from .group import _boosted, _weight, act_point
 from .jets import Jet, MultiIndex, multi_indices
 from .solutions import _expansion, jet_of_solution
 from .taylor import TruncatedSeries, series_pow
-
-
-def _weight(alpha, kind):
-    # exact integer pair (numerator, denominator) of the scaling weight
-    a1, a2 = alpha
-    return 3 * a1 + a2 + 2, kind.weight_denominator
 
 
 def _signed_pow(p, branch, w_num, w_den):
@@ -67,8 +65,9 @@ def _signed_pow(p, branch, w_num, w_den):
 def normalized_invariant(jet, alpha, kind):
     """Invariant I_alpha of the chosen frame, read off a single jet.
 
-    Equals the alpha-entry of the jet after applying its own moving frame;
-    the closed form above avoids actually constructing the frame.  (0, 0)
+    Equals the alpha-entry of the jet after applying its own moving frame,
+    read through the group's transformation law without constructing the
+    frame: the boost by u, then the frame's scaling prefactor.  (0, 0)
     returns 0 identically (the invariantized u), and on the negative branch
     the prefactor uses |pivot| with the sign carried separately.  Entries may
     be floats or truncated series; the result has the same type.
@@ -81,12 +80,8 @@ def normalized_invariant(jet, alpha, kind):
     if a1 + a2 == 0:
         return 0.0
     p, branch = require_regular_pivot(jet, kind)
-    w_num, w_den = _weight(alpha, kind)
-    u = jet.u[(0, 0)]
-    acc = 0.0
-    for k in range(a1 + 1):
-        acc += math.comb(a1, k) * u**k * jet.u[(a1 - k, a2 + k)]
-    return _signed_pow(p, branch, w_num, w_den) * acc
+    prefactor = _signed_pow(p, branch, _weight(alpha), kind.weight_denominator)
+    return prefactor * _boosted(jet, alpha, jet.u[(0, 0)])
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,9 @@ class InvariantTable:
     `values` holds I_alpha for every multi-index of total order <= order;
     `phantoms` records the invariantized coordinates pinned by the
     cross-section, keyed by what they invariantize ("t", "x", "u" and the
-    pivot derivative "u_t" or "u_x").
+    pivot derivative "u_t" or "u_x").  The "t", "x" and "u" phantoms are
+    computed by applying the frame element rho to the base point (t, x, u),
+    so they are exactly 0.0 only when rho really lands on the cross-section.
     """
 
     kind: FrameKind
@@ -118,11 +115,14 @@ def invariant_table(jet, kind, order):
     """Tabulate every I_alpha with total order <= `order` at one jet."""
     if order > jet.order:
         raise UsageError(f"table order {order} exceeds jet order {jet.order}")
-    _, branch = require_regular_pivot(jet, kind)
+    frame = moving_frame(jet, kind)
     values = {alpha: normalized_invariant(jet, alpha, kind) for alpha in multi_indices(order)}
+    t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
-    phantoms = {"t": 0.0, "x": 0.0, "u": 0.0, pivot_key: float(branch)}
-    return InvariantTable(kind=kind, order=order, branch=branch, values=values, phantoms=phantoms)
+    phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}
+    return InvariantTable(
+        kind=kind, order=order, branch=frame.branch, values=values, phantoms=phantoms
+    )
 
 
 class InvDirection(Enum):
@@ -203,13 +203,14 @@ def invariant_derivative(solution, t0, x0, alpha, direction, kind):
     return germ.differentiate(F, direction, kind).value
 
 
-def _bracket(germ, alpha, kind):
-    """I_alpha, D_t^i I_alpha, D_x^i I_alpha and the oriented bracket on it, at the base point.
+def invariant_commutator(solution, t0, x0, alpha, kind):
+    """(I_alpha, D_t^i I_alpha, D_x^i I_alpha, bracket) at (t0, x0), from one germ.
 
     The bracket follows each frame's own orientation convention:
-    [D_t^i, D_x^i] for the time-normalized frame and [D_x^i, D_t^i] for the
-    space-normalized one.
+    [D_t^i, D_x^i] I_alpha for the time-normalized frame and
+    [D_x^i, D_t^i] I_alpha for the space-normalized one.
     """
+    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 2)
     F = germ.invariant_series(alpha, kind, 2)
     dtF = germ.differentiate(F, InvDirection.T, kind)
     dxF = germ.differentiate(F, InvDirection.X, kind)
@@ -217,12 +218,6 @@ def _bracket(germ, alpha, kind):
     dx_dt = germ.differentiate(dtF, InvDirection.X, kind).value
     bracket = dt_dx - dx_dt if kind is FrameKind.T_NORMALIZED else dx_dt - dt_dx
     return F.value, dtF.value, dxF.value, bracket
-
-
-def invariant_commutator(solution, t0, x0, alpha, kind):
-    """Value of the frame's commutator bracket applied to I_alpha (see :func:`_bracket`)."""
-    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 2)
-    return _bracket(germ, alpha, kind)[3]
 
 
 def recurrence_rhs(table, alpha, direction):
@@ -244,14 +239,14 @@ def recurrence_rhs(table, alpha, direction):
     if not (a1 > 0 or a2 > 1):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
     s = float(table.branch)
-    w_num, _ = _weight(alpha, table.kind)
+    w = _weight(alpha) / 3.0
     i_alpha = table.value(alpha)
     if direction is InvDirection.T:
-        out = table.value((a1 + 1, a2)) - s * (w_num / 3.0) * table.value((1, 1)) * i_alpha
+        out = table.value((a1 + 1, a2)) - s * w * table.value((1, 1)) * i_alpha
         if a1 > 0:
             out += a1 * table.value((1, 0)) * table.value((a1 - 1, a2 + 1))
         return out
-    out = table.value((a1, a2 + 1)) - s * (w_num / 3.0) * table.value((0, 2)) * i_alpha
+    out = table.value((a1, a2 + 1)) - s * w * table.value((0, 2)) * i_alpha
     if a1 > 0:
         out += s * a1 * table.value((a1 - 1, a2 + 1))
     return out
@@ -294,22 +289,21 @@ def reconstruct_generators(solution, t0, x0, kind):
     low-order recurrences eliminates every other invariant.  Returns the pair
     (reconstructed, direct) so callers can compare against the closed form.
     """
-    germ = SolutionGerm(solution, t0, x0, 4)
-    _, branch = require_regular_pivot(germ.series_jet(1, 0), kind)
+    jet = jet_of_solution(solution, t0, x0, 2)
+    _, branch = require_regular_pivot(jet, kind)
     s = float(branch)
     if kind is FrameKind.T_NORMALIZED:
-        i01, dt, dx, bracket = _bracket(germ, (0, 1), kind)
+        i01, dt, dx, bracket = invariant_commutator(solution, t0, x0, (0, 1), kind)
         num = bracket - (3.0 / 5.0) * s * (dt + (8.0 / 5.0) * i01**2) * dt + (6.0 / 5.0) * i01 * dx
         den = (9.0 / 25.0) * i01 * dt - (1.0 / 5.0) * s * dx
         _guard_denominator(den, (num, (9.0 / 25.0) * i01 * dt, (1.0 / 5.0) * dx))
         reconstructed = num / den
     else:
-        i10, dt, dx, bracket = _bracket(germ, (1, 0), kind)
+        i10, dt, dx, bracket = invariant_commutator(solution, t0, x0, (1, 0), kind)
         den = (5.0 / 9.0) * i10 * dx - s * dt
         num = bracket - (1.0 / 3.0) * s * (dx + 2.0) * dx
         _guard_denominator(den, (num, (5.0 / 9.0) * i10 * dx, dt))
         i02 = num / den
         i11 = dx + (5.0 / 3.0) * s * i10 * i02 - 1.0
         reconstructed = dt + (5.0 / 3.0) * s * i11 * i10 - s * i10
-    direct = normalized_invariant(jet_of_solution(solution, t0, x0, 2), (2, 0), kind)
-    return reconstructed, direct
+    return reconstructed, normalized_invariant(jet, (2, 0), kind)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import jetframe.invariants as invariants
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, UsageError
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
@@ -119,3 +120,19 @@ def test_suite_without_samples_fails(monkeypatch):
     assert report.samples == 0
     assert report.max_defect == math.inf
     assert report.passed is False
+
+
+def test_phantom_suite_fails_when_the_frame_misses_the_cross_section(monkeypatch):
+    real_frame = invariants.moving_frame
+
+    def off_section(jet, kind):
+        frame = real_frame(jet, kind)
+        rho = dataclasses.replace(frame.rho, eps2=-jet.x + 0.5)
+        return dataclasses.replace(frame, rho=rho)
+
+    (healthy,) = run_suite(("phantom",), seed=0, samples=5)
+    assert healthy.passed
+    monkeypatch.setattr(invariants, "moving_frame", off_section)
+    (report,) = run_suite(("phantom",), seed=0, samples=5)
+    assert report.passed is False
+    assert report.max_defect > 0.1
