@@ -9,7 +9,6 @@ from .errors import (
     DomainError,
     JetFrameError,
     SingularFrameError,
-    UnsupportedFrameError,
     UsageError,
 )
 from .frame import FrameKind, FrameResult, equivariance_defect, moving_frame, pivot_value
@@ -84,7 +83,6 @@ __all__ = [
     "Soliton",
     "SUITES",
     "TruncatedSeries",
-    "UnsupportedFrameError",
     "UsageError",
     "VectorField",
     "act_point",

@@ -9,10 +9,6 @@ class UsageError(JetFrameError, ValueError):
     """A caller violated an interface contract (bad order, missing entry, ...)."""
 
 
-class UnsupportedFrameError(UsageError):
-    """The requested operation is not defined for this frame normalization."""
-
-
 class DomainError(JetFrameError, ValueError):
     """A point or argument lies outside the mathematical domain of an operation."""
 

@@ -36,6 +36,12 @@ class FrameKind(Enum):
         return "u_t + u*u_x" if self is FrameKind.T_NORMALIZED else "u_x"
 
     @property
+    def pivot_alpha(self):
+        # multi-index whose invariantized entry is pinned to the branch sign
+        # (u = 0 on the cross-section, so u_t + u*u_x normalizes like u_t)
+        return (1, 0) if self is FrameKind.T_NORMALIZED else (0, 1)
+
+    @property
     def weight_denominator(self):
         # fractional-power denominator of this normalization's invariants
         return 5 if self is FrameKind.T_NORMALIZED else 3

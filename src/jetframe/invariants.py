@@ -20,8 +20,8 @@ the arithmetic of a :class:`TruncatedSeries`: on floats it gives I_alpha at a
 point, and on series (a :class:`SolutionGerm` expanded along an exact
 solution) it gives the Taylor expansion of I_alpha, so invariant
 differentiation, recurrence and commutator identities are checked without
-finite differences.  Throughout, the branch sign s multiplies the correction
-terms; on the positive branch every formula reduces to its classical form.
+finite differences.  The recurrences and commutators of both frames and both
+branches come from one computed correction matrix (:func:`_corrections`).
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict
 
-from .errors import (
-    DegeneratePointError,
-    DomainError,
-    UnsupportedFrameError,
-    UsageError,
-)
+import numpy as np
+
+from .errors import DegeneratePointError, DomainError, UsageError
 from .frame import FrameKind, moving_frame, require_regular_pivot
-from .group import _boosted, _weight, act_point
+from .group import VectorField, _boosted, _weight, act_point, eta_alpha
 from .jets import Jet, MultiIndex, multi_indices
 from .solutions import _expansion, jet_of_solution
 from .taylor import TruncatedSeries, series_pow
@@ -81,7 +79,10 @@ def normalized_invariant(jet, alpha, kind):
         return 0.0
     p, branch = require_regular_pivot(jet, kind)
     prefactor = _signed_pow(p, branch, _weight(alpha), kind.weight_denominator)
-    return prefactor * _boosted(jet, alpha, jet.u[(0, 0)])
+    value = prefactor * _boosted(jet, alpha, jet.u[(0, 0)])
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"invariant I_{alpha} = {value!r} is not finite at this jet")
+    return value
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,16 @@ class InvariantTable:
             raise UsageError(
                 f"invariant table of order {self.order} has no entry {alpha}"
             ) from None
+
+    @cached_property
+    def _jet(self):
+        # the invariantized jet: the table's values at t = x = 0
+        return Jet(order=self.order, t=0.0, x=0.0, u=self.values)
+
+    @cached_property
+    def _R(self):
+        # built on the first recurrence or commutator query, not by invariant_table
+        return _corrections(self)
 
 
 def invariant_table(jet, kind, order):
@@ -220,57 +231,69 @@ def invariant_commutator(solution, t0, x0, alpha, kind):
     return F.value, dtF.value, dxF.value, bracket
 
 
-def recurrence_rhs(table, alpha, direction):
-    """Right-hand side of the space-normalized split recurrence at `alpha`.
+# e_t and e_x: the directions of invariant differentiation, in the column
+# order of the correction matrix
+_UNITS = ((1, 0), (0, 1))
 
-    With s the branch sign and w = (3*a1 + a2 + 2)/3,
 
-        D_t^i I_alpha = I[a1+1, a2] - s*w*I[1,1]*I_alpha + a1*I[1,0]*I[a1-1, a2+1]
-        D_x^i I_alpha = I[a1, a2+1] - s*w*I[0,2]*I_alpha + s*a1*I[a1-1, a2+1]
+def _plus(alpha, e):
+    return (alpha[0] + e[0], alpha[1] + e[1])
 
-    On the positive branch these are the classical recurrences.  Only
-    non-phantom indices (a1 > 0 or a2 > 1) are admitted.
+
+def _corrections(table):
+    """Correction matrix R[kappa][j] = R_j^kappa, kappa over VectorField.basis(), j over (t, x).
+
+    The phantoms z = t, x, u, u_p are constant on the cross-section, so R solves
+    0 = iota(D_j z) + sum_kappa R_j^kappa iota(v_kappa z) on the invariantized jet J.
     """
-    if table.kind is not FrameKind.X_NORMALIZED:
-        raise UnsupportedFrameError(
-            "split recurrences are tabulated for the space-normalized frame only"
-        )
-    a1, a2 = alpha
-    if not (a1 > 0 or a2 > 1):
+    J, p, origin = table._jet, table.kind.pivot_alpha, (0.0, 0.0, 0.0)
+    fields = VectorField.basis()
+    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), eta_alpha(v, p, J)] for v in fields]
+    # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
+    d_z = [list(e) for e in _UNITS] + [[table.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)]
+    return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
+
+
+def recurrence_rhs(table, alpha, direction):
+    """D_j^i I_alpha from the table, for either frame and branch.
+
+    Universal recurrence formula (Fels & Olver, Moving coframes II, Acta
+    Appl. Math. 1999), with R the table's correction matrix and eta^alpha_kappa
+    the prolongation coefficient of v_kappa on the invariantized jet J:
+
+        D_j^i I_alpha = I[alpha + e_j] + sum_kappa R_j^kappa eta^alpha_kappa(J)
+
+    The phantom indices (0, 0) and the frame's pivot index are rejected.
+    """
+    if tuple(alpha) in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
-    s = float(table.branch)
-    w = _weight(alpha) / 3.0
-    i_alpha = table.value(alpha)
-    if direction is InvDirection.T:
-        out = table.value((a1 + 1, a2)) - s * w * table.value((1, 1)) * i_alpha
-        if a1 > 0:
-            out += a1 * table.value((1, 0)) * table.value((a1 - 1, a2 + 1))
-        return out
-    out = table.value((a1, a2 + 1)) - s * w * table.value((0, 2)) * i_alpha
-    if a1 > 0:
-        out += s * a1 * table.value((a1 - 1, a2 + 1))
+    j = 0 if direction is InvDirection.T else 1
+    out = table.value(_plus(alpha, _UNITS[j]))
+    for v, r in zip(VectorField.basis(), table._R):
+        out += float(r[j]) * eta_alpha(v, alpha, table._jet)
     return out
 
 
 def commutator_coefficients(table):
-    """Structure coefficients (aT, aX) of the frame's commutation relation.
+    """Coefficients (aT, aX) of [D_a^i, D_b^i] = aT*D_t^i + aX*D_x^i.
 
-    time-normalized:   [D_t^i, D_x^i] = aT*D_t^i + aX*D_x^i,
-                       aT = (3/5)*s*(I[1,1] + I[0,1]^2),
-                       aX = -(1/5)*(s*I[2,0] + 6*I[0,1])
-    space-normalized:  [D_x^i, D_t^i] = aT*D_t^i + aX*D_x^i,
-                       aT = -s*I[0,2],  aX = s*(1 + I[1,1]/3)
+    (a, b) is (t, x) in the time-normalized frame and (x, t) in the
+    space-normalized one.  By the universal recurrence formula (Fels & Olver,
+    Moving coframes II, Acta Appl. Math. 1999), with xi^t = tau and xi^x = xi,
 
-    with s the branch sign; s = +1 gives the classical coefficients.
+        Y^l = sum_kappa (R_b^kappa iota(D_a xi^l_kappa) - R_a^kappa iota(D_b xi^l_kappa)).
+
+    iota(D_j .) is exact forward mode: t, x and u are lifted to eps_t, eps_x
+    and I[1,0]*eps_t + I[0,1]*eps_x in one order-1 series.
     """
-    if table.order < 2:
-        raise UsageError("commutator coefficients need a table of order >= 2")
-    s = float(table.branch)
-    if table.kind is FrameKind.T_NORMALIZED:
-        i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
-        return (3.0 / 5.0) * s * (i11 + i01**2), -(1.0 / 5.0) * (s * i20 + 6.0 * i01)
-    i02, i11 = table.value((0, 2)), table.value((1, 1))
-    return -s * i02, s * (1.0 + i11 / 3.0)
+    a, b = (0, 1) if table.kind is FrameKind.T_NORMALIZED else (1, 0)
+    u_slots = tuple(table.value(e) for e in _UNITS)
+    lifted = [TruncatedSeries.affine(0.0, *slots, 1) for slots in _UNITS + (u_slots,)]
+    out = [0.0, 0.0]
+    for v, r in zip(VectorField.basis(), table._R):
+        for l, base in enumerate((v.tau(*lifted), v.xi(*lifted))):
+            out[l] += float(r[b]) * base.coeff(*_UNITS[a]) - float(r[a]) * base.coeff(*_UNITS[b])
+    return tuple(out)
 
 
 def _guard_denominator(den, scale_terms):

@@ -1,5 +1,7 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -12,6 +14,7 @@ from jetframe.cli import (
     main,
     parse_json_lines,
 )
+from jetframe.solutions import CATALOG
 
 
 def run_cli(capsys, *argv):
@@ -283,3 +286,55 @@ def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert "JETFRAME_SEED" in err
+
+
+def _eval_argvs():
+    st = pytest.importorskip("hypothesis.strategies")
+    number = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(["1e-300", "-1e308", "abc", ""]),
+    ).map(lambda v: v if isinstance(v, str) else repr(v))
+    optional = {
+        flag: st.one_of(st.none(), values)
+        for flag, values in (
+            ("--c", number),
+            ("--phase", number),
+            ("--u0", number),
+            ("--t0", number),
+            ("--x0", number),
+            ("--order", st.integers(-2, 14).map(str)),
+            ("--branch-policy", st.sampled_from(["auto", "strict-positive"])),
+        )
+    }
+    return st.fixed_dictionaries(
+        {
+            "--solution": st.sampled_from(CATALOG + ("nosuch",)),
+            "--frame": st.sampled_from(["t", "x"]),
+            **optional,
+        }
+    ).map(
+        lambda flags: ["eval"]
+        + [item for flag, value in flags.items() if value is not None for item in (flag, value)]
+    )
+
+
+def test_eval_fuzz_exit_codes_and_strict_json():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_eval_argvs())
+    def check(argv):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), argv
+        text = out.getvalue()
+        records = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+        assert parse_json_lines(text) == records
+        assert bool(records) == (code == EXIT_OK), argv
+
+    check()

@@ -5,7 +5,6 @@ from jetframe.errors import (
     DegeneratePointError,
     DomainError,
     SingularFrameError,
-    UnsupportedFrameError,
     UsageError,
 )
 from jetframe.frame import FrameKind, moving_frame, pivot_value
@@ -64,8 +63,7 @@ def test_invariantized_u_vanishes_and_pivot_entry_is_branch():
                 x_branch=branch if kind is FrameKind.X_NORMALIZED else None,
             )
             assert normalized_invariant(jet, (0, 0), kind) == 0.0
-            pivot_alpha = (1, 0) if kind is FrameKind.T_NORMALIZED else (0, 1)
-            assert normalized_invariant(jet, pivot_alpha, kind) == pytest.approx(branch)
+            assert normalized_invariant(jet, kind.pivot_alpha, kind) == pytest.approx(branch)
 
 
 def test_alpha_beyond_jet_order_rejected():
@@ -169,28 +167,36 @@ def test_derivative_of_phantom_is_zero():
             assert invariant_derivative(sol, 0.4, 1.1, (0, 0), direction, kind) == 0.0
 
 
-def test_time_frame_generator_derivative_relation():
-    # on the positive branch the derivative of the generating invariant
-    # collapses onto three table entries
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        sol, t0, x0 = random_soliton_point(rng, FrameKind.T_NORMALIZED, +1)
-        table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
-        assert table.branch == 1
-        i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
-        lhs = invariant_derivative(sol, t0, x0, (0, 1), InvDirection.T, FrameKind.T_NORMALIZED)
-        assert rel(lhs, -0.6 * i01**2 + i11 - 0.6 * i01 * i20) <= 1e-6
-
-
 def test_time_frame_relation_branch_aware():
+    # typed oracle: the derivative of the time frame's generating invariant
+    # collapses onto three table entries, with the branch sign on the last
     rng = np.random.default_rng(14)
-    for _ in range(10):
-        sol, t0, x0 = random_soliton_point(rng, FrameKind.T_NORMALIZED, -1)
-        table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
-        assert table.branch == -1
-        i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
-        lhs = invariant_derivative(sol, t0, x0, (0, 1), InvDirection.T, FrameKind.T_NORMALIZED)
-        assert rel(lhs, -0.6 * i01**2 + i11 - 0.6 * table.branch * i01 * i20) <= 1e-6
+    for branch in (1, -1):
+        for _ in range(10):
+            sol, t0, x0 = random_soliton_point(rng, FrameKind.T_NORMALIZED, branch)
+            table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
+            assert table.branch == branch
+            i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
+            want = -0.6 * i01**2 + i11 - 0.6 * branch * i01 * i20
+            assert rel(recurrence_rhs(table, (0, 1), InvDirection.T), want) <= 1e-14
+
+
+def x_frame_recurrence(table, alpha, direction):
+    # typed oracle: the space-normalized split recurrences, with s the branch
+    # sign and w = (3*a1 + a2 + 2)/3
+    a1, a2 = alpha
+    s = table.branch
+    w = (3 * a1 + a2 + 2) / 3.0
+    i_alpha = table.value(alpha)
+    if direction is InvDirection.T:
+        out = table.value((a1 + 1, a2)) - s * w * table.value((1, 1)) * i_alpha
+        if a1 > 0:
+            out += a1 * table.value((1, 0)) * table.value((a1 - 1, a2 + 1))
+        return out
+    out = table.value((a1, a2 + 1)) - s * w * table.value((0, 2)) * i_alpha
+    if a1 > 0:
+        out += s * a1 * table.value((a1 - 1, a2 + 1))
+    return out
 
 
 def test_recurrence_rhs_frozen_instance():
@@ -207,50 +213,62 @@ def test_recurrence_rhs_frozen_instance():
         + table.value((1, 0)) * table.value((0, 1))
     )
     assert got_t == pytest.approx(want_t, rel=1e-13)
-
-
-@pytest.mark.parametrize("branch", [1, -1])
-def test_recurrences_match_derivatives(branch):
-    rng = np.random.default_rng(16 + branch)
-    alphas = [a for a in multi_indices(3) if a[0] > 0 or a[1] > 1]
-    for _ in range(10):
+    for branch in (1, -1):
         sol, t0, x0 = random_soliton_point(rng, FrameKind.X_NORMALIZED, branch)
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), FrameKind.X_NORMALIZED, 4)
+        for alpha in multi_indices(3):
+            if alpha in ((0, 0), (0, 1)):
+                continue
+            for direction in InvDirection:
+                want = x_frame_recurrence(table, alpha, direction)
+                assert rel(recurrence_rhs(table, alpha, direction), want) <= 1e-13, (alpha, branch)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+def test_recurrences_match_derivatives(kind, branch):
+    rng = np.random.default_rng(16 + branch)
+    alphas = [a for a in multi_indices(3) if a not in ((0, 0), kind.pivot_alpha)]
+    for _ in range(10):
+        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
         assert table.branch == branch
         for alpha in alphas:
             for direction in InvDirection:
-                lhs = invariant_derivative(sol, t0, x0, alpha, direction, FrameKind.X_NORMALIZED)
+                lhs = invariant_derivative(sol, t0, x0, alpha, direction, kind)
                 rhs = recurrence_rhs(table, alpha, direction)
-                assert rel(lhs, rhs) <= 1e-6, (alpha, direction, branch)
+                assert rel(lhs, rhs) <= 1e-12, (alpha, direction, branch)
 
 
 def test_recurrence_usage_errors():
     rng = np.random.default_rng(19)
     sol, t0, x0 = random_soliton_point(rng)
-    x_table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.X_NORMALIZED, 2)
-    t_table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
-    with pytest.raises(UnsupportedFrameError):
-        recurrence_rhs(t_table, (0, 2), InvDirection.X)
-    with pytest.raises(UsageError):
-        recurrence_rhs(x_table, (0, 1), InvDirection.X)  # phantom index
-    with pytest.raises(UsageError):
-        recurrence_rhs(x_table, (0, 2), InvDirection.X)  # needs order 3 entries
+    for kind, phantom in ((FrameKind.X_NORMALIZED, (0, 1)), (FrameKind.T_NORMALIZED, (1, 0))):
+        table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
+        for alpha in ((0, 0), phantom):
+            with pytest.raises(UsageError):
+                recurrence_rhs(table, alpha, InvDirection.X)
+        with pytest.raises(UsageError):
+            recurrence_rhs(table, (0, 2), InvDirection.X)  # needs order 3 entries
 
 
 def test_commutator_coefficients_from_table():
+    # typed oracle: the classical coefficients, with the branch sign s
     rng = np.random.default_rng(21)
-    sol, t0, x0 = random_soliton_point(rng)
-    for kind in KINDS:
-        table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
-        s = table.branch
-        a_t, a_x = commutator_coefficients(table)
-        if kind is FrameKind.T_NORMALIZED:
-            i01, i11, i20 = (table.value(a) for a in ((0, 1), (1, 1), (2, 0)))
-            assert a_t == pytest.approx(0.6 * s * (i11 + i01**2))
-            assert a_x == pytest.approx(-0.2 * (s * i20 + 6 * i01))
-        else:
-            assert a_t == pytest.approx(-s * table.value((0, 2)))
-            assert a_x == pytest.approx(s * (1 + table.value((1, 1)) / 3))
+    for branch in (1, -1):
+        for kind in KINDS:
+            sol, t0, x0 = random_soliton_point(rng, kind, branch)
+            table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
+            s = table.branch
+            assert s == branch
+            a_t, a_x = commutator_coefficients(table)
+            if kind is FrameKind.T_NORMALIZED:
+                i01, i11, i20 = (table.value(a) for a in ((0, 1), (1, 1), (2, 0)))
+                want_t, want_x = 0.6 * s * (i11 + i01**2), -0.2 * (s * i20 + 6 * i01)
+            else:
+                want_t, want_x = -s * table.value((0, 2)), s * (1 + table.value((1, 1)) / 3)
+            assert rel(a_t, want_t) <= 1e-14, (kind, branch)
+            assert rel(a_x, want_x) <= 1e-14, (kind, branch)
 
 
 def test_commutator_coefficients_need_order_two():
@@ -273,7 +291,7 @@ def test_commutator_reproduces_nested_derivatives(kind):
             assert rel(i_alpha, table.value(alpha)) <= 1e-13, (alpha, kind)
             assert dt == invariant_derivative(sol, t0, x0, alpha, InvDirection.T, kind)
             assert dx == invariant_derivative(sol, t0, x0, alpha, InvDirection.X, kind)
-            assert rel(bracket, a_t * dt + a_x * dx) <= 1e-5, (alpha, kind)
+            assert rel(bracket, a_t * dt + a_x * dx) <= 1e-12, (alpha, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -360,6 +378,18 @@ def test_rational_germ_is_singular_in_time_frame():
         series = germ.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
         with pytest.raises(SingularFrameError):
             germ.differentiate(series, InvDirection.X, FrameKind.T_NORMALIZED)
+
+
+def test_non_finite_invariant_is_domain_error():
+    # the prefactor |u_x|^(-8/3) ~ 1e53 is finite and so is u[(0, 6)], but
+    # their product is not
+    values = {alpha: 0.5 for alpha in multi_indices(6)}
+    values[(0, 1)] = 1e-20
+    values[(0, 6)] = 1e300
+    jet = Jet(order=6, t=0.5, x=0.5, u=values)
+    with pytest.raises(DomainError) as info:
+        normalized_invariant(jet, (0, 6), FrameKind.X_NORMALIZED)
+    assert not isinstance(info.value, SingularFrameError)
 
 
 def test_prefactor_overflow_is_domain_error():
