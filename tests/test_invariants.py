@@ -167,6 +167,19 @@ def test_derivative_of_phantom_is_zero():
             assert invariant_derivative(sol, 0.4, 1.1, (0, 0), direction, kind) == 0.0
 
 
+def test_time_frame_generator_derivative_relation():
+    # on the positive branch the derivative of the generating invariant
+    # collapses onto three table entries
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        sol, t0, x0 = random_soliton_point(rng, FrameKind.T_NORMALIZED, +1)
+        table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
+        assert table.branch == 1
+        i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
+        lhs = invariant_derivative(sol, t0, x0, (0, 1), InvDirection.T, FrameKind.T_NORMALIZED)
+        assert rel(lhs, -0.6 * i01**2 + i11 - 0.6 * i01 * i20) <= 1e-6
+
+
 def test_time_frame_relation_branch_aware():
     # typed oracle: the derivative of the time frame's generating invariant
     # collapses onto three table entries, with the branch sign on the last
