@@ -30,7 +30,7 @@ class SingularFrameError(DomainError):
 
 
 class DegeneratePointError(JetFrameError):
-    """A reconstruction denominator is too close to zero at this base point.
+    """The reconstruction system is too ill-conditioned to solve at this base point.
 
     Generic points are fine; the caller should pick another base point.
     """

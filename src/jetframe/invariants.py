@@ -20,8 +20,8 @@ the arithmetic of a :class:`TruncatedSeries`: on floats it gives I_alpha at a
 point, and on series (a :class:`SolutionGerm` expanded along an exact
 solution) it gives the Taylor expansion of I_alpha, so invariant
 differentiation, recurrence and commutator identities are checked without
-finite differences.  The recurrences and commutators of both frames and both
-branches come from one computed correction matrix (:func:`_corrections`).
+finite differences.  The recurrences, commutators and reconstruction of both
+frames and branches come from one computed correction matrix (:func:`_corrections`).
 """
 
 from __future__ import annotations
@@ -296,37 +296,40 @@ def commutator_coefficients(table):
     return tuple(out)
 
 
-def _guard_denominator(den, scale_terms):
-    scale = max(1.0, *(abs(v) for v in scale_terms))
-    if abs(den) <= 1e-8 * scale:
-        raise DegeneratePointError(
-            f"reconstruction denominator {den!r} is degenerate at this base point"
-        )
+# the invariant that reconstruction rebuilds, and the worst conditioning it accepts
+_RECONSTRUCTED = (2, 0)
+_MAX_CONDITION = 1e8
 
 
 def reconstruct_generators(solution, t0, x0, kind):
-    """Rebuild I[2,0] from the frame's single generating invariant.
+    """Rebuild I[2,0] from the frame's generating invariant I_g, g the non-pivot unit.
 
-    The generator is I[0,1] for the time-normalized frame and I[1,0] for the
-    space-normalized one; combining the commutation relation with the
-    low-order recurrences eliminates every other invariant.  Returns the pair
-    (reconstructed, direct) so callers can compare against the closed form.
+    D_t^i I_g, D_x^i I_g and the bracket of I_g, taken along the solution, obey
+    the universal recurrence formula (Fels & Olver, Moving coframes II, Acta
+    Appl. Math. 1999) on an order-2 table whose first-order entries are known.
+    R is affine in the table's second-order entries, so the residuals of
+    `recurrence_rhs` and `commutator_coefficients` are too: their coefficients
+    are read exactly at zero and at the unit vectors, and one 3x3 solve gives
+    I[2,0].  Returns (reconstructed, direct) to compare with the closed form.
     """
-    jet = jet_of_solution(solution, t0, x0, 2)
+    order = sum(_RECONSTRUCTED)
+    jet = jet_of_solution(solution, t0, x0, order)
     _, branch = require_regular_pivot(jet, kind)
-    s = float(branch)
-    if kind is FrameKind.T_NORMALIZED:
-        i01, dt, dx, bracket = invariant_commutator(solution, t0, x0, (0, 1), kind)
-        num = bracket - (3.0 / 5.0) * s * (dt + (8.0 / 5.0) * i01**2) * dt + (6.0 / 5.0) * i01 * dx
-        den = (9.0 / 25.0) * i01 * dt - (1.0 / 5.0) * s * dx
-        _guard_denominator(den, (num, (9.0 / 25.0) * i01 * dt, (1.0 / 5.0) * dx))
-        reconstructed = num / den
-    else:
-        i10, dt, dx, bracket = invariant_commutator(solution, t0, x0, (1, 0), kind)
-        den = (5.0 / 9.0) * i10 * dx - s * dt
-        num = bracket - (1.0 / 3.0) * s * (dx + 2.0) * dx
-        _guard_denominator(den, (num, (5.0 / 9.0) * i10 * dx, dt))
-        i02 = num / den
-        i11 = dx + (5.0 / 3.0) * s * i10 * i02 - 1.0
-        reconstructed = dt + (5.0 / 3.0) * s * i11 * i10 - s * i10
-    return reconstructed, normalized_invariant(jet, (2, 0), kind)
+    g = next(e for e in _UNITS if e != kind.pivot_alpha)
+    i_g, dt, dx, bracket = invariant_commutator(solution, t0, x0, g, kind)
+    known = {(0, 0): 0.0, kind.pivot_alpha: float(branch), g: i_g}
+    unknowns = [a for a in multi_indices(order) if sum(a) == order]
+
+    def residuals(entries):
+        table = InvariantTable(kind, order, branch, {**known, **dict(zip(unknowns, entries))}, {})
+        a_t, a_x = commutator_coefficients(table)
+        rhs_t, rhs_x = (recurrence_rhs(table, g, d) for d in InvDirection)
+        return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
+
+    at_zero = residuals(np.zeros(len(unknowns)))
+    A = np.column_stack([residuals(e) - at_zero for e in np.eye(len(unknowns))])
+    condition = np.linalg.cond(A)
+    if not condition <= _MAX_CONDITION:
+        raise DegeneratePointError(f"reconstruction at ({t0}, {x0}) has condition {condition:.3g}")
+    reconstructed = np.linalg.solve(A, -at_zero)[unknowns.index(_RECONSTRUCTED)]
+    return float(reconstructed), normalized_invariant(jet, _RECONSTRUCTED, kind)

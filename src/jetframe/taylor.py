@@ -84,6 +84,13 @@ class TruncatedSeries:
                 )
             self.coeffs = coeffs
 
+    @classmethod
+    def _wrap(cls, order, coeffs):
+        # a kernel's own fresh array of the right shape: no copy, no checks
+        s = cls.__new__(cls)
+        s.order, s.coeffs = order, coeffs
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -122,7 +129,7 @@ class TruncatedSeries:
         """Copy of this series cut down to a lower (or equal) order."""
         if order > self.order:
             raise UsageError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(order, self.coeffs[: triangle_size(order)].copy())
+        return TruncatedSeries._wrap(order, self.coeffs[: triangle_size(order)].copy())
 
     def evaluate(self, dt, dx):
         i, j = _exponents(self.order)
@@ -143,15 +150,15 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries(self.order, self.coeffs + other.coeffs)
+            return TruncatedSeries._wrap(self.order, self.coeffs + other.coeffs)
         out = self.coeffs.copy()
         out[0] += other
-        return TruncatedSeries(self.order, out)
+        return TruncatedSeries._wrap(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.order, -self.coeffs)
+        return TruncatedSeries._wrap(self.order, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -161,11 +168,11 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.order, self.coeffs * float(other))
+            return TruncatedSeries._wrap(self.order, self.coeffs * float(other))
         self._check_order(other)
         lhs, rhs, out = _product_table(self.order)
         products = self.coeffs[lhs] * other.coeffs[rhs]
-        return TruncatedSeries(self.order, np.bincount(out, products, triangle_size(self.order)))
+        return TruncatedSeries._wrap(self.order, np.bincount(out, products, triangle_size(self.order)))
 
     __rmul__ = __mul__
 
@@ -184,7 +191,7 @@ class TruncatedSeries:
         if self.order == 0:
             raise UsageError("cannot differentiate an order-0 series")
         source, factor = _derivative_table(self.order, di, dj)
-        return TruncatedSeries(self.order - 1, factor * self.coeffs[source])
+        return TruncatedSeries._wrap(self.order - 1, factor * self.coeffs[source])
 
     def dt(self):
         """Formal derivative with respect to the t-offset (order drops by 1)."""

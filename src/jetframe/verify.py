@@ -66,7 +66,7 @@ DEFAULT_TOLERANCES = {
     "kdv-residual": 1e-9,
     "recurrences": 1e-11,
     "commutators": 1e-12,
-    "reconstruction": 1e-5,
+    "reconstruction": 1e-12,
     "infinitesimal": 1e-10,
     "singular-sets": 0.0,
 }

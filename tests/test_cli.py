@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import warnings
@@ -15,6 +16,7 @@ from jetframe.cli import (
     parse_json_lines,
 )
 from jetframe.solutions import CATALOG
+from jetframe.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -336,5 +338,56 @@ def test_eval_fuzz_exit_codes_and_strict_json():
         records = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
         assert parse_json_lines(text) == records
         assert bool(records) == (code == EXIT_OK), argv
+
+    check()
+
+
+def _verify_argvs():
+    st = pytest.importorskip("hypothesis.strategies")
+    # half clean subsets, half lists with unknown names, blanks and stray commas
+    names = st.one_of(
+        st.lists(st.sampled_from(SUITES), min_size=1, max_size=3),
+        st.lists(st.sampled_from(SUITES + ("all", "nosuch", "", " ")), max_size=4),
+    )
+    suites = st.tuples(st.sampled_from(["", ","]), names.map(",".join))
+    optional = {
+        flag: st.one_of(st.none(), values)
+        for flag, values in (
+            ("--suites", suites.map("".join)),
+            ("--order", st.integers(-1, 7).map(str)),
+            ("--seed", st.integers().map(str)),
+            ("--format", st.sampled_from(["json-lines", "csv"])),
+        )
+    }
+    # --samples is always given: its default of 100 would make each example a full battery
+    return st.fixed_dictionaries({"--samples": st.integers(-1, 2).map(str), **optional}).map(
+        lambda flags: ["verify"]
+        + [item for flag, value in flags.items() if value is not None for item in (flag, value)]
+    )
+
+
+def test_verify_fuzz_exit_codes_and_strict_json():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_verify_argvs())
+    def check(argv):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE), argv
+        text = out.getvalue()
+        assert (text == "") == (code == EXIT_USAGE), argv
+        if "csv" in argv:
+            rows = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+            failed = any(row["passed"] == "False" for row in rows)
+        else:
+            records = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+            assert parse_json_lines(text) == records
+            failed = any(r["record"] == "check" and not r["passed"] for r in records)
+        assert failed == (code == EXIT_CHECK_FAILED), argv
 
     check()

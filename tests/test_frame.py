@@ -130,3 +130,16 @@ def test_pivot_values():
     jet = make_jet(u00=2.0, u10=-1.0, u01=3.0)
     assert pivot_value(jet, FrameKind.T_NORMALIZED) == pytest.approx(5.0)
     assert pivot_value(jet, FrameKind.X_NORMALIZED) == pytest.approx(3.0)
+
+
+def test_cancellation_test_scale():
+    # a time pivot about 1e-12 of its terms is a real value, not a
+    # cancellation artifact; one a few ulps of its terms is not
+    u, u_x = 1.5, 1.0
+    regular = make_jet(order=2, u00=u, u01=u_x, u10=-u * u_x + 2e-12 * abs(u * u_x))
+    assert abs(pivot_value(regular, FrameKind.T_NORMALIZED)) == pytest.approx(3e-12, rel=1e-3)
+    assert moving_frame(regular, FrameKind.T_NORMALIZED).branch == 1
+    cancelled = make_jet(order=2, u00=u, u01=u_x, u10=-u * u_x + 4 * np.spacing(u * u_x))
+    assert 0.0 < pivot_value(cancelled, FrameKind.T_NORMALIZED) <= 4 * np.spacing(u * u_x)
+    with pytest.raises(SingularFrameError):
+        moving_frame(cancelled, FrameKind.T_NORMALIZED)

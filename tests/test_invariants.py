@@ -12,7 +12,6 @@ from jetframe.group import prolong_act
 from jetframe.invariants import (
     InvDirection,
     SolutionGerm,
-    _guard_denominator,
     commutator_coefficients,
     invariant_commutator,
     invariant_derivative,
@@ -307,6 +306,20 @@ def test_commutator_reproduces_nested_derivatives(kind):
             assert rel(bracket, a_t * dt + a_x * dx) <= 1e-12, (alpha, kind)
 
 
+def typed_reconstruction(solution, t0, x0, kind):
+    # typed oracle: each frame's relations eliminated by hand down to I[2,0],
+    # with s the branch sign
+    s = float(moving_frame(jet_of_solution(solution, t0, x0, 1), kind).branch)
+    if kind is FrameKind.T_NORMALIZED:
+        i01, dt, dx, bracket = invariant_commutator(solution, t0, x0, (0, 1), kind)
+        num = bracket - (3.0 / 5.0) * s * (dt + (8.0 / 5.0) * i01**2) * dt + (6.0 / 5.0) * i01 * dx
+        return num / ((9.0 / 25.0) * i01 * dt - (1.0 / 5.0) * s * dx)
+    i10, dt, dx, bracket = invariant_commutator(solution, t0, x0, (1, 0), kind)
+    i02 = (bracket - (1.0 / 3.0) * s * (dx + 2.0) * dx) / ((5.0 / 9.0) * i10 * dx - s * dt)
+    i11 = dx + (5.0 / 3.0) * s * i10 * i02 - 1.0
+    return dt + (5.0 / 3.0) * s * i11 * i10 - s * i10
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("branch", [1, -1])
 def test_reconstruction_matches_direct_value(kind, branch):
@@ -318,7 +331,8 @@ def test_reconstruction_matches_direct_value(kind, branch):
             rec, direct = reconstruct_generators(sol, t0, x0, kind)
         except DegeneratePointError:
             continue
-        assert rel(rec, direct) <= 1e-5
+        assert rel(rec, direct) <= 1e-12
+        assert rel(rec, typed_reconstruction(sol, t0, x0, kind)) <= 1e-13
         done += 1
 
 
@@ -335,10 +349,15 @@ def test_second_generator_identity():
             assert rel(i11, table.value((1, 1))) <= 1e-6
 
 
-def test_degenerate_denominator_guard():
-    with pytest.raises(DegeneratePointError):
-        _guard_denominator(1e-12, (0.5, 2.0, 1.0))
-    _guard_denominator(1e-3, (0.5, 2.0, 1.0))  # comfortably regular
+def test_degenerate_point_on_soliton():
+    # on the default soliton (c = 1, phase 0) the space frame's reconstruction
+    # system is singular where x - t = +-x_star; a point just off them is regular
+    x_star = 2.2924316695611773
+    for x0 in (x_star, -x_star):
+        with pytest.raises(DegeneratePointError):
+            reconstruct_generators(Soliton(), 0.0, x0, FrameKind.X_NORMALIZED)
+    rec, direct = reconstruct_generators(Soliton(), 0.0, x_star + 1e-3, FrameKind.X_NORMALIZED)
+    assert rel(rec, direct) <= 1e-12
 
 
 def test_singular_set_inclusion_on_rational_family():

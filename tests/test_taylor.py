@@ -209,3 +209,21 @@ def test_jet_rejects_entries_beyond_its_order():
     Jet(order=0, t=0, x=0, u={(0, 0): 1.0})
     with pytest.raises(UsageError, match="beyond"):
         Jet(order=0, t=0, x=0, u={(0, 0): 1.0, (0, 1): 2.0})
+
+
+def test_kernel_results_own_their_coefficients():
+    # kernels wrap their fresh arrays without a copy; none may alias an operand
+    rng = np.random.default_rng(9)
+    a, b = random_series(rng, 4), random_series(rng, 4)
+    results = (a + b, a + 2.0, 2.0 + a, -a, a - b, a * b, a * 3.0, a.dt(), a.dx(), a.truncated(4))
+    for result in results:
+        assert not np.shares_memory(result.coeffs, a.coeffs)
+        assert not np.shares_memory(result.coeffs, b.coeffs)
+    # the public constructor still copies and checks what it is given
+    coeffs = np.ones(triangle_size(2))
+    series = TruncatedSeries(2, coeffs)
+    assert not np.shares_memory(series.coeffs, coeffs)
+    coeffs[0] = 5.0
+    assert series.value == 1.0
+    with pytest.raises(UsageError):
+        TruncatedSeries(2, np.ones(triangle_size(3)))
