@@ -14,13 +14,14 @@ with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  This transformation
 law is written once, in :func:`_weight` and :func:`_boosted`: it drives
 :func:`prolong_act`, the infinitesimal coefficients :func:`eta_alpha`, and the
 normalized invariants, which are the prolonged action evaluated at the moving
-frame, I_alpha = (rho . z)_alpha.  The module also hosts
-the infinitesimal side: vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u)
-+ c4*(3t d_t + x d_x - 2u d_u), their prolongation coefficients, and the
-exact application of the prolonged field to jet functions in Taylor forward
-mode: each coordinate c is lifted to the order-1 series c + eps*(its
-coefficient), and the eps coefficient of the result is the derivative along
-the flow.
+frame, I_alpha = (rho . z)_alpha; an action that leaves double-precision
+range is a DomainError.  The module also hosts the infinitesimal side:
+vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u) + c4*(3t d_t + x d_x - 2u d_u),
+their prolongation coefficients, and the exact application of the prolonged
+field to jet functions in vector forward mode: each coordinate c is lifted
+once to the order-1 series c + eps*(its coefficient), and the eps coefficient
+of every value the function returns is that value's derivative along the
+flow (first-order coefficients do not mix, so one lift serves every output).
 """
 
 from __future__ import annotations
@@ -51,14 +52,23 @@ class GroupElement:
 
 
 def act_point(g, point):
-    """Image (T, X, U) of a base-space point (t, x, u) under g."""
+    """Image (T, X, U) of a base-space point (t, x, u) under g.
+
+    An image coordinate that leaves double-precision range is a DomainError.
+    """
     t, x, u = point
-    b = math.exp(g.eps4)
-    return (
-        b**3 * (t + g.eps1),
-        b * (x + g.eps2 + g.eps1 * g.eps3 + g.eps3 * t),
-        (u + g.eps3) / b**2,
-    )
+    try:
+        b = math.exp(g.eps4)
+        image = (
+            b**3 * (t + g.eps1),
+            b * (x + g.eps2 + g.eps1 * g.eps3 + g.eps3 * t),
+            (u + g.eps3) / b**2,
+        )
+    except (OverflowError, ZeroDivisionError):
+        image = (math.inf,)
+    if not all(map(math.isfinite, image)):
+        raise DomainError(f"image of the point {point} under {g} leaves double-precision range")
+    return image
 
 
 def compose(g2, g1):
@@ -123,13 +133,19 @@ def prolong_act(g, jet):
                   * sum_k C(a1, k) (-eps3)^k u[a1 - k, a2 + k]
 
     i.e. the boost by -eps3 followed by the scaling of weight 3*a1 + a2 + 2.
+    A transformed coordinate that leaves double-precision range is a
+    DomainError.
     """
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     values = {(0, 0): U0}
-    for alpha in jet.indices():
-        if alpha == (0, 0):
-            continue
-        values[alpha] = math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3)
+    for alpha in jet.indices()[1:]:
+        try:
+            c = math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3)
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise DomainError(f"transformed u_{alpha} under {g} leaves double-precision range")
+        values[alpha] = c
     return Jet(order=jet.order, t=T, x=X, u=values)
 
 
@@ -204,8 +220,10 @@ def _lift(c, dc):
 
 
 def _eps_coefficient(value):
-    """d/deps at eps = 0 of a lifted computation; a plain number is constant."""
-    if not isinstance(value, TruncatedSeries):
+    """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple)."""
+    if isinstance(value, (list, tuple)):
+        return [_eps_coefficient(element) for element in value]
+    if not isinstance(value, TruncatedSeries):  # a plain number is constant
         return 0.0
     d = value.coeff(1, 0)
     if not math.isfinite(d):
@@ -222,7 +240,9 @@ def pr_v_apply(v, F, jet):
     tau*dF/dt + xi*dF/dx + sum_alpha eta^alpha * dF/du_alpha at `jet`.
     F may use only arithmetic that TruncatedSeries supports.  The result
     vanishes (up to roundoff) exactly when F is a differential invariant of
-    the one-parameter group generated by v.
+    the one-parameter group generated by v.  F may also return a list or
+    tuple: the result is then a list of floats in the same order, each equal,
+    bit for bit, to the call on that element alone.
     """
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
     lifted = Jet(

@@ -8,6 +8,7 @@ u_alpha = d^(a1+a2) u / dt^a1 dx^a2, so (0, 0) is u itself, (1, 0) is u_t,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -38,7 +39,8 @@ class Jet:
     of the corresponding derivative coordinates; `u[(0, 0)]` is the value of u itself.
     Coordinates may also be truncated series around the point, which is how
     the closed forms are expanded along a solution or differentiated along a
-    flow.  Instances are treated as immutable: operations return new jets.
+    flow.  Real coordinates, t and x must be finite.  Instances are treated
+    as immutable: operations return new jets.
     """
 
     order: int
@@ -56,6 +58,15 @@ class Jet:
         if len(self.u) > len(indices):
             extra = [a for a in self.u if a not in indices]
             raise UsageError(f"jet of order {self.order} has entries beyond it: {extra[:4]}")
+        entries = (self.t, self.x, *self.u.values())
+        try:
+            finite = all(map(math.isfinite, entries))
+        except TypeError:  # truncated-series entries are exempt
+            finite = all(math.isfinite(c) for c in entries if isinstance(c, float))
+        if not finite:
+            named = {"t": self.t, "x": self.x, **{f"u_{a}": c for a, c in self.u.items()}}
+            bad = {k: c for k, c in named.items() if isinstance(c, float) and not math.isfinite(c)}
+            raise UsageError(f"jet entries must be finite, got {bad}")
         object.__setattr__(self, "u", dict(self.u))  # detach from the caller's dict
 
     def value(self, alpha: MultiIndex) -> float:

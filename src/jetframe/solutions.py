@@ -154,10 +154,14 @@ def jet_of_solution(solution, t0, x0, order):
 
     The solution is expanded to exactly `order` (no coefficient of degree
     <= order depends on where the expansion is cut), and the jet entries are
-    read off as i! j! times the series coefficients.
+    read off as i! j! times the series coefficients; an entry that
+    overflows a double is a :class:`DomainError`.
     """
     s = _expansion(solution, t0, x0, order)
     values = {alpha: s.derivative_value(*alpha) for alpha in multi_indices(order)}
+    if not all(map(math.isfinite, values.values())):
+        alpha = next(a for a, c in values.items() if not math.isfinite(c))
+        raise DomainError(f"jet entry u_{alpha} at ({t0}, {x0}) overflows a double")
     return Jet(order=order, t=float(t0), x=float(x0), u=values)
 
 

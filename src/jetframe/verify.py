@@ -60,14 +60,14 @@ SUITES = (
 DEFAULT_TOLERANCES = {
     "group-axioms": 1e-12,
     "determining-eqs": 1e-12,
-    "equivariance": 1e-9,
+    "equivariance": 1e-12,
     "invariance": 1e-8,
     "phantom": 1e-9,
     "kdv-residual": 1e-9,
     "recurrences": 1e-11,
     "commutators": 1e-12,
     "reconstruction": 1e-12,
-    "infinitesimal": 1e-10,
+    "infinitesimal": 1e-11,
     "singular-sets": 0.0,
 }
 
@@ -166,6 +166,20 @@ def _retrying(make):
     return None
 
 
+def _invariants(jet):
+    """Every I_alpha of both frames at `jet` up to its order, frame-major."""
+    alphas = multi_indices(jet.order)
+    return [normalized_invariant(jet, alpha, kind) for kind in _KINDS for alpha in alphas]
+
+
+def _free_or_soliton_jet(rng, i, order):
+    """Sample i's jet: a free jet for even i, a soliton jet for odd i."""
+    if i % 2 == 0:
+        return random_free_jet(rng, order)
+    sol, t0, x0 = random_soliton_point(rng)
+    return jet_of_solution(sol, t0, x0, order)
+
+
 def _worst(defects):
     """Largest of one sample's defects; NaN if any of them is NaN."""
     return float(np.max(np.fromiter(defects, dtype=float)))
@@ -221,18 +235,9 @@ def _suite_equivariance(rng, samples, order):
 
 def _suite_invariance(rng, samples, order):
     for i in range(samples):
-        if i % 2 == 0:
-            jet = random_free_jet(rng, order)
-        else:
-            sol, t0, x0 = random_soliton_point(rng)
-            jet = jet_of_solution(sol, t0, x0, order)
+        jet = _free_or_soliton_jet(rng, i, order)
         g = random_group_element(rng)
-        moved = prolong_act(g, jet)
-        yield _worst(
-            _rel(normalized_invariant(moved, alpha, kind), normalized_invariant(jet, alpha, kind))
-            for kind in _KINDS
-            for alpha in multi_indices(order)
-        )
+        yield _worst(map(_rel, _invariants(prolong_act(g, jet)), _invariants(jet)))
 
 
 def _suite_phantom(rng, samples, order):
@@ -311,31 +316,22 @@ def _suite_reconstruction(rng, samples, order):
 
 
 def _suite_infinitesimal(rng, samples, order):
-    jet_order = min(order, 4)
-    alphas = list(multi_indices(jet_order))
+    # one lift per basis field gives pr v(I_alpha) for every alpha and both frames
     for i in range(samples):
-        if i % 2 == 0:
-            jet = random_free_jet(rng, jet_order)
-        else:
-            sol, t0, x0 = random_soliton_point(rng)
-            jet = jet_of_solution(sol, t0, x0, jet_order)
-        defects = []
-        for kind in _KINDS:
-            for alpha in alphas:
-                value = normalized_invariant(jet, alpha, kind)
-
-                def F(j, alpha=alpha, kind=kind):
-                    return normalized_invariant(j, alpha, kind)
-
-                defects += [
-                    abs(pr_v_apply(v, F, jet)) / (1.0 + abs(value)) for v in VectorField.basis()
-                ]
-        yield _worst(defects)
+        jet = _free_or_soliton_jet(rng, i, min(order, 4))
+        scales = [1.0 + abs(value) for value in _invariants(jet)]
+        yield _worst(
+            abs(d) / s
+            for v in VectorField.basis()
+            for d, s in zip(pr_v_apply(v, _invariants, jet), scales)
+        )
 
 
 def _suite_singular_sets(rng, samples, order):
     # u = x/t: the time-normalized pivot vanishes identically, the
-    # space-normalized one equals 1/t and is regular with branch +1 for t > 0
+    # space-normalized one equals 1/t and is regular with branch +1 for t > 0.
+    # A near miss moves u_t by 1e-13 of the pivot's terms (~450 ulps): a real,
+    # if small, pivot that the cancellation test must not call singular.
     sol = Rational()
     for i in range(max(samples, 5)):
         t0 = float(rng.uniform(0.3, 2.5)) * (1 if i % 3 else -1)
@@ -347,6 +343,12 @@ def _suite_singular_sets(rng, samples, order):
             defect = 1.0  # must be singular everywhere on this family
         except SingularFrameError:
             pass
+        u, u_t, u_x = jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)]
+        near_miss = Jet(1, t0, x0, {**jet.u, (1, 0): u_t + 1e-13 * (abs(u_t) + abs(u * u_x))})
+        try:
+            moving_frame(near_miss, FrameKind.T_NORMALIZED)
+        except SingularFrameError:
+            defect = 1.0
         if t0 > 0:
             try:
                 if moving_frame(jet, FrameKind.X_NORMALIZED).branch != 1:

@@ -225,8 +225,15 @@ def test_help_exits_zero(capsys):
         ("--solution", "soliton", "--frame", "x", "--c", "1e308", "--x0", "0.5"),
         ("--solution", "rational", "--frame", "x", "--t0", "1e-300", "--x0", "1"),
         ("--solution", "rational", "--frame", "x", "--order", "6", "--t0", "1e5", "--x0", "1e155"),
+        ("--solution", "rational", "--frame", "x", "--order", "12", "--t0", "1e-23", "--x0", "10"),
     ],
-    ids=["soliton-far-tail", "soliton-huge-speed", "rational-near-pole", "rational-boost-overflow"],
+    ids=[
+        "soliton-far-tail",
+        "soliton-huge-speed",
+        "rational-near-pole",
+        "rational-boost-overflow",
+        "rational-jet-entry-overflow",
+    ],
 )
 def test_eval_arithmetic_failure_is_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, "eval", *argv)

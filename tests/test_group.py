@@ -268,6 +268,28 @@ def test_pr_v_on_coordinates_is_exact():
             assert pr_v_apply(v, lambda j: j.u[alpha], jet) == eta_alpha(v, alpha, jet)
 
 
+def test_pr_v_sequence_matches_scalar_calls():
+    # one lift serves every output: each element equals its own scalar call bit for bit
+    rng = np.random.default_rng(23)
+    kinds = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
+    for order in (1, 3):
+        jet = random_free_jet(rng, order)
+        scalars = [lambda j: j.t, lambda j: j.x, lambda j: 4.25]
+        scalars += [lambda j, a=alpha: j.u[a] for alpha in multi_indices(order)]
+        scalars += [
+            lambda j, a=alpha, k=kind: normalized_invariant(j, a, k)
+            for kind in kinds
+            for alpha in multi_indices(order)
+        ]
+        for v in VectorField.basis() + (VectorField(0.3, -1.1, 0.7, 1.9),):
+            expected = [pr_v_apply(v, F, jet) for F in scalars]
+            as_list = pr_v_apply(v, lambda j: [F(j) for F in scalars], jet)
+            as_tuple = pr_v_apply(v, lambda j: tuple(F(j) for F in scalars), jet)
+            assert as_list == as_tuple == expected
+            assert all(type(d) is float for d in as_list)
+    assert pr_v_apply(VectorField.scaling(), lambda j: [], jet) == []
+
+
 def test_pr_v_non_finite_result_is_domain_error():
     rng = np.random.default_rng(21)
     jet = random_free_jet(rng, 1)
@@ -288,3 +310,19 @@ def test_determining_equations_hold():
 def test_incomplete_jet_rejected():
     with pytest.raises(UsageError):
         Jet(order=1, t=0.0, x=0.0, u={(0, 0): 1.0})
+
+
+def test_group_action_out_of_double_range_is_domain_error():
+    rng = np.random.default_rng(24)
+    with pytest.raises(DomainError):
+        act_point(GroupElement(eps4=300.0), (1.0, 1.0, 1.0))  # exp(300)**3 overflows
+    with pytest.raises(DomainError):
+        act_point(GroupElement(eps4=-800.0), (1.0, 1.0, 1.0))  # exp(-800) underflows to 0
+    with pytest.raises(DomainError):
+        act_point(GroupElement(eps4=1.0), (1e308, 0.0, 0.0))  # a finite factor, an inf image
+    with pytest.raises(DomainError):
+        prolong_act(GroupElement(eps4=-36.0), random_free_jet(rng, 6))  # exp(20 * 36)
+    jet = random_free_jet(rng, 2)
+    huge = Jet(2, jet.t, jet.x, {**jet.u, (2, 0): 1e308})
+    with pytest.raises(DomainError, match=r"u_\(2, 0\)"):
+        prolong_act(GroupElement(eps4=-1.0), huge)  # exp(8) * 1e308 is inf

@@ -5,6 +5,7 @@ import pytest
 
 from jetframe.errors import DomainError, UsageError
 from jetframe.jets import MAX_ORDER, Jet, multi_indices
+from jetframe.solutions import Rational, jet_of_solution
 from jetframe.taylor import (
     TruncatedSeries,
     _pos,
@@ -209,6 +210,25 @@ def test_jet_rejects_entries_beyond_its_order():
     Jet(order=0, t=0, x=0, u={(0, 0): 1.0})
     with pytest.raises(UsageError, match="beyond"):
         Jet(order=0, t=0, x=0, u={(0, 0): 1.0, (0, 1): 2.0})
+
+
+def test_jet_rejects_non_finite_real_entries():
+    u = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0}
+    for bad in ({"t": math.nan}, {"x": math.inf}, {"u": {**u, (1, 0): -math.inf}}):
+        with pytest.raises(UsageError, match="finite"):
+            Jet(**{"order": 1, "t": 0.0, "x": 0.0, "u": u, **bad})
+    # series entries are exempt: they carry a flow or an expansion, not a value
+    lifted = TruncatedSeries.affine(0.5, math.inf, 0.0, 1)
+    Jet(order=1, t=lifted, x=0.0, u={**u, (0, 0): lifted})
+    with pytest.raises(UsageError, match="'x': nan"):
+        Jet(order=1, t=lifted, x=math.nan, u=u)
+
+
+def test_jet_of_solution_entry_overflow_is_domain_error():
+    # every coefficient of x/t at t0 = 1e-23 is finite, but 12! * c_(12,0) is not
+    jet_of_solution(Rational(), 1e-23, 10.0, 11)
+    with pytest.raises(DomainError, match=r"u_\(12, 0\)"):
+        jet_of_solution(Rational(), 1e-23, 10.0, 12)
 
 
 def test_kernel_results_own_their_coefficients():

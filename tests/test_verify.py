@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import jetframe.group as group
 import jetframe.invariants as invariants
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, UsageError
@@ -136,3 +137,34 @@ def test_phantom_suite_fails_when_the_frame_misses_the_cross_section(monkeypatch
     (report,) = run_suite(("phantom",), seed=0, samples=5)
     assert report.passed is False
     assert report.max_defect > 0.1
+
+
+def test_infinitesimal_fails_when_a_prolongation_coefficient_is_off(monkeypatch):
+    real_eta_alpha = group.eta_alpha
+
+    def skewed(v, alpha, jet):
+        # the weight term -(3*a1 + a2 + 2)*c4*u_alpha of every derivative
+        # coordinate, scaled by 1.000001; u itself keeps the field's own -2*c4*u
+        if alpha != (0, 0):
+            v = dataclasses.replace(v, c4=v.c4 * 1.000001)
+        return real_eta_alpha(v, alpha, jet)
+
+    (healthy,) = run_suite(("infinitesimal",), seed=0, samples=10, order=4)
+    assert healthy.passed
+    monkeypatch.setattr(group, "eta_alpha", skewed)
+    (report,) = run_suite(("infinitesimal",), seed=0, samples=10, order=4)
+    assert report.passed is False
+    assert report.max_defect > 1e-7
+
+
+def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
+    calls = []
+
+    def counted(v, F, jet):
+        calls.append(v)
+        return group.pr_v_apply(v, F, jet)
+
+    monkeypatch.setattr(verify, "pr_v_apply", counted)
+    (report,) = run_suite(("infinitesimal",), seed=0, samples=7, order=6)
+    assert report.samples == 7
+    assert len(calls) == 4 * 7
