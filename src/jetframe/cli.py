@@ -196,9 +196,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"jetframe: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SingularFrameError as exc:
-        print(f"jetframe: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except DomainError as exc:
         print(f"jetframe: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

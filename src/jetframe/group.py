@@ -14,7 +14,7 @@ with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  This transformation
 law is written once, in :func:`_weight` and :func:`_boosted`: it drives
 :func:`prolong_act`, the infinitesimal coefficients :func:`eta_alpha`, and the
 normalized invariants, which are the prolonged action evaluated at the moving
-frame, I_alpha = (rho . z)_alpha; an action that leaves double-precision
+frame, I_alpha = (rho . z)_alpha; an action or product that leaves double
 range is a DomainError.  The module also hosts the infinitesimal side:
 vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u) + c4*(3t d_t + x d_x - 2u d_u),
 their prolongation coefficients, and the exact application of the prolonged
@@ -51,24 +51,33 @@ class GroupElement:
         return (self.eps1, self.eps2, self.eps3, self.eps4)
 
 
+def _in_range(compute, what, *args):
+    """compute(), a tuple of floats; an overflow or a non-finite value is a DomainError."""
+    try:
+        values = compute()
+    except (OverflowError, ZeroDivisionError):
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(what.format(*args) + " leaves double-precision range")
+    return values
+
+
 def act_point(g, point):
     """Image (T, X, U) of a base-space point (t, x, u) under g.
 
     An image coordinate that leaves double-precision range is a DomainError.
     """
     t, x, u = point
-    try:
+
+    def image():
         b = math.exp(g.eps4)
-        image = (
+        return (
             b**3 * (t + g.eps1),
             b * (x + g.eps2 + g.eps1 * g.eps3 + g.eps3 * t),
             (u + g.eps3) / b**2,
         )
-    except (OverflowError, ZeroDivisionError):
-        image = (math.inf,)
-    if not all(map(math.isfinite, image)):
-        raise DomainError(f"image of the point {point} under {g} leaves double-precision range")
-    return image
+
+    return _in_range(image, "image of the point {} under {}", point, g)
 
 
 def compose(g2, g1):
@@ -81,22 +90,30 @@ def compose(g2, g1):
     """
     e1, e2, e3, e4 = g1.params()
     f1, f2, f3, f4 = g2.params()
-    return GroupElement(
-        e1 + math.exp(-3.0 * e4) * f1,
-        e2 + math.exp(-e4) * f2 - math.exp(-3.0 * e4) * f1 * e3,
-        e3 + math.exp(2.0 * e4) * f3,
-        e4 + f4,
-    )
+
+    def law():
+        return (
+            e1 + math.exp(-3.0 * e4) * f1,
+            e2 + math.exp(-e4) * f2 - math.exp(-3.0 * e4) * f1 * e3,
+            e3 + math.exp(2.0 * e4) * f3,
+            e4 + f4,
+        )
+
+    return GroupElement(*_in_range(law, "product of {} and {}", g2, g1))
 
 
 def inverse(g):
     e1, e2, e3, e4 = g.params()
-    return GroupElement(
-        -math.exp(3.0 * e4) * e1,
-        -math.exp(e4) * (e2 + e1 * e3),
-        -math.exp(-2.0 * e4) * e3,
-        -e4,
-    )
+
+    def law():
+        return (
+            -math.exp(3.0 * e4) * e1,
+            -math.exp(e4) * (e2 + e1 * e3),
+            -math.exp(-2.0 * e4) * e3,
+            -e4,
+        )
+
+    return GroupElement(*_in_range(law, "inverse of {}", g))
 
 
 def _weight(alpha):
@@ -139,13 +156,10 @@ def prolong_act(g, jet):
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     values = {(0, 0): U0}
     for alpha in jet.indices()[1:]:
-        try:
-            c = math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3)
-        except OverflowError:
-            c = math.inf
-        if not math.isfinite(c):
-            raise DomainError(f"transformed u_{alpha} under {g} leaves double-precision range")
-        values[alpha] = c
+        (values[alpha],) = _in_range(
+            lambda: (math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3),),
+            "transformed u_{} under {}", alpha, g,
+        )
     return Jet(order=jet.order, t=T, x=X, u=values)
 
 

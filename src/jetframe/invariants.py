@@ -157,35 +157,19 @@ class SolutionGerm:
         self.x0 = float(x0)
         self.order = order
         self._master = _expansion(solution, t0, x0, order)
-        self._entries = {(0, 0): self._master}
-
-    def jet_entry(self, alpha):
-        """Series of u_alpha around the base point (order drops by |alpha|)."""
-        if alpha not in self._entries:
-            a1, a2 = alpha
-            if a1 + a2 > self.order:
-                raise UsageError(
-                    f"germ of order {self.order} cannot expand u_{alpha}"
-                )
-            parent = self.jet_entry((a1 - 1, a2)) if a1 else self.jet_entry((a1, a2 - 1))
-            self._entries[alpha] = parent.dt() if a1 else parent.dx()
-        return self._entries[alpha]
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
-        u = {a: self.jet_entry(a).truncated(order) for a in multi_indices(jet_order)}
+        rows = self._master.derivatives(jet_order, order)
+        u = {a: TruncatedSeries._wrap(order, row) for a, row in zip(multi_indices(jet_order), rows)}
         return Jet(order=jet_order, t=self.t0, x=self.x0, u=u)
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution."""
-        a1, a2 = alpha
-        if a1 + a2 + order > self.order:
-            raise UsageError(
-                f"germ of order {self.order} too short for I_{alpha} at series order {order}"
-            )
-        if a1 + a2 == 0:
+        jet = self.series_jet(sum(alpha), order)  # a germ too short is a UsageError
+        if sum(alpha) == 0:
             return TruncatedSeries.constant(0.0, order)  # invariantized u vanishes
-        return normalized_invariant(self.series_jet(a1 + a2, order), alpha, kind)
+        return normalized_invariant(jet, alpha, kind)
 
     def differentiate(self, series, direction, kind):
         """Apply the frame's invariant derivative; series order drops by one.
@@ -196,9 +180,7 @@ class SolutionGerm:
         i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
         the frame's weight denominator.
         """
-        if series.order < 1:
-            raise UsageError("series too short to differentiate")
-        jet = self.series_jet(1, series.order - 1)
+        jet = self.series_jet(1, series.order - 1)  # a series too short is a UsageError
         p, branch = require_regular_pivot(jet, kind)
         if direction is InvDirection.T:
             base, weight = series.dt() + jet.u[(0, 0)] * series.dx(), 3

@@ -58,10 +58,13 @@ def _product_table(order):
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_table(order, di, dj):
-    """(source, factor) rows of the d/dt (di=1) or d/dx (dj=1) of an order-`order` series."""
-    i, j = _exponents(order - 1)
-    return _read_only(np.stack((_pos(i + di, j + dj), i + 1 if di else j + 1)))
+def _derivative_table(jet_order, order):
+    """(source, factor) rows, one per alpha of multi_indices(jet_order), that read
+    coefficient (i, j) of d^alpha s as (i+a1)!/i! (j+a2)!/j! c_(i+a1, j+a2)."""
+    rows, cols = multi_indices(jet_order), multi_indices(order)
+    source = [[_pos(i + a1, j + a2) for i, j in cols] for a1, a2 in rows]
+    factor = [[float(math.perm(i + a1, a1) * math.perm(j + a2, a2)) for i, j in cols] for a1, a2 in rows]
+    return _read_only(np.array(source)), _read_only(np.array(factor))
 
 
 class TruncatedSeries:
@@ -120,10 +123,6 @@ class TruncatedSeries:
         if i < 0 or j < 0 or i + j > self.order:
             raise UsageError(f"coefficient ({i},{j}) outside order {self.order}")
         return float(self.coeffs[_pos(i, j)])
-
-    def derivative_value(self, i, j):
-        """Value of d^(i+j)/dt^i dx^j at the expansion point: i! j! c_ij."""
-        return math.factorial(i) * math.factorial(j) * self.coeff(i, j)
 
     def truncated(self, order):
         """Copy of this series cut down to a lower (or equal) order."""
@@ -186,20 +185,25 @@ class TruncatedSeries:
 
     # -- differentiation ---------------------------------------------------
 
-    def _derivative(self, di, dj):
-        """d/dt for (di, dj) = (1, 0), d/dx for (0, 1); the order drops by 1."""
-        if self.order == 0:
-            raise UsageError("cannot differentiate an order-0 series")
-        source, factor = _derivative_table(self.order, di, dj)
-        return TruncatedSeries._wrap(self.order - 1, factor * self.coeffs[source])
+    def derivatives(self, jet_order, order):
+        """Order-`order` series of every d^alpha of this series, |alpha| <= jet_order.
+
+        One row of coefficients per alpha, in ``multi_indices(jet_order)``
+        order; row alpha at order 0 is the alpha! c_alpha of a jet entry.
+        """
+        if jet_order < 0 or order < 0 or jet_order + order > self.order:
+            raise UsageError(f"cannot read order-{order} series of derivatives up to order "
+                             f"{jet_order} off a series of order {self.order}")
+        source, factor = _derivative_table(jet_order, order)
+        return factor * self.coeffs[source]
 
     def dt(self):
         """Formal derivative with respect to the t-offset (order drops by 1)."""
-        return self._derivative(1, 0)
+        return TruncatedSeries._wrap(self.order - 1, self.derivatives(1, self.order - 1)[_pos(1, 0)])
 
     def dx(self):
         """Formal derivative with respect to the x-offset."""
-        return self._derivative(0, 1)
+        return TruncatedSeries._wrap(self.order - 1, self.derivatives(1, self.order - 1)[_pos(0, 1)])
 
 
 # -- analytic composition ----------------------------------------------------

@@ -292,9 +292,10 @@ def _suite_commutators(rng, samples, order):
     targets = ((0, 1), (0, 2), (1, 0))
     for _ in range(samples):
         sol, t0, x0 = random_soliton_point(rng)
+        jet = jet_of_solution(sol, t0, x0, 2)
         defects = []
         for kind in _KINDS:
-            table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
+            table = invariant_table(jet, kind, 2)
             a_t, a_x = commutator_coefficients(table)
             for alpha in targets:
                 _, dt, dx, bracket = invariant_commutator(sol, t0, x0, alpha, kind)

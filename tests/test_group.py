@@ -326,3 +326,12 @@ def test_group_action_out_of_double_range_is_domain_error():
     huge = Jet(2, jet.t, jet.x, {**jet.u, (2, 0): 1e308})
     with pytest.raises(DomainError, match=r"u_\(2, 0\)"):
         prolong_act(GroupElement(eps4=-1.0), huge)  # exp(8) * 1e308 is inf
+
+
+def test_group_product_out_of_double_range_is_domain_error():
+    with pytest.raises(DomainError, match="product"):
+        compose(GroupElement(eps1=1.0), GroupElement(eps4=-300.0))  # exp(900) overflows
+    with pytest.raises(DomainError, match="inverse"):
+        inverse(GroupElement(eps1=1.0, eps4=300.0))
+    with pytest.raises(DomainError):
+        compose(GroupElement(eps2=1e308), GroupElement(eps2=1e308))  # finite factors, an inf sum

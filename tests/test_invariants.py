@@ -383,6 +383,25 @@ def test_germ_orders_are_validated():
         germ.differentiate(series.truncated(0), InvDirection.X, FrameKind.X_NORMALIZED)
 
 
+def test_germ_rejects_negative_or_too_high_orders():
+    # a negative index is a usage error, never an endless recursion
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 3)
+    for jet_order, order in [(-1, 0), (0, -1), (4, 0), (2, 2)]:
+        with pytest.raises(UsageError):
+            germ.series_jet(jet_order, order)
+    for alpha in [(-1, 0), (0, -1), (-1, 2)]:
+        with pytest.raises(UsageError):
+            germ.invariant_series(alpha, FrameKind.X_NORMALIZED, 1)
+
+
+def test_germ_series_do_not_share_the_master_coefficients():
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 6)
+    master = germ._master.coeffs
+    for jet_order, order in [(0, 6), (3, 3), (6, 0)]:
+        for entry in germ.series_jet(jet_order, order).u.values():
+            assert not np.shares_memory(entry.coeffs, master)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("branch", [1, -1])
 def test_germ_invariant_series_is_the_closed_form(kind, branch):

@@ -150,10 +150,35 @@ def test_tanh_sech_pythagorean_identity():
 
 
 def test_derivatives_of_exponential():
-    # u = exp(dt + 2 dx): the (i, j) derivative is 2^j at the base point
+    # u = exp(dt + 2 dx): the (i, j) derivative is 2^j at the base point, and
+    # its series is 2^j times the series of u itself
     s = series_exp(TruncatedSeries.affine(0.0, 1.0, 2.0, 6))
-    for i, j in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (3, 2)]:
-        assert s.derivative_value(i, j) == pytest.approx(2.0**j, rel=1e-12)
+    values = s.derivatives(6, 0)[:, 0]
+    for (i, j), value in zip(multi_indices(6), values):
+        assert value == pytest.approx(2.0**j, rel=1e-12)
+    for (i, j), row in zip(multi_indices(3), s.derivatives(3, 3)):
+        np.testing.assert_allclose(row, 2.0**j * s.truncated(3).coeffs, rtol=1e-12)
+
+
+def test_derivatives_match_the_factorial_formula():
+    # row alpha, coefficient (i, j): (i+a1)!/i! (j+a2)!/j! c_(i+a1, j+a2)
+    rng = np.random.default_rng(23)
+    a = random_series(rng, 7)
+    for jet_order, order in [(0, 0), (0, 7), (7, 0), (3, 4), (2, 2)]:
+        rows = a.derivatives(jet_order, order)
+        assert rows.shape == (triangle_size(jet_order), triangle_size(order))
+        for (a1, a2), row in zip(multi_indices(jet_order), rows):
+            for (i, j), got in zip(multi_indices(order), row):
+                factor = math.perm(i + a1, a1) * math.perm(j + a2, a2)
+                assert got == factor * a.coeff(i + a1, j + a2)
+        assert not np.shares_memory(rows, a.coeffs)
+
+
+def test_derivatives_reject_negative_or_too_high_orders():
+    a = random_series(np.random.default_rng(24), 4)
+    for jet_order, order in [(-1, 0), (0, -1), (-1, 5), (5, 0), (0, 5), (3, 2)]:
+        with pytest.raises(UsageError):
+            a.derivatives(jet_order, order)
 
 
 def test_formal_derivatives_shift_coefficients():

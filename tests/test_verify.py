@@ -168,3 +168,16 @@ def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
     (report,) = run_suite(("infinitesimal",), seed=0, samples=7, order=6)
     assert report.samples == 7
     assert len(calls) == 4 * 7
+
+
+def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypatch):
+    # recurrences, commutators and reconstruction all read R; a relative error
+    # of 1e-9 in it must show in each, far above their 1e-11 and 1e-12 tolerances
+    suites = ("recurrences", "commutators", "reconstruction")
+    real_corrections = invariants._corrections
+    assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
+    monkeypatch.setattr(invariants, "_corrections", lambda table: real_corrections(table) * (1 + 1e-9))
+    reports = run_suite(suites, seed=0, samples=20)
+    assert [r.name for r in reports] == list(suites)
+    for r in reports:
+        assert r.passed is False, r
