@@ -21,7 +21,12 @@ their prolongation coefficients, and the exact application of the prolonged
 field to jet functions in vector forward mode: each coordinate c is lifted
 once to the order-1 series c + eps*(its coefficient), and the eps coefficient
 of every value the function returns is that value's derivative along the
-flow (first-order coefficients do not mix, so one lift serves every output).
+flow.  First-order coefficients do not mix, so one lift serves every output
+and two fields at once, one in each first-order slot of the series.
+
+Batched forms are exact, not approximate: a list of outputs of one lift, the
+second field of a pair, and a boost sum read off a shared table of powers are
+each bit-identical to the call that computes that value alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
-from .jets import Jet
+from .jets import Jet, _one_or_many
 from .taylor import TruncatedSeries
 
 
@@ -80,22 +85,30 @@ def act_point(g, point):
     return _in_range(image, "image of the point {} under {}", point, g)
 
 
+def _scaled(rate, e4, param):
+    """exp(rate*e4) * param; a zero param stays the zero of its sign, even where exp overflows."""
+    if param == 0.0:
+        return param  # the sign exp(...) * param has, since exp(...) > 0
+    return math.exp(rate * e4) * param
+
+
 def compose(g2, g1):
     """Element acting as g1 first, then g2 (the group product g2 * g1).
 
     The parameter law below is the canonical re-extraction of
     (eps1, eps2, eps3, eps4) from the composition of the two affine maps;
     keeping it in closed form makes eps4 exactly additive and composition
-    with the identity bit-exact.
+    with the identity bit-exact.  A zero parameter is never scaled, so a
+    product is a DomainError only where a coordinate really leaves range.
     """
     e1, e2, e3, e4 = g1.params()
     f1, f2, f3, f4 = g2.params()
 
     def law():
         return (
-            e1 + math.exp(-3.0 * e4) * f1,
-            e2 + math.exp(-e4) * f2 - math.exp(-3.0 * e4) * f1 * e3,
-            e3 + math.exp(2.0 * e4) * f3,
+            e1 + _scaled(-3.0, e4, f1),
+            e2 + _scaled(-1.0, e4, f2) - _scaled(-3.0, e4, f1) * e3,
+            e3 + _scaled(2.0, e4, f3),
             e4 + f4,
         )
 
@@ -107,9 +120,9 @@ def inverse(g):
 
     def law():
         return (
-            -math.exp(3.0 * e4) * e1,
-            -math.exp(e4) * (e2 + e1 * e3),
-            -math.exp(-2.0 * e4) * e3,
+            -_scaled(3.0, e4, e1),
+            -_scaled(1.0, e4, e2 + e1 * e3),
+            -_scaled(-2.0, e4, e3),
             -e4,
         )
 
@@ -122,21 +135,35 @@ def _weight(alpha):
     return 3 * a1 + a2 + 2
 
 
-def _boosted(jet, alpha, b):
+def _powers(b, n):
+    """[b**0, ..., b**n], each bit-identical to b**k.
+
+    A series power is the previous one times b, which is how ** computes it.
+    A float power that leaves double-precision range is a DomainError.
+    """
+    if isinstance(b, TruncatedSeries):
+        powers = [TruncatedSeries.constant(1.0, b.order)]
+        for _ in range(n):
+            powers.append(powers[-1] * b)
+        return powers
+    try:
+        return [b**k for k in range(n + 1)]
+    except OverflowError:
+        raise DomainError(f"a power up to {b!r}**{n} of the boost overflows a double") from None
+
+
+def _boosted(jet, alpha, powers):
     """sum_k C(a1, k) b^k u[a1 - k, a2 + k]: u_alpha after a Galilean boost by b.
 
     Closed at fixed total order, because the boost trades one t-derivative
-    for one x-derivative at a time.  `b` and the jet entries may be floats or
-    truncated series.  A power or product that leaves double-precision range
-    is a DomainError, not an arithmetic crash.
+    for one x-derivative at a time.  `powers` is ``_powers(b, n)`` for some
+    n >= a1, shared by every alpha of a call.  b and the jet entries may be
+    floats or truncated series.
     """
     a1, a2 = alpha
     acc = 0.0
-    try:
-        for k in range(a1 + 1):
-            acc += math.comb(a1, k) * b**k * jet.u[(a1 - k, a2 + k)]
-    except OverflowError:
-        raise DomainError(f"boosted coordinate u_{alpha} overflows a double") from None
+    for k in range(a1 + 1):
+        acc += math.comb(a1, k) * powers[k] * jet.u[(a1 - k, a2 + k)]
     return acc
 
 
@@ -155,9 +182,10 @@ def prolong_act(g, jet):
     """
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     values = {(0, 0): U0}
+    powers = _powers(-g.eps3, jet.order)
     for alpha in jet.indices()[1:]:
         (values[alpha],) = _in_range(
-            lambda: (math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, -g.eps3),),
+            lambda: (math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, powers),),
             "transformed u_{} under {}", alpha, g,
         )
     return Jet(order=jet.order, t=T, x=X, u=values)
@@ -228,18 +256,22 @@ def eta_alpha(v, alpha, jet):
     return out
 
 
-def _lift(c, dc):
-    """c + dc*eps: an order-1 series in the flow parameter eps (the dt slot)."""
-    return TruncatedSeries.affine(c, dc, 0.0, 1)
+# the first-order slots of an order-1 series, one flow parameter each
+_SLOTS = ((1, 0), (0, 1))
 
 
-def _eps_coefficient(value):
+def _lift(c, dt_slope, dx_slope=0.0):
+    """c + dt_slope*eps_1 + dx_slope*eps_2: an order-1 series, one flow parameter per slot."""
+    return TruncatedSeries.affine(c, dt_slope, dx_slope, 1)
+
+
+def _eps_coefficient(value, slot=_SLOTS[0]):
     """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple)."""
     if isinstance(value, (list, tuple)):
-        return [_eps_coefficient(element) for element in value]
+        return [_eps_coefficient(element, slot) for element in value]
     if not isinstance(value, TruncatedSeries):  # a plain number is constant
         return 0.0
-    d = value.coeff(1, 0)
+    d = value.coeff(*slot)
     if not math.isfinite(d):
         raise DomainError("derivative along the flow is not finite at this point")
     return d
@@ -257,15 +289,23 @@ def pr_v_apply(v, F, jet):
     the one-parameter group generated by v.  F may also return a list or
     tuple: the result is then a list of floats in the same order, each equal,
     bit for bit, to the call on that element alone.
+
+    `v` may also be a pair of fields: the first rides in the dt slot of the
+    lift and the second in the dx slot, F is evaluated once, and the result
+    is the list of the two fields' results, each bit-identical to its own call.
     """
+    fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
+    if not 1 <= len(fields) <= len(_SLOTS):
+        raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
     lifted = Jet(
         jet.order,
-        _lift(t, v.tau(t, x, u)),
-        _lift(x, v.xi(t, x, u)),
-        {alpha: _lift(c, eta_alpha(v, alpha, jet)) for alpha, c in jet.u.items()},
+        _lift(t, *(w.tau(t, x, u) for w in fields)),
+        _lift(x, *(w.xi(t, x, u) for w in fields)),
+        {alpha: _lift(c, *(eta_alpha(w, alpha, jet) for w in fields)) for alpha, c in jet.u.items()},
     )
-    return _eps_coefficient(F(lifted))
+    value = F(lifted)
+    return shape([_eps_coefficient(value, slot) for slot in _SLOTS[: len(fields)]])
 
 
 def determining_equation_residuals(v, t, x, u):

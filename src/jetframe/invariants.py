@@ -22,6 +22,15 @@ solution) it gives the Taylor expansion of I_alpha, so invariant
 differentiation, recurrence and commutator identities are checked without
 finite differences.  The recurrences, commutators and reconstruction of both
 frames and branches come from one computed correction matrix (:func:`_corrections`).
+
+:func:`normalized_invariant`, :meth:`SolutionGerm.invariant_series`,
+:meth:`SolutionGerm.differentiate`, :func:`invariant_derivative` and
+:func:`invariant_commutator` also take a sequence of multi-indices (or of
+series) and return the list of results in the same order.  The work that
+does not depend on alpha is done once per call: the pivot and its singular
+test, ln|pivot| or one series power per distinct weight, the table of boost
+powers, and the germ with its series jet.  Each element of the list is
+bit-identical to the call on that element alone.
 """
 
 from __future__ import annotations
@@ -36,28 +45,36 @@ import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
 from .frame import FrameKind, moving_frame, require_regular_pivot
-from .group import VectorField, _boosted, _weight, act_point, eta_alpha
-from .jets import Jet, MultiIndex, multi_indices
+from .group import VectorField, _boosted, _powers, _weight, act_point, eta_alpha
+from .jets import Jet, MultiIndex, _is_multi_index, _one_or_many, multi_indices
 from .solutions import _expansion, jet_of_solution
 from .taylor import TruncatedSeries, series_pow
 
 
-def _signed_pow(p, branch, w_num, w_den):
-    """|p|^(-w_num/w_den), the fractional-power prefactor of a frame.
+def _prefactors(p, branch, weights, w_den):
+    """{w: |p|^(-w/w_den)} for each w in the set `weights`: the fractional-power prefactors of a frame.
 
-    A float pivot p gives exp(-w*ln|p|); a series pivot gives
-    series_pow(branch*p, -w), whose constant term branch*p is positive.
-    A pivot just above the singular threshold can overflow this power at
-    high weight; that is a DomainError, not an arithmetic crash.
+    A float pivot p gives exp(-w*ln|p|/w_den), with ln|p| taken once; a
+    series pivot gives series_pow(branch*p, -w/w_den), whose constant term
+    branch*p is positive.  A pivot just above the singular threshold can
+    overflow this power at high weight; that is a DomainError, not an
+    arithmetic crash.
     """
     try:
         if isinstance(p, TruncatedSeries):
-            return series_pow(branch * p, -w_num / w_den)
-        return math.exp(-w_num * math.log(abs(p)) / w_den)
+            base = branch * p
+            return {w: series_pow(base, -w / w_den) for w in weights}
+        log_p = math.log(abs(p))
+        return {w: math.exp(-w * log_p / w_den) for w in weights}
     except OverflowError:
         raise DomainError(
-            f"frame prefactor |pivot|^(-{w_num}/{w_den}) overflows a double"
+            f"frame prefactor |pivot|^(-w/{w_den}) overflows a double for a weight w <= {max(weights)}"
         ) from None
+
+
+def _top_order(alphas):
+    """Largest total order among the multi-indices (0 for none)."""
+    return max((sum(alpha) for alpha in alphas), default=0)
 
 
 def normalized_invariant(jet, alpha, kind):
@@ -68,21 +85,33 @@ def normalized_invariant(jet, alpha, kind):
     frame: the boost by u, then the frame's scaling prefactor.  (0, 0)
     returns 0 identically (the invariantized u), and on the negative branch
     the prefactor uses |pivot| with the sign carried separately.  Entries may
-    be floats or truncated series; the result has the same type.
+    be floats or truncated series; the result has the same type.  `alpha`
+    may also be a sequence of multi-indices; the result is then the list of
+    their invariants, from one pivot, one prefactor per weight and one table
+    of boost powers.
     """
-    a1, a2 = alpha
-    if a1 < 0 or a2 < 0:
-        raise UsageError(f"invalid multi-index {alpha}")
-    if a1 + a2 > jet.order:
-        raise UsageError(f"alpha={alpha} exceeds jet order {jet.order}")
-    if a1 + a2 == 0:
-        return 0.0
-    p, branch = require_regular_pivot(jet, kind)
-    prefactor = _signed_pow(p, branch, _weight(alpha), kind.weight_denominator)
-    value = prefactor * _boosted(jet, alpha, jet.u[(0, 0)])
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"invariant I_{alpha} = {value!r} is not finite at this jet")
-    return value
+    alphas, shape = _one_or_many(alpha, _is_multi_index)
+    for alpha in alphas:
+        a1, a2 = alpha
+        if a1 < 0 or a2 < 0:
+            raise UsageError(f"invalid multi-index {alpha}")
+        if a1 + a2 > jet.order:
+            raise UsageError(f"alpha={alpha} exceeds jet order {jet.order}")
+    derived = [alpha for alpha in alphas if sum(alpha) > 0]
+    if derived:
+        p, branch = require_regular_pivot(jet, kind)
+        prefactors = _prefactors(p, branch, {_weight(a) for a in derived}, kind.weight_denominator)
+        powers = _powers(jet.u[(0, 0)], max(a1 for a1, _ in derived))
+    values = []
+    for alpha in alphas:
+        if sum(alpha) == 0:
+            values.append(0.0)
+            continue
+        value = prefactors[_weight(alpha)] * _boosted(jet, alpha, powers)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"invariant I_{alpha} = {value!r} is not finite at this jet")
+        values.append(value)
+    return shape(values)
 
 
 @dataclass(frozen=True)
@@ -127,7 +156,8 @@ def invariant_table(jet, kind, order):
     if order > jet.order:
         raise UsageError(f"table order {order} exceeds jet order {jet.order}")
     frame = moving_frame(jet, kind)
-    values = {alpha: normalized_invariant(jet, alpha, kind) for alpha in multi_indices(order)}
+    alphas = multi_indices(order)
+    values = dict(zip(alphas, normalized_invariant(jet, alphas, kind)))
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
     phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}
@@ -165,11 +195,18 @@ class SolutionGerm:
         return Jet(order=jet_order, t=self.t0, x=self.x0, u=u)
 
     def invariant_series(self, alpha, kind, order):
-        """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution."""
-        jet = self.series_jet(sum(alpha), order)  # a germ too short is a UsageError
-        if sum(alpha) == 0:
-            return TruncatedSeries.constant(0.0, order)  # invariantized u vanishes
-        return normalized_invariant(jet, alpha, kind)
+        """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
+
+        For a sequence of multi-indices, one series jet serves them all and
+        the result is the list of their series.
+        """
+        alphas, shape = _one_or_many(alpha, _is_multi_index)
+        jet = self.series_jet(_top_order(alphas), order)  # a germ too short is a UsageError
+        values = normalized_invariant(jet, alphas, kind)
+        return shape([
+            TruncatedSeries.constant(0.0, order) if sum(alpha) == 0 else value  # invariantized u vanishes
+            for alpha, value in zip(alphas, values)
+        ])
 
     def differentiate(self, series, direction, kind):
         """Apply the frame's invariant derivative; series order drops by one.
@@ -178,22 +215,36 @@ class SolutionGerm:
         space-normalized: D_t^i = |u_x|^(-1) (D_t + u D_x),      D_x^i = |u_x|^(-1/3) D_x
 
         i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
-        the frame's weight denominator.
+        the frame's weight denominator.  For a sequence of series the result
+        is the list of their derivatives; the series jet and the prefactor
+        are computed once per series order.
         """
-        jet = self.series_jet(1, series.order - 1)  # a series too short is a UsageError
-        p, branch = require_regular_pivot(jet, kind)
-        if direction is InvDirection.T:
-            base, weight = series.dt() + jet.u[(0, 0)] * series.dx(), 3
-        else:
-            base, weight = series.dx(), 1
-        return _signed_pow(p, branch, weight, kind.weight_denominator) * base
+        items, shape = _one_or_many(series, lambda arg: isinstance(arg, TruncatedSeries))
+        weight = 3 if direction is InvDirection.T else 1
+        frames = {}  # series order -> (u, prefactor) of the order-below series jet
+        out = []
+        for s in items:
+            if s.order not in frames:
+                jet = self.series_jet(1, s.order - 1)  # a series too short is a UsageError
+                p, branch = require_regular_pivot(jet, kind)
+                prefactors = _prefactors(p, branch, {weight}, kind.weight_denominator)
+                frames[s.order] = jet.u[(0, 0)], prefactors[weight]
+            u, prefactor = frames[s.order]
+            base = s.dt() + u * s.dx() if direction is InvDirection.T else s.dx()
+            out.append(prefactor * base)
+        return shape(out)
 
 
 def invariant_derivative(solution, t0, x0, alpha, direction, kind):
-    """(D^i I_alpha)(t0, x0) along `solution`, exact to machine precision."""
-    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 1)
-    F = germ.invariant_series(alpha, kind, 1)
-    return germ.differentiate(F, direction, kind).value
+    """(D^i I_alpha)(t0, x0) along `solution`, exact to machine precision.
+
+    For a sequence of multi-indices, one germ serves them all and the result
+    is the list of their derivatives.
+    """
+    alphas, shape = _one_or_many(alpha, _is_multi_index)
+    germ = SolutionGerm(solution, t0, x0, _top_order(alphas) + 1)
+    F = germ.invariant_series(alphas, kind, 1)
+    return shape([dF.value for dF in germ.differentiate(F, direction, kind)])
 
 
 def invariant_commutator(solution, t0, x0, alpha, kind):
@@ -201,16 +252,22 @@ def invariant_commutator(solution, t0, x0, alpha, kind):
 
     The bracket follows each frame's own orientation convention:
     [D_t^i, D_x^i] I_alpha for the time-normalized frame and
-    [D_x^i, D_t^i] I_alpha for the space-normalized one.
+    [D_x^i, D_t^i] I_alpha for the space-normalized one.  For a sequence of
+    multi-indices, one germ serves them all and the result is the list of
+    their 4-tuples.
     """
-    germ = SolutionGerm(solution, t0, x0, alpha[0] + alpha[1] + 2)
-    F = germ.invariant_series(alpha, kind, 2)
+    alphas, shape = _one_or_many(alpha, _is_multi_index)
+    germ = SolutionGerm(solution, t0, x0, _top_order(alphas) + 2)
+    F = germ.invariant_series(alphas, kind, 2)
     dtF = germ.differentiate(F, InvDirection.T, kind)
     dxF = germ.differentiate(F, InvDirection.X, kind)
-    dt_dx = germ.differentiate(dxF, InvDirection.T, kind).value
-    dx_dt = germ.differentiate(dtF, InvDirection.X, kind).value
-    bracket = dt_dx - dx_dt if kind is FrameKind.T_NORMALIZED else dx_dt - dt_dx
-    return F.value, dtF.value, dxF.value, bracket
+    dt_dx = germ.differentiate(dxF, InvDirection.T, kind)
+    dx_dt = germ.differentiate(dtF, InvDirection.X, kind)
+    out = []
+    for f, dt, dx, tx, xt in zip(F, dtF, dxF, dt_dx, dx_dt):
+        bracket = tx.value - xt.value if kind is FrameKind.T_NORMALIZED else xt.value - tx.value
+        out.append((f.value, dt.value, dx.value, bracket))
+    return shape(out)
 
 
 # e_t and e_x: the directions of invariant differentiation, in the column

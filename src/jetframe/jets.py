@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -29,6 +30,22 @@ def multi_indices(order: int) -> Tuple[MultiIndex, ...]:
     coefficients as well as the iteration order of every jet.
     """
     return tuple((a1, d - a1) for d in range(order + 1) for a1 in range(d + 1))
+
+
+def _is_multi_index(arg) -> bool:
+    """True for one multi-index (integers, numpy ones included), False for a sequence of them."""
+    return len(arg) > 0 and all(isinstance(a, numbers.Integral) for a in arg)
+
+
+def _one_or_many(arg, is_one):
+    """Items of an argument that is one item or a sequence of them, and the shape of the answer.
+
+    Returns (items, shape): `shape` turns the list of per-item results into
+    what the call returns, the one result for one item or the list otherwise.
+    """
+    if is_one(arg):
+        return [arg], lambda results: results[0]
+    return list(arg), list
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ def _retrying(make):
 def _invariants(jet):
     """Every I_alpha of both frames at `jet` up to its order, frame-major."""
     alphas = multi_indices(jet.order)
-    return [normalized_invariant(jet, alpha, kind) for kind in _KINDS for alpha in alphas]
+    return [value for kind in _KINDS for value in normalized_invariant(jet, alphas, kind)]
 
 
 def _free_or_soliton_jet(rng, i, order):
@@ -277,14 +277,11 @@ def _suite_recurrences(rng, samples, order):
         branch = 1 if i % 4 < 2 else -1
         sol, t0, x0 = random_soliton_point(rng, kind, branch)
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
+        alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
         yield _worst(
-            _rel(
-                invariant_derivative(sol, t0, x0, alpha, direction, kind),
-                recurrence_rhs(table, alpha, direction),
-            )
-            for alpha in multi_indices(3)
-            if alpha not in ((0, 0), kind.pivot_alpha)
+            _rel(lhs, recurrence_rhs(table, alpha, direction))
             for direction in InvDirection
+            for alpha, lhs in zip(alphas, invariant_derivative(sol, t0, x0, alphas, direction, kind))
         )
 
 
@@ -297,8 +294,7 @@ def _suite_commutators(rng, samples, order):
         for kind in _KINDS:
             table = invariant_table(jet, kind, 2)
             a_t, a_x = commutator_coefficients(table)
-            for alpha in targets:
-                _, dt, dx, bracket = invariant_commutator(sol, t0, x0, alpha, kind)
+            for _, dt, dx, bracket in invariant_commutator(sol, t0, x0, targets, kind):
                 defects.append(_rel(bracket, a_t * dt + a_x * dx))
         yield _worst(defects)
 
@@ -317,14 +313,16 @@ def _suite_reconstruction(rng, samples, order):
 
 
 def _suite_infinitesimal(rng, samples, order):
-    # one lift per basis field gives pr v(I_alpha) for every alpha and both frames
+    # one lift per pair of basis fields gives pr v(I_alpha) for every alpha and both frames
+    basis = VectorField.basis()
     for i in range(samples):
         jet = _free_or_soliton_jet(rng, i, min(order, 4))
         scales = [1.0 + abs(value) for value in _invariants(jet)]
         yield _worst(
             abs(d) / s
-            for v in VectorField.basis()
-            for d, s in zip(pr_v_apply(v, _invariants, jet), scales)
+            for pair in (basis[:2], basis[2:])
+            for derivatives in pr_v_apply(pair, _invariants, jet)
+            for d, s in zip(derivatives, scales)
         )
 
 

@@ -184,7 +184,7 @@ def test_verify_nan_defect_fails_with_strict_json(capsys, monkeypatch):
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")
 
-    monkeypatch.setattr(verify, "normalized_invariant", lambda *args: math.nan)
+    monkeypatch.setattr(verify, "normalized_invariant", lambda jet, alphas, kind: [math.nan] * len(alphas))
     code, out, err = run_cli(capsys, "verify", "--suites", "invariance", "--samples", "3")
     assert code == EXIT_CHECK_FAILED
     records = [json.loads(line, parse_constant=reject) for line in out.splitlines()]

@@ -124,6 +124,20 @@ def test_prolong_pure_boost_first_order():
     assert out.u[(0, 1)] == pytest.approx(jet.u[(0, 1)])
 
 
+def test_prolong_shares_its_boost_powers_bit_for_bit():
+    # one table of (-eps3)**k serves every entry; each equals the closed form written out
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        jet = random_free_jet(rng, 6)
+        g = random_group_element(rng)
+        out = prolong_act(g, jet)
+        for a1, a2 in multi_indices(6)[1:]:
+            acc = 0.0
+            for k in range(a1 + 1):
+                acc += math.comb(a1, k) * (-g.eps3) ** k * jet.u[(a1 - k, a2 + k)]
+            assert out.u[(a1, a2)] == math.exp(-(3 * a1 + a2 + 2) * g.eps4) * acc
+
+
 def test_prolong_homomorphism():
     rng = np.random.default_rng(10)
     for _ in range(30):
@@ -290,6 +304,31 @@ def test_pr_v_sequence_matches_scalar_calls():
     assert pr_v_apply(VectorField.scaling(), lambda j: [], jet) == []
 
 
+def test_pr_v_pair_of_fields_matches_two_single_calls():
+    # the second field rides in the dx slot; first-order coefficients do not mix,
+    # so each half of the pair equals its own call bit for bit
+    rng = np.random.default_rng(29)
+    kinds = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
+    fields = VectorField.basis() + (VectorField(0.3, -1.1, 0.7, 1.9),)
+
+    def invariants(j):
+        return [normalized_invariant(j, multi_indices(j.order), kind) for kind in kinds]
+
+    for order in (1, 4):
+        jet = random_free_jet(rng, order)
+        for F in (invariants, lambda j: j.t * j.x + j.u[(0, 1)], lambda j: 4.25):
+            for v, w in zip(fields, fields[1:] + fields[:1]):
+                assert pr_v_apply((v, w), F, jet) == [pr_v_apply(v, F, jet), pr_v_apply(w, F, jet)]
+                assert pr_v_apply([v], F, jet) == [pr_v_apply(v, F, jet)]
+
+
+def test_pr_v_lifts_at_most_two_fields():
+    jet = random_free_jet(np.random.default_rng(31), 2)
+    for fields in ((), VectorField.basis()[:3]):
+        with pytest.raises(UsageError):
+            pr_v_apply(fields, lambda j: j.t, jet)
+
+
 def test_pr_v_non_finite_result_is_domain_error():
     rng = np.random.default_rng(21)
     jet = random_free_jet(rng, 1)
@@ -335,3 +374,40 @@ def test_group_product_out_of_double_range_is_domain_error():
         inverse(GroupElement(eps1=1.0, eps4=300.0))
     with pytest.raises(DomainError):
         compose(GroupElement(eps2=1e308), GroupElement(eps2=1e308))  # finite factors, an inf sum
+
+
+def test_zero_parameter_is_not_scaled_out_of_range():
+    # exp(900) overflows, but it would only multiply a zero parameter
+    product = compose(GroupElement.identity(), GroupElement(eps4=-300.0))
+    assert product == GroupElement(eps4=-300.0)
+    assert [math.copysign(1.0, e) for e in product.params()] == [1.0, 1.0, 1.0, -1.0]
+    inv = inverse(GroupElement(eps4=300.0))
+    assert inv == GroupElement(eps4=-300.0)
+    # the zeros carry the sign of the in-range product -exp(...) * (+0.0)
+    assert [math.copysign(1.0, e) for e in inv.params()] == [-1.0, -1.0, -1.0, -1.0]
+    assert compose(inv, GroupElement(eps4=300.0)) == GroupElement.identity()
+
+
+def test_group_product_in_range_is_unchanged():
+    # the closed-form law, written out with math.exp: every in-range result is bit-identical
+    # (signed zeros included, so the parameters are compared through repr)
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        # about a third of the parameters are zeros of either sign
+        e1, e2, e3, e4, f1, f2, f3, f4 = (
+            float(p) if keep else math.copysign(0.0, p)
+            for p, keep in zip(rng.uniform(-2.0, 2.0, 8), rng.uniform(size=8) > 0.3)
+        )
+        g1, g2 = GroupElement(e1, e2, e3, e4), GroupElement(f1, f2, f3, f4)
+        assert repr(compose(g2, g1).params()) == repr((
+            e1 + math.exp(-3.0 * e4) * f1,
+            e2 + math.exp(-e4) * f2 - math.exp(-3.0 * e4) * f1 * e3,
+            e3 + math.exp(2.0 * e4) * f3,
+            e4 + f4,
+        ))
+        assert repr(inverse(g1).params()) == repr((
+            -math.exp(3.0 * e4) * e1,
+            -math.exp(e4) * (e2 + e1 * e3),
+            -math.exp(-2.0 * e4) * e3,
+            -e4,
+        ))

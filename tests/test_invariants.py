@@ -389,7 +389,7 @@ def test_germ_rejects_negative_or_too_high_orders():
     for jet_order, order in [(-1, 0), (0, -1), (4, 0), (2, 2)]:
         with pytest.raises(UsageError):
             germ.series_jet(jet_order, order)
-    for alpha in [(-1, 0), (0, -1), (-1, 2)]:
+    for alpha in [(-1, 0), (0, -1), (-1, 2), (-1, 1)]:
         with pytest.raises(UsageError):
             germ.invariant_series(alpha, FrameKind.X_NORMALIZED, 1)
 
@@ -457,3 +457,110 @@ def test_prefactor_overflow_is_domain_error():
             compute()
         assert not isinstance(info.value, SingularFrameError)
         assert "overflows" in str(info.value)
+
+
+# -- sequence forms: one call for many alphas, each element bit-identical ------
+
+
+def _same_series(a, b):
+    return a.order == b.order and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def _free_or_soliton(rng, i, order, kind, branch):
+    if i % 2 == 0:
+        forced = {"t_branch" if kind is FrameKind.T_NORMALIZED else "x_branch": branch}
+        return random_free_jet(rng, order, **forced)
+    return jet_of_solution(*random_soliton_point(rng, kind, branch), order)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+def test_normalized_invariant_sequence_matches_scalar_calls(kind, branch):
+    rng = np.random.default_rng(53 + branch)
+    for i, order in enumerate((1, 2, 4, 7, 12, 12)):
+        jet = _free_or_soliton(rng, i, order, kind, branch)
+        alphas = multi_indices(order)
+        expected = [normalized_invariant(jet, alpha, kind) for alpha in alphas]
+        got = normalized_invariant(jet, alphas, kind)
+        assert type(got) is list and got == expected
+        assert all(type(value) is float for value in got)
+        # any order, repeats and a list of lists read the same
+        picks = [list(alphas[k]) for k in rng.integers(0, len(alphas), size=9)]
+        assert normalized_invariant(jet, picks, kind) == [
+            normalized_invariant(jet, tuple(alpha), kind) for alpha in picks
+        ]
+    assert normalized_invariant(jet, [], kind) == []
+    assert normalized_invariant(jet, [(0, 0)], kind) == [0.0]
+
+
+def test_numpy_integer_multi_index_is_one_alpha():
+    rng = np.random.default_rng(59)
+    kind = FrameKind.X_NORMALIZED
+    sol, t0, x0 = random_soliton_point(rng, kind, 1)
+    jet = jet_of_solution(sol, t0, x0, 3)
+    germ = SolutionGerm(sol, t0, x0, 3)
+    for alpha in ((np.int64(1), np.int64(2)), np.array([1, 2]), (np.int32(1), 2)):
+        assert normalized_invariant(jet, alpha, kind) == normalized_invariant(jet, (1, 2), kind)
+        assert _same_series(germ.invariant_series(alpha, kind, 0), germ.invariant_series((1, 2), kind, 0))
+        assert invariant_derivative(sol, t0, x0, alpha, InvDirection.X, kind) == invariant_derivative(
+            sol, t0, x0, (1, 2), InvDirection.X, kind
+        )
+        assert invariant_commutator(sol, t0, x0, alpha, kind) == invariant_commutator(
+            sol, t0, x0, (1, 2), kind
+        )
+    # a 2-d array is a sequence of multi-indices
+    many = normalized_invariant(jet, np.array([[1, 2], [0, 3]]), kind)
+    assert many == [normalized_invariant(jet, alpha, kind) for alpha in ((1, 2), (0, 3))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+def test_germ_sequence_forms_match_scalar_calls(kind, branch):
+    rng = np.random.default_rng(61 + branch)
+    alphas = multi_indices(3)
+    for _ in range(3):
+        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        germ = SolutionGerm(sol, t0, x0, 5)
+        for order in (0, 2):
+            got = germ.invariant_series(alphas, kind, order)
+            want = [germ.invariant_series(alpha, kind, order) for alpha in alphas]
+            assert type(got) is list and len(got) == len(want)
+            assert all(map(_same_series, got, want))
+        # series of two orders in one call, each read off its own series jet
+        series = germ.invariant_series(alphas, kind, 2) + germ.invariant_series(alphas, kind, 1)
+        for direction in InvDirection:
+            got = germ.differentiate(series, direction, kind)
+            want = [germ.differentiate(s, direction, kind) for s in series]
+            assert all(map(_same_series, got, want))
+        assert germ.differentiate([], InvDirection.T, kind) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+def test_invariant_derivative_and_commutator_sequences_match_scalar_calls(kind, branch):
+    # one germ, sized for the highest alpha, serves every alpha bit for bit
+    rng = np.random.default_rng(67 + branch)
+    alphas = multi_indices(3)
+    for _ in range(3):
+        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        for direction in InvDirection:
+            assert invariant_derivative(sol, t0, x0, alphas, direction, kind) == [
+                invariant_derivative(sol, t0, x0, alpha, direction, kind) for alpha in alphas
+            ]
+        assert invariant_commutator(sol, t0, x0, alphas, kind) == [
+            invariant_commutator(sol, t0, x0, alpha, kind) for alpha in alphas
+        ]
+        assert invariant_derivative(sol, t0, x0, [(0, 0)], InvDirection.T, kind) == [0.0]
+
+
+def test_sequence_forms_raise_what_a_scalar_call_raises():
+    kind = FrameKind.X_NORMALIZED
+    jet = jet_of_solution(Soliton(), 0.3, 0.8, 2)
+    for alphas in ([(1, 0), (-1, 1)], [(1, 0), (2, 1)]):
+        with pytest.raises(UsageError):
+            normalized_invariant(jet, alphas, kind)
+    singular = jet_of_solution(Rational(), 1.3, 0.7, 2)
+    with pytest.raises(SingularFrameError):
+        normalized_invariant(singular, [(0, 0), (0, 1)], FrameKind.T_NORMALIZED)
+    # no derivative coordinate asked for, so no pivot is needed
+    assert normalized_invariant(singular, [(0, 0)], FrameKind.T_NORMALIZED) == [0.0]

@@ -93,10 +93,18 @@ _REAL_INVARIANT = verify.normalized_invariant
 @pytest.mark.parametrize(
     "formula, patched, suites",
     [
-        ("normalized_invariant", lambda *args: math.nan, ("invariance", "infinitesimal")),
+        # the suites read every alpha of a frame in one call, so the fakes take a sequence
+        (
+            "normalized_invariant",
+            lambda jet, alphas, kind: [math.nan] * len(alphas),
+            ("invariance", "infinitesimal"),
+        ),
         (
             "normalized_invariant",  # NaN among finite defects of the same sample
-            lambda jet, alpha, kind: math.nan if alpha == (1, 1) else _REAL_INVARIANT(jet, alpha, kind),
+            lambda jet, alphas, kind: [
+                math.nan if alpha == (1, 1) else value
+                for alpha, value in zip(alphas, _REAL_INVARIANT(jet, alphas, kind))
+            ],
             ("invariance", "infinitesimal"),
         ),
         ("commutator_coefficients", lambda *args: (math.nan, math.nan), ("commutators",)),
@@ -158,6 +166,7 @@ def test_infinitesimal_fails_when_a_prolongation_coefficient_is_off(monkeypatch)
 
 
 def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
+    # one lift carries two basis fields, one in each first-order slot
     calls = []
 
     def counted(v, F, jet):
@@ -167,7 +176,8 @@ def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
     monkeypatch.setattr(verify, "pr_v_apply", counted)
     (report,) = run_suite(("infinitesimal",), seed=0, samples=7, order=6)
     assert report.samples == 7
-    assert len(calls) == 4 * 7
+    assert len(calls) == 2 * 7
+    assert all(len(fields) == 2 for fields in calls)
 
 
 def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypatch):
