@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import DomainError, SingularFrameError, UsageError
@@ -29,10 +30,20 @@ EXIT_USAGE = 64
 _FRAME_BY_FLAG = {"t": FrameKind.T_NORMALIZED, "x": FrameKind.X_NORMALIZED}
 
 
+# A value that starts with a minus sign, as float() reads it.  argparse's own
+# pattern takes only -1 and -1.5, and reads -1e-3 or -inf as an unknown flag.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the contract here is 64
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    # argparse exits with 2 on bad flags; the contract here is 64, with the reason
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"jetframe: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

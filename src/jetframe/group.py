@@ -11,12 +11,13 @@ scaling eps4, acting on base variables as
 Derivative coordinates of any order transform in closed form: the boost mixes
 t-derivatives into x-derivatives through a binomial sum and the scaling acts
 with weight 3*a1 + a2 + 2 on the multi-index (a1, a2).  This transformation
-law is written once, in :func:`_weight` and :func:`_boosted`: it drives
+law is written once, in :func:`_weight` and :func:`_transform`: it drives
 :func:`prolong_act`, the infinitesimal coefficients :func:`eta_alpha`, and the
 normalized invariants, which are the prolonged action evaluated at the moving
 frame, I_alpha = (rho . z)_alpha; an action or product that leaves double
-range is a DomainError.  The module also hosts the infinitesimal side:
-vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u) + c4*(3t d_t + x d_x - 2u d_u),
+range is a DomainError.  It runs on the dense entries of a jet, floats or
+series rows, from one cached plan of index rows per order.  The module also
+hosts the infinitesimal side: vector fields c1*d_t + c2*d_x + c3*(t d_x + d_u) + c4*(3t d_t + x d_x - 2u d_u),
 their prolongation coefficients, and the exact application of the prolonged
 field to jet functions in vector forward mode: each coordinate c is lifted
 once to the order-1 series c + eps*(its coefficient), and the eps coefficient
@@ -25,18 +26,22 @@ flow.  First-order coefficients do not mix, so one lift serves every output
 and two fields at once, one in each first-order slot of the series.
 
 Batched forms are exact, not approximate: a list of outputs of one lift, the
-second field of a pair, and a boost sum read off a shared table of powers are
-each bit-identical to the call that computes that value alone.
+second field of a pair, and every boost sum of a table read off one plan are
+each bit-identical to computing that value alone, one term at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _one_or_many
-from .taylor import TruncatedSeries
+from .jets import Jet, _entries, _is_multi_index, _one_or_many, _rows_for
+from .taylor import TruncatedSeries, _pos, _read_only, _row_products, multi_indices
 
 
 @dataclass(frozen=True)
@@ -135,36 +140,110 @@ def _weight(alpha):
     return 3 * a1 + a2 + 2
 
 
-def _powers(b, n):
-    """[b**0, ..., b**n], each bit-identical to b**k.
+class _BoostPlan(NamedTuple):
+    """Index rows of the boost sums of every alpha of one order (see :func:`_boost_plan`)."""
+
+    target: np.ndarray  # per term: row of alpha
+    source: np.ndarray  # per term: row of u[a1 - k, a2 + k]
+    k: np.ndarray  # per term: power of the boost
+    comb: np.ndarray  # per term: C(a1, k), as a float
+    weight: np.ndarray  # per alpha: 3*a1 + a2 + 2
+    weights: tuple  # distinct weights of the alphas of positive order
+    # the terms with k = 1, one per alpha with a1 >= 1: its row, the row of
+    # u[a1 - 1, a2 + 1] and a1
+    lowered: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _boost_plan(order):
+    """Terms C(a1, k) b^k u[a1 - k, a2 + k] of every alpha of multi_indices(order), built on first use.
+
+    Terms are grouped by alpha in storage order and run over k in increasing
+    order within it, the order in which a loop over k adds them.
+    """
+    alphas = multi_indices(order)
+    terms = [(i, _pos(a1 - k, a2 + k), k, math.comb(a1, k))
+             for i, (a1, a2) in enumerate(alphas) for k in range(a1 + 1)]
+    target, source, k, comb = (np.array(column) for column in zip(*terms))
+    comb = comb.astype(float)
+    weight = np.array([_weight(alpha) for alpha in alphas])
+    return _BoostPlan(
+        *map(_read_only, (target, source, k, comb, weight)),
+        tuple(sorted(set(weight[1:].tolist()))),
+        tuple(_read_only(column[k == 1]) for column in (target, source, comb)),
+    )
+
+
+def _per_row(values, data):
+    """One value per row of `data`, shaped to scale its entries: floats, or rows of series."""
+    return values.reshape(values.shape + (1,) * (data.ndim - 1))
+
+
+def _times(a, b):
+    """Entrywise product of two arrays of jet entries: floats, or series rows."""
+    return a * b if a.ndim == 1 else _row_products(a, b)
+
+
+def _boost_powers(b, top, order):
+    """Rows b**0, ..., b**top, each bit-identical to b**k, then zero rows up to `order`.
 
     A series power is the previous one times b, which is how ** computes it.
     A float power that leaves double-precision range is a DomainError.
     """
     if isinstance(b, TruncatedSeries):
-        powers = [TruncatedSeries.constant(1.0, b.order)]
-        for _ in range(n):
-            powers.append(powers[-1] * b)
-        return powers
+        rows = np.zeros((order + 1, b.coeffs.size))
+        power = TruncatedSeries.constant(1.0, b.order)
+        rows[0] = power.coeffs
+        for k in range(1, top + 1):
+            power = power * b
+            rows[k] = power.coeffs
+        return rows
     try:
-        return [b**k for k in range(n + 1)]
+        return np.array([b**k for k in range(top + 1)] + [0.0] * (order - top))
     except OverflowError:
-        raise DomainError(f"a power up to {b!r}**{n} of the boost overflows a double") from None
+        raise DomainError(f"a power up to {b!r}**{top} of the boost overflows a double") from None
 
 
-def _boosted(jet, alpha, powers):
-    """sum_k C(a1, k) b^k u[a1 - k, a2 + k]: u_alpha after a Galilean boost by b.
+def _transform(data, order, powers, scales):
+    """scales[w] * sum_k C(a1, k) powers[k] u[a1 - k, a2 + k] for every alpha of multi_indices(order).
 
-    Closed at fixed total order, because the boost trades one t-derivative
-    for one x-derivative at a time.  `powers` is ``_powers(b, n)`` for some
-    n >= a1, shared by every alpha of a call.  b and the jet entries may be
-    floats or truncated series.
+    This is u_alpha after a Galilean boost by b, the powers of b being
+    ``_boost_powers``, then a scaling with one factor per weight
+    w = 3*a1 + a2 + 2: the transformation law of every derivative
+    coordinate, closed at fixed total order.  `data` holds the entries of a
+    jet of order >= `order`, floats or series rows, and `scales` is indexed
+    by weight.  Each term is one gather and one product (one row-stacked
+    series product), the sums are one bincount that adds each alpha's terms
+    in k order, and the scaling is one more product, so every entry is
+    bit-identical to the loop over k that it replaces.  Overflow gives inf
+    or nan, which callers report.
     """
-    a1, a2 = alpha
-    acc = 0.0
-    for k in range(a1 + 1):
-        acc += math.comb(a1, k) * powers[k] * jet.u[(a1 - k, a2 + k)]
-    return acc
+    plan = _boost_plan(order)
+    size = len(plan.weight)
+    terms = _times(_per_row(plan.comb, powers) * powers[plan.k], data[plan.source])
+    if terms.ndim == 1:
+        sums = np.bincount(plan.target, terms, size)
+    else:  # one bin per (alpha, coefficient)
+        width = terms.shape[1]
+        bins = plan.target[:, None] * width + np.arange(width)
+        sums = np.bincount(bins.ravel(), terms.ravel(), size * width).reshape(size, width)
+    return _times(scales[plan.weight], sums)
+
+
+def _first_non_finite(values, alphas):
+    """The first alpha whose value is not finite, and that value; None if all are finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    i = int(np.argmin(finite))
+    return alphas[i], values[i].item()
+
+
+def _exp_or_inf(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def prolong_act(g, jet):
@@ -176,19 +255,22 @@ def prolong_act(g, jet):
         U_alpha = exp(-(3*a1 + a2 + 2)*eps4)
                   * sum_k C(a1, k) (-eps3)^k u[a1 - k, a2 + k]
 
-    i.e. the boost by -eps3 followed by the scaling of weight 3*a1 + a2 + 2.
-    A transformed coordinate that leaves double-precision range is a
-    DomainError.
+    i.e. the boost by -eps3 followed by the scaling of weight 3*a1 + a2 + 2,
+    with one math.exp per distinct weight.  A transformed coordinate that
+    leaves double-precision range is a DomainError.
     """
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
-    values = {(0, 0): U0}
-    powers = _powers(-g.eps3, jet.order)
-    for alpha in jet.indices()[1:]:
-        (values[alpha],) = _in_range(
-            lambda: (math.exp(-_weight(alpha) * g.eps4) * _boosted(jet, alpha, powers),),
-            "transformed u_{} under {}", alpha, g,
-        )
-    return Jet(order=jet.order, t=T, x=X, u=values)
+    order = jet.order
+    plan = _boost_plan(order)
+    scales = np.zeros(3 * order + 3)
+    scales[list(plan.weights)] = [_exp_or_inf(-w * g.eps4) for w in plan.weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _transform(jet.data, order, _boost_powers(-g.eps3, order, order), scales)
+    values[0] = U0
+    bad = _first_non_finite(values, multi_indices(order))
+    if bad is not None:
+        raise DomainError(f"transformed u_{bad[0]} under {g} leaves double-precision range")
+    return Jet(order, T, X, values)
 
 
 @dataclass(frozen=True)
@@ -239,21 +321,35 @@ class VectorField:
         return -2.0 * self.c4 * u + self.c3
 
 
+def _eta_rows(fields, jet):
+    """eta^alpha of each field at every alpha of the jet, one row of entries per field.
+
+    -(3*a1 + a2 + 2)*c4*u_alpha - a1*c3*u[a1-1, a2+1], plus c3 at (0, 0);
+    the a1*c3 term is the k = 1 term of the boost sum.
+    """
+    data, plan = jet.data, _boost_plan(jet.order)
+    column = (-1,) + (1,) * data.ndim  # one row of entries per field
+    c3 = np.array([v.c3 for v in fields]).reshape(column)
+    c4 = np.array([v.c4 for v in fields]).reshape(column)
+    etas = (-_per_row(plan.weight, data) * c4) * data
+    etas[(slice(None),) + (0,) * data.ndim] += c3.ravel()  # the constant term of u's coefficient
+    target, source, a1 = plan.lowered
+    etas[:, target] -= (_per_row(a1, data) * c3) * data[source]
+    return etas
+
+
 def eta_alpha(v, alpha, jet):
     """Coefficient of d/du_alpha in the prolongation of v, evaluated on a jet.
 
     For a1 + a2 >= 1 this is -(3*a1 + a2 + 2)*c4*u_alpha - a1*c3*u[a1-1, a2+1];
     at (0, 0) it is the u-coefficient of the field itself, -2*c4*u + c3.
+    `alpha` may also be a sequence of multi-indices; the result is then the
+    list of their coefficients, from one pass over the jet's entries.
     """
-    a1, a2 = alpha
-    if a1 < 0 or a2 < 0:
-        raise UsageError(f"invalid multi-index {alpha}")
-    if a1 + a2 == 0:
-        return v.eta(jet.t, jet.x, jet.u[(0, 0)])
-    out = -_weight(alpha) * v.c4 * jet.value(alpha)
-    if a1 > 0:
-        out -= a1 * v.c3 * jet.value((a1 - 1, a2 + 1))
-    return out
+    alphas, shape = _one_or_many(alpha, _is_multi_index)
+    _, rows = _rows_for(alphas, jet.order)
+    (etas,) = _eta_rows((v,), jet)
+    return shape(_entries(etas[: len(alphas)] if rows is None else etas[rows]))
 
 
 # the first-order slots of an order-1 series, one flow parameter each
@@ -298,11 +394,15 @@ def pr_v_apply(v, F, jet):
     if not 1 <= len(fields) <= len(_SLOTS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
+    lift = np.zeros((len(jet.data), 3))  # one order-1 series per entry
+    lift[:, 0] = jet.data
+    for w, slot in zip(fields, _SLOTS):
+        lift[:, _pos(*slot)] = eta_alpha(w, jet.indices(), jet)
     lifted = Jet(
         jet.order,
         _lift(t, *(w.tau(t, x, u) for w in fields)),
         _lift(x, *(w.xi(t, x, u) for w in fields)),
-        {alpha: _lift(c, *(eta_alpha(w, alpha, jet) for w in fields)) for alpha, c in jet.u.items()},
+        lift,
     )
     value = F(lifted)
     return shape([_eps_coefficient(value, slot) for slot in _SLOTS[: len(fields)]])

@@ -28,9 +28,10 @@ frames and branches come from one computed correction matrix (:func:`_correction
 :func:`invariant_commutator` also take a sequence of multi-indices (or of
 series) and return the list of results in the same order.  The work that
 does not depend on alpha is done once per call: the pivot and its singular
-test, ln|pivot| or one series power per distinct weight, the table of boost
-powers, and the germ with its series jet.  Each element of the list is
-bit-identical to the call on that element alone.
+test, ln|pivot| or one series power per distinct weight, the powers of u,
+and the germ with its series jet.  The boost sums of all alphas are one pass
+over the jet's dense entries (:func:`jetframe.group._transform`).  Each
+element of the list is bit-identical to the call on that element alone.
 """
 
 from __future__ import annotations
@@ -45,27 +46,41 @@ import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
 from .frame import FrameKind, moving_frame, require_regular_pivot
-from .group import VectorField, _boosted, _powers, _weight, act_point, eta_alpha
-from .jets import Jet, MultiIndex, _is_multi_index, _one_or_many, multi_indices
+from .group import (
+    VectorField,
+    _boost_plan,
+    _boost_powers,
+    _eta_rows,
+    _first_non_finite,
+    _transform,
+    _weight,
+    act_point,
+)
+from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for, multi_indices
 from .solutions import _expansion, jet_of_solution
 from .taylor import TruncatedSeries, series_pow
 
 
-def _prefactors(p, branch, weights, w_den):
-    """{w: |p|^(-w/w_den)} for each w in the set `weights`: the fractional-power prefactors of a frame.
+def _prefactors(p, branch, weights, w_den, size):
+    """|p|^(-w/w_den) at index w, for each w in `weights`, zero elsewhere up to `size`.
 
-    A float pivot p gives exp(-w*ln|p|/w_den), with ln|p| taken once; a
-    series pivot gives series_pow(branch*p, -w/w_den), whose constant term
-    branch*p is positive.  A pivot just above the singular threshold can
-    overflow this power at high weight; that is a DomainError, not an
-    arithmetic crash.
+    These are the fractional-power prefactors of a frame.  A float pivot p
+    gives exp(-w*ln|p|/w_den), with ln|p| taken once; a series pivot gives
+    the rows of series_pow(branch*p, -w/w_den), whose constant term branch*p
+    is positive.  A pivot just above the singular threshold can overflow
+    this power at high weight; that is a DomainError, not an arithmetic crash.
     """
     try:
         if isinstance(p, TruncatedSeries):
             base = branch * p
-            return {w: series_pow(base, -w / w_den) for w in weights}
+            scales = np.zeros((size, p.coeffs.size))
+            for w in weights:
+                scales[w] = series_pow(base, -w / w_den).coeffs
+            return scales
         log_p = math.log(abs(p))
-        return {w: math.exp(-w * log_p / w_den) for w in weights}
+        scales = np.zeros(size)
+        scales[list(weights)] = [math.exp(-w * log_p / w_den) for w in weights]
+        return scales
     except OverflowError:
         raise DomainError(
             f"frame prefactor |pivot|^(-w/{w_den}) overflows a double for a weight w <= {max(weights)}"
@@ -75,6 +90,37 @@ def _prefactors(p, branch, weights, w_den):
 def _top_order(alphas):
     """Largest total order among the multi-indices (0 for none)."""
     return max((sum(alpha) for alpha in alphas), default=0)
+
+
+def _table(jet, kind, order, derived=None):
+    """I_alpha of every alpha of multi_indices(order) at `jet`, as floats or series rows.
+
+    The boost by u and the frame's scaling go through the group's
+    transformation law with the powers of u and one prefactor per weight.
+    Only the weights and powers that the multi-indices `derived` need are
+    computed (all of positive order when None), so the row of an alpha
+    outside them is junk, never an error.  Row (0, 0), the invariantized u,
+    is zero.
+    """
+    if derived is None:
+        weights, top = _boost_plan(order).weights, order
+    else:
+        weights, top = sorted({_weight(alpha) for alpha in derived}), max(a1 for a1, _ in derived)
+    p, branch = require_regular_pivot(jet, kind)
+    scales = _prefactors(p, branch, weights, kind.weight_denominator, 3 * order + 3)
+    powers = _boost_powers(jet.u[(0, 0)], top, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _transform(jet.data, order, powers, scales)
+    values[0] = 0.0
+    return values
+
+
+def _finite(values, alphas):
+    """The float invariants `values` of `alphas` as a list; a non-finite one is a DomainError."""
+    bad = _first_non_finite(values, alphas)
+    if bad is not None:
+        raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
+    return values.tolist()
 
 
 def normalized_invariant(jet, alpha, kind):
@@ -87,31 +133,19 @@ def normalized_invariant(jet, alpha, kind):
     the prefactor uses |pivot| with the sign carried separately.  Entries may
     be floats or truncated series; the result has the same type.  `alpha`
     may also be a sequence of multi-indices; the result is then the list of
-    their invariants, from one pivot, one prefactor per weight and one table
-    of boost powers.
+    their invariants, from one pivot, one prefactor per weight and one pass
+    over the jet's entries.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    for alpha in alphas:
-        a1, a2 = alpha
-        if a1 < 0 or a2 < 0:
-            raise UsageError(f"invalid multi-index {alpha}")
-        if a1 + a2 > jet.order:
-            raise UsageError(f"alpha={alpha} exceeds jet order {jet.order}")
-    derived = [alpha for alpha in alphas if sum(alpha) > 0]
-    if derived:
-        p, branch = require_regular_pivot(jet, kind)
-        prefactors = _prefactors(p, branch, {_weight(a) for a in derived}, kind.weight_denominator)
-        powers = _powers(jet.u[(0, 0)], max(a1 for a1, _ in derived))
-    values = []
-    for alpha in alphas:
-        if sum(alpha) == 0:
-            values.append(0.0)
-            continue
-        value = prefactors[_weight(alpha)] * _boosted(jet, alpha, powers)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"invariant I_{alpha} = {value!r} is not finite at this jet")
-        values.append(value)
-    return shape(values)
+    order, rows = _rows_for(alphas, jet.order)
+    if order == 0:
+        return shape([0.0] * len(alphas))
+    values = _table(jet, kind, order, None if rows is None else [a for a in alphas if sum(a) > 0])
+    if rows is not None:
+        values = values[rows]
+    if values.ndim == 1:
+        return shape(_finite(values, alphas))
+    return shape([0.0 if sum(alpha) == 0 else row for alpha, row in zip(alphas, _entries(values))])
 
 
 @dataclass(frozen=True)
@@ -141,9 +175,11 @@ class InvariantTable:
             ) from None
 
     @cached_property
-    def _jet(self):
-        # the invariantized jet: the table's values at t = x = 0
-        return Jet(order=self.order, t=0.0, x=0.0, u=self.values)
+    def _etas(self):
+        # {alpha: eta^alpha} of each basis field on the invariantized jet J,
+        # the table's values at t = x = 0
+        J = Jet(self.order, 0.0, 0.0, self.values)
+        return [dict(zip(J.indices(), etas.tolist())) for etas in _eta_rows(VectorField.basis(), J)]
 
     @cached_property
     def _R(self):
@@ -153,8 +189,8 @@ class InvariantTable:
 
 def invariant_table(jet, kind, order):
     """Tabulate every I_alpha with total order <= `order` at one jet."""
-    if order > jet.order:
-        raise UsageError(f"table order {order} exceeds jet order {jet.order}")
+    if not 0 <= order <= jet.order:
+        raise UsageError(f"table order {order} must lie in [0, {jet.order}], the jet order")
     frame = moving_frame(jet, kind)
     alphas = multi_indices(order)
     values = dict(zip(alphas, normalized_invariant(jet, alphas, kind)))
@@ -190,9 +226,7 @@ class SolutionGerm:
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
-        rows = self._master.derivatives(jet_order, order)
-        u = {a: TruncatedSeries._wrap(order, row) for a, row in zip(multi_indices(jet_order), rows)}
-        return Jet(order=jet_order, t=self.t0, x=self.x0, u=u)
+        return Jet(jet_order, self.t0, self.x0, self._master.derivatives(jet_order, order))
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
@@ -227,8 +261,8 @@ class SolutionGerm:
             if s.order not in frames:
                 jet = self.series_jet(1, s.order - 1)  # a series too short is a UsageError
                 p, branch = require_regular_pivot(jet, kind)
-                prefactors = _prefactors(p, branch, {weight}, kind.weight_denominator)
-                frames[s.order] = jet.u[(0, 0)], prefactors[weight]
+                prefactor = _prefactors(p, branch, (weight,), kind.weight_denominator, weight + 1)[weight]
+                frames[s.order] = jet.u[(0, 0)], TruncatedSeries._wrap(s.order - 1, prefactor)
             u, prefactor = frames[s.order]
             base = s.dt() + u * s.dx() if direction is InvDirection.T else s.dx()
             out.append(prefactor * base)
@@ -285,9 +319,9 @@ def _corrections(table):
     The phantoms z = t, x, u, u_p are constant on the cross-section, so R solves
     0 = iota(D_j z) + sum_kappa R_j^kappa iota(v_kappa z) on the invariantized jet J.
     """
-    J, p, origin = table._jet, table.kind.pivot_alpha, (0.0, 0.0, 0.0)
+    p, origin = table.kind.pivot_alpha, (0.0, 0.0, 0.0)
     fields = VectorField.basis()
-    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), eta_alpha(v, p, J)] for v in fields]
+    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[p]] for v, etas in zip(fields, table._etas)]
     # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
     d_z = [list(e) for e in _UNITS] + [[table.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)]
     return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
@@ -306,10 +340,12 @@ def recurrence_rhs(table, alpha, direction):
     """
     if tuple(alpha) in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
+    if min(alpha) < 0:
+        raise UsageError(f"invalid multi-index {alpha}")
     j = 0 if direction is InvDirection.T else 1
-    out = table.value(_plus(alpha, _UNITS[j]))
-    for v, r in zip(VectorField.basis(), table._R):
-        out += float(r[j]) * eta_alpha(v, alpha, table._jet)
+    out = table.value(_plus(alpha, _UNITS[j]))  # alpha + e_j in the table, so alpha too
+    for etas, r in zip(table._etas, table._R):
+        out += float(r[j]) * etas[tuple(alpha)]
     return out
 
 

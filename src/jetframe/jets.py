@@ -3,6 +3,11 @@
 A multi-index alpha = (a1, a2) selects the mixed partial derivative
 u_alpha = d^(a1+a2) u / dt^a1 dx^a2, so (0, 0) is u itself, (1, 0) is u_t,
 (0, 1) is u_x and so on.
+
+A jet stores its coordinates as one dense array in :func:`multi_indices`
+order, the layout of :class:`~jetframe.taylor.TruncatedSeries` coefficients:
+shape (n_alpha,) for real coordinates, or (n_alpha, n_coeff) when every
+coordinate is a truncated series, one row of coefficients per alpha.
 """
 
 from __future__ import annotations
@@ -10,26 +15,28 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from functools import cached_property
+
+import numpy as np
 
 from .errors import UsageError
-
-MultiIndex = Tuple[int, int]
-
-# Largest jet or series order.  A product table of order M holds C(M+4, 4)
-# index triples, so the cap also bounds the memory a single order can claim.
-MAX_ORDER = 30
+from .taylor import (
+    MAX_ORDER,
+    MultiIndex,
+    TruncatedSeries,
+    _pos,
+    _series_order,
+    multi_indices,
+    triangle_size,
+)
 
 
 @functools.lru_cache(maxsize=None)
-def multi_indices(order: int) -> Tuple[MultiIndex, ...]:
-    """All multi-indices with total order <= `order`, graded, t-degree minor.
-
-    This is the storage order of :class:`~jetframe.taylor.TruncatedSeries`
-    coefficients as well as the iteration order of every jet.
-    """
-    return tuple((a1, d - a1) for d in range(order + 1) for a1 in range(d + 1))
+def _positions(order):
+    """{alpha: row} for the multi-indices of total order <= `order`."""
+    return {alpha: i for i, alpha in enumerate(multi_indices(order))}
 
 
 def _is_multi_index(arg) -> bool:
@@ -48,43 +55,132 @@ def _one_or_many(arg, is_one):
     return list(arg), list
 
 
-@dataclass(frozen=True)
+def _rows_for(alphas, order):
+    """(n, rows): the largest total order n among multi-indices of a jet of `order`, and their rows.
+
+    `rows` is None when the multi-indices are exactly multi_indices(n), the
+    whole table in storage order.  A negative index or one beyond `order` is
+    a UsageError.
+    """
+    n = _series_order(len(alphas))
+    if n is not None and n <= order:
+        try:
+            if tuple(alphas) == multi_indices(n):
+                return n, None
+        except ValueError:  # an index given as a numpy array compares elementwise
+            pass
+    rows = []
+    for alpha in alphas:
+        a1, a2 = alpha
+        if a1 < 0 or a2 < 0:
+            raise UsageError(f"invalid multi-index {alpha}")
+        if a1 + a2 > order:
+            raise UsageError(f"alpha={alpha} exceeds jet order {order}")
+        rows.append(_pos(a1, a2))
+    return max((sum(alpha) for alpha in alphas), default=0), rows
+
+
+def _entries(values):
+    """Python floats, or TruncatedSeries rows, of an array of jet entries."""
+    if values.ndim == 1:
+        return values.tolist()
+    order = _series_order(values.shape[1])
+    return [TruncatedSeries._wrap(order, row) for row in values]
+
+
+def _rows_of(order, u):
+    """The dense array of a mapping from every multi-index of total order <= `order` to its entry.
+
+    Series entries make a series jet; a real entry beside them becomes a
+    constant series of their order.
+    """
+    indices = multi_indices(order)
+    try:
+        entries = [u[a] for a in indices]
+    except KeyError:
+        missing = [a for a in indices if a not in u]
+        raise UsageError(f"incomplete jet: missing entries {missing[:4]}") from None
+    if len(u) > len(indices):
+        extra = [a for a in u if a not in indices]
+        raise UsageError(f"jet of order {order} has entries beyond it: {extra[:4]}")
+    orders = {c.order for c in entries if isinstance(c, TruncatedSeries)}
+    if len(orders) > 1:
+        raise UsageError(f"series entries of one jet must share one order, got {sorted(orders)}")
+    if orders:
+        (series_order,) = orders
+        zeros = [0.0] * (triangle_size(series_order) - 1)
+        entries = [c.coeffs if isinstance(c, TruncatedSeries) else [c, *zeros] for c in entries]
+    return _array(entries)
+
+
+def _array(entries):
+    """A float array of jet entries, copied; anything else is a UsageError."""
+    try:
+        return np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError("jet entries must be real numbers or truncated series") from None
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Jet:
     """A point of the order-N jet space.
 
-    `u` maps exactly the multi-indices of total order <= `order` to the values
-    of the corresponding derivative coordinates; `u[(0, 0)]` is the value of u itself.
-    Coordinates may also be truncated series around the point, which is how
-    the closed forms are expanded along a solution or differentiated along a
-    flow.  Real coordinates, t and x must be finite.  Instances are treated
-    as immutable: operations return new jets.
+    `data` holds the derivative coordinates in :func:`multi_indices` order,
+    as a read-only float array: one value per alpha, or one row of series
+    coefficients per alpha.  `u` is a read-only mapping view of the same
+    entries by multi-index; `u[(0, 0)]` is the value of u itself, a float,
+    or a :class:`~jetframe.taylor.TruncatedSeries` for a series jet.  Series
+    coordinates carry an expansion around the point, which is how the closed
+    forms are expanded along a solution or differentiated along a flow.
+
+    `u` may be given as a mapping from exactly the multi-indices of total
+    order <= `order`, or as an array of the layout of `data`; either is
+    copied.  Real coordinates, t and x must be finite.  Jets compare equal
+    when order, t, x and every entry are equal (0.0 == -0.0); they are not
+    hashable.  Instances are immutable: operations return new jets.
     """
 
     order: int
     t: float
     x: float
-    u: Dict[MultiIndex, float] = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if not 0 <= self.order <= MAX_ORDER:
-            raise UsageError(f"jet order must lie in [0, {MAX_ORDER}], got {self.order}")
-        indices = multi_indices(self.order)
-        missing = [a for a in indices if a not in self.u]
-        if missing:
-            raise UsageError(f"incomplete jet: missing entries {missing[:4]}")
-        if len(self.u) > len(indices):
-            extra = [a for a in self.u if a not in indices]
-            raise UsageError(f"jet of order {self.order} has entries beyond it: {extra[:4]}")
-        entries = (self.t, self.x, *self.u.values())
+    def __init__(self, order, t, x, u):
+        if not 0 <= order <= MAX_ORDER:
+            raise UsageError(f"jet order must lie in [0, {MAX_ORDER}], got {order}")
+        data = _rows_of(order, u) if isinstance(u, Mapping) else _array(u)
+        n = len(multi_indices(order))
+        series = data.ndim == 2 and _series_order(data.shape[1]) is not None
+        if data.shape[:1] != (n,) or not (data.ndim == 1 or series):
+            raise UsageError(
+                f"jet of order {order} needs shape ({n},) or ({n}, series size), got {data.shape}"
+            )
         try:
-            finite = all(map(math.isfinite, entries))
-        except TypeError:  # truncated-series entries are exempt
-            finite = all(math.isfinite(c) for c in entries if isinstance(c, float))
-        if not finite:
-            named = {"t": self.t, "x": self.x, **{f"u_{a}": c for a, c in self.u.items()}}
-            bad = {k: c for k, c in named.items() if isinstance(c, float) and not math.isfinite(c)}
-            raise UsageError(f"jet entries must be finite, got {bad}")
-        object.__setattr__(self, "u", dict(self.u))  # detach from the caller's dict
+            finite = math.isfinite(t) and math.isfinite(x)
+        except TypeError:  # a series base point, as in a lift along a flow
+            finite = False
+        if not (finite and (data.ndim == 2 or np.isfinite(data).all())):  # series entries are exempt
+            named = {"t": t, "x": x}
+            if data.ndim == 1:
+                named.update(zip((f"u_{a}" for a in multi_indices(order)), data.tolist()))
+            bad = {k: c for k, c in named.items() if isinstance(c, numbers.Real) and not math.isfinite(c)}
+            if bad:
+                raise UsageError(f"jet entries must be finite, got {bad}")
+        data.flags.writeable = False
+        self.__dict__.update(order=order, t=t, x=x, data=data)  # past the frozen __setattr__
+
+    @cached_property
+    def u(self):
+        return _Entries(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return (self.order, self.t, self.x) == (other.order, other.t, other.x) and np.array_equal(
+            self.data, other.data
+        )
+
+    __hash__ = None
 
     def value(self, alpha: MultiIndex) -> float:
         try:
@@ -94,5 +190,24 @@ class Jet:
                 f"jet of order {self.order} has no entry for alpha={alpha}"
             ) from None
 
-    def indices(self) -> Tuple[MultiIndex, ...]:
+    def indices(self):
         return multi_indices(self.order)
+
+
+class _Entries(Mapping):
+    """Read-only view of a jet's entries by multi-index: floats, or series rows."""
+
+    __slots__ = ("_entries", "_positions")
+
+    def __init__(self, jet):
+        self._entries = _entries(jet.data)
+        self._positions = _positions(jet.order)
+
+    def __getitem__(self, alpha):
+        return self._entries[self._positions[alpha]]
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self):
+        return len(self._positions)

@@ -138,7 +138,8 @@ def _expansion(solution, t0, x0, order):
     if not (math.isfinite(t0) and math.isfinite(x0)):
         raise UsageError(f"base point must be finite, got (t0, x0) = ({t0}, {x0})")
     try:
-        s = solution.series(t0, x0, order)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            s = solution.series(t0, x0, order)
         finite = np.isfinite(s.coeffs).all()
     except (OverflowError, ZeroDivisionError):
         finite = False
@@ -159,11 +160,12 @@ def jet_of_solution(solution, t0, x0, order):
     """
     s = _expansion(solution, t0, x0, order)
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
-        values = dict(zip(multi_indices(order), s.derivatives(order, 0)[:, 0].tolist()))
-    if not all(map(math.isfinite, values.values())):
-        alpha = next(a for a, c in values.items() if not math.isfinite(c))
+        values = s.derivatives(order, 0)[:, 0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        alpha = multi_indices(order)[int(np.argmin(finite))]
         raise DomainError(f"jet entry u_{alpha} at ({t0}, {x0}) overflows a double")
-    return Jet(order=order, t=float(t0), x=float(x0), u=values)
+    return Jet(order, float(t0), float(x0), values)
 
 
 def kdv_residual(jet):

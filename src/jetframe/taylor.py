@@ -7,25 +7,48 @@ produced to machine precision: the derivative d^(i+j)u/dt^i dx^j is just
 i! j! times the (i, j) coefficient of the expansion of u.
 
 Coefficients are stored densely in the graded-lexicographic order of
-:func:`~jetframe.jets.multi_indices` (total degree major, t-degree minor), so
-a series of order M owns (M+1)(M+2)/2 scalars and truncation to a lower order
-is a prefix slice.  Every kernel below reads that layout from the cached
-index tables derived from it.
+:func:`multi_indices` (total degree major, t-degree minor), so a series of
+order M owns (M+1)(M+2)/2 scalars and truncation to a lower order is a
+prefix slice.  Every kernel below reads that layout from the cached index
+tables derived from it.  The same order lays out the entries of every
+:class:`~jetframe.jets.Jet`, which is why it is defined here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import MAX_ORDER, multi_indices
+
+MultiIndex = Tuple[int, int]
+
+# Largest jet or series order.  A product table of order M holds C(M+4, 4)
+# index triples, so the cap also bounds the memory a single order can claim.
+MAX_ORDER = 30
+
+
+@functools.lru_cache(maxsize=None)
+def multi_indices(order: int) -> Tuple[MultiIndex, ...]:
+    """All multi-indices with total order <= `order`, graded, t-degree minor.
+
+    This is the storage order of :class:`TruncatedSeries` coefficients as
+    well as of the entries of every jet.
+    """
+    return tuple((a1, d - a1) for d in range(order + 1) for a1 in range(d + 1))
 
 
 def triangle_size(order: int) -> int:
     return (order + 1) * (order + 2) // 2
+
+
+def _series_order(size):
+    """Order M of a series with `size` coefficients, or None if no order has that many."""
+    order = (math.isqrt(8 * size + 1) - 3) // 2
+    return order if order >= 0 and triangle_size(order) == size else None
 
 
 def _pos(i, j):
@@ -204,6 +227,19 @@ class TruncatedSeries:
     def dx(self):
         """Formal derivative with respect to the x-offset."""
         return TruncatedSeries._wrap(self.order - 1, self.derivatives(1, self.order - 1)[_pos(0, 1)])
+
+
+def _row_products(a, b):
+    """Series product of each row of `a` with the same row of `b`, as rows of coefficients.
+
+    One gather and one bincount serve every row; the bins of row r are
+    offset by r times the row length, so each row sums its pairs in the
+    order of a single product and equals, bit for bit, a row times b row.
+    """
+    rows, size = a.shape
+    lhs, rhs, out = _product_table(_series_order(size))
+    bins = out + size * np.arange(rows)[:, None]
+    return np.bincount(bins.ravel(), (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
 
 
 # -- analytic composition ----------------------------------------------------

@@ -147,9 +147,40 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_bad_flag_is_usage_error(capsys):
-    assert run_cli(capsys, "eval", "--solution", "nosuch", "--frame", "x")[0] == EXIT_USAGE
-    assert run_cli(capsys, "eval", "--frame", "x")[0] == EXIT_USAGE
-    assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
+    # every parser exit is 64 and names its reason after the usage line
+    cases = [
+        (("eval", "--solution", "nosuch", "--frame", "x"), "invalid choice: 'nosuch'"),
+        (("eval", "--frame", "x"), "the following arguments are required: --solution"),
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
+        (("eval", "--solution", "soliton", "--frame", "x", "--x0"), "--x0: expected one argument"),
+        (("eval", "--solution", "soliton", "--frame", "x", "--t0", "abc"), "--t0: invalid float value: 'abc'"),
+        (("verify", "--samples", "1", "--bogus"), "unrecognized arguments: --bogus"),
+    ]
+    for argv, reason in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: jetframe")
+        assert any(line.startswith("jetframe: ") and reason in line for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E-1", "-.5e+0", "-1.", "-3"])
+def test_negative_numbers_in_any_notation_are_values(capsys, value):
+    code, out, err = run_cli(
+        capsys, "eval", "--solution", "soliton", "--frame", "x", "--t0", "0.3", "--x0", value, "--phase", value,
+    )
+    assert code == EXIT_OK, err
+    meta = parse_json_lines(out)[0]
+    assert meta["x0"] == meta["phase"] == float(value)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_values_reach_the_value_checks(capsys, value):
+    for flag in ("--x0", "--c"):
+        code, out, err = run_cli(capsys, "eval", "--solution", "soliton", "--frame", "x", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("jetframe: ") and "finite" in err
 
 
 def test_verify_all_suites(capsys):

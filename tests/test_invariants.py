@@ -128,6 +128,15 @@ def test_table_missing_entry_rejected():
         table.value((0, 3))
 
 
+def test_table_order_must_lie_between_zero_and_the_jet_order():
+    jet = jet_of_solution(Soliton(), 0.3, 1.7, 4)
+    for kind in KINDS:
+        for order in (-1, -5, 5):
+            with pytest.raises(UsageError, match="order"):
+                invariant_table(jet, kind, order)
+        assert invariant_table(jet, kind, 0).values == {(0, 0): 0.0}
+
+
 def fd_invariant_derivative(sol, t0, x0, alpha, direction, kind, h=1e-5):
     # independent oracle: finite differences of the closed-form invariant
     # along the solution, then the operator's total-derivative combination

@@ -9,6 +9,7 @@ from jetframe.solutions import Rational, jet_of_solution
 from jetframe.taylor import (
     TruncatedSeries,
     _pos,
+    _row_products,
     analytic,
     series_exp,
     series_ln,
@@ -212,6 +213,18 @@ def naive_product(a, b):
         for i2, j2 in multi_indices(M - i1 - j1):
             out[_pos(i1 + i2, j1 + j2)] += a.coeffs[_pos(i1, j1)] * b.coeffs[_pos(i2, j2)]
     return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+def test_row_products_are_single_products_bit_for_bit(order):
+    rng = np.random.default_rng(200 + order)
+    a, b = (rng.uniform(-2, 2, (7, triangle_size(order))) for _ in range(2))
+    a[rng.uniform(size=a.shape) < 0.3] = -0.0  # zeros of either sign keep their sign
+    b[rng.uniform(size=b.shape) < 0.3] = 0.0
+    rows = _row_products(a, b)
+    for r in range(len(a)):
+        single = TruncatedSeries(order, a[r]) * TruncatedSeries(order, b[r])
+        assert rows[r].tobytes() == single.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("order", range(9))
