@@ -16,7 +16,7 @@ import re
 import sys
 
 from .errors import DomainError, SingularFrameError, UsageError
-from .frame import FrameKind, moving_frame
+from .frame import FrameKind, pivot_value
 from .invariants import invariant_table
 from .jets import multi_indices
 from .solutions import CATALOG, jet_of_solution, make_solution
@@ -84,14 +84,48 @@ def build_parser():
 # -- output records ------------------------------------------------------------
 
 
+# json.dumps joins list items with ", ", so between two dict records the text
+# is "}, {"; no suffix of it is also a prefix, so its matches never overlap
+_DICT_BOUNDARY = "}, {"
+_scan_value = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
+
+
 def format_json_lines(records):
-    """One JSON object per line; floats keep full double precision."""
+    """One JSON object per line; floats keep full double precision.
+
+    The text equals the records' json.dumps joined by newlines.  A list of
+    dicts is encoded in one json.dumps pass and cut at its record
+    boundaries; when "}, {" also occurs inside a record, or a record is no
+    dict, each record is encoded alone.
+    """
+    records = list(records)
+    if all(isinstance(r, dict) for r in records):
+        body = json.dumps(records)[1:-1]
+        if body.count(_DICT_BOUNDARY) == len(records) - 1:
+            return body.replace(_DICT_BOUNDARY, "}\n{")
     return "\n".join(json.dumps(r) for r in records)
 
 
 def parse_json_lines(text):
-    """Inverse of :func:`format_json_lines` (lossless round trip)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """Inverse of :func:`format_json_lines` (lossless round trip).
+
+    One JSON value per non-blank line, read as json.loads reads it; a
+    malformed line raises json.JSONDecodeError.
+    """
+    values = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        start = len(line) - len(line.lstrip(_JSON_SPACE))
+        try:
+            value, end = _scan_value(line, start)
+        except StopIteration as exc:
+            raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+        if end != len(line.rstrip(_JSON_SPACE)):
+            raise json.JSONDecodeError("Extra data", line, end)
+        values.append(value)
+    return values
 
 
 def _eval_records(args, table):
@@ -149,17 +183,29 @@ def _csv(records, row_record, columns):
 # -- commands ------------------------------------------------------------------
 
 
+def _negative_pivot(jet, kind):
+    return SingularFrameError(
+        kind.pivot_name, pivot_value(jet, kind), "negative pivot rejected by --branch-policy strict-positive"
+    )
+
+
 def _cmd_eval(args):
     params = {"c": args.c, "phase": args.phase, "u0": args.u0}
     solution = make_solution(args.solution, **params)
     jet = jet_of_solution(solution, args.t0, args.x0, args.order)
     kind = _FRAME_BY_FLAG[args.frame]
-    frame = moving_frame(jet, kind)
-    if args.branch_policy == "strict-positive" and frame.branch < 0:
-        raise SingularFrameError(
-            kind.pivot_name, frame.pivot, "negative pivot rejected by --branch-policy strict-positive"
-        )
-    table = invariant_table(jet, kind, args.order)
+    strict = args.branch_policy == "strict-positive"
+    try:
+        table = invariant_table(jet, kind, args.order)
+    except SingularFrameError:
+        raise
+    except DomainError:
+        # past a regular pivot, the branch policy rejects before the table's own failure
+        if strict and pivot_value(jet, kind) < 0:
+            raise _negative_pivot(jet, kind) from None
+        raise
+    if strict and table.branch < 0:
+        raise _negative_pivot(jet, kind)
     records = _eval_records(args, table)
     if args.format == "json-lines":
         print(format_json_lines(records))

@@ -92,7 +92,7 @@ def _top_order(alphas):
     return max((sum(alpha) for alpha in alphas), default=0)
 
 
-def _table(jet, kind, order, derived=None):
+def _table(jet, kind, order, derived=None, pivot=None):
     """I_alpha of every alpha of multi_indices(order) at `jet`, as floats or series rows.
 
     The boost by u and the frame's scaling go through the group's
@@ -100,13 +100,14 @@ def _table(jet, kind, order, derived=None):
     Only the weights and powers that the multi-indices `derived` need are
     computed (all of positive order when None), so the row of an alpha
     outside them is junk, never an error.  Row (0, 0), the invariantized u,
-    is zero.
+    is zero.  `pivot` is the (p, branch) of `require_regular_pivot` when the
+    caller already has it.
     """
     if derived is None:
         weights, top = _boost_plan(order).weights, order
     else:
         weights, top = sorted({_weight(alpha) for alpha in derived}), max(a1 for a1, _ in derived)
-    p, branch = require_regular_pivot(jet, kind)
+    p, branch = require_regular_pivot(jet, kind) if pivot is None else pivot
     scales = _prefactors(p, branch, weights, kind.weight_denominator, 3 * order + 3)
     powers = _boost_powers(jet.u[(0, 0)], top, order)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,7 +124,7 @@ def _finite(values, alphas):
     return values.tolist()
 
 
-def normalized_invariant(jet, alpha, kind):
+def normalized_invariant(jet, alpha, kind, _pivot=None):
     """Invariant I_alpha of the chosen frame, read off a single jet.
 
     Equals the alpha-entry of the jet after applying its own moving frame,
@@ -134,13 +135,15 @@ def normalized_invariant(jet, alpha, kind):
     be floats or truncated series; the result has the same type.  `alpha`
     may also be a sequence of multi-indices; the result is then the list of
     their invariants, from one pivot, one prefactor per weight and one pass
-    over the jet's entries.
+    over the jet's entries.  `_pivot` passes on the (p, branch) of a frame
+    already computed at `jet`.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     order, rows = _rows_for(alphas, jet.order)
     if order == 0:
         return shape([0.0] * len(alphas))
-    values = _table(jet, kind, order, None if rows is None else [a for a in alphas if sum(a) > 0])
+    derived = None if rows is None else [a for a in alphas if sum(a) > 0]
+    values = _table(jet, kind, order, derived, _pivot)
     if rows is not None:
         values = values[rows]
     if values.ndim == 1:
@@ -193,7 +196,7 @@ def invariant_table(jet, kind, order):
         raise UsageError(f"table order {order} must lie in [0, {jet.order}], the jet order")
     frame = moving_frame(jet, kind)
     alphas = multi_indices(order)
-    values = dict(zip(alphas, normalized_invariant(jet, alphas, kind)))
+    values = dict(zip(alphas, normalized_invariant(jet, alphas, kind, (frame.pivot, frame.branch))))
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
     phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}
@@ -273,12 +276,15 @@ def invariant_derivative(solution, t0, x0, alpha, direction, kind):
     """(D^i I_alpha)(t0, x0) along `solution`, exact to machine precision.
 
     For a sequence of multi-indices, one germ serves them all and the result
-    is the list of their derivatives.
+    is the list of their derivatives.  For a sequence of directions, the
+    germ and the invariant series serve every direction, and the result is
+    the list of the results per direction.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
+    directions, by_direction = _one_or_many(direction, lambda arg: isinstance(arg, InvDirection))
     germ = SolutionGerm(solution, t0, x0, _top_order(alphas) + 1)
     F = germ.invariant_series(alphas, kind, 1)
-    return shape([dF.value for dF in germ.differentiate(F, direction, kind)])
+    return by_direction([shape([dF.value for dF in germ.differentiate(F, d, kind)]) for d in directions])
 
 
 def invariant_commutator(solution, t0, x0, alpha, kind):

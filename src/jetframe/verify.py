@@ -278,10 +278,12 @@ def _suite_recurrences(rng, samples, order):
         sol, t0, x0 = random_soliton_point(rng, kind, branch)
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
         alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
+        directions = tuple(InvDirection)
+        lhs = invariant_derivative(sol, t0, x0, alphas, directions, kind)  # one germ for both
         yield _worst(
-            _rel(lhs, recurrence_rhs(table, alpha, direction))
-            for direction in InvDirection
-            for alpha, lhs in zip(alphas, invariant_derivative(sol, t0, x0, alphas, direction, kind))
+            _rel(value, recurrence_rhs(table, alpha, direction))
+            for direction, values in zip(directions, lhs)
+            for alpha, value in zip(alphas, values)
         )
 
 

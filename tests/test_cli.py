@@ -15,6 +15,7 @@ from jetframe.cli import (
     main,
     parse_json_lines,
 )
+from jetframe.frame import require_regular_pivot
 from jetframe.solutions import CATALOG
 from jetframe.verify import SUITES
 
@@ -57,6 +58,110 @@ def test_json_lines_round_trip(capsys):
     assert again == records
 
 
+def _json_values(st, keys):
+    """Any JSON-encodable value, NaN and infinities included, with dicts keyed by `keys`."""
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(),
+        keys,
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def test_format_json_lines_is_json_dumps_per_record():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # keys and strings that contain the text between two encoded dicts
+    keys = st.one_of(st.text(max_size=4), st.sampled_from(["}, {", "a}, {b", "}, {}, {", "é", "\u2028"]))
+    values = _json_values(st, keys)
+    records = st.lists(st.one_of(st.dictionaries(keys, values, max_size=4), values), max_size=6)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(records)
+    def check(records):
+        want = "\n".join(json.dumps(r) for r in records)
+        assert format_json_lines(records) == want
+        assert format_json_lines(r for r in records) == want
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [{}],
+        [{}, {}, {}],
+        [{"a": "}, {"}, {"b": 1}],
+        [{"a": [{"b": 1}, {"c": 2}]}, {"d": {"e": {}}}],
+        [{"x": float("nan")}, {"y": float("inf"), "z": -float("inf")}],
+        [{"name": "Ωμέγα"}, {"名": "値"}],
+        [[{}, {}], {}],
+        [{}, 1, "}, {", None],
+    ],
+)
+def test_format_json_lines_hostile_records(records):
+    want = "\n".join(json.dumps(r) for r in records)
+    assert format_json_lines(records) == want
+    assert format_json_lines(iter(records)) == want
+
+
+def _loads_per_line(text):
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def test_parse_json_lines_reads_each_line_as_json_loads():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    chars = st.sampled_from(
+        list('{}[]",:0123456789.-+eEtrufalsnNIiy\\') + [" ", "\t", "\r", "\n", "\x0c", "\x1f", "\xa0", "\ufeff", "\u2028"]
+    )
+    values = _json_values(st, st.text(max_size=3))
+    fragments = st.one_of(values.map(json.dumps), st.text(chars, max_size=12))
+    texts = st.tuples(st.lists(fragments, max_size=5), st.sampled_from(["\n", "\r\n", ", ", " "])).map(
+        lambda parts: parts[1].join(parts[0])
+    )
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            want = _loads_per_line(text)
+        except json.JSONDecodeError:
+            with pytest.raises(json.JSONDecodeError):
+                parse_json_lines(text)
+        else:
+            # json.dumps tells NaN, -0.0, 1 and 1.0 apart where == would not
+            assert json.dumps(parse_json_lines(text)) == json.dumps(want)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1, 2", "[1\n2]", "{} {}", '{"a": [1\n2]}\n{}, {}', "{},", "\ufeff{}", "{}\n\ufeff[]", "\xa0{}", "nul"],
+)
+def test_parse_json_lines_rejects_what_per_line_loads_rejects(text):
+    # a parser of the joined lines as one array would accept the first four
+    with pytest.raises(json.JSONDecodeError):
+        _loads_per_line(text)
+    with pytest.raises(json.JSONDecodeError):
+        parse_json_lines(text)
+
+
+def test_parse_json_lines_skips_blank_lines():
+    text = "\n  \n\t\r\n{}\n \xa0 \n\x1f\n [1, 2] \t\n\n"
+    assert parse_json_lines(text) == _loads_per_line(text) == [{}, [1, 2]]
+    assert parse_json_lines("") == parse_json_lines(" \n\t") == []
+
+
 def test_eval_rational_time_frame_is_singular(capsys):
     code, out, err = run_cli(
         capsys, "eval", "--solution", "rational", "--t0", "1", "--x0", "2", "--frame", "t",
@@ -74,6 +179,36 @@ def test_eval_prefactor_overflow_is_domain_error(capsys):
     assert out == ""
     assert err.startswith("jetframe: ") and "overflows" in err
     assert "Traceback" not in err
+
+
+def test_strict_positive_policy_rejects_before_the_prefactor_overflows(capsys):
+    # u_x < 0 at x0 = 60; the order-12 prefactor of that tiny pivot overflows
+    code, out, err = run_cli(
+        capsys, "eval", "--solution", "soliton", "--x0", "60", "--frame", "x", "--order", "12",
+        "--branch-policy", "strict-positive",
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "negative pivot rejected by --branch-policy strict-positive" in err
+
+
+def test_eval_tests_the_pivot_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(jet, kind):
+        calls.append(kind)
+        return require_regular_pivot(jet, kind)
+
+    for module in ("jetframe.frame", "jetframe.invariants"):
+        monkeypatch.setattr(f"{module}.require_regular_pivot", counted)
+    for policy in ("auto", "strict-positive"):
+        calls.clear()
+        code, _, _ = run_cli(
+            capsys, "eval", "--solution", "soliton", "--x0", "-0.9", "--frame", "x", "--order", "6",
+            "--branch-policy", policy,
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
 
 def test_eval_constant_is_singular(capsys):

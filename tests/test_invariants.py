@@ -556,6 +556,14 @@ def test_invariant_derivative_and_commutator_sequences_match_scalar_calls(kind, 
             assert invariant_derivative(sol, t0, x0, alphas, direction, kind) == [
                 invariant_derivative(sol, t0, x0, alpha, direction, kind) for alpha in alphas
             ]
+        # a sequence of directions shares the germ and the series
+        directions = list(InvDirection)
+        assert invariant_derivative(sol, t0, x0, alphas, directions, kind) == [
+            invariant_derivative(sol, t0, x0, alphas, direction, kind) for direction in directions
+        ]
+        assert invariant_derivative(sol, t0, x0, (1, 1), directions[::-1], kind) == [
+            invariant_derivative(sol, t0, x0, (1, 1), direction, kind) for direction in directions[::-1]
+        ]
         assert invariant_commutator(sol, t0, x0, alphas, kind) == [
             invariant_commutator(sol, t0, x0, alpha, kind) for alpha in alphas
         ]
