@@ -50,12 +50,9 @@ from .solutions import (
 from .taylor import (
     TruncatedSeries,
     analytic,
-    series_exp,
-    series_ln,
     series_pow,
     series_recip,
     series_sech,
-    series_tanh,
 )
 from .verify import SUITES, CheckReport, run_suite
 
@@ -108,10 +105,7 @@ __all__ = [
     "reconstruct_generators",
     "recurrence_rhs",
     "run_suite",
-    "series_exp",
-    "series_ln",
     "series_pow",
     "series_recip",
     "series_sech",
-    "series_tanh",
 ]

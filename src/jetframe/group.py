@@ -185,10 +185,10 @@ def _times(a, b):
 
 
 def _boost_powers(b, top, order):
-    """Rows b**0, ..., b**top, each bit-identical to b**k, then zero rows up to `order`.
+    """Rows of the powers b^0, ..., b^top of the boost, then zero rows up to `order`.
 
-    A series power is the previous one times b, which is how ** computes it.
-    A float power that leaves double-precision range is a DomainError.
+    A float power is b**k; a series power is the previous one times b.  A
+    float power that leaves double-precision range is a DomainError.
     """
     if isinstance(b, TruncatedSeries):
         rows = np.zeros((order + 1, b.coeffs.size))

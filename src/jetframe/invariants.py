@@ -56,9 +56,9 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for, multi_indices
+from .jets import Jet, MultiIndex, _entries, _is_multi_index, _multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, jet_of_solution
-from .taylor import TruncatedSeries, series_pow
+from .taylor import TruncatedSeries, multi_indices, series_pow
 
 
 def _prefactors(p, branch, weights, w_den, size):
@@ -88,8 +88,8 @@ def _prefactors(p, branch, weights, w_den, size):
 
 
 def _top_order(alphas):
-    """Largest total order among the multi-indices (0 for none)."""
-    return max((sum(alpha) for alpha in alphas), default=0)
+    """Largest total order among the multi-indices (0 for none); a malformed one is a UsageError."""
+    return max((sum(_multi_index(alpha)) for alpha in alphas), default=0)
 
 
 def _table(jet, kind, order, derived=None, pivot=None):
@@ -171,7 +171,7 @@ class InvariantTable:
 
     def value(self, alpha):
         try:
-            return self.values[alpha]
+            return self.values[_multi_index(alpha)]
         except KeyError:
             raise UsageError(
                 f"invariant table of order {self.order} has no entry {alpha}"
@@ -344,14 +344,13 @@ def recurrence_rhs(table, alpha, direction):
 
     The phantom indices (0, 0) and the frame's pivot index are rejected.
     """
-    if tuple(alpha) in ((0, 0), table.kind.pivot_alpha):
+    alpha = _multi_index(alpha)
+    if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
-    if min(alpha) < 0:
-        raise UsageError(f"invalid multi-index {alpha}")
     j = 0 if direction is InvDirection.T else 1
     out = table.value(_plus(alpha, _UNITS[j]))  # alpha + e_j in the table, so alpha too
     for etas, r in zip(table._etas, table._R):
-        out += float(r[j]) * etas[tuple(alpha)]
+        out += float(r[j]) * etas[alpha]
     return out
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Mapping
+import operator
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,9 +40,20 @@ def _positions(order):
     return {alpha: i for i, alpha in enumerate(multi_indices(order))}
 
 
+def _multi_index(alpha) -> MultiIndex:
+    """The pair `alpha` as a tuple; anything but two non-negative integers is a UsageError."""
+    try:
+        a1, a2 = map(operator.index, alpha)
+        if a1 >= 0 and a2 >= 0:
+            return a1, a2
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"a multi-index is a pair of non-negative integers, got {alpha!r}")
+
+
 def _is_multi_index(arg) -> bool:
-    """True for one multi-index (integers, numpy ones included), False for a sequence of them."""
-    return len(arg) > 0 and all(isinstance(a, numbers.Integral) for a in arg)
+    """True for one multi-index (integers, numpy ones included) or anything unsized, False for a sequence."""
+    return not isinstance(arg, Sized) or len(arg) > 0 and all(isinstance(a, numbers.Integral) for a in arg)
 
 
 def _one_or_many(arg, is_one):
@@ -59,7 +71,7 @@ def _rows_for(alphas, order):
     """(n, rows): the largest total order n among multi-indices of a jet of `order`, and their rows.
 
     `rows` is None when the multi-indices are exactly multi_indices(n), the
-    whole table in storage order.  A negative index or one beyond `order` is
+    whole table in storage order.  A malformed index or one beyond `order` is
     a UsageError.
     """
     n = _series_order(len(alphas))
@@ -69,15 +81,11 @@ def _rows_for(alphas, order):
                 return n, None
         except ValueError:  # an index given as a numpy array compares elementwise
             pass
-    rows = []
+    alphas = [_multi_index(alpha) for alpha in alphas]
     for alpha in alphas:
-        a1, a2 = alpha
-        if a1 < 0 or a2 < 0:
-            raise UsageError(f"invalid multi-index {alpha}")
-        if a1 + a2 > order:
+        if sum(alpha) > order:
             raise UsageError(f"alpha={alpha} exceeds jet order {order}")
-        rows.append(_pos(a1, a2))
-    return max((sum(alpha) for alpha in alphas), default=0), rows
+    return max(map(sum, alphas), default=0), [_pos(*alpha) for alpha in alphas]
 
 
 def _entries(values):
@@ -184,7 +192,7 @@ class Jet:
 
     def value(self, alpha: MultiIndex) -> float:
         try:
-            return self.u[alpha]
+            return self.u[_multi_index(alpha)]
         except KeyError:
             raise UsageError(
                 f"jet of order {self.order} has no entry for alpha={alpha}"

@@ -147,12 +147,6 @@ class TruncatedSeries:
             raise UsageError(f"coefficient ({i},{j}) outside order {self.order}")
         return float(self.coeffs[_pos(i, j)])
 
-    def truncated(self, order):
-        """Copy of this series cut down to a lower (or equal) order."""
-        if order > self.order:
-            raise UsageError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries._wrap(order, self.coeffs[: triangle_size(order)].copy())
-
     def evaluate(self, dt, dx):
         i, j = _exponents(self.order)
         return self.coeffs @ (dt**i * dx**j)
@@ -198,14 +192,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise UsageError("series ** only supports non-negative integer powers")
-        result = TruncatedSeries.constant(1.0, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- differentiation ---------------------------------------------------
 
     def derivatives(self, jet_order, order):
@@ -244,21 +230,9 @@ def _row_products(a, b):
 
 # -- analytic composition ----------------------------------------------------
 
-ANALYTIC_KINDS = ("exp", "ln", "pow", "sech", "tanh")
-
 
 def _univariate_coeffs(kind, a0, n, exponent=None):
     """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind` at a0."""
-    if kind == "exp":
-        e = math.exp(a0)
-        return [e / math.factorial(k) for k in range(n + 1)]
-    if kind == "ln":
-        if a0 <= 0.0:
-            raise DomainError(f"ln requires a positive constant term, got {a0!r}")
-        out = [math.log(a0)]
-        for k in range(1, n + 1):
-            out.append((-1.0) ** (k + 1) / (k * a0**k))
-        return out
     if kind == "pow":
         if exponent is None:
             raise UsageError("pow requires an exponent")
@@ -280,15 +254,15 @@ def _univariate_coeffs(kind, a0, n, exponent=None):
             out.append(binom * a0 ** (r - k))
             binom *= (r - k) / (k + 1)
         return out
-    if kind in ("sech", "tanh"):
-        # coupled recurrences from s' = -s*t and t' = s^2
+    if kind == "sech":
+        # coupled recurrences from s' = -s*t and t' = s^2, t = tanh
         s = [1.0 / math.cosh(a0)]
         t = [math.tanh(a0)]
         for k in range(n):
             s.append(-sum(s[m] * t[k - m] for m in range(k + 1)) / (k + 1))
             t.append(sum(s[m] * s[k - m] for m in range(k + 1)) / (k + 1))
-        return s if kind == "sech" else t
-    raise UsageError(f"unknown analytic function {kind!r}; pick one of {ANALYTIC_KINDS}")
+        return s
+    raise UsageError(f"unknown analytic function {kind!r}; pick pow or sech")
 
 
 def analytic(kind, a, exponent=None):
@@ -297,10 +271,10 @@ def analytic(kind, a, exponent=None):
     Parameters
     ----------
     kind : str
-        One of ``exp``, ``ln``, ``pow``, ``sech``, ``tanh``.
+        ``pow`` or ``sech``.
     a : TruncatedSeries
-        Inner series; its constant term must lie in the domain of `kind`
-        (positive for ``ln`` and for ``pow`` with a non-integer exponent).
+        Inner series; for ``pow`` its constant term must be positive under a
+        non-integer exponent and non-zero under a negative one.
     exponent : float, optional
         Exponent for ``pow``; ignored otherwise.
     """
@@ -312,24 +286,12 @@ def analytic(kind, a, exponent=None):
     return result
 
 
-def series_exp(a):
-    return analytic("exp", a)
-
-
-def series_ln(a):
-    return analytic("ln", a)
-
-
 def series_pow(a, exponent):
     return analytic("pow", a, exponent)
 
 
 def series_sech(a):
     return analytic("sech", a)
-
-
-def series_tanh(a):
-    return analytic("tanh", a)
 
 
 def series_recip(a):

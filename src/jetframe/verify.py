@@ -395,8 +395,6 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
     unknown = [n for n in names if n not in _SUITE_FUNCS]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")
-    if "reconstruction" in names and order < 4:
-        raise UsageError("reconstruction checks need order >= 4")
     overrides = tolerances or {}
     reports = []
     for name in SUITES:  # canonical, deterministic ordering

@@ -8,7 +8,7 @@ from jetframe.errors import (
     UsageError,
 )
 from jetframe.frame import FrameKind, moving_frame, pivot_value
-from jetframe.group import prolong_act
+from jetframe.group import VectorField, eta_alpha, prolong_act
 from jetframe.invariants import (
     InvDirection,
     SolutionGerm,
@@ -22,6 +22,7 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
+from jetframe.taylor import TruncatedSeries
 from jetframe.verify import (
     random_free_jet,
     random_group_element,
@@ -389,7 +390,7 @@ def test_germ_orders_are_validated():
         germ.invariant_series((1, 0), FrameKind.X_NORMALIZED, 2)
     series = germ.invariant_series((1, 0), FrameKind.X_NORMALIZED, 1)
     with pytest.raises(UsageError):
-        germ.differentiate(series.truncated(0), InvDirection.X, FrameKind.X_NORMALIZED)
+        germ.differentiate(TruncatedSeries.constant(series.value, 0), InvDirection.X, FrameKind.X_NORMALIZED)
 
 
 def test_germ_rejects_negative_or_too_high_orders():
@@ -581,3 +582,38 @@ def test_sequence_forms_raise_what_a_scalar_call_raises():
         normalized_invariant(singular, [(0, 0), (0, 1)], FrameKind.T_NORMALIZED)
     # no derivative coordinate asked for, so no pivot is needed
     assert normalized_invariant(singular, [(0, 0)], FrameKind.T_NORMALIZED) == [0.0]
+
+
+def _multi_index_entry_points():
+    # every public call that takes a multi-index, as a function of it alone
+    kind, (sol, t0, x0) = FrameKind.X_NORMALIZED, (Soliton(), 0.3, 0.8)
+    jet = jet_of_solution(sol, t0, x0, 4)
+    table = invariant_table(jet, kind, 4)
+    germ = SolutionGerm(sol, t0, x0, 4)
+    return {
+        "normalized_invariant": lambda a: normalized_invariant(jet, a, kind),
+        "eta_alpha": lambda a: eta_alpha(VectorField.galilean_boost(), a, jet),
+        "invariant_series": lambda a: germ.invariant_series(a, kind, 1).coeffs.tolist(),
+        "invariant_derivative": lambda a: invariant_derivative(sol, t0, x0, a, InvDirection.T, kind),
+        "invariant_commutator": lambda a: invariant_commutator(sol, t0, x0, a, kind),
+        "recurrence_rhs": lambda a: recurrence_rhs(table, a, InvDirection.X),
+        "Jet.value": jet.value,
+        "InvariantTable.value": table.value,
+    }
+
+
+MULTI_INDEX_ENTRY_POINTS = _multi_index_entry_points()
+
+
+@pytest.mark.parametrize("alpha", [(1, 2, 3), (1.5, 0), "ab", (-1, 2), None, 1, [(1, 0), (0, 1.5)]], ids=repr)
+@pytest.mark.parametrize("entry", sorted(MULTI_INDEX_ENTRY_POINTS))
+def test_malformed_multi_index_is_usage_error(entry, alpha):
+    with pytest.raises(UsageError, match="multi-index"):
+        MULTI_INDEX_ENTRY_POINTS[entry](alpha)
+
+
+@pytest.mark.parametrize("alpha", [[1, 2], (np.int64(1), np.uint8(2)), np.array([1, 2])], ids=repr)
+@pytest.mark.parametrize("entry", sorted(MULTI_INDEX_ENTRY_POINTS))
+def test_any_pair_of_integers_is_a_multi_index(entry, alpha):
+    call = MULTI_INDEX_ENTRY_POINTS[entry]
+    assert call(alpha) == call((1, 2))

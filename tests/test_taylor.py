@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import jetframe
+from jetframe import taylor
 from jetframe.errors import DomainError, UsageError
 from jetframe.jets import MAX_ORDER, Jet, multi_indices
 from jetframe.solutions import Rational, jet_of_solution
@@ -11,12 +13,9 @@ from jetframe.taylor import (
     _pos,
     _row_products,
     analytic,
-    series_exp,
-    series_ln,
     series_pow,
     series_recip,
     series_sech,
-    series_tanh,
     triangle_size,
 )
 
@@ -78,22 +77,6 @@ def test_mul_bilinear():
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-13, atol=1e-13)
 
 
-def test_exp_of_dt():
-    s = series_exp(TruncatedSeries.affine(0.0, 1.0, 0.0, 3))
-    assert s.coeff(0, 0) == 1.0
-    assert s.coeff(1, 0) == 1.0
-    assert s.coeff(2, 0) == pytest.approx(0.5)
-    assert s.coeff(3, 0) == pytest.approx(1.0 / 6.0)
-    assert s.coeff(0, 1) == 0.0
-
-
-def test_ln_of_one_plus_dx():
-    s = series_ln(TruncatedSeries.affine(1.0, 0.0, 1.0, 2))
-    assert s.coeff(0, 0) == 0.0
-    assert s.coeff(0, 1) == 1.0
-    assert s.coeff(0, 2) == pytest.approx(-0.5)
-
-
 def test_sqrt_of_constant():
     for order in (0, 2, 5):
         s = series_pow(TruncatedSeries.constant(4.0, order), 0.5)
@@ -102,10 +85,6 @@ def test_sqrt_of_constant():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        series_ln(TruncatedSeries.constant(-1.0, 2))
-    with pytest.raises(DomainError):
-        series_ln(TruncatedSeries.constant(0.0, 2))
     with pytest.raises(DomainError):
         series_pow(TruncatedSeries.constant(-2.0, 2), 0.5)
     with pytest.raises(DomainError):
@@ -116,21 +95,40 @@ def test_domain_errors():
         analytic("sinh", TruncatedSeries.constant(1.0, 2))
 
 
-@pytest.mark.parametrize("kind", ["exp", "ln", "sech", "tanh"])
-def test_analytic_matches_pointwise(kind):
+@pytest.mark.parametrize(
+    "kind, exponent",
+    [
+        pytest.param("sech", None, id="sech"),
+        pytest.param("pow", -0.6, id="pow-fractional"),
+        pytest.param("pow", 3, id="pow-integer"),
+    ],
+)
+def test_analytic_matches_pointwise(kind, exponent):
     # evaluate the composed series at small offsets and compare with the
     # scalar function; truncation error at order 6 is far below the tolerance
     fn = {
-        "exp": math.exp,
-        "ln": math.log,
         "sech": lambda z: 1.0 / math.cosh(z),
-        "tanh": math.tanh,
+        "pow": lambda z: z**exponent,
     }[kind]
     inner = TruncatedSeries.affine(0.7, 0.4, -0.3, 6)
-    composed = analytic(kind, inner)
+    composed = analytic(kind, inner, exponent)
     for dt, dx in [(0.03, 0.02), (-0.04, 0.01), (0.02, -0.05)]:
         want = fn(inner.evaluate(dt, dx))
         assert composed.evaluate(dt, dx) == pytest.approx(want, abs=1e-10)
+
+
+def test_public_api():
+    assert all(hasattr(jetframe, name) for name in jetframe.__all__)
+    assert len(set(jetframe.__all__)) == len(jetframe.__all__)
+    # the composition kinds that no program path runs are gone, with their wrappers and table
+    for kind in ("exp", "ln", "tanh"):
+        assert not hasattr(jetframe, f"series_{kind}") and not hasattr(taylor, f"series_{kind}")
+        with pytest.raises(UsageError):
+            analytic(kind, TruncatedSeries.constant(1.0, 2))
+    assert not [name for name in dir(taylor) if name.endswith("_KINDS")]
+    assert not hasattr(TruncatedSeries, "truncated")
+    with pytest.raises(TypeError):
+        TruncatedSeries.constant(1.0, 2) ** 2
 
 
 def test_recip_times_self_is_one():
@@ -142,23 +140,15 @@ def test_recip_times_self_is_one():
     np.testing.assert_allclose(prod.coeffs[1:], 0.0, atol=1e-13)
 
 
-def test_tanh_sech_pythagorean_identity():
-    inner = TruncatedSeries.affine(0.4, 1.0, -0.5, 6)
-    t, s = series_tanh(inner), series_sech(inner)
-    total = t * t + s * s
-    assert total.value == pytest.approx(1.0)
-    np.testing.assert_allclose(total.coeffs[1:], 0.0, atol=1e-12)
-
-
 def test_derivatives_of_exponential():
     # u = exp(dt + 2 dx): the (i, j) derivative is 2^j at the base point, and
     # its series is 2^j times the series of u itself
-    s = series_exp(TruncatedSeries.affine(0.0, 1.0, 2.0, 6))
+    s = TruncatedSeries(6, [2.0**j / (math.factorial(i) * math.factorial(j)) for i, j in multi_indices(6)])
     values = s.derivatives(6, 0)[:, 0]
     for (i, j), value in zip(multi_indices(6), values):
         assert value == pytest.approx(2.0**j, rel=1e-12)
     for (i, j), row in zip(multi_indices(3), s.derivatives(3, 3)):
-        np.testing.assert_allclose(row, 2.0**j * s.truncated(3).coeffs, rtol=1e-12)
+        np.testing.assert_allclose(row, 2.0**j * s.coeffs[: triangle_size(3)], rtol=1e-12)
 
 
 def test_derivatives_match_the_factorial_formula():
@@ -193,16 +183,6 @@ def test_formal_derivatives_shift_coefficients():
             assert dx.coeff(i, j) == (j + 1) * a.coeff(i, j + 1)
     with pytest.raises(UsageError):
         TruncatedSeries.constant(1.0, 0).dt()
-
-
-def test_truncated_is_prefix():
-    rng = np.random.default_rng(5)
-    a = random_series(rng, 6)
-    b = a.truncated(3)
-    assert b.order == 3
-    np.testing.assert_array_equal(b.coeffs, a.coeffs[: triangle_size(3)])
-    with pytest.raises(UsageError):
-        b.truncated(4)
 
 
 def naive_product(a, b):
@@ -273,7 +253,7 @@ def test_kernel_results_own_their_coefficients():
     # kernels wrap their fresh arrays without a copy; none may alias an operand
     rng = np.random.default_rng(9)
     a, b = random_series(rng, 4), random_series(rng, 4)
-    results = (a + b, a + 2.0, 2.0 + a, -a, a - b, a * b, a * 3.0, a.dt(), a.dx(), a.truncated(4))
+    results = (a + b, a + 2.0, 2.0 + a, -a, a - b, a * b, a * 3.0, a.dt(), a.dx())
     for result in results:
         assert not np.shares_memory(result.coeffs, a.coeffs)
         assert not np.shares_memory(result.coeffs, b.coeffs)
