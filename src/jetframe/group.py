@@ -231,12 +231,12 @@ def _transform(data, order, powers, scales):
 
 
 def _first_non_finite(values, alphas):
-    """The first alpha whose value is not finite, and that value; None if all are finite."""
+    """The first alpha whose value (float or series row) is not finite, and its first non-finite number."""
     finite = np.isfinite(values)
     if finite.all():
         return None
-    i = int(np.argmin(finite))
-    return alphas[i], values[i].item()
+    k = int(np.argmin(finite))  # the first non-finite number in row-major order lies in the first such row
+    return alphas[k // (values.size // len(values))], values.flat[k].item()
 
 
 def _exp_or_inf(x):
@@ -352,8 +352,9 @@ def eta_alpha(v, alpha, jet):
     return shape(_entries(etas[: len(alphas)] if rows is None else etas[rows]))
 
 
-# the first-order slots of an order-1 series, one flow parameter each
-_SLOTS = ((1, 0), (0, 1))
+# e_t and e_x: the unit multi-indices, which are also the first-order slots
+# of an order-1 series, one flow parameter each
+_UNITS = ((1, 0), (0, 1))
 
 
 def _lift(c, dt_slope, dx_slope=0.0):
@@ -361,7 +362,7 @@ def _lift(c, dt_slope, dx_slope=0.0):
     return TruncatedSeries.affine(c, dt_slope, dx_slope, 1)
 
 
-def _eps_coefficient(value, slot=_SLOTS[0]):
+def _eps_coefficient(value, slot=_UNITS[0]):
     """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple)."""
     if isinstance(value, (list, tuple)):
         return [_eps_coefficient(element, slot) for element in value]
@@ -391,12 +392,12 @@ def pr_v_apply(v, F, jet):
     is the list of the two fields' results, each bit-identical to its own call.
     """
     fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
-    if not 1 <= len(fields) <= len(_SLOTS):
+    if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
     lift = np.zeros((len(jet.data), 3))  # one order-1 series per entry
     lift[:, 0] = jet.data
-    for w, slot in zip(fields, _SLOTS):
+    for w, slot in zip(fields, _UNITS):
         lift[:, _pos(*slot)] = eta_alpha(w, jet.indices(), jet)
     lifted = Jet(
         jet.order,
@@ -405,7 +406,7 @@ def pr_v_apply(v, F, jet):
         lift,
     )
     value = F(lifted)
-    return shape([_eps_coefficient(value, slot) for slot in _SLOTS[: len(fields)]])
+    return shape([_eps_coefficient(value, slot) for slot in _UNITS[: len(fields)]])
 
 
 def determining_equation_residuals(v, t, x, u):

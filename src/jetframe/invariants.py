@@ -40,13 +40,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
 from .frame import FrameKind, moving_frame, require_regular_pivot
 from .group import (
+    _UNITS,
     VectorField,
     _boost_plan,
     _boost_powers,
@@ -56,9 +58,9 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _is_multi_index, _multi_index, _one_or_many, _rows_for
+from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, jet_of_solution
-from .taylor import TruncatedSeries, multi_indices, series_pow
+from .taylor import MAX_ORDER, TruncatedSeries, _multi_index, _pos, multi_indices, series_pow
 
 
 def _prefactors(p, branch, weights, w_den, size):
@@ -87,11 +89,6 @@ def _prefactors(p, branch, weights, w_den, size):
         ) from None
 
 
-def _top_order(alphas):
-    """Largest total order among the multi-indices (0 for none); a malformed one is a UsageError."""
-    return max((sum(_multi_index(alpha)) for alpha in alphas), default=0)
-
-
 def _table(jet, kind, order, derived=None, pivot=None):
     """I_alpha of every alpha of multi_indices(order) at `jet`, as floats or series rows.
 
@@ -108,20 +105,20 @@ def _table(jet, kind, order, derived=None, pivot=None):
     else:
         weights, top = sorted({_weight(alpha) for alpha in derived}), max(a1 for a1, _ in derived)
     p, branch = require_regular_pivot(jet, kind) if pivot is None else pivot
-    scales = _prefactors(p, branch, weights, kind.weight_denominator, 3 * order + 3)
-    powers = _boost_powers(jet.u[(0, 0)], top, order)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite invariant is reported by the caller
+        scales = _prefactors(p, branch, weights, kind.weight_denominator, 3 * order + 3)
+        powers = _boost_powers(jet.u[(0, 0)], top, order)
         values = _transform(jet.data, order, powers, scales)
     values[0] = 0.0
     return values
 
 
 def _finite(values, alphas):
-    """The float invariants `values` of `alphas` as a list; a non-finite one is a DomainError."""
+    """The invariants `values` of `alphas` as a list of floats or series; a non-finite one is a DomainError."""
     bad = _first_non_finite(values, alphas)
     if bad is not None:
         raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
-    return values.tolist()
+    return _entries(values)
 
 
 def normalized_invariant(jet, alpha, kind, _pivot=None):
@@ -146,9 +143,10 @@ def normalized_invariant(jet, alpha, kind, _pivot=None):
     values = _table(jet, kind, order, derived, _pivot)
     if rows is not None:
         values = values[rows]
+    entries = _finite(values, alphas)
     if values.ndim == 1:
-        return shape(_finite(values, alphas))
-    return shape([0.0 if sum(alpha) == 0 else row for alpha, row in zip(alphas, _entries(values))])
+        return shape(entries)
+    return shape([0.0 if sum(alpha) == 0 else row for alpha, row in zip(alphas, entries)])
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,18 @@ class InvariantTable:
     pivot derivative "u_t" or "u_x").  The "t", "x" and "u" phantoms are
     computed by applying the frame element rho to the base point (t, x, u),
     so they are exactly 0.0 only when rho really lands on the cross-section.
+    Both are read-only copies, so the cached corrections cannot go stale.
     """
 
     kind: FrameKind
     order: int
     branch: int
-    values: Dict[MultiIndex, float]
-    phantoms: Dict[str, float]
+    values: Mapping[MultiIndex, float]
+    phantoms: Mapping[str, float]
+
+    def __post_init__(self):
+        for name in ("values", "phantoms"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def value(self, alpha):
         try:
@@ -179,10 +182,9 @@ class InvariantTable:
 
     @cached_property
     def _etas(self):
-        # {alpha: eta^alpha} of each basis field on the invariantized jet J,
-        # the table's values at t = x = 0
-        J = Jet(self.order, 0.0, 0.0, self.values)
-        return [dict(zip(J.indices(), etas.tolist())) for etas in _eta_rows(VectorField.basis(), J)]
+        # eta^alpha of each basis field on the invariantized jet J, the
+        # table's values at t = x = 0: one row per field, alpha at _pos(*alpha)
+        return _eta_rows(VectorField.basis(), Jet(self.order, 0.0, 0.0, self.values)).tolist()
 
     @cached_property
     def _R(self):
@@ -238,7 +240,7 @@ class SolutionGerm:
         the result is the list of their series.
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
-        jet = self.series_jet(_top_order(alphas), order)  # a germ too short is a UsageError
+        jet = self.series_jet(_rows_for(alphas, MAX_ORDER)[0], order)  # a germ too short is a UsageError
         values = normalized_invariant(jet, alphas, kind)
         return shape([
             TruncatedSeries.constant(0.0, order) if sum(alpha) == 0 else value  # invariantized u vanishes
@@ -282,7 +284,7 @@ def invariant_derivative(solution, t0, x0, alpha, direction, kind):
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     directions, by_direction = _one_or_many(direction, lambda arg: isinstance(arg, InvDirection))
-    germ = SolutionGerm(solution, t0, x0, _top_order(alphas) + 1)
+    germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 1)
     F = germ.invariant_series(alphas, kind, 1)
     return by_direction([shape([dF.value for dF in germ.differentiate(F, d, kind)]) for d in directions])
 
@@ -297,7 +299,7 @@ def invariant_commutator(solution, t0, x0, alpha, kind):
     their 4-tuples.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    germ = SolutionGerm(solution, t0, x0, _top_order(alphas) + 2)
+    germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 2)
     F = germ.invariant_series(alphas, kind, 2)
     dtF = germ.differentiate(F, InvDirection.T, kind)
     dxF = germ.differentiate(F, InvDirection.X, kind)
@@ -308,11 +310,6 @@ def invariant_commutator(solution, t0, x0, alpha, kind):
         bracket = tx.value - xt.value if kind is FrameKind.T_NORMALIZED else xt.value - tx.value
         out.append((f.value, dt.value, dx.value, bracket))
     return shape(out)
-
-
-# e_t and e_x: the directions of invariant differentiation, in the column
-# order of the correction matrix
-_UNITS = ((1, 0), (0, 1))
 
 
 def _plus(alpha, e):
@@ -327,7 +324,7 @@ def _corrections(table):
     """
     p, origin = table.kind.pivot_alpha, (0.0, 0.0, 0.0)
     fields = VectorField.basis()
-    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[p]] for v, etas in zip(fields, table._etas)]
+    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[_pos(*p)]] for v, etas in zip(fields, table._etas)]
     # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
     d_z = [list(e) for e in _UNITS] + [[table.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)]
     return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
@@ -350,8 +347,22 @@ def recurrence_rhs(table, alpha, direction):
     j = 0 if direction is InvDirection.T else 1
     out = table.value(_plus(alpha, _UNITS[j]))  # alpha + e_j in the table, so alpha too
     for etas, r in zip(table._etas, table._R):
-        out += float(r[j]) * etas[alpha]
+        out += float(r[j]) * etas[_pos(*alpha)]
     return out
+
+
+def _xi_jacobian():
+    """iota(D_j xi^l_kappa) as [kappa][l][j], kappa over VectorField.basis(), l and j over (t, x).
+
+    tau and xi are affine in (t, x) and free of u, so this is a constant
+    partial derivative, read off by forward mode on t and x lifted to eps_t and eps_x.
+    """
+    t, x = (TruncatedSeries.affine(0.0, *e, 1) for e in _UNITS)
+    fields = VectorField.basis()
+    return tuple(tuple(tuple(f(t, x, 0.0).coeff(*e) for e in _UNITS) for f in (v.tau, v.xi)) for v in fields)
+
+
+_XI_JACOBIAN = _xi_jacobian()
 
 
 def commutator_coefficients(table):
@@ -363,16 +374,13 @@ def commutator_coefficients(table):
 
         Y^l = sum_kappa (R_b^kappa iota(D_a xi^l_kappa) - R_a^kappa iota(D_b xi^l_kappa)).
 
-    iota(D_j .) is exact forward mode: t, x and u are lifted to eps_t, eps_x
-    and I[1,0]*eps_t + I[0,1]*eps_x in one order-1 series.
+    iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.
     """
     a, b = (0, 1) if table.kind is FrameKind.T_NORMALIZED else (1, 0)
-    u_slots = tuple(table.value(e) for e in _UNITS)
-    lifted = [TruncatedSeries.affine(0.0, *slots, 1) for slots in _UNITS + (u_slots,)]
     out = [0.0, 0.0]
-    for v, r in zip(VectorField.basis(), table._R):
-        for l, base in enumerate((v.tau(*lifted), v.xi(*lifted))):
-            out[l] += float(r[b]) * base.coeff(*_UNITS[a]) - float(r[a]) * base.coeff(*_UNITS[b])
+    for jacobian, r in zip(_XI_JACOBIAN, table._R):
+        for l, d_xi in enumerate(jacobian):
+            out[l] += float(r[b]) * d_xi[a] - float(r[a]) * d_xi[b]
     return tuple(out)
 
 

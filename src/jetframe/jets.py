@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from collections.abc import Mapping, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +26,7 @@ from .taylor import (
     MAX_ORDER,
     MultiIndex,
     TruncatedSeries,
+    _multi_index,
     _pos,
     _series_order,
     multi_indices,
@@ -38,17 +38,6 @@ from .taylor import (
 def _positions(order):
     """{alpha: row} for the multi-indices of total order <= `order`."""
     return {alpha: i for i, alpha in enumerate(multi_indices(order))}
-
-
-def _multi_index(alpha) -> MultiIndex:
-    """The pair `alpha` as a tuple; anything but two non-negative integers is a UsageError."""
-    try:
-        a1, a2 = map(operator.index, alpha)
-        if a1 >= 0 and a2 >= 0:
-            return a1, a2
-    except (TypeError, ValueError):
-        pass
-    raise UsageError(f"a multi-index is a pair of non-negative integers, got {alpha!r}")
 
 
 def _is_multi_index(arg) -> bool:

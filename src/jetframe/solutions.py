@@ -34,9 +34,6 @@ class Solution:
     def series(self, t0: float, x0: float, order: int) -> TruncatedSeries:
         raise NotImplementedError
 
-    def __call__(self, t: float, x: float) -> float:
-        return self.series(t, x, 0).value
-
 
 @dataclass(frozen=True)
 class Constant(Solution):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Tuple
 
 import numpy as np
@@ -55,6 +56,17 @@ def _pos(i, j):
     """Storage position of the (i, j) coefficient: the inverse of multi_indices."""
     d = i + j
     return d * (d + 1) // 2 + i
+
+
+def _multi_index(alpha) -> MultiIndex:
+    """The pair `alpha` as a tuple; anything but two non-negative integers is a UsageError."""
+    try:
+        a1, a2 = map(operator.index, alpha)
+        if a1 >= 0 and a2 >= 0:
+            return a1, a2
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"a multi-index is a pair of non-negative integers, got {alpha!r}")
 
 
 def _read_only(table):
@@ -143,7 +155,8 @@ class TruncatedSeries:
         return float(self.coeffs[0])
 
     def coeff(self, i, j):
-        if i < 0 or j < 0 or i + j > self.order:
+        i, j = _multi_index((i, j))
+        if i + j > self.order:
             raise UsageError(f"coefficient ({i},{j}) outside order {self.order}")
         return float(self.coeffs[_pos(i, j)])
 

@@ -43,34 +43,6 @@ from .invariants import (
 from .jets import Jet, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 
-SUITES = (
-    "group-axioms",
-    "determining-eqs",
-    "equivariance",
-    "invariance",
-    "phantom",
-    "kdv-residual",
-    "recurrences",
-    "commutators",
-    "reconstruction",
-    "infinitesimal",
-    "singular-sets",
-)
-
-DEFAULT_TOLERANCES = {
-    "group-axioms": 1e-12,
-    "determining-eqs": 1e-12,
-    "equivariance": 1e-12,
-    "invariance": 1e-8,
-    "phantom": 1e-9,
-    "kdv-residual": 1e-9,
-    "recurrences": 1e-11,
-    "commutators": 1e-12,
-    "reconstruction": 1e-12,
-    "infinitesimal": 1e-11,
-    "singular-sets": 0.0,
-}
-
 _KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
 _MAX_RETRIES = 400
 # free-jet entries lie in [-_JET_BOUND, _JET_BOUND]; both pivots have
@@ -359,19 +331,22 @@ def _suite_singular_sets(rng, samples, order):
         yield defect
 
 
-_SUITE_FUNCS = {
-    "group-axioms": _suite_group_axioms,
-    "determining-eqs": _suite_determining_eqs,
-    "equivariance": _suite_equivariance,
-    "invariance": _suite_invariance,
-    "phantom": _suite_phantom,
-    "kdv-residual": _suite_kdv_residual,
-    "recurrences": _suite_recurrences,
-    "commutators": _suite_commutators,
-    "reconstruction": _suite_reconstruction,
-    "infinitesimal": _suite_infinitesimal,
-    "singular-sets": _suite_singular_sets,
+# the suites in report order, each with its default tolerance
+_SUITES = {
+    "group-axioms": (_suite_group_axioms, 1e-12),
+    "determining-eqs": (_suite_determining_eqs, 1e-12),
+    "equivariance": (_suite_equivariance, 1e-12),
+    "invariance": (_suite_invariance, 1e-8),
+    "phantom": (_suite_phantom, 1e-9),
+    "kdv-residual": (_suite_kdv_residual, 1e-9),
+    "recurrences": (_suite_recurrences, 1e-11),
+    "commutators": (_suite_commutators, 1e-12),
+    "reconstruction": (_suite_reconstruction, 1e-12),
+    "infinitesimal": (_suite_infinitesimal, 1e-11),
+    "singular-sets": (_suite_singular_sets, 0.0),
 }
+SUITES = tuple(_SUITES)
+DEFAULT_TOLERANCES = {name: tolerance for name, (_, tolerance) in _SUITES.items()}
 
 
 def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
@@ -392,20 +367,17 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
         raise UsageError(f"samples must be at least 1, got {samples}")
     if order < 1:
         raise UsageError(f"order must be at least 1, got {order}")
-    unknown = [n for n in names if n not in _SUITE_FUNCS]
+    unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")
     overrides = tolerances or {}
     reports = []
-    for name in SUITES:  # canonical, deterministic ordering
+    for name, (suite, default_tolerance) in _SUITES.items():  # canonical, deterministic ordering
         if name not in names:
             continue
-        defects = [
-            math.inf if math.isnan(d) else d
-            for d in _SUITE_FUNCS[name](_suite_rng(seed, name), samples, order)
-        ]
+        defects = [math.inf if math.isnan(d) else d for d in suite(_suite_rng(seed, name), samples, order)]
         max_defect = float(max(defects, default=math.inf))
-        tol = float(overrides.get(name, DEFAULT_TOLERANCES[name]))
+        tol = float(overrides.get(name, default_tolerance))
         reports.append(
             CheckReport(
                 name=name,

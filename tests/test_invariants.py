@@ -10,6 +10,7 @@ from jetframe.errors import (
 from jetframe.frame import FrameKind, moving_frame, pivot_value
 from jetframe.group import VectorField, eta_alpha, prolong_act
 from jetframe.invariants import (
+    InvariantTable,
     InvDirection,
     SolutionGerm,
     commutator_coefficients,
@@ -127,6 +128,23 @@ def test_table_missing_entry_rejected():
     table = invariant_table(jet, FrameKind.X_NORMALIZED, 2)
     with pytest.raises(UsageError):
         table.value((0, 3))
+
+
+def test_table_mappings_are_read_only_copies():
+    jet = jet_of_solution(Soliton(), 0.3, -0.9, 4)
+    table = invariant_table(jet, FrameKind.X_NORMALIZED, 4)
+    for mapping, key in ((table.values, (1, 1)), (table.phantoms, "t")):
+        with pytest.raises(TypeError):
+            mapping[key] = 7.0
+    # the recurrence reads the table's cached corrections, which must match its values
+    values = dict(table.values)
+    built = InvariantTable(table.kind, table.order, table.branch, values, {})
+    before = recurrence_rhs(built, (1, 0), InvDirection.T)
+    values[(1, 1)] = 7.0
+    assert built.value((1, 1)) == table.value((1, 1))
+    assert recurrence_rhs(built, (1, 0), InvDirection.T) == before
+    fresh = InvariantTable(table.kind, table.order, table.branch, values, {})
+    assert recurrence_rhs(fresh, (1, 0), InvDirection.T) != before
 
 
 def test_table_order_must_lie_between_zero_and_the_jet_order():
@@ -448,9 +466,16 @@ def test_non_finite_invariant_is_domain_error():
     values[(0, 1)] = 1e-20
     values[(0, 6)] = 1e300
     jet = Jet(order=6, t=0.5, x=0.5, u=values)
-    with pytest.raises(DomainError) as info:
-        normalized_invariant(jet, (0, 6), FrameKind.X_NORMALIZED)
-    assert not isinstance(info.value, SingularFrameError)
+    # far out on the soliton tail the series prefactor of a high weight has
+    # finite coefficients, but a product of series rows overflows to nan
+    for compute in (
+        lambda: normalized_invariant(jet, (0, 6), FrameKind.X_NORMALIZED),
+        lambda: invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), InvDirection.X, FrameKind.X_NORMALIZED),
+        lambda: SolutionGerm(Soliton(), 0.0, 65.0, 13).invariant_series((9, 2), FrameKind.X_NORMALIZED, 1),
+    ):
+        with pytest.raises(DomainError) as info:
+            compute()
+        assert not isinstance(info.value, SingularFrameError)
 
 
 def test_prefactor_overflow_is_domain_error():

@@ -39,6 +39,14 @@ def test_difference_of_squares():
     assert prod.coeff(1, 0) == prod.coeff(1, 1) == prod.coeff(2, 0) == 0.0
 
 
+@pytest.mark.parametrize("i", [1.5, "a", None, -1], ids=repr)
+def test_coeff_index_must_be_a_pair_of_non_negative_integers(i):
+    s = TruncatedSeries.affine(1.0, 2.0, 3.0, 2)
+    with pytest.raises(UsageError, match="multi-index"):
+        s.coeff(i, 0)
+    assert s.coeff(np.int64(1), np.uint8(0)) == s.coeff(1, 0) == 2.0
+
+
 def test_multiplicative_identity():
     rng = np.random.default_rng(3)
     a = random_series(rng, 5)
