@@ -397,8 +397,7 @@ def pr_v_apply(v, F, jet):
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
     lift = np.zeros((len(jet.data), 3))  # one order-1 series per entry
     lift[:, 0] = jet.data
-    for w, slot in zip(fields, _UNITS):
-        lift[:, _pos(*slot)] = eta_alpha(w, jet.indices(), jet)
+    lift[:, [_pos(*slot) for slot in _UNITS[: len(fields)]]] = _eta_rows(fields, jet).T
     lifted = Jet(
         jet.order,
         _lift(t, *(w.tau(t, x, u) for w in fields)),

@@ -13,7 +13,10 @@ for a multi-index alpha = (a1, a2) with a1 + a2 >= 1,
 The invariantized u itself is identically zero (the boost removes it), and
 the pivot's own entry equals the branch sign.  On jets of solutions the
 invariantized equation collapses to  branch + I[0,3] = 0  (time-normalized)
-and  I[1,0] + I[0,3] = 0  (space-normalized).
+and  I[1,0] + I[0,3] = 0  (space-normalized).  The invariants of one frame
+at one jet are the coordinates of the invariantized jet, so an
+:class:`InvariantTable` stores them as one :class:`~jetframe.jets.Jet` at
+t = x = 0.
 
 The closed form is written once and runs on any jet whose entries support
 the arithmetic of a :class:`TruncatedSeries`: on floats it gives I_alpha at a
@@ -37,7 +40,7 @@ element of the list is bit-identical to the call on that element alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -97,8 +100,8 @@ def _table(jet, kind, order, derived=None, pivot=None):
     Only the weights and powers that the multi-indices `derived` need are
     computed (all of positive order when None), so the row of an alpha
     outside them is junk, never an error.  Row (0, 0), the invariantized u,
-    is zero.  `pivot` is the (p, branch) of `require_regular_pivot` when the
-    caller already has it.
+    is zero: 0.0, or a zero series row.  `pivot` is the (p, branch) of
+    `require_regular_pivot` when the caller already has it.
     """
     if derived is None:
         weights, top = _boost_plan(order).weights, order
@@ -127,7 +130,8 @@ def normalized_invariant(jet, alpha, kind, _pivot=None):
     Equals the alpha-entry of the jet after applying its own moving frame,
     read through the group's transformation law without constructing the
     frame: the boost by u, then the frame's scaling prefactor.  (0, 0)
-    returns 0 identically (the invariantized u), and on the negative branch
+    returns the jet's zero entry (the invariantized u), 0.0 or a zero series,
+    with no pivot test when nothing else is asked for; on the negative branch
     the prefactor uses |pivot| with the sign carried separately.  Entries may
     be floats or truncated series; the result has the same type.  `alpha`
     may also be a sequence of multi-indices; the result is then the list of
@@ -138,28 +142,30 @@ def normalized_invariant(jet, alpha, kind, _pivot=None):
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     order, rows = _rows_for(alphas, jet.order)
     if order == 0:
-        return shape([0.0] * len(alphas))
+        return shape(_entries(np.zeros((len(alphas),) + jet.data.shape[1:])))
     derived = None if rows is None else [a for a in alphas if sum(a) > 0]
     values = _table(jet, kind, order, derived, _pivot)
     if rows is not None:
         values = values[rows]
-    entries = _finite(values, alphas)
-    if values.ndim == 1:
-        return shape(entries)
-    return shape([0.0 if sum(alpha) == 0 else row for alpha, row in zip(alphas, entries)])
+    return shape(_finite(values, alphas))
 
 
 @dataclass(frozen=True)
 class InvariantTable:
     """All normalized invariants of one frame at one jet, up to `order`.
 
-    `values` holds I_alpha for every multi-index of total order <= order;
-    `phantoms` records the invariantized coordinates pinned by the
-    cross-section, keyed by what they invariantize ("t", "x", "u" and the
-    pivot derivative "u_t" or "u_x").  The "t", "x" and "u" phantoms are
-    computed by applying the frame element rho to the base point (t, x, u),
-    so they are exactly 0.0 only when rho really lands on the cross-section.
-    Both are read-only copies, so the cached corrections cannot go stale.
+    The values are the invariantized jet J, a :class:`~jetframe.jets.Jet`
+    at t = x = 0: `values` is its read-only view ``J.u``, I_alpha for every
+    multi-index of total order <= order, and `value` is ``J.value``.  They
+    may be given as a mapping from exactly those multi-indices or as a dense
+    row in :func:`multi_indices` order; the jet copies and validates either,
+    so a missing, non-finite or series entry is a UsageError and the cached
+    corrections cannot go stale.  `phantoms` records the invariantized
+    coordinates pinned by the cross-section, keyed by what they invariantize
+    ("t", "x", "u" and the pivot derivative "u_t" or "u_x").  The "t", "x"
+    and "u" phantoms are computed by applying the frame element rho to the
+    base point (t, x, u), so they are exactly 0.0 only when rho really lands
+    on the cross-section.
     """
 
     kind: FrameKind
@@ -167,24 +173,24 @@ class InvariantTable:
     branch: int
     values: Mapping[MultiIndex, float]
     phantoms: Mapping[str, float]
+    _jet: Jet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("values", "phantoms"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        jet = Jet(self.order, 0.0, 0.0, self.values)
+        if jet.data.ndim != 1:
+            raise UsageError("invariant table entries must be real numbers, not series")
+        object.__setattr__(self, "_jet", jet)
+        object.__setattr__(self, "values", jet.u)
+        object.__setattr__(self, "phantoms", MappingProxyType(dict(self.phantoms)))
 
     def value(self, alpha):
-        try:
-            return self.values[_multi_index(alpha)]
-        except KeyError:
-            raise UsageError(
-                f"invariant table of order {self.order} has no entry {alpha}"
-            ) from None
+        return self._jet.value(alpha)
 
     @cached_property
     def _etas(self):
-        # eta^alpha of each basis field on the invariantized jet J, the
-        # table's values at t = x = 0: one row per field, alpha at _pos(*alpha)
-        return _eta_rows(VectorField.basis(), Jet(self.order, 0.0, 0.0, self.values)).tolist()
+        # eta^alpha of each basis field on the invariantized jet J: one row
+        # per field, alpha at _pos(*alpha)
+        return _eta_rows(VectorField.basis(), self._jet).tolist()
 
     @cached_property
     def _R(self):
@@ -197,8 +203,7 @@ def invariant_table(jet, kind, order):
     if not 0 <= order <= jet.order:
         raise UsageError(f"table order {order} must lie in [0, {jet.order}], the jet order")
     frame = moving_frame(jet, kind)
-    alphas = multi_indices(order)
-    values = dict(zip(alphas, normalized_invariant(jet, alphas, kind, (frame.pivot, frame.branch))))
+    values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch))
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
     phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}
@@ -241,11 +246,7 @@ class SolutionGerm:
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
         jet = self.series_jet(_rows_for(alphas, MAX_ORDER)[0], order)  # a germ too short is a UsageError
-        values = normalized_invariant(jet, alphas, kind)
-        return shape([
-            TruncatedSeries.constant(0.0, order) if sum(alpha) == 0 else value  # invariantized u vanishes
-            for alpha, value in zip(alphas, values)
-        ])
+        return shape(normalized_invariant(jet, alphas, kind))
 
     def differentiate(self, series, direction, kind):
         """Apply the frame's invariant derivative; series order drops by one.
@@ -405,11 +406,13 @@ def reconstruct_generators(solution, t0, x0, kind):
     _, branch = require_regular_pivot(jet, kind)
     g = next(e for e in _UNITS if e != kind.pivot_alpha)
     i_g, dt, dx, bracket = invariant_commutator(solution, t0, x0, g, kind)
-    known = {(0, 0): 0.0, kind.pivot_alpha: float(branch), g: i_g}
     unknowns = [a for a in multi_indices(order) if sum(a) == order]
+    # the rows below the unknowns in storage order: I[0,0] = 0, the pivot's branch and I_g
+    known = np.zeros(len(multi_indices(order)) - len(unknowns))
+    known[_pos(*kind.pivot_alpha)], known[_pos(*g)] = branch, i_g
 
     def residuals(entries):
-        table = InvariantTable(kind, order, branch, {**known, **dict(zip(unknowns, entries))}, {})
+        table = InvariantTable(kind, order, branch, np.concatenate((known, entries)), {})
         a_t, a_x = commutator_coefficients(table)
         rhs_t, rhs_x = (recurrence_rhs(table, g, d) for d in InvDirection)
         return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])

@@ -12,12 +12,12 @@ coordinate is a truncated series, one row of coefficients per alpha.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Mapping, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,12 +32,6 @@ from .taylor import (
     multi_indices,
     triangle_size,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def _positions(order):
-    """{alpha: row} for the multi-indices of total order <= `order`."""
-    return {alpha: i for i, alpha in enumerate(multi_indices(order))}
 
 
 def _is_multi_index(arg) -> bool:
@@ -124,9 +118,10 @@ class Jet:
 
     `data` holds the derivative coordinates in :func:`multi_indices` order,
     as a read-only float array: one value per alpha, or one row of series
-    coefficients per alpha.  `u` is a read-only mapping view of the same
-    entries by multi-index; `u[(0, 0)]` is the value of u itself, a float,
-    or a :class:`~jetframe.taylor.TruncatedSeries` for a series jet.  Series
+    coefficients per alpha.  `u` is a read-only dict view of the same
+    entries by multi-index, built once from `data` on first use;
+    `u[(0, 0)]` is the value of u itself, a float, or a
+    :class:`~jetframe.taylor.TruncatedSeries` for a series jet.  Series
     coordinates carry an expansion around the point, which is how the closed
     forms are expanded along a solution or differentiated along a flow.
 
@@ -168,7 +163,7 @@ class Jet:
 
     @cached_property
     def u(self):
-        return _Entries(self)
+        return MappingProxyType(dict(zip(multi_indices(self.order), _entries(self.data))))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -190,21 +185,3 @@ class Jet:
     def indices(self):
         return multi_indices(self.order)
 
-
-class _Entries(Mapping):
-    """Read-only view of a jet's entries by multi-index: floats, or series rows."""
-
-    __slots__ = ("_entries", "_positions")
-
-    def __init__(self, jet):
-        self._entries = _entries(jet.data)
-        self._positions = _positions(jet.order)
-
-    def __getitem__(self, alpha):
-        return self._entries[self._positions[alpha]]
-
-    def __iter__(self):
-        return iter(self._positions)
-
-    def __len__(self):
-        return len(self._positions)

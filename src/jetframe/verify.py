@@ -349,7 +349,7 @@ SUITES = tuple(_SUITES)
 DEFAULT_TOLERANCES = {name: tolerance for name, (_, tolerance) in _SUITES.items()}
 
 
-def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
+def run_suite(suites=("all",), seed=0, samples=100, order=6):
     """Run the requested suites and return one :class:`CheckReport` each.
 
     Deterministic: each suite derives its random stream from (seed, name),
@@ -370,21 +370,19 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6, tolerances=None):
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")
-    overrides = tolerances or {}
     reports = []
-    for name, (suite, default_tolerance) in _SUITES.items():  # canonical, deterministic ordering
+    for name, (suite, tolerance) in _SUITES.items():  # canonical, deterministic ordering
         if name not in names:
             continue
         defects = [math.inf if math.isnan(d) else d for d in suite(_suite_rng(seed, name), samples, order)]
         max_defect = float(max(defects, default=math.inf))
-        tol = float(overrides.get(name, default_tolerance))
         reports.append(
             CheckReport(
                 name=name,
                 samples=len(defects),
                 max_defect=max_defect,
-                tolerance=tol,
-                passed=math.isfinite(max_defect) and max_defect <= tol,
+                tolerance=tolerance,
+                passed=math.isfinite(max_defect) and max_defect <= tolerance,
                 seed=seed,
             )
         )

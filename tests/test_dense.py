@@ -56,8 +56,10 @@ def ref_invariants(jet, alphas, kind):
         log_p = math.log(abs(p))
         prefactors = {w: math.exp(-w * log_p / w_den) for w in weights}
     powers = ref_powers(u[(0, 0)], max(a1 for a1, _ in derived))
+    # the invariantized u is the jet's own zero: 0.0, or a zero series
+    zero = TruncatedSeries.constant(0.0, p.order) if isinstance(p, TruncatedSeries) else 0.0
     return [
-        0.0 if sum(alpha) == 0 else prefactors[3 * alpha[0] + alpha[1] + 2] * ref_boosted(u, alpha, powers)
+        zero if sum(alpha) == 0 else prefactors[3 * alpha[0] + alpha[1] + 2] * ref_boosted(u, alpha, powers)
         for alpha in alphas
     ]
 

@@ -147,6 +147,49 @@ def test_table_mappings_are_read_only_copies():
     assert recurrence_rhs(fresh, (1, 0), InvDirection.T) != before
 
 
+def test_table_from_a_dense_row_equals_the_table_from_its_mapping():
+    jet = jet_of_solution(Soliton(), 0.3, -0.9, 4)
+    for kind in KINDS:
+        table = invariant_table(jet, kind, 4)
+        row = np.array(list(table.values.values()))
+        mapping = dict(table.values)
+        from_row = InvariantTable(kind, 4, table.branch, row, {})
+        from_mapping = InvariantTable(kind, 4, table.branch, mapping, {})
+        alphas = [a for a in multi_indices(3) if a not in ((0, 0), kind.pivot_alpha)]
+        for built in (from_row, from_mapping):
+            assert [v.hex() for v in built.values.values()] == [v.hex() for v in table.values.values()]
+            assert [recurrence_rhs(built, a, d).hex() for a in alphas for d in InvDirection] == [
+                recurrence_rhs(table, a, d).hex() for a in alphas for d in InvDirection
+            ]
+            assert [c.hex() for c in commutator_coefficients(built)] == [
+                c.hex() for c in commutator_coefficients(table)
+            ]
+        # the table keeps its own copy of either input
+        before = [recurrence_rhs(built, (1, 1), InvDirection.X) for built in (from_row, from_mapping)]
+        row[:] = 7.0
+        mapping.update(dict.fromkeys(mapping, 7.0))
+        for built, rhs in zip((from_row, from_mapping), before):
+            assert built.values == table.values
+            assert recurrence_rhs(built, (1, 1), InvDirection.X) == rhs
+
+
+def test_table_with_a_missing_or_non_finite_entry_is_rejected():
+    table = invariant_table(jet_of_solution(Soliton(), 0.3, -0.9, 2), FrameKind.X_NORMALIZED, 2)
+    missing = {a: v for a, v in table.values.items() if a != (1, 1)}
+    series = {**table.values, (1, 1): TruncatedSeries.constant(1.0, 2)}
+    for bad in (missing, {**table.values, (1, 1): float("nan")}, {**table.values, (2, 0): float("inf")}, series):
+        with pytest.raises(UsageError):
+            InvariantTable(table.kind, 2, table.branch, bad, {})
+
+
+def test_invariantized_u_of_a_series_jet_is_a_zero_series():
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 5)
+    for kind in KINDS:
+        zero = normalized_invariant(germ.series_jet(2, 3), (0, 0), kind)
+        assert isinstance(zero, TruncatedSeries) and zero.order == 3
+        assert not zero.coeffs.any()
+
+
 def test_table_order_must_lie_between_zero_and_the_jet_order():
     jet = jet_of_solution(Soliton(), 0.3, 1.7, 4)
     for kind in KINDS:
