@@ -116,15 +116,7 @@ def _table(jet, kind, order, derived=None, pivot=None):
     return values
 
 
-def _finite(values, alphas):
-    """The invariants `values` of `alphas` as a list of floats or series; a non-finite one is a DomainError."""
-    bad = _first_non_finite(values, alphas)
-    if bad is not None:
-        raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
-    return _entries(values)
-
-
-def normalized_invariant(jet, alpha, kind, _pivot=None):
+def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     """Invariant I_alpha of the chosen frame, read off a single jet.
 
     Equals the alpha-entry of the jet after applying its own moving frame,
@@ -137,17 +129,23 @@ def normalized_invariant(jet, alpha, kind, _pivot=None):
     may also be a sequence of multi-indices; the result is then the list of
     their invariants, from one pivot, one prefactor per weight and one pass
     over the jet's entries.  `_pivot` passes on the (p, branch) of a frame
-    already computed at `jet`.
+    already computed at `jet`; with `_dense` the result is the array of the
+    invariants of the sequence `alpha` itself, one value or series row per
+    alpha, for a caller that stores them as they are.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     order, rows = _rows_for(alphas, jet.order)
     if order == 0:
-        return shape(_entries(np.zeros((len(alphas),) + jet.data.shape[1:])))
-    derived = None if rows is None else [a for a in alphas if sum(a) > 0]
-    values = _table(jet, kind, order, derived, _pivot)
-    if rows is not None:
-        values = values[rows]
-    return shape(_finite(values, alphas))
+        values = np.zeros((len(alphas),) + jet.data.shape[1:])
+    else:
+        derived = None if rows is None else [a for a in alphas if sum(a) > 0]
+        values = _table(jet, kind, order, derived, _pivot)
+        if rows is not None:
+            values = values[rows]
+        bad = _first_non_finite(values, alphas)
+        if bad is not None:
+            raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
+    return values if _dense else shape(_entries(values))
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def invariant_table(jet, kind, order):
     if not 0 <= order <= jet.order:
         raise UsageError(f"table order {order} must lie in [0, {jet.order}], the jet order")
     frame = moving_frame(jet, kind)
-    values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch))
+    values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
     pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
     phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}

@@ -182,6 +182,3 @@ class Jet:
                 f"jet of order {self.order} has no entry for alpha={alpha}"
             ) from None
 
-    def indices(self):
-        return multi_indices(self.order)
-

@@ -12,6 +12,14 @@ order M owns (M+1)(M+2)/2 scalars and truncation to a lower order is a
 prefix slice.  Every kernel below reads that layout from the cached index
 tables derived from it.  The same order lays out the entries of every
 :class:`~jetframe.jets.Jet`, which is why it is defined here.
+
+Analytic composition runs Horner's rule in the inner series b = a - a(0).
+When b is affine (no coefficient above degree 1), as the soliton phase, the
+rational solution's denominator and every order-1 series are, each Horner
+step is a shift: coefficient (i, j) takes two products instead of the dense
+product's every pair.  It adds the same two rounded products, in the same
+order, as the dense product's bincount, so the result is bit-identical
+(see :func:`analytic`).
 """
 
 from __future__ import annotations
@@ -160,10 +168,6 @@ class TruncatedSeries:
             raise UsageError(f"coefficient ({i},{j}) outside order {self.order}")
         return float(self.coeffs[_pos(i, j)])
 
-    def evaluate(self, dt, dx):
-        i, j = _exponents(self.order)
-        return self.coeffs @ (dt**i * dx**j)
-
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:6])
         return f"TruncatedSeries(order={self.order}, coeffs=[{head}...])"
@@ -271,15 +275,53 @@ def _univariate_coeffs(kind, a0, n, exponent=None):
         # coupled recurrences from s' = -s*t and t' = s^2, t = tanh
         s = [1.0 / math.cosh(a0)]
         t = [math.tanh(a0)]
-        for k in range(n):
-            s.append(-sum(s[m] * t[k - m] for m in range(k + 1)) / (k + 1))
-            t.append(sum(s[m] * s[k - m] for m in range(k + 1)) / (k + 1))
+        for k in range(n):  # the sums pair s[m] with t[k-m] and s[k-m], m = 0..k
+            s_next = -sum(map(operator.mul, s, reversed(t))) / (k + 1)
+            t.append(sum(map(operator.mul, s, reversed(s))) / (k + 1))
+            s.append(s_next)
         return s
     raise UsageError(f"unknown analytic function {kind!r}; pick pow or sech")
 
 
+@functools.lru_cache(maxsize=None)
+def _slope_pairs(order):
+    """(lhs, rhs, out) rows of the pairs of _product_table(order) whose rhs is (1, 0) or (0, 1), in its order."""
+    lhs, rhs, out = _product_table(order)
+    keep = (rhs == _pos(1, 0)) | (rhs == _pos(0, 1))
+    return _read_only(lhs[keep]), _read_only(rhs[keep]), _read_only(out[keep])
+
+
+@np.errstate(all="ignore")  # a non-finite result is recomputed by the dense products, warnings included
+def _affine_horner(coeffs, a):
+    """Horner's rule in `coeffs` at an affine b = a - a(0); None if a coefficient is not finite.
+
+    With b = ct*dt + cx*dx, coefficient (i, j) of r*b is the shift
+    ct*r(i-1, j) + cx*r(i, j-1): the two pairs of the dense product whose
+    factor of b is a slope.  Every other pair is an exact zero while r is
+    finite.  A bincount's running sum starts at +0.0 and so is never -0.0,
+    which an exact zero added to it leaves unchanged; the bincount over the
+    slope pairs alone, in the product's order, is the dense product bit for
+    bit.
+    """
+    lhs, rhs, out = _slope_pairs(a.order)
+    slopes = a.coeffs[rhs]
+    size = a.coeffs.size
+    r = np.zeros(size)
+    r[0] = coeffs[-1]
+    for f in reversed(coeffs[:-1]):
+        r = np.bincount(out, r[lhs] * slopes, size)
+        r[0] += f
+    return TruncatedSeries._wrap(a.order, r) if np.isfinite(r).all() else None
+
+
 def analytic(kind, a, exponent=None):
     """Compose an analytic map with a series: exact Taylor re-expansion.
+
+    Horner's rule in b = a - a(0) sums the univariate coefficients.  When b
+    is affine and of order >= 1, each step is a shift that adds two
+    products per coefficient (:func:`_affine_horner`) instead of a dense
+    product, with the same result bit for bit; any other b, or a non-finite
+    result, takes the dense products.
 
     Parameters
     ----------
@@ -292,6 +334,11 @@ def analytic(kind, a, exponent=None):
         Exponent for ``pow``; ignored otherwise.
     """
     coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
+    # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
+    if a.order and math.isfinite(a.value) and not np.count_nonzero(a.coeffs[3:]):
+        result = _affine_horner(coeffs, a)
+        if result is not None:
+            return result
     b = a - a.value  # zero constant term, so b**k has minimum degree k
     result = TruncatedSeries.constant(coeffs[-1], a.order)
     for k in range(a.order - 1, -1, -1):

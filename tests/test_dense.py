@@ -4,10 +4,13 @@ The reference below is the dict-walking code that the dense layout replaced:
 a Python loop over alpha for the boost sum, one prefactor per alpha and one
 series product per boost term.  The dense kernels must reproduce it exactly,
 signed zeros included, so values are compared through their bit patterns.
+Analytic composition with an affine inner series is held to the same
+standard against Horner's rule with one dense series product per step.
 """
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +18,16 @@ import pytest
 from jetframe.errors import DomainError, UsageError
 from jetframe.frame import FrameKind, require_regular_pivot
 from jetframe.group import GroupElement, VectorField, act_point, eta_alpha, pr_v_apply, prolong_act
-from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
+from jetframe.invariants import (
+    InvDirection,
+    SolutionGerm,
+    invariant_derivative,
+    invariant_table,
+    normalized_invariant,
+)
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Soliton, jet_of_solution
-from jetframe.taylor import TruncatedSeries, series_pow
+from jetframe.taylor import TruncatedSeries, _pos, _univariate_coeffs, analytic, series_pow
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
@@ -219,6 +228,75 @@ def test_series_invariants_on_a_lift_match_the_reference():
             assert_bit_identical(list(lifted.u.values()), list(want_u.values()))
             got = normalized_invariant(lifted, multi_indices(jet.order), kind)
             assert_bit_identical(got, ref_invariants(lifted, multi_indices(jet.order), kind))
+
+
+# -- analytic composition with an affine inner series ---------------------------
+
+
+def ref_sech_coeffs(a0, n):
+    """The sech recurrence with the generator sums it was first written with."""
+    s = [1.0 / math.cosh(a0)]
+    t = [math.tanh(a0)]
+    for k in range(n):
+        s.append(-sum(s[m] * t[k - m] for m in range(k + 1)) / (k + 1))
+        t.append(sum(s[m] * s[k - m] for m in range(k + 1)) / (k + 1))
+    return s
+
+
+def ref_analytic(kind, a, exponent=None):
+    """Horner's rule in b = a - a(0) with one dense series product per step."""
+    if kind == "sech":
+        coeffs = ref_sech_coeffs(a.value, a.order)
+    else:
+        coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
+    b = a - a.value
+    result = TruncatedSeries.constant(coeffs[-1], a.order)
+    for f in reversed(coeffs[:-1]):
+        result = result * b + f
+    return result
+
+
+def test_sech_recurrence_matches_the_generator_sums():
+    for a0 in (0.0, -0.0, 0.3, -1.7, 25.0, -700.0):
+        assert_bit_identical(_univariate_coeffs("sech", a0, 30), ref_sech_coeffs(a0, 30))
+
+
+# signed zero, negative, tiny and ordinary slopes (ct, cx) of the inner series
+AFFINE_SLOPES = ((0.0, -0.0), (-0.0, 0.37), (-0.37, 1.1), (1e-200, -0.8), (0.6, 1e-200), (-1.3, -0.0))
+ANALYTIC_KINDS = (("sech", None), ("pow", 2), ("pow", 3), ("pow", 0), ("pow", -1), ("pow", -0.6))
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 5, 12, 16, 30))
+def test_affine_composition_matches_the_dense_products_bit_for_bit(monkeypatch, order):
+    cases = []
+    for kind, exponent in ANALYTIC_KINDS:
+        for a0 in (0.0, 0.7, -1.9):
+            if kind == "pow" and (exponent < 0 and a0 == 0.0 or exponent != int(exponent) and a0 <= 0.0):
+                continue  # a DomainError, the same on either path
+            for ct, cx in AFFINE_SLOPES:
+                a = TruncatedSeries.affine(a0, ct, cx, order)
+                cases.append((kind, exponent, a, ref_analytic(kind, a, exponent)))
+
+    def no_products(self, other):
+        raise AssertionError("an affine inner series needs no series product")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_products)
+    for kind, exponent, a, want in cases:
+        assert bits(analytic(kind, a, exponent)) == bits(want), (kind, exponent, a.coeffs[:3])
+
+
+def test_affine_overflow_matches_the_dense_products_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # both products of coefficient (1, 1) are finite and their sum is not:
+        # the bincount adds them silently, and so must the shift
+        a = TruncatedSeries.affine(1.0, 1.2e154, 1.2e154, 2)
+        got = analytic("pow", a, -1)
+        assert math.isinf(got.coeffs[_pos(1, 1)]) and bits(got) == bits(ref_analytic("pow", a, -1))
+        # far out on the soliton tail the order-1 pivot's prefactor overflows;
+        # the dense products turn that into the NaN the error names
+        with pytest.raises(DomainError, match=r"I_\(10, 2\) = nan"):
+            invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), InvDirection.X, FrameKind.X_NORMALIZED)
 
 
 # -- the Jet type ----------------------------------------------------------------

@@ -103,6 +103,11 @@ def test_domain_errors():
         analytic("sinh", TruncatedSeries.constant(1.0, 2))
 
 
+def evaluate(series, dt, dx):
+    """The polynomial `series` at the offsets (dt, dx)."""
+    return sum(c * dt**i * dx**j for c, (i, j) in zip(series.coeffs, multi_indices(series.order)))
+
+
 @pytest.mark.parametrize(
     "kind, exponent",
     [
@@ -121,8 +126,8 @@ def test_analytic_matches_pointwise(kind, exponent):
     inner = TruncatedSeries.affine(0.7, 0.4, -0.3, 6)
     composed = analytic(kind, inner, exponent)
     for dt, dx in [(0.03, 0.02), (-0.04, 0.01), (0.02, -0.05)]:
-        want = fn(inner.evaluate(dt, dx))
-        assert composed.evaluate(dt, dx) == pytest.approx(want, abs=1e-10)
+        want = fn(evaluate(inner, dt, dx))
+        assert evaluate(composed, dt, dx) == pytest.approx(want, abs=1e-10)
 
 
 def test_public_api():
