@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SingularFrameError, UsageError
-from .group import GroupElement, compose, inverse, prolong_act
+from .group import GroupElement, _weight, compose, inverse, prolong_act
 from .taylor import TruncatedSeries
 
 SINGULAR_THRESHOLD = 1e-30
@@ -43,8 +43,9 @@ class FrameKind(Enum):
 
     @property
     def weight_denominator(self):
-        # fractional-power denominator of this normalization's invariants
-        return 5 if self is FrameKind.T_NORMALIZED else 3
+        # fractional-power denominator of this normalization's invariants:
+        # the scaling weight of the pivot coordinate, 5 for u_t and 3 for u_x
+        return _weight(self.pivot_alpha)
 
 
 def pivot_value(jet, kind):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -363,11 +364,19 @@ def _lift(c, dt_slope, dx_slope=0.0):
 
 
 def _eps_coefficient(value, slot=_UNITS[0]):
-    """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple)."""
+    """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple).
+
+    A real number is a constant; anything but a series, a real number or a
+    list or tuple of them is a UsageError, never a silent zero.
+    """
     if isinstance(value, (list, tuple)):
         return [_eps_coefficient(element, slot) for element in value]
-    if not isinstance(value, TruncatedSeries):  # a plain number is constant
-        return 0.0
+    if not isinstance(value, TruncatedSeries):
+        if isinstance(value, numbers.Real):
+            return 0.0
+        raise UsageError(
+            f"a lifted jet function returns series, real numbers or lists of them, got {type(value).__name__}"
+        )
     d = value.coeff(*slot)
     if not math.isfinite(d):
         raise DomainError("derivative along the flow is not finite at this point")

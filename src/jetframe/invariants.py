@@ -27,14 +27,15 @@ finite differences.  The recurrences, commutators and reconstruction of both
 frames and branches come from one computed correction matrix (:func:`_corrections`).
 
 :func:`normalized_invariant`, :meth:`SolutionGerm.invariant_series`,
-:meth:`SolutionGerm.differentiate`, :func:`invariant_derivative` and
-:func:`invariant_commutator` also take a sequence of multi-indices (or of
-series) and return the list of results in the same order.  The work that
-does not depend on alpha is done once per call: the pivot and its singular
-test, ln|pivot| or one series power per distinct weight, the powers of u,
-and the germ with its series jet.  The boost sums of all alphas are one pass
-over the jet's dense entries (:func:`jetframe.group._transform`).  Each
-element of the list is bit-identical to the call on that element alone.
+:func:`invariant_derivative` and :func:`invariant_commutator` also take a
+sequence of multi-indices, and :meth:`SolutionGerm.differentiate` a list of
+series of one order; they return the list of results in the same order.
+The work that does not depend on alpha is done once per call: the pivot and
+its singular test, ln|pivot| or one series power per distinct weight, the
+powers of u, and the germ with its series jet.  The boost sums of all
+alphas are one pass over the jet's dense entries
+(:func:`jetframe.group._transform`).  Each element of the list is
+bit-identical to the call on that element alone.
 """
 
 from __future__ import annotations
@@ -253,23 +254,27 @@ class SolutionGerm:
         space-normalized: D_t^i = |u_x|^(-1) (D_t + u D_x),      D_x^i = |u_x|^(-1/3) D_x
 
         i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
-        the frame's weight denominator.  For a sequence of series the result
-        is the list of their derivatives; the series jet and the prefactor
-        are computed once per series order.
+        the frame's weight denominator.  For a list of series of one order
+        the result is the list of their derivatives, from one series jet and
+        one prefactor; series of different orders are a UsageError.
         """
         items, shape = _one_or_many(series, lambda arg: isinstance(arg, TruncatedSeries))
+        orders = {s.order for s in items}
+        if len(orders) > 1:
+            raise UsageError(f"series differentiated in one call share one order, got {sorted(orders)}")
+        if not items:
+            return []
+        order = items[0].order - 1
+        jet = self.series_jet(1, order)  # a series too short is a UsageError
+        p, branch = require_regular_pivot(jet, kind)
         weight = 3 if direction is InvDirection.T else 1
-        frames = {}  # series order -> (u, prefactor) of the order-below series jet
+        prefactor = _prefactors(p, branch, (weight,), kind.weight_denominator, weight + 1)[weight]
+        prefactor, u = TruncatedSeries._wrap(order, prefactor), jet.u[(0, 0)]
         out = []
         for s in items:
-            if s.order not in frames:
-                jet = self.series_jet(1, s.order - 1)  # a series too short is a UsageError
-                p, branch = require_regular_pivot(jet, kind)
-                prefactor = _prefactors(p, branch, (weight,), kind.weight_denominator, weight + 1)[weight]
-                frames[s.order] = jet.u[(0, 0)], TruncatedSeries._wrap(s.order - 1, prefactor)
-            u, prefactor = frames[s.order]
-            base = s.dt() + u * s.dx() if direction is InvDirection.T else s.dx()
-            out.append(prefactor * base)
+            rows = s.derivatives(1, order)  # the d/dt and d/dx rows of s
+            d_dt, d_dx = (TruncatedSeries._wrap(order, rows[_pos(*e)]) for e in _UNITS)
+            out.append(prefactor * (d_dt + u * d_dx if direction is InvDirection.T else d_dx))
         return shape(out)
 
 

@@ -30,7 +30,6 @@ from .taylor import (
     _pos,
     _series_order,
     multi_indices,
-    triangle_size,
 )
 
 
@@ -80,11 +79,7 @@ def _entries(values):
 
 
 def _rows_of(order, u):
-    """The dense array of a mapping from every multi-index of total order <= `order` to its entry.
-
-    Series entries make a series jet; a real entry beside them becomes a
-    constant series of their order.
-    """
+    """The dense array of a mapping from every multi-index of total order <= `order` to its real entry."""
     indices = multi_indices(order)
     try:
         entries = [u[a] for a in indices]
@@ -94,22 +89,17 @@ def _rows_of(order, u):
     if len(u) > len(indices):
         extra = [a for a in u if a not in indices]
         raise UsageError(f"jet of order {order} has entries beyond it: {extra[:4]}")
-    orders = {c.order for c in entries if isinstance(c, TruncatedSeries)}
-    if len(orders) > 1:
-        raise UsageError(f"series entries of one jet must share one order, got {sorted(orders)}")
-    if orders:
-        (series_order,) = orders
-        zeros = [0.0] * (triangle_size(series_order) - 1)
-        entries = [c.coeffs if isinstance(c, TruncatedSeries) else [c, *zeros] for c in entries]
-    return _array(entries)
+    return _array(entries, np.fromiter)  # one real number per entry, never a row
 
 
-def _array(entries):
-    """A float array of jet entries, copied; anything else is a UsageError."""
+def _array(entries, convert=np.array):
+    """A float array of jet entries, copied by `convert`; anything else is a UsageError."""
     try:
-        return np.array(entries, dtype=float)
+        return convert(entries, float)
     except (TypeError, ValueError):
-        raise UsageError("jet entries must be real numbers or truncated series") from None
+        raise UsageError(
+            "jet entries must be real numbers; a series jet takes an array of coefficient rows, one per alpha"
+        ) from None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -126,10 +116,11 @@ class Jet:
     forms are expanded along a solution or differentiated along a flow.
 
     `u` may be given as a mapping from exactly the multi-indices of total
-    order <= `order`, or as an array of the layout of `data`; either is
-    copied.  Real coordinates, t and x must be finite.  Jets compare equal
-    when order, t, x and every entry are equal (0.0 == -0.0); they are not
-    hashable.  Instances are immutable: operations return new jets.
+    order <= `order` to real entries, or as an array of the layout of
+    `data`, the one form that takes series entries; either is copied.  Real
+    coordinates, t and x must be finite.  Jets compare equal when order, t,
+    x and every entry are equal (0.0 == -0.0); they are not hashable.
+    Instances are immutable: operations return new jets.
     """
 
     order: int

@@ -13,13 +13,13 @@ prefix slice.  Every kernel below reads that layout from the cached index
 tables derived from it.  The same order lays out the entries of every
 :class:`~jetframe.jets.Jet`, which is why it is defined here.
 
-Analytic composition runs Horner's rule in the inner series b = a - a(0).
-When b is affine (no coefficient above degree 1), as the soliton phase, the
-rational solution's denominator and every order-1 series are, each Horner
-step is a shift: coefficient (i, j) takes two products instead of the dense
-product's every pair.  It adds the same two rounded products, in the same
-order, as the dense product's bincount, so the result is bit-identical
-(see :func:`analytic`).
+Analytic composition runs one Horner loop in the inner series b = a - a(0),
+each step one bincount over a table of coefficient pairs.  When b is affine
+(no coefficient above degree 1), as the soliton phase, the rational
+solution's denominator and every order-1 series are, the table holds only
+the two pairs per coefficient whose factor of b is a slope instead of the
+dense product's every pair, and the result is the same bit for bit (see
+:func:`analytic`).
 """
 
 from __future__ import annotations
@@ -223,14 +223,6 @@ class TruncatedSeries:
         source, factor = _derivative_table(jet_order, order)
         return factor * self.coeffs[source]
 
-    def dt(self):
-        """Formal derivative with respect to the t-offset (order drops by 1)."""
-        return TruncatedSeries._wrap(self.order - 1, self.derivatives(1, self.order - 1)[_pos(1, 0)])
-
-    def dx(self):
-        """Formal derivative with respect to the x-offset."""
-        return TruncatedSeries._wrap(self.order - 1, self.derivatives(1, self.order - 1)[_pos(0, 1)])
-
 
 def _row_products(a, b):
     """Series product of each row of `a` with the same row of `b`, as rows of coefficients.
@@ -291,37 +283,36 @@ def _slope_pairs(order):
     return _read_only(lhs[keep]), _read_only(rhs[keep]), _read_only(out[keep])
 
 
-@np.errstate(all="ignore")  # a non-finite result is recomputed by the dense products, warnings included
-def _affine_horner(coeffs, a):
-    """Horner's rule in `coeffs` at an affine b = a - a(0); None if a coefficient is not finite.
+def _horner(coeffs, b, pairs):
+    """Coefficients of sum_k coeffs[k] b^k by Horner's rule, b given by its coefficients.
 
-    With b = ct*dt + cx*dx, coefficient (i, j) of r*b is the shift
-    ct*r(i-1, j) + cx*r(i, j-1): the two pairs of the dense product whose
-    factor of b is a slope.  Every other pair is an exact zero while r is
-    finite.  A bincount's running sum starts at +0.0 and so is never -0.0,
-    which an exact zero added to it leaves unchanged; the bincount over the
-    slope pairs alone, in the product's order, is the dense product bit for
-    bit.
+    Each step r*b + f_k is one bincount of the products r[lhs]*b[rhs] over
+    the (lhs, rhs, out) rows `pairs` of a product table, as in
+    ``TruncatedSeries.__mul__``, then f_k added to the constant term.
     """
-    lhs, rhs, out = _slope_pairs(a.order)
-    slopes = a.coeffs[rhs]
-    size = a.coeffs.size
-    r = np.zeros(size)
+    lhs, rhs, out = pairs
+    factors = b[rhs]
+    r = np.zeros(b.size)
     r[0] = coeffs[-1]
     for f in reversed(coeffs[:-1]):
-        r = np.bincount(out, r[lhs] * slopes, size)
+        r = np.bincount(out, r[lhs] * factors, b.size)
         r[0] += f
-    return TruncatedSeries._wrap(a.order, r) if np.isfinite(r).all() else None
+    return r
 
 
 def analytic(kind, a, exponent=None):
     """Compose an analytic map with a series: exact Taylor re-expansion.
 
-    Horner's rule in b = a - a(0) sums the univariate coefficients.  When b
-    is affine and of order >= 1, each step is a shift that adds two
-    products per coefficient (:func:`_affine_horner`) instead of a dense
-    product, with the same result bit for bit; any other b, or a non-finite
-    result, takes the dense products.
+    Horner's rule in b = a - a(0) sums the univariate coefficients, one
+    product by b per step (:func:`_horner`).  When b is affine (no nonzero
+    coefficient above degree 1) and of order >= 1, a step needs only the
+    pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1)
+    (:func:`_slope_pairs`), which never read b's constant term, so they run
+    on a's own coefficients.  Every other pair of the dense product is an
+    exact zero while r is finite, and a bincount's running sum starts at
+    +0.0 and so is never -0.0, which such a zero leaves unchanged: the slope
+    pairs give the dense product bit for bit.  Any other b, or a non-finite
+    slope-pair result, takes every pair of :func:`_product_table`.
 
     Parameters
     ----------
@@ -336,14 +327,12 @@ def analytic(kind, a, exponent=None):
     coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
     if a.order and math.isfinite(a.value) and not np.count_nonzero(a.coeffs[3:]):
-        result = _affine_horner(coeffs, a)
-        if result is not None:
-            return result
+        with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included
+            r = _horner(coeffs, a.coeffs, _slope_pairs(a.order))
+        if np.isfinite(r).all():
+            return TruncatedSeries._wrap(a.order, r)
     b = a - a.value  # zero constant term, so b**k has minimum degree k
-    result = TruncatedSeries.constant(coeffs[-1], a.order)
-    for k in range(a.order - 1, -1, -1):
-        result = result * b + coeffs[k]
-    return result
+    return TruncatedSeries._wrap(a.order, _horner(coeffs, b.coeffs, _product_table(a.order)))
 
 
 def series_pow(a, exponent):

@@ -40,7 +40,7 @@ from .invariants import (
     reconstruct_generators,
     recurrence_rhs,
 )
-from .jets import Jet, multi_indices
+from .jets import MAX_ORDER, Jet, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 
 _KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
@@ -365,8 +365,8 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6):
         raise UsageError(f"no suite requested; valid names: {list(SUITES)}")
     if samples < 1:
         raise UsageError(f"samples must be at least 1, got {samples}")
-    if order < 1:
-        raise UsageError(f"order must be at least 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise UsageError(f"order must lie in [1, {MAX_ORDER}], got {order}")
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")

@@ -455,6 +455,14 @@ def test_verify_vacuous_run_is_usage_error(capsys, argv):
     assert err.startswith("jetframe: ")
 
 
+def test_verify_order_above_the_cap_is_usage_error(capsys):
+    # every suite set exits 64, also one that never builds a jet of that order
+    for suites, order in (("phantom,kdv-residual,group-axioms", "100000"), ("invariance", "31")):
+        code, out, err = run_cli(capsys, "verify", "--suites", suites, "--samples", "1", "--order", order)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"order must lie in [1, 30], got {order}" in err
+
+
 def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("JETFRAME_SEED", "abc")
     code, out, err = run_cli(capsys, "verify", "--suites", "group-axioms", "--samples", "5")

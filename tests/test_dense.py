@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jetframe import taylor
 from jetframe.errors import DomainError, UsageError
 from jetframe.frame import FrameKind, require_regular_pivot
 from jetframe.group import GroupElement, VectorField, act_point, eta_alpha, pr_v_apply, prolong_act
@@ -27,7 +28,15 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Soliton, jet_of_solution
-from jetframe.taylor import TruncatedSeries, _pos, _univariate_coeffs, analytic, series_pow
+from jetframe.taylor import (
+    TruncatedSeries,
+    _pos,
+    _product_table,
+    _slope_pairs,
+    _univariate_coeffs,
+    analytic,
+    series_pow,
+)
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
@@ -277,12 +286,20 @@ def test_affine_composition_matches_the_dense_products_bit_for_bit(monkeypatch, 
                 a = TruncatedSeries.affine(a0, ct, cx, order)
                 cases.append((kind, exponent, a, ref_analytic(kind, a, exponent)))
 
-    def no_products(self, other):
-        raise AssertionError("an affine inner series needs no series product")
+    tables = []  # the pair table of each Horner loop that ran
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", no_products)
+    def recording_horner(coeffs, b, pairs):
+        tables.append(pairs)
+        return horner(coeffs, b, pairs)
+
+    horner = taylor._horner
+    monkeypatch.setattr(taylor, "_horner", recording_horner)
+    # an affine inner series of order >= 1 takes the slope pairs alone, with no dense rerun
+    expected = _slope_pairs(order) if order else _product_table(0)
     for kind, exponent, a, want in cases:
+        tables.clear()
         assert bits(analytic(kind, a, exponent)) == bits(want), (kind, exponent, a.coeffs[:3])
+        assert len(tables) == 1 and tables[0] is expected, (kind, exponent, a.coeffs[:3])
 
 
 def test_affine_overflow_matches_the_dense_products_without_a_warning():
@@ -362,13 +379,18 @@ def test_jet_rejects_malformed_arrays():
     Jet(1, 0.0, 0.0, np.array([[0.0, math.inf, 1.0]] * 3))  # series entries are exempt
 
 
-def test_mixed_mapping_stores_floats_as_constant_series():
+def test_series_entries_in_a_mapping_are_usage_errors():
+    # a mapping holds real entries; a series jet is an array of coefficient rows
     lifted = TruncatedSeries.affine(0.5, 2.0, 0.0, 1)
-    jet = Jet(1, 0.0, 0.0, {(0, 0): lifted, (1, 0): 2.0, (0, 1): 3.0})
+    for u in (
+        {(0, 0): lifted, (1, 0): 2.0, (0, 1): 3.0},
+        {(0, 0): lifted.coeffs, (1, 0): 2.0, (0, 1): 3.0},
+        {alpha: lifted.coeffs for alpha in multi_indices(1)},
+    ):
+        with pytest.raises(UsageError, match="array of coefficient rows"):
+            Jet(1, 0.0, 0.0, u)
+    jet = Jet(1, 0.0, 0.0, np.array([lifted.coeffs, [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     assert np.array_equal(jet.u[(0, 0)].coeffs, lifted.coeffs)
-    assert np.array_equal(jet.u[(1, 0)].coeffs, [2.0, 0.0, 0.0])
-    with pytest.raises(UsageError, match="order"):
-        Jet(1, 0.0, 0.0, {(0, 0): lifted, (1, 0): TruncatedSeries(2), (0, 1): 3.0})
 
 
 def test_float_overflow_is_a_domain_error_without_a_warning():

@@ -337,6 +337,20 @@ def test_pr_v_non_finite_result_is_domain_error():
         pr_v_apply(VectorField.scaling(), lambda j: j.u[(0, 1)] + blow_up, jet)
 
 
+def test_pr_v_result_must_be_a_series_or_a_real_number():
+    # only a real number is a constant; None, a string, a dict or a raw row of
+    # series coefficients is a UsageError, never a silent "invariant" 0.0
+    jet = random_free_jet(np.random.default_rng(37), 2)
+    v = VectorField.scaling()
+    for constant in (4.25, 3, np.float64(-0.5), True):
+        assert pr_v_apply(v, lambda j: constant, jet) == 0.0
+    for F in (lambda j: None, lambda j: "x", lambda j: {"u": j.u[(0, 0)]}, lambda j: j.data[1]):
+        with pytest.raises(UsageError, match="real numbers"):
+            pr_v_apply(v, F, jet)
+        with pytest.raises(UsageError, match="real numbers"):
+            pr_v_apply(v, lambda j: [j.t, F(j)], jet)
+
+
 def test_determining_equations_hold():
     rng = np.random.default_rng(18)
     fields = list(VectorField.basis())

@@ -604,13 +604,23 @@ def test_germ_sequence_forms_match_scalar_calls(kind, branch):
             want = [germ.invariant_series(alpha, kind, order) for alpha in alphas]
             assert type(got) is list and len(got) == len(want)
             assert all(map(_same_series, got, want))
-        # series of two orders in one call, each read off its own series jet
-        series = germ.invariant_series(alphas, kind, 2) + germ.invariant_series(alphas, kind, 1)
-        for direction in InvDirection:
-            got = germ.differentiate(series, direction, kind)
-            want = [germ.differentiate(s, direction, kind) for s in series]
-            assert all(map(_same_series, got, want))
+        # a list of series of one order, read off one series jet
+        for order in (1, 2):
+            series = germ.invariant_series(alphas, kind, order)
+            for direction in InvDirection:
+                got = germ.differentiate(series, direction, kind)
+                want = [germ.differentiate(s, direction, kind) for s in series]
+                assert all(map(_same_series, got, want))
         assert germ.differentiate([], InvDirection.T, kind) == []
+
+
+def test_differentiate_takes_series_of_one_order():
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 5)
+    kind = FrameKind.X_NORMALIZED
+    series = germ.invariant_series([(0, 1), (1, 0)], kind, 2) + germ.invariant_series([(0, 2)], kind, 1)
+    for direction in InvDirection:
+        with pytest.raises(UsageError, match=r"one order, got \[1, 2\]"):
+            germ.differentiate(series, direction, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
