@@ -25,7 +25,6 @@ from .group import (
 )
 from .invariants import (
     InvariantTable,
-    InvDirection,
     SolutionGerm,
     commutator_coefficients,
     invariant_commutator,
@@ -68,7 +67,6 @@ __all__ = [
     "FrameKind",
     "FrameResult",
     "GroupElement",
-    "InvDirection",
     "InvariantTable",
     "Jet",
     "JetFrameError",

@@ -50,6 +50,8 @@ class FrameKind(Enum):
 
 def pivot_value(jet, kind):
     """The normalized quantity whose sign and size control the frame."""
+    if not isinstance(kind, FrameKind):
+        raise UsageError(f"a frame kind is a FrameKind, got {kind!r}")
     if jet.order < 1:
         raise UsageError("frames need a jet of order >= 1")
     if kind is FrameKind.T_NORMALIZED:

@@ -25,6 +25,8 @@ solution) it gives the Taylor expansion of I_alpha, so invariant
 differentiation, recurrence and commutator identities are checked without
 finite differences.  The recurrences, commutators and reconstruction of both
 frames and branches come from one computed correction matrix (:func:`_corrections`).
+The invariant derivatives come as one (D_t^i, D_x^i) pair, from
+:meth:`SolutionGerm.differentiate`, :func:`invariant_derivative` and :func:`recurrence_rhs`.
 
 :func:`normalized_invariant`, :meth:`SolutionGerm.invariant_series`,
 :func:`invariant_derivative` and :func:`invariant_commutator` also take a
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -64,7 +65,7 @@ from .group import (
 )
 from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, jet_of_solution
-from .taylor import MAX_ORDER, TruncatedSeries, _multi_index, _pos, multi_indices, series_pow
+from .taylor import MAX_ORDER, TruncatedSeries, _integer, _multi_index, _pos, multi_indices, series_pow
 
 
 def _prefactors(p, branch, weights, w_den, size):
@@ -127,10 +128,9 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     with no pivot test when nothing else is asked for; on the negative branch
     the prefactor uses |pivot| with the sign carried separately.  Entries may
     be floats or truncated series; the result has the same type.  `alpha`
-    may also be a sequence of multi-indices; the result is then the list of
-    their invariants, from one pivot, one prefactor per weight and one pass
-    over the jet's entries.  `_pivot` passes on the (p, branch) of a frame
-    already computed at `jet`; with `_dense` the result is the array of the
+    may also be a sequence of multi-indices, which gives the list of their
+    invariants.  `_pivot` passes on the (p, branch) of a frame already
+    computed at `jet`; with `_dense` the result is the array of the
     invariants of the sequence `alpha` itself, one value or series row per
     alpha, for a caller that stores them as they are.
     """
@@ -199,8 +199,7 @@ class InvariantTable:
 
 def invariant_table(jet, kind, order):
     """Tabulate every I_alpha with total order <= `order` at one jet."""
-    if not 0 <= order <= jet.order:
-        raise UsageError(f"table order {order} must lie in [0, {jet.order}], the jet order")
+    order = _integer(order, "table order", high=jet.order)
     frame = moving_frame(jet, kind)
     values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
@@ -209,13 +208,6 @@ def invariant_table(jet, kind, order):
     return InvariantTable(
         kind=kind, order=order, branch=frame.branch, values=values, phantoms=phantoms
     )
-
-
-class InvDirection(Enum):
-    """Direction of invariant differentiation: invariantized D_t or D_x."""
-
-    T = "t"
-    X = "x"
 
 
 class SolutionGerm:
@@ -247,50 +239,49 @@ class SolutionGerm:
         jet = self.series_jet(_rows_for(alphas, MAX_ORDER)[0], order)  # a germ too short is a UsageError
         return shape(normalized_invariant(jet, alphas, kind))
 
-    def differentiate(self, series, direction, kind):
-        """Apply the frame's invariant derivative; series order drops by one.
+    def differentiate(self, series, kind):
+        """(D_t^i s, D_x^i s): both invariant derivatives of the frame; series order drops by one.
 
         time-normalized:  D_t^i = |pivot|^(-3/5) (D_t + u D_x),  D_x^i = |pivot|^(-1/5) D_x
         space-normalized: D_t^i = |u_x|^(-1) (D_t + u D_x),      D_x^i = |u_x|^(-1/3) D_x
 
         i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
         the frame's weight denominator.  For a list of series of one order
-        the result is the list of their derivatives, from one series jet and
-        one prefactor; series of different orders are a UsageError.
+        the result is the pair of lists of their derivatives, from one series
+        jet, pivot test and prefactor call; series of different orders are a
+        UsageError, and ``differentiate([])`` is ``([], [])``.
         """
         items, shape = _one_or_many(series, lambda arg: isinstance(arg, TruncatedSeries))
         orders = {s.order for s in items}
         if len(orders) > 1:
             raise UsageError(f"series differentiated in one call share one order, got {sorted(orders)}")
         if not items:
-            return []
+            return [], []
         order = items[0].order - 1
         jet = self.series_jet(1, order)  # a series too short is a UsageError
         p, branch = require_regular_pivot(jet, kind)
-        weight = 3 if direction is InvDirection.T else 1
-        prefactor = _prefactors(p, branch, (weight,), kind.weight_denominator, weight + 1)[weight]
-        prefactor, u = TruncatedSeries._wrap(order, prefactor), jet.u[(0, 0)]
-        out = []
+        scales = _prefactors(p, branch, (3, 1), kind.weight_denominator, 4)
+        scale_t, scale_x = (TruncatedSeries._wrap(order, scales[w]) for w in (3, 1))
+        u = jet.u[(0, 0)]
+        d_t, d_x = [], []
         for s in items:
             rows = s.derivatives(1, order)  # the d/dt and d/dx rows of s
-            d_dt, d_dx = (TruncatedSeries._wrap(order, rows[_pos(*e)]) for e in _UNITS)
-            out.append(prefactor * (d_dt + u * d_dx if direction is InvDirection.T else d_dx))
-        return shape(out)
+            dt, dx = (TruncatedSeries._wrap(order, rows[_pos(*e)]) for e in _UNITS)
+            d_t.append(scale_t * (dt + u * dx))
+            d_x.append(scale_x * dx)
+        return shape(d_t), shape(d_x)
 
 
-def invariant_derivative(solution, t0, x0, alpha, direction, kind):
-    """(D^i I_alpha)(t0, x0) along `solution`, exact to machine precision.
+def invariant_derivative(solution, t0, x0, alpha, kind):
+    """(D_t^i I_alpha, D_x^i I_alpha) at (t0, x0) along `solution`, exact to machine precision.
 
     For a sequence of multi-indices, one germ serves them all and the result
-    is the list of their derivatives.  For a sequence of directions, the
-    germ and the invariant series serve every direction, and the result is
-    the list of the results per direction.
+    is the list of their pairs.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    directions, by_direction = _one_or_many(direction, lambda arg: isinstance(arg, InvDirection))
     germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 1)
-    F = germ.invariant_series(alphas, kind, 1)
-    return by_direction([shape([dF.value for dF in germ.differentiate(F, d, kind)]) for d in directions])
+    dtF, dxF = germ.differentiate(germ.invariant_series(alphas, kind, 1), kind)
+    return shape([(dt.value, dx.value) for dt, dx in zip(dtF, dxF)])
 
 
 def invariant_commutator(solution, t0, x0, alpha, kind):
@@ -305,12 +296,10 @@ def invariant_commutator(solution, t0, x0, alpha, kind):
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 2)
     F = germ.invariant_series(alphas, kind, 2)
-    dtF = germ.differentiate(F, InvDirection.T, kind)
-    dxF = germ.differentiate(F, InvDirection.X, kind)
-    dt_dx = germ.differentiate(dxF, InvDirection.T, kind)
-    dx_dt = germ.differentiate(dtF, InvDirection.X, kind)
+    dtF, dxF = germ.differentiate(F, kind)
+    dt2, dx2 = germ.differentiate(dtF + dxF, kind)  # the bracket reads D_t^i dxF and D_x^i dtF
     out = []
-    for f, dt, dx, tx, xt in zip(F, dtF, dxF, dt_dx, dx_dt):
+    for f, dt, dx, tx, xt in zip(F, dtF, dxF, dt2[len(F):], dx2):
         bracket = tx.value - xt.value if kind is FrameKind.T_NORMALIZED else xt.value - tx.value
         out.append((f.value, dt.value, dx.value, bracket))
     return shape(out)
@@ -334,25 +323,26 @@ def _corrections(table):
     return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
 
 
-def recurrence_rhs(table, alpha, direction):
-    """D_j^i I_alpha from the table, for either frame and branch.
+def recurrence_rhs(table, alpha):
+    """(D_t^i I_alpha, D_x^i I_alpha) from the table, for either frame and branch.
 
     Universal recurrence formula (Fels & Olver, Moving coframes II, Acta
     Appl. Math. 1999), with R the table's correction matrix and eta^alpha_kappa
     the prolongation coefficient of v_kappa on the invariantized jet J:
 
-        D_j^i I_alpha = I[alpha + e_j] + sum_kappa R_j^kappa eta^alpha_kappa(J)
+        D_j^i I_alpha = I[alpha + e_j] + sum_kappa R_j^kappa eta^alpha_kappa(J),  j over (t, x)
 
     The phantom indices (0, 0) and the frame's pivot index are rejected.
     """
     alpha = _multi_index(alpha)
     if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
-    j = 0 if direction is InvDirection.T else 1
-    out = table.value(_plus(alpha, _UNITS[j]))  # alpha + e_j in the table, so alpha too
+    d_t, d_x = (table.value(_plus(alpha, e)) for e in _UNITS)  # alpha + e_j in the table, so alpha too
     for etas, r in zip(table._etas, table._R):
-        out += float(r[j]) * etas[_pos(*alpha)]
-    return out
+        eta = etas[_pos(*alpha)]
+        d_t += float(r[0]) * eta
+        d_x += float(r[1]) * eta
+    return d_t, d_x
 
 
 def _xi_jacobian():
@@ -417,7 +407,7 @@ def reconstruct_generators(solution, t0, x0, kind):
     def residuals(entries):
         table = InvariantTable(kind, order, branch, np.concatenate((known, entries)), {})
         a_t, a_x = commutator_coefficients(table)
-        rhs_t, rhs_x = (recurrence_rhs(table, g, d) for d in InvDirection)
+        rhs_t, rhs_x = recurrence_rhs(table, g)
         return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
 
     at_zero = residuals(np.zeros(len(unknowns)))

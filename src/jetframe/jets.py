@@ -26,6 +26,7 @@ from .taylor import (
     MAX_ORDER,
     MultiIndex,
     TruncatedSeries,
+    _integer,
     _multi_index,
     _pos,
     _series_order,
@@ -129,8 +130,7 @@ class Jet:
     data: np.ndarray = field(repr=False)
 
     def __init__(self, order, t, x, u):
-        if not 0 <= order <= MAX_ORDER:
-            raise UsageError(f"jet order must lie in [0, {MAX_ORDER}], got {order}")
+        order = _integer(order, "jet order")
         data = _rows_of(order, u) if isinstance(u, Mapping) else _array(u)
         n = len(multi_indices(order))
         series = data.ndim == 2 and _series_order(data.shape[1]) is not None

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .jets import Jet, multi_indices
-from .taylor import TruncatedSeries, series_recip, series_sech
+from .taylor import TruncatedSeries, _integer, series_recip, series_sech
 
 
 class Solution:
@@ -134,6 +134,7 @@ def _expansion(solution, t0, x0, order):
     """
     if not (math.isfinite(t0) and math.isfinite(x0)):
         raise UsageError(f"base point must be finite, got (t0, x0) = ({t0}, {x0})")
+    order = _integer(order, "expansion order")
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
             s = solution.series(t0, x0, order)

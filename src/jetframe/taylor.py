@@ -66,6 +66,17 @@ def _pos(i, j):
     return d * (d + 1) // 2 + i
 
 
+def _integer(value, name, low=0, high=MAX_ORDER):
+    """`value` as an int in [low, high], numpy integers included; anything else is a UsageError naming `name`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise UsageError(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
+
+
 def _multi_index(alpha) -> MultiIndex:
     """The pair `alpha` as a tuple; anything but two non-negative integers is a UsageError."""
     try:
@@ -116,8 +127,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
-        if not 0 <= order <= MAX_ORDER:
-            raise UsageError(f"series order must lie in [0, {MAX_ORDER}], got {order}")
+        order = _integer(order, "series order")
         self.order = order
         if coeffs is None:
             self.coeffs = np.zeros(triangle_size(order))

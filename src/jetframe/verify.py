@@ -31,7 +31,6 @@ from .group import (
     prolong_act,
 )
 from .invariants import (
-    InvDirection,
     commutator_coefficients,
     invariant_commutator,
     invariant_derivative,
@@ -40,8 +39,9 @@ from .invariants import (
     reconstruct_generators,
     recurrence_rhs,
 )
-from .jets import MAX_ORDER, Jet, multi_indices
+from .jets import Jet, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
+from .taylor import _integer
 
 _KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
 _MAX_RETRIES = 400
@@ -250,12 +250,11 @@ def _suite_recurrences(rng, samples, order):
         sol, t0, x0 = random_soliton_point(rng, kind, branch)
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
         alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
-        directions = tuple(InvDirection)
-        lhs = invariant_derivative(sol, t0, x0, alphas, directions, kind)  # one germ for both
+        lhs = invariant_derivative(sol, t0, x0, alphas, kind)  # one germ for all, (t, x) pairs
         yield _worst(
-            _rel(value, recurrence_rhs(table, alpha, direction))
-            for direction, values in zip(directions, lhs)
-            for alpha, value in zip(alphas, values)
+            _rel(value, rhs)
+            for alpha, pair in zip(alphas, lhs)
+            for value, rhs in zip(pair, recurrence_rhs(table, alpha))
         )
 
 
@@ -363,10 +362,9 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6):
     names = list(SUITES) if "all" in suites else list(suites)
     if not names:
         raise UsageError(f"no suite requested; valid names: {list(SUITES)}")
-    if samples < 1:
-        raise UsageError(f"samples must be at least 1, got {samples}")
-    if not 1 <= order <= MAX_ORDER:
-        raise UsageError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+    seed = _integer(seed, "seed", -math.inf, math.inf)
+    samples = _integer(samples, "samples", 1, math.inf)
+    order = _integer(order, "order", low=1)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")

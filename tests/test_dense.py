@@ -20,7 +20,6 @@ from jetframe.errors import DomainError, UsageError
 from jetframe.frame import FrameKind, require_regular_pivot
 from jetframe.group import GroupElement, VectorField, act_point, eta_alpha, pr_v_apply, prolong_act
 from jetframe.invariants import (
-    InvDirection,
     SolutionGerm,
     invariant_derivative,
     invariant_table,
@@ -313,7 +312,7 @@ def test_affine_overflow_matches_the_dense_products_without_a_warning():
         # far out on the soliton tail the order-1 pivot's prefactor overflows;
         # the dense products turn that into the NaN the error names
         with pytest.raises(DomainError, match=r"I_\(10, 2\) = nan"):
-            invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), InvDirection.X, FrameKind.X_NORMALIZED)
+            invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), FrameKind.X_NORMALIZED)
 
 
 # -- the Jet type ----------------------------------------------------------------

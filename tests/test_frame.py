@@ -9,10 +9,12 @@ from jetframe.frame import (
     equivariance_defect,
     moving_frame,
     pivot_value,
+    require_regular_pivot,
 )
 from jetframe.group import GroupElement, prolong_act
+from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
 from jetframe.jets import Jet, multi_indices
-from jetframe.solutions import Rational, jet_of_solution
+from jetframe.solutions import Rational, Soliton, jet_of_solution
 from jetframe.verify import random_free_jet, random_group_element
 
 KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
@@ -143,3 +145,24 @@ def test_cancellation_test_scale():
     assert 0.0 < pivot_value(cancelled, FrameKind.T_NORMALIZED) <= 4 * np.spacing(u * u_x)
     with pytest.raises(SingularFrameError):
         moving_frame(cancelled, FrameKind.T_NORMALIZED)
+
+
+def test_a_frame_kind_must_be_a_frame_kind():
+    # the kinds' values "t" and "x" are not kinds: "t" used to read the space
+    # pivot u_x, and the frame itself died with an untyped AttributeError
+    jet = jet_of_solution(Soliton(), 0.3, -0.9, 3)
+    germ = SolutionGerm(Soliton(), 0.3, -0.9, 3)
+    series = germ.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
+    calls = (
+        lambda kind: pivot_value(jet, kind),
+        lambda kind: require_regular_pivot(jet, kind),
+        lambda kind: moving_frame(jet, kind),
+        lambda kind: invariant_table(jet, kind, 3),
+        lambda kind: normalized_invariant(jet, (1, 1), kind),
+        lambda kind: germ.invariant_series((1, 1), kind, 1),
+        lambda kind: germ.differentiate(series, kind),
+    )
+    for kind in ("t", "x", None, 0):
+        for call in calls:
+            with pytest.raises(UsageError, match="FrameKind"):
+                call(kind)

@@ -11,7 +11,6 @@ from jetframe.frame import FrameKind, moving_frame, pivot_value
 from jetframe.group import VectorField, eta_alpha, prolong_act
 from jetframe.invariants import (
     InvariantTable,
-    InvDirection,
     SolutionGerm,
     commutator_coefficients,
     invariant_commutator,
@@ -139,12 +138,12 @@ def test_table_mappings_are_read_only_copies():
     # the recurrence reads the table's cached corrections, which must match its values
     values = dict(table.values)
     built = InvariantTable(table.kind, table.order, table.branch, values, {})
-    before = recurrence_rhs(built, (1, 0), InvDirection.T)
+    before = recurrence_rhs(built, (1, 0))[0]
     values[(1, 1)] = 7.0
     assert built.value((1, 1)) == table.value((1, 1))
-    assert recurrence_rhs(built, (1, 0), InvDirection.T) == before
+    assert recurrence_rhs(built, (1, 0))[0] == before
     fresh = InvariantTable(table.kind, table.order, table.branch, values, {})
-    assert recurrence_rhs(fresh, (1, 0), InvDirection.T) != before
+    assert recurrence_rhs(fresh, (1, 0))[0] != before
 
 
 def test_table_from_a_dense_row_equals_the_table_from_its_mapping():
@@ -158,19 +157,19 @@ def test_table_from_a_dense_row_equals_the_table_from_its_mapping():
         alphas = [a for a in multi_indices(3) if a not in ((0, 0), kind.pivot_alpha)]
         for built in (from_row, from_mapping):
             assert [v.hex() for v in built.values.values()] == [v.hex() for v in table.values.values()]
-            assert [recurrence_rhs(built, a, d).hex() for a in alphas for d in InvDirection] == [
-                recurrence_rhs(table, a, d).hex() for a in alphas for d in InvDirection
+            assert [v.hex() for a in alphas for v in recurrence_rhs(built, a)] == [
+                v.hex() for a in alphas for v in recurrence_rhs(table, a)
             ]
             assert [c.hex() for c in commutator_coefficients(built)] == [
                 c.hex() for c in commutator_coefficients(table)
             ]
         # the table keeps its own copy of either input
-        before = [recurrence_rhs(built, (1, 1), InvDirection.X) for built in (from_row, from_mapping)]
+        before = [recurrence_rhs(built, (1, 1))[1] for built in (from_row, from_mapping)]
         row[:] = 7.0
         mapping.update(dict.fromkeys(mapping, 7.0))
         for built, rhs in zip((from_row, from_mapping), before):
             assert built.values == table.values
-            assert recurrence_rhs(built, (1, 1), InvDirection.X) == rhs
+            assert recurrence_rhs(built, (1, 1))[1] == rhs
 
 
 def test_table_with_a_missing_or_non_finite_entry_is_rejected():
@@ -199,9 +198,9 @@ def test_table_order_must_lie_between_zero_and_the_jet_order():
         assert invariant_table(jet, kind, 0).values == {(0, 0): 0.0}
 
 
-def fd_invariant_derivative(sol, t0, x0, alpha, direction, kind, h=1e-5):
+def fd_invariant_derivative(sol, t0, x0, alpha, kind, h=1e-5):
     # independent oracle: finite differences of the closed-form invariant
-    # along the solution, then the operator's total-derivative combination
+    # along the solution, then each operator's total-derivative combination
     order = alpha[0] + alpha[1]
 
     def F(t, x):
@@ -210,31 +209,28 @@ def fd_invariant_derivative(sol, t0, x0, alpha, direction, kind, h=1e-5):
     jet = jet_of_solution(sol, t0, x0, 1)
     p = abs(pivot_value(jet, kind))
     dFdx = (F(t0, x0 + h) - F(t0, x0 - h)) / (2 * h)
-    if direction is InvDirection.X:
-        exponent = -1.0 / 5.0 if kind is FrameKind.T_NORMALIZED else -1.0 / 3.0
-        return p**exponent * dFdx
     dFdt = (F(t0 + h, x0) - F(t0 - h, x0)) / (2 * h)
     prefactor = p ** (-3.0 / 5.0) if kind is FrameKind.T_NORMALIZED else 1.0 / p
-    return prefactor * (dFdt + jet.u[(0, 0)] * dFdx)
+    exponent = -1.0 / 5.0 if kind is FrameKind.T_NORMALIZED else -1.0 / 3.0
+    return prefactor * (dFdt + jet.u[(0, 0)] * dFdx), p**exponent * dFdx
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("direction", [InvDirection.T, InvDirection.X])
-def test_invariant_derivative_against_finite_differences(kind, direction):
+def test_invariant_derivative_against_finite_differences(kind):
     rng = np.random.default_rng(11)
     for _ in range(8):
         sol, t0, x0 = random_soliton_point(rng, kind)
         for alpha in [(0, 1), (1, 0), (0, 2)]:
-            got = invariant_derivative(sol, t0, x0, alpha, direction, kind)
-            want = fd_invariant_derivative(sol, t0, x0, alpha, direction, kind)
-            assert rel(got, want) <= 1e-6, (alpha, direction, kind)
+            got = invariant_derivative(sol, t0, x0, alpha, kind)
+            want = fd_invariant_derivative(sol, t0, x0, alpha, kind)
+            for j in (0, 1):
+                assert rel(got[j], want[j]) <= 1e-6, (alpha, j, kind)
 
 
 def test_derivative_of_phantom_is_zero():
     sol = Soliton(c=1.2)
-    for direction in InvDirection:
-        for kind in KINDS:
-            assert invariant_derivative(sol, 0.4, 1.1, (0, 0), direction, kind) == 0.0
+    for kind in KINDS:
+        assert invariant_derivative(sol, 0.4, 1.1, (0, 0), kind) == (0.0, 0.0)
 
 
 def test_time_frame_generator_derivative_relation():
@@ -246,7 +242,7 @@ def test_time_frame_generator_derivative_relation():
         table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
         assert table.branch == 1
         i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
-        lhs = invariant_derivative(sol, t0, x0, (0, 1), InvDirection.T, FrameKind.T_NORMALIZED)
+        lhs, _ = invariant_derivative(sol, t0, x0, (0, 1), FrameKind.T_NORMALIZED)
         assert rel(lhs, -0.6 * i01**2 + i11 - 0.6 * i01 * i20) <= 1e-6
 
 
@@ -261,35 +257,32 @@ def test_time_frame_relation_branch_aware():
             assert table.branch == branch
             i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
             want = -0.6 * i01**2 + i11 - 0.6 * branch * i01 * i20
-            assert rel(recurrence_rhs(table, (0, 1), InvDirection.T), want) <= 1e-14
+            assert rel(recurrence_rhs(table, (0, 1))[0], want) <= 1e-14
 
 
-def x_frame_recurrence(table, alpha, direction):
-    # typed oracle: the space-normalized split recurrences, with s the branch
-    # sign and w = (3*a1 + a2 + 2)/3
+def x_frame_recurrence(table, alpha):
+    # typed oracle: the space-normalized split recurrences (D_t^i, D_x^i),
+    # with s the branch sign and w = (3*a1 + a2 + 2)/3
     a1, a2 = alpha
     s = table.branch
     w = (3 * a1 + a2 + 2) / 3.0
     i_alpha = table.value(alpha)
-    if direction is InvDirection.T:
-        out = table.value((a1 + 1, a2)) - s * w * table.value((1, 1)) * i_alpha
-        if a1 > 0:
-            out += a1 * table.value((1, 0)) * table.value((a1 - 1, a2 + 1))
-        return out
-    out = table.value((a1, a2 + 1)) - s * w * table.value((0, 2)) * i_alpha
+    d_t = table.value((a1 + 1, a2)) - s * w * table.value((1, 1)) * i_alpha
+    d_x = table.value((a1, a2 + 1)) - s * w * table.value((0, 2)) * i_alpha
     if a1 > 0:
-        out += s * a1 * table.value((a1 - 1, a2 + 1))
-    return out
+        d_t += a1 * table.value((1, 0)) * table.value((a1 - 1, a2 + 1))
+        d_x += s * a1 * table.value((a1 - 1, a2 + 1))
+    return d_t, d_x
 
 
 def test_recurrence_rhs_frozen_instance():
     rng = np.random.default_rng(15)
     sol, t0, x0 = random_soliton_point(rng, FrameKind.X_NORMALIZED, +1)
     table = invariant_table(jet_of_solution(sol, t0, x0, 4), FrameKind.X_NORMALIZED, 4)
-    got = recurrence_rhs(table, (0, 2), InvDirection.X)
+    got = recurrence_rhs(table, (0, 2))[1]
     want = table.value((0, 3)) - (4.0 / 3.0) * table.value((0, 2)) ** 2
     assert got == pytest.approx(want, rel=1e-13)
-    got_t = recurrence_rhs(table, (1, 0), InvDirection.T)
+    got_t = recurrence_rhs(table, (1, 0))[0]
     want_t = (
         table.value((2, 0))
         - (5.0 / 3.0) * table.value((1, 1)) * table.value((1, 0))
@@ -302,9 +295,8 @@ def test_recurrence_rhs_frozen_instance():
         for alpha in multi_indices(3):
             if alpha in ((0, 0), (0, 1)):
                 continue
-            for direction in InvDirection:
-                want = x_frame_recurrence(table, alpha, direction)
-                assert rel(recurrence_rhs(table, alpha, direction), want) <= 1e-13, (alpha, branch)
+            for got, want in zip(recurrence_rhs(table, alpha), x_frame_recurrence(table, alpha)):
+                assert rel(got, want) <= 1e-13, (alpha, branch)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -317,10 +309,9 @@ def test_recurrences_match_derivatives(kind, branch):
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
         assert table.branch == branch
         for alpha in alphas:
-            for direction in InvDirection:
-                lhs = invariant_derivative(sol, t0, x0, alpha, direction, kind)
-                rhs = recurrence_rhs(table, alpha, direction)
-                assert rel(lhs, rhs) <= 1e-12, (alpha, direction, branch)
+            pairs = zip(invariant_derivative(sol, t0, x0, alpha, kind), recurrence_rhs(table, alpha))
+            for j, (lhs, rhs) in enumerate(pairs):
+                assert rel(lhs, rhs) <= 1e-12, (alpha, j, branch)
 
 
 def test_recurrence_usage_errors():
@@ -330,9 +321,9 @@ def test_recurrence_usage_errors():
         table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
         for alpha in ((0, 0), phantom):
             with pytest.raises(UsageError):
-                recurrence_rhs(table, alpha, InvDirection.X)
+                recurrence_rhs(table, alpha)
         with pytest.raises(UsageError):
-            recurrence_rhs(table, (0, 2), InvDirection.X)  # needs order 3 entries
+            recurrence_rhs(table, (0, 2))  # needs order 3 entries
 
 
 def test_commutator_coefficients_from_table():
@@ -372,8 +363,7 @@ def test_commutator_reproduces_nested_derivatives(kind):
         for alpha in [(0, 1), (0, 2), (1, 0)]:
             i_alpha, dt, dx, bracket = invariant_commutator(sol, t0, x0, alpha, kind)
             assert rel(i_alpha, table.value(alpha)) <= 1e-13, (alpha, kind)
-            assert dt == invariant_derivative(sol, t0, x0, alpha, InvDirection.T, kind)
-            assert dx == invariant_derivative(sol, t0, x0, alpha, InvDirection.X, kind)
+            assert (dt, dx) == invariant_derivative(sol, t0, x0, alpha, kind)
             assert rel(bracket, a_t * dt + a_x * dx) <= 1e-12, (alpha, kind)
 
 
@@ -415,7 +405,7 @@ def test_second_generator_identity():
         for _ in range(10):
             sol, t0, x0 = random_soliton_point(rng, FrameKind.X_NORMALIZED, branch)
             table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.X_NORMALIZED, 2)
-            dx10 = invariant_derivative(sol, t0, x0, (1, 0), InvDirection.X, FrameKind.X_NORMALIZED)
+            _, dx10 = invariant_derivative(sol, t0, x0, (1, 0), FrameKind.X_NORMALIZED)
             i11 = dx10 + (5.0 / 3.0) * branch * table.value((1, 0)) * table.value((0, 2)) - 1.0
             assert rel(i11, table.value((1, 1))) <= 1e-6
 
@@ -451,7 +441,7 @@ def test_germ_orders_are_validated():
         germ.invariant_series((1, 0), FrameKind.X_NORMALIZED, 2)
     series = germ.invariant_series((1, 0), FrameKind.X_NORMALIZED, 1)
     with pytest.raises(UsageError):
-        germ.differentiate(TruncatedSeries.constant(series.value, 0), InvDirection.X, FrameKind.X_NORMALIZED)
+        germ.differentiate(TruncatedSeries.constant(series.value, 0), FrameKind.X_NORMALIZED)
 
 
 def test_germ_rejects_negative_or_too_high_orders():
@@ -499,7 +489,7 @@ def test_rational_germ_is_singular_in_time_frame():
             germ.invariant_series((0, 1), FrameKind.T_NORMALIZED, 1)
         series = germ.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
         with pytest.raises(SingularFrameError):
-            germ.differentiate(series, InvDirection.X, FrameKind.T_NORMALIZED)
+            germ.differentiate(series, FrameKind.T_NORMALIZED)
 
 
 def test_non_finite_invariant_is_domain_error():
@@ -513,7 +503,7 @@ def test_non_finite_invariant_is_domain_error():
     # finite coefficients, but a product of series rows overflows to nan
     for compute in (
         lambda: normalized_invariant(jet, (0, 6), FrameKind.X_NORMALIZED),
-        lambda: invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), InvDirection.X, FrameKind.X_NORMALIZED),
+        lambda: invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), FrameKind.X_NORMALIZED),
         lambda: SolutionGerm(Soliton(), 0.0, 65.0, 13).invariant_series((9, 2), FrameKind.X_NORMALIZED, 1),
     ):
         with pytest.raises(DomainError) as info:
@@ -580,9 +570,7 @@ def test_numpy_integer_multi_index_is_one_alpha():
     for alpha in ((np.int64(1), np.int64(2)), np.array([1, 2]), (np.int32(1), 2)):
         assert normalized_invariant(jet, alpha, kind) == normalized_invariant(jet, (1, 2), kind)
         assert _same_series(germ.invariant_series(alpha, kind, 0), germ.invariant_series((1, 2), kind, 0))
-        assert invariant_derivative(sol, t0, x0, alpha, InvDirection.X, kind) == invariant_derivative(
-            sol, t0, x0, (1, 2), InvDirection.X, kind
-        )
+        assert invariant_derivative(sol, t0, x0, alpha, kind) == invariant_derivative(sol, t0, x0, (1, 2), kind)
         assert invariant_commutator(sol, t0, x0, alpha, kind) == invariant_commutator(
             sol, t0, x0, (1, 2), kind
         )
@@ -607,20 +595,20 @@ def test_germ_sequence_forms_match_scalar_calls(kind, branch):
         # a list of series of one order, read off one series jet
         for order in (1, 2):
             series = germ.invariant_series(alphas, kind, order)
-            for direction in InvDirection:
-                got = germ.differentiate(series, direction, kind)
-                want = [germ.differentiate(s, direction, kind) for s in series]
-                assert all(map(_same_series, got, want))
-        assert germ.differentiate([], InvDirection.T, kind) == []
+            got = germ.differentiate(series, kind)
+            want = [germ.differentiate(s, kind) for s in series]
+            assert all(type(half) is list and len(half) == len(series) for half in got)
+            for j in (0, 1):  # D_t^i, then D_x^i
+                assert all(map(_same_series, got[j], [pair[j] for pair in want]))
+        assert germ.differentiate([], kind) == ([], [])
 
 
 def test_differentiate_takes_series_of_one_order():
     germ = SolutionGerm(Soliton(), 0.3, 0.8, 5)
     kind = FrameKind.X_NORMALIZED
     series = germ.invariant_series([(0, 1), (1, 0)], kind, 2) + germ.invariant_series([(0, 2)], kind, 1)
-    for direction in InvDirection:
-        with pytest.raises(UsageError, match=r"one order, got \[1, 2\]"):
-            germ.differentiate(series, direction, kind)
+    with pytest.raises(UsageError, match=r"one order, got \[1, 2\]"):
+        germ.differentiate(series, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -631,22 +619,13 @@ def test_invariant_derivative_and_commutator_sequences_match_scalar_calls(kind, 
     alphas = multi_indices(3)
     for _ in range(3):
         sol, t0, x0 = random_soliton_point(rng, kind, branch)
-        for direction in InvDirection:
-            assert invariant_derivative(sol, t0, x0, alphas, direction, kind) == [
-                invariant_derivative(sol, t0, x0, alpha, direction, kind) for alpha in alphas
-            ]
-        # a sequence of directions shares the germ and the series
-        directions = list(InvDirection)
-        assert invariant_derivative(sol, t0, x0, alphas, directions, kind) == [
-            invariant_derivative(sol, t0, x0, alphas, direction, kind) for direction in directions
-        ]
-        assert invariant_derivative(sol, t0, x0, (1, 1), directions[::-1], kind) == [
-            invariant_derivative(sol, t0, x0, (1, 1), direction, kind) for direction in directions[::-1]
+        assert invariant_derivative(sol, t0, x0, alphas, kind) == [
+            invariant_derivative(sol, t0, x0, alpha, kind) for alpha in alphas
         ]
         assert invariant_commutator(sol, t0, x0, alphas, kind) == [
             invariant_commutator(sol, t0, x0, alpha, kind) for alpha in alphas
         ]
-        assert invariant_derivative(sol, t0, x0, [(0, 0)], InvDirection.T, kind) == [0.0]
+        assert invariant_derivative(sol, t0, x0, [(0, 0)], kind) == [(0.0, 0.0)]
 
 
 def test_sequence_forms_raise_what_a_scalar_call_raises():
@@ -672,9 +651,9 @@ def _multi_index_entry_points():
         "normalized_invariant": lambda a: normalized_invariant(jet, a, kind),
         "eta_alpha": lambda a: eta_alpha(VectorField.galilean_boost(), a, jet),
         "invariant_series": lambda a: germ.invariant_series(a, kind, 1).coeffs.tolist(),
-        "invariant_derivative": lambda a: invariant_derivative(sol, t0, x0, a, InvDirection.T, kind),
+        "invariant_derivative": lambda a: invariant_derivative(sol, t0, x0, a, kind),
         "invariant_commutator": lambda a: invariant_commutator(sol, t0, x0, a, kind),
-        "recurrence_rhs": lambda a: recurrence_rhs(table, a, InvDirection.X),
+        "recurrence_rhs": lambda a: recurrence_rhs(table, a),
         "Jet.value": jet.value,
         "InvariantTable.value": table.value,
     }

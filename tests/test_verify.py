@@ -1,12 +1,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import jetframe.group as group
 import jetframe.invariants as invariants
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, UsageError
+from jetframe.frame import FrameKind
+from jetframe.invariants import SolutionGerm, invariant_table
+from jetframe.jets import Jet
+from jetframe.solutions import Soliton, jet_of_solution
+from jetframe.taylor import TruncatedSeries
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
 
@@ -82,6 +88,35 @@ def test_singular_sets_suite_is_exact():
     assert report.passed
     assert report.max_defect == 0.0
     assert report.tolerance == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TruncatedSeries(2.5),
+        lambda: Jet(2.0, 0.0, 0.0, np.zeros(6)),
+        lambda: jet_of_solution(Soliton(), 0.1, 0.2, 2.5),
+        lambda: SolutionGerm(Soliton(), 0.1, 0.2, 2.5),
+        lambda: invariant_table(jet_of_solution(Soliton(), 0.1, 0.2, 2), FrameKind.X_NORMALIZED, 2.0),
+        lambda: run_suite(("phantom",), samples=2.5),
+        lambda: run_suite(("phantom",), seed=1.5, samples=1),
+        lambda: run_suite(("phantom",), samples=1, order=3.0),
+    ],
+    ids=["series", "jet", "jet_of_solution", "germ", "table", "samples", "seed", "verify-order"],
+)
+def test_orders_sample_counts_and_seeds_must_be_integers(call):
+    with pytest.raises(UsageError, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_orders_sample_counts_and_seeds_are_integers():
+    assert TruncatedSeries(np.int64(2)).order == 2 and type(TruncatedSeries(np.int64(2)).order) is int
+    assert Jet(np.int32(1), 0.0, 0.0, np.zeros(3)) == Jet(1, 0.0, 0.0, np.zeros(3))
+    jet = jet_of_solution(Soliton(), 0.1, 0.2, np.int64(2))
+    assert jet == jet_of_solution(Soliton(), 0.1, 0.2, 2)
+    assert invariant_table(jet, FrameKind.X_NORMALIZED, np.int8(2)) == invariant_table(jet, FrameKind.X_NORMALIZED, 2)
+    reports = run_suite(("phantom",), seed=np.int64(3), samples=np.int32(2), order=np.uint8(3))
+    assert reports == run_suite(("phantom",), seed=3, samples=2, order=3)
 
 
 def test_suite_name_order_is_canonical():
@@ -195,3 +230,60 @@ def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypat
     assert [r.name for r in reports] == list(suites)
     for r in reports:
         assert r.passed is False, r
+
+
+_PAIR_SUITES = ("recurrences", "commutators", "reconstruction")
+
+
+def test_series_calculus_suites_fail_when_the_germ_derivative_pair_is_swapped(monkeypatch):
+    # D_t^i and D_x^i come as one (t, x) pair; handing them out as (x, t) must
+    # show in every suite that reads the germ's derivatives
+    real = invariants.SolutionGerm.differentiate
+    assert all(r.passed for r in run_suite(_PAIR_SUITES, seed=0, samples=20))
+    monkeypatch.setattr(invariants.SolutionGerm, "differentiate", lambda self, s, kind: real(self, s, kind)[::-1])
+    reports = run_suite(_PAIR_SUITES, seed=0, samples=20)
+    assert [r.name for r in reports] == list(_PAIR_SUITES)
+    for r in reports:
+        assert r.passed is False and r.max_defect > 0.1, r
+
+
+def test_recurrence_suites_fail_when_the_recurrence_pair_is_swapped(monkeypatch):
+    suites = ("recurrences", "reconstruction")
+    real = invariants.recurrence_rhs
+    assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
+
+    def swapped(table, alpha):
+        return real(table, alpha)[::-1]
+
+    monkeypatch.setattr(invariants, "recurrence_rhs", swapped)  # read by reconstruct_generators
+    monkeypatch.setattr(verify, "recurrence_rhs", swapped)  # read by the recurrences suite
+    reports = run_suite(suites, seed=0, samples=20)
+    assert [r.name for r in reports] == list(suites)
+    for r in reports:
+        assert r.passed is False and r.max_defect > 0.1, r
+
+
+def test_germ_calculus_differentiates_once_per_derivative_and_twice_per_commutator(monkeypatch):
+    # each differentiate call gives both directions: one per invariant derivative,
+    # two per commutator (the second one on D_t^i F and D_x^i F together)
+    counts = {"differentiate": 0, "invariant_derivative": 0, "invariant_commutator": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(invariants.SolutionGerm, "differentiate")
+    counted(verify, "invariant_derivative")
+    counted(verify, "invariant_commutator")
+    (report,) = run_suite(("recurrences",), seed=0, samples=6)
+    assert report.samples == 6
+    assert counts == {"differentiate": 6, "invariant_derivative": 6, "invariant_commutator": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    (report,) = run_suite(("commutators",), seed=0, samples=3)
+    assert report.samples == 3
+    assert counts == {"differentiate": 12, "invariant_derivative": 0, "invariant_commutator": 6}
