@@ -27,8 +27,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-_FRAME_BY_FLAG = {"t": FrameKind.T_NORMALIZED, "x": FrameKind.X_NORMALIZED}
-
 
 # A value that starts with a minus sign, as float() reads it.  argparse's own
 # pattern takes only -1 and -1.5, and reads -1e-3 or -inf as an unknown flag.
@@ -58,7 +56,7 @@ def build_parser():
     ev.add_argument("--u0", type=float, default=0.0, help="constant-solution value")
     ev.add_argument("--t0", type=float, default=0.0, help="base point t")
     ev.add_argument("--x0", type=float, default=0.0, help="base point x")
-    ev.add_argument("--frame", required=True, choices=sorted(_FRAME_BY_FLAG))
+    ev.add_argument("--frame", required=True, choices=[k.value for k in FrameKind])
     ev.add_argument("--order", type=int, default=4, help="max invariant order")
     ev.add_argument(
         "--branch-policy",
@@ -193,7 +191,7 @@ def _cmd_eval(args):
     params = {"c": args.c, "phase": args.phase, "u0": args.u0}
     solution = make_solution(args.solution, **params)
     jet = jet_of_solution(solution, args.t0, args.x0, args.order)
-    kind = _FRAME_BY_FLAG[args.frame]
+    kind = FrameKind(args.frame)
     strict = args.branch_policy == "strict-positive"
     try:
         table = invariant_table(jet, kind, args.order)

@@ -48,10 +48,15 @@ class FrameKind(Enum):
         return _weight(self.pivot_alpha)
 
 
-def pivot_value(jet, kind):
-    """The normalized quantity whose sign and size control the frame."""
+def _require_kind(kind):
+    """Anything but a FrameKind is a UsageError."""
     if not isinstance(kind, FrameKind):
         raise UsageError(f"a frame kind is a FrameKind, got {kind!r}")
+
+
+def pivot_value(jet, kind):
+    """The normalized quantity whose sign and size control the frame."""
+    _require_kind(kind)
     if jet.order < 1:
         raise UsageError("frames need a jet of order >= 1")
     if kind is FrameKind.T_NORMALIZED:

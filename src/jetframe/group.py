@@ -417,33 +417,37 @@ def pr_v_apply(v, F, jet):
     return shape([_eps_coefficient(value, slot) for slot in _UNITS[: len(fields)]])
 
 
+def _partials(f, t, x, u):
+    """(f_t, f_x, f_u) of a coefficient function at (t, x, u), each exact.
+
+    t and x ride in the two slots of one lift, as the two fields of
+    :func:`pr_v_apply` do, and u in a second lift; each partial is the eps
+    coefficient of its slot.
+    """
+    tx = f(_lift(t, 1.0), _lift(x, 0.0, 1.0), u)
+    f_t, f_x = (_eps_coefficient(tx, slot) for slot in _UNITS)
+    f_u = _eps_coefficient(f(t, x, _lift(u, 1.0)))
+    return f_t, f_x, f_u
+
+
 def determining_equation_residuals(v, t, x, u):
     """Residuals of the eight linear constraints the coefficients must satisfy.
 
     tau_x = tau_u = xi_u = eta_t = eta_x = 0,
     eta = xi_t - (2/3) u tau_t,  eta_u = -(2/3) tau_t,  eta_u = -2 xi_x.
 
-    Each partial is exact: the coordinate is lifted to c + eps, as in
-    :func:`pr_v_apply`, and the eps coefficient of the coefficient function
-    is read off.
+    Each partial is exact, read off :func:`_partials`.
     """
-    point = {"t": t, "x": x, "u": u}
-
-    def d(f, which):
-        args = dict(point)
-        args[which] = _lift(args[which], 1.0)
-        return _eps_coefficient(f(**args))
-
-    tau, xi, eta = v.tau, v.xi, v.eta
-    tau_t = d(tau, "t")
-    eta_u = d(eta, "u")
+    tau_t, tau_x, tau_u = _partials(v.tau, t, x, u)
+    xi_t, xi_x, xi_u = _partials(v.xi, t, x, u)
+    eta_t, eta_x, eta_u = _partials(v.eta, t, x, u)
     return (
-        d(tau, "x"),
-        d(tau, "u"),
-        d(xi, "u"),
-        d(eta, "t"),
-        d(eta, "x"),
-        eta(t=t, x=x, u=u) - d(xi, "t") + (2.0 / 3.0) * u * tau_t,
+        tau_x,
+        tau_u,
+        xi_u,
+        eta_t,
+        eta_x,
+        v.eta(t, x, u) - xi_t + (2.0 / 3.0) * u * tau_t,
         eta_u + (2.0 / 3.0) * tau_t,
-        eta_u + 2.0 * d(xi, "x"),
+        eta_u + 2.0 * xi_x,
     )

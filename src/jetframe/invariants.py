@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
-from .frame import FrameKind, moving_frame, require_regular_pivot
+from .frame import FrameKind, _require_kind, moving_frame, require_regular_pivot
 from .group import (
     _UNITS,
     VectorField,
@@ -59,6 +59,7 @@ from .group import (
     _boost_powers,
     _eta_rows,
     _first_non_finite,
+    _partials,
     _transform,
     _weight,
     act_point,
@@ -137,6 +138,7 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     order, rows = _rows_for(alphas, jet.order)
     if order == 0:
+        _require_kind(kind)
         values = np.zeros((len(alphas),) + jet.data.shape[1:])
     else:
         derived = None if rows is None else [a for a in alphas if sum(a) > 0]
@@ -175,12 +177,19 @@ class InvariantTable:
     _jet: Jet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_kind(self.kind)
+        if self.branch not in (1, -1):
+            raise UsageError(f"an invariant table's branch is 1 or -1, got {self.branch!r}")
+        try:
+            phantoms = dict(self.phantoms)
+        except (TypeError, ValueError):
+            raise UsageError(f"an invariant table's phantoms are a mapping, got {self.phantoms!r}") from None
         jet = Jet(self.order, 0.0, 0.0, self.values)
         if jet.data.ndim != 1:
             raise UsageError("invariant table entries must be real numbers, not series")
         object.__setattr__(self, "_jet", jet)
         object.__setattr__(self, "values", jet.u)
-        object.__setattr__(self, "phantoms", MappingProxyType(dict(self.phantoms)))
+        object.__setattr__(self, "phantoms", MappingProxyType(phantoms))
 
     def value(self, alpha):
         return self._jet.value(alpha)
@@ -203,8 +212,7 @@ def invariant_table(jet, kind, order):
     frame = moving_frame(jet, kind)
     values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
     t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
-    pivot_key = "u_t" if kind is FrameKind.T_NORMALIZED else "u_x"
-    phantoms = {"t": t, "x": x, "u": u, pivot_key: float(frame.branch)}
+    phantoms = {"t": t, "x": x, "u": u, f"u_{kind.value}": float(frame.branch)}
     return InvariantTable(
         kind=kind, order=order, branch=frame.branch, values=values, phantoms=phantoms
     )
@@ -284,25 +292,29 @@ def invariant_derivative(solution, t0, x0, alpha, kind):
     return shape([(dt.value, dx.value) for dt, dx in zip(dtF, dxF)])
 
 
+def _bracket_order(kind):
+    """(a, b) of the frame's bracket [D_a^i, D_b^i], as indices into (t, x): the pivot's direction first."""
+    a = _UNITS.index(kind.pivot_alpha)
+    return a, 1 - a
+
+
 def invariant_commutator(solution, t0, x0, alpha, kind):
     """(I_alpha, D_t^i I_alpha, D_x^i I_alpha, bracket) at (t0, x0), from one germ.
 
-    The bracket follows each frame's own orientation convention:
-    [D_t^i, D_x^i] I_alpha for the time-normalized frame and
-    [D_x^i, D_t^i] I_alpha for the space-normalized one.  For a sequence of
+    The bracket [D_a^i, D_b^i] I_alpha puts the pivot's direction first
+    (:func:`_bracket_order`): [D_t^i, D_x^i] I_alpha for the time-normalized
+    frame and [D_x^i, D_t^i] I_alpha for the space-normalized one.  For a sequence of
     multi-indices, one germ serves them all and the result is the list of
     their 4-tuples.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 2)
     F = germ.invariant_series(alphas, kind, 2)
-    dtF, dxF = germ.differentiate(F, kind)
-    dt2, dx2 = germ.differentiate(dtF + dxF, kind)  # the bracket reads D_t^i dxF and D_x^i dtF
-    out = []
-    for f, dt, dx, tx, xt in zip(F, dtF, dxF, dt2[len(F):], dx2):
-        bracket = tx.value - xt.value if kind is FrameKind.T_NORMALIZED else xt.value - tx.value
-        out.append((f.value, dt.value, dx.value, bracket))
-    return shape(out)
+    first = germ.differentiate(F, kind)
+    a, b = _bracket_order(kind)
+    second = germ.differentiate(first[b] + first[a], kind)  # read: D_a^i of D_b^i F, D_b^i of D_a^i F
+    pairs = zip(F, *first, second[a], second[b][len(F):])
+    return shape([(f.value, dt.value, dx.value, ab.value - ba.value) for f, dt, dx, ab, ba in pairs])
 
 
 def _plus(alpha, e):
@@ -345,32 +357,26 @@ def recurrence_rhs(table, alpha):
     return d_t, d_x
 
 
-def _xi_jacobian():
-    """iota(D_j xi^l_kappa) as [kappa][l][j], kappa over VectorField.basis(), l and j over (t, x).
-
-    tau and xi are affine in (t, x) and free of u, so this is a constant
-    partial derivative, read off by forward mode on t and x lifted to eps_t and eps_x.
-    """
-    t, x = (TruncatedSeries.affine(0.0, *e, 1) for e in _UNITS)
-    fields = VectorField.basis()
-    return tuple(tuple(tuple(f(t, x, 0.0).coeff(*e) for e in _UNITS) for f in (v.tau, v.xi)) for v in fields)
-
-
-_XI_JACOBIAN = _xi_jacobian()
+# iota(D_j xi^l_kappa) as [kappa][l][j], kappa over VectorField.basis(), l and j
+# over (t, x): tau and xi are affine in (t, x) and free of u, so the partials are constants
+_XI_JACOBIAN = tuple(
+    tuple(_partials(f, 0.0, 0.0, 0.0)[:2] for f in (v.tau, v.xi))
+    for v in VectorField.basis()
+)
 
 
 def commutator_coefficients(table):
     """Coefficients (aT, aX) of [D_a^i, D_b^i] = aT*D_t^i + aX*D_x^i.
 
     (a, b) is (t, x) in the time-normalized frame and (x, t) in the
-    space-normalized one.  By the universal recurrence formula (Fels & Olver,
+    space-normalized one (:func:`_bracket_order`).  By the universal recurrence formula (Fels & Olver,
     Moving coframes II, Acta Appl. Math. 1999), with xi^t = tau and xi^x = xi,
 
         Y^l = sum_kappa (R_b^kappa iota(D_a xi^l_kappa) - R_a^kappa iota(D_b xi^l_kappa)).
 
     iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.
     """
-    a, b = (0, 1) if table.kind is FrameKind.T_NORMALIZED else (1, 0)
+    a, b = _bracket_order(table.kind)
     out = [0.0, 0.0]
     for jacobian, r in zip(_XI_JACOBIAN, table._R):
         for l, d_xi in enumerate(jacobian):

@@ -119,8 +119,9 @@ class Jet:
     `u` may be given as a mapping from exactly the multi-indices of total
     order <= `order` to real entries, or as an array of the layout of
     `data`, the one form that takes series entries; either is copied.  Real
-    coordinates, t and x must be finite.  Jets compare equal when order, t,
-    x and every entry are equal (0.0 == -0.0); they are not hashable.
+    coordinates must be finite; t and x are finite real numbers, or series
+    in a lift along a flow.  Jets compare equal when order, t, x and every
+    entry are equal (0.0 == -0.0); they are not hashable.
     Instances are immutable: operations return new jets.
     """
 
@@ -138,12 +139,12 @@ class Jet:
             raise UsageError(
                 f"jet of order {order} needs shape ({n},) or ({n}, series size), got {data.shape}"
             )
-        try:
-            finite = math.isfinite(t) and math.isfinite(x)
-        except TypeError:  # a series base point, as in a lift along a flow
-            finite = False
+        finite = isinstance(t, float) and isinstance(x, float) and math.isfinite(t) and math.isfinite(x)
         if not (finite and (data.ndim == 2 or np.isfinite(data).all())):  # series entries are exempt
             named = {"t": t, "x": x}
+            for name, c in named.items():  # a series base point comes from a lift along a flow
+                if not isinstance(c, (TruncatedSeries, numbers.Real)):
+                    raise UsageError(f"a jet's base point {name} is a real number or a series, got {c!r}")
             if data.ndim == 1:
                 named.update(zip((f"u_{a}" for a in multi_indices(order)), data.tolist()))
             bad = {k: c for k, c in named.items() if isinstance(c, numbers.Real) and not math.isfinite(c)}

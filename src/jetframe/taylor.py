@@ -253,8 +253,12 @@ def _row_products(a, b):
 def _univariate_coeffs(kind, a0, n, exponent=None):
     """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind` at a0."""
     if kind == "pow":
-        if exponent is None:
-            raise UsageError("pow requires an exponent")
+        try:
+            finite = math.isfinite(exponent)
+        except TypeError:  # None, a string, a complex number
+            finite = False
+        if not finite:
+            raise UsageError(f"pow requires a finite real exponent, got {exponent!r}")
         r = exponent
         if r == int(r):
             r = int(r)
@@ -332,7 +336,7 @@ def analytic(kind, a, exponent=None):
         Inner series; for ``pow`` its constant term must be positive under a
         non-integer exponent and non-zero under a negative one.
     exponent : float, optional
-        Exponent for ``pow``; ignored otherwise.
+        Exponent for ``pow``, a finite real number; ignored otherwise.
     """
     coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePointError, SingularFrameError, UsageError
-from .frame import FrameKind, equivariance_defect, moving_frame
+from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame
 from .group import (
     GroupElement,
     VectorField,
@@ -43,7 +43,7 @@ from .jets import Jet, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 from .taylor import _integer
 
-_KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
+_KINDS = tuple(FrameKind)
 _MAX_RETRIES = 400
 # free-jet entries lie in [-_JET_BOUND, _JET_BOUND]; both pivots have
 # magnitude at least _MIN_PIVOT
@@ -79,15 +79,19 @@ def random_group_element(rng):
     return GroupElement(*map(float, e))
 
 
-def random_free_jet(rng, order, t_branch=None, x_branch=None):
+def random_free_jet(rng, order, kind=None, branch=None):
     """Unconstrained random jet with both pivots bounded away from zero.
 
-    `t_branch` / `x_branch` force the sign of u_t + u*u_x resp. u_x;
-    left as None the signs are random.
+    A `branch` forces the sign of the pivot of `kind` (u_t + u*u_x or u_x);
+    every other pivot sign is random.
     """
+    if branch is not None:
+        _require_kind(kind)
     values = {alpha: float(rng.uniform(-_JET_BOUND, _JET_BOUND)) for alpha in multi_indices(order)}
-    sx = x_branch if x_branch is not None else (1 if rng.uniform() < 0.5 else -1)
-    st = t_branch if t_branch is not None else (1 if rng.uniform() < 0.5 else -1)
+    sx, st = (
+        branch if k is kind and branch is not None else (1 if rng.uniform() < 0.5 else -1)
+        for k in (FrameKind.X_NORMALIZED, FrameKind.T_NORMALIZED)
+    )
     values[(0, 1)] = sx * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
     pivot = st * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
     values[(1, 0)] = pivot - values[(0, 0)] * values[(0, 1)]
@@ -106,11 +110,11 @@ def _draw_theta(rng, kind=None, branch=None):
     while abs(mag - _THETA_STAR) < cut:
         mag = float(rng.uniform(lo, hi))
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    if kind is FrameKind.X_NORMALIZED and branch is not None:
-        sign = -float(branch)  # u_x has the opposite sign of theta
-    elif kind is FrameKind.T_NORMALIZED and branch is not None:
-        # pivot sign = sign(u - c) * sign(u_x) = crest_side * (-sign(theta))
-        crest_side = 1.0 if mag < _THETA_STAR else -1.0
+    if branch is not None:
+        _require_kind(kind)
+        # u_x has the opposite sign of theta; the time pivot's sign is
+        # sign(u - c) * sign(u_x) = crest_side * (-sign(theta))
+        crest_side = 1.0 if kind is FrameKind.X_NORMALIZED or mag < _THETA_STAR else -1.0
         sign = -float(branch) * crest_side
     return sign * mag
 
@@ -144,12 +148,20 @@ def _invariants(jet):
     return [value for kind in _KINDS for value in normalized_invariant(jet, alphas, kind)]
 
 
-def _free_or_soliton_jet(rng, i, order):
-    """Sample i's jet: a free jet for even i, a soliton jet for odd i."""
-    if i % 2 == 0:
-        return random_free_jet(rng, order)
-    sol, t0, x0 = random_soliton_point(rng)
+def _sample_jet(rng, free, order, kind=None, branch=None):
+    """A free jet, or a soliton jet, where a `branch` of `kind` is forced as in :func:`random_free_jet`."""
+    if free:
+        return random_free_jet(rng, order, kind, branch)
+    sol, t0, x0 = random_soliton_point(rng, kind, branch)
     return jet_of_solution(sol, t0, x0, order)
+
+
+def _branch(jet, kind):
+    """The branch of the frame of `kind` at `jet`, or None where that frame is singular."""
+    try:
+        return moving_frame(jet, kind).branch
+    except SingularFrameError:
+        return None
 
 
 def _worst(defects):
@@ -189,25 +201,16 @@ def _suite_equivariance(rng, samples, order):
     for i in range(samples):
         branch = 1 if i % 2 == 0 else -1
         g = random_group_element(rng)
-        defects = []
-        for kind in _KINDS:
-            if i % 4 < 2:
-                jet = random_free_jet(
-                    rng,
-                    order,
-                    t_branch=branch if kind is FrameKind.T_NORMALIZED else None,
-                    x_branch=branch if kind is FrameKind.X_NORMALIZED else None,
-                )
-            else:
-                sol, t0, x0 = random_soliton_point(rng, kind, branch)
-                jet = jet_of_solution(sol, t0, x0, order)
-            defects.append(equivariance_defect(jet, g, kind))
-        yield _worst(defects)
+        free = i % 4 < 2
+        yield _worst(
+            equivariance_defect(_sample_jet(rng, free, order, kind, branch), g, kind)
+            for kind in _KINDS
+        )
 
 
 def _suite_invariance(rng, samples, order):
     for i in range(samples):
-        jet = _free_or_soliton_jet(rng, i, order)
+        jet = _sample_jet(rng, i % 2 == 0, order)
         g = random_group_element(rng)
         yield _worst(map(_rel, _invariants(prolong_act(g, jet)), _invariants(jet)))
 
@@ -220,11 +223,9 @@ def _suite_phantom(rng, samples, order):
         for kind in _KINDS:
             table = invariant_table(jet, kind, 3)
             defects += [abs(table.phantoms[name]) for name in ("t", "x", "u")]
-            if kind is FrameKind.T_NORMALIZED:
-                pivot, equation = table.value((1, 0)), table.branch + table.value((0, 3))
-            else:
-                pivot, equation = table.value((0, 1)), table.value((1, 0)) + table.value((0, 3))
-            defects += [abs(pivot - table.branch), abs(equation)]
+            lhs = table.branch if kind is FrameKind.T_NORMALIZED else table.value((1, 0))
+            equation = lhs + table.value((0, 3))
+            defects += [abs(table.value(kind.pivot_alpha) - table.branch), abs(equation)]
         yield _worst(defects)
 
 
@@ -289,7 +290,7 @@ def _suite_infinitesimal(rng, samples, order):
     # one lift per pair of basis fields gives pr v(I_alpha) for every alpha and both frames
     basis = VectorField.basis()
     for i in range(samples):
-        jet = _free_or_soliton_jet(rng, i, min(order, 4))
+        jet = _sample_jet(rng, i % 2 == 0, min(order, 4))
         scales = [1.0 + abs(value) for value in _invariants(jet)]
         yield _worst(
             abs(d) / s
@@ -309,25 +310,14 @@ def _suite_singular_sets(rng, samples, order):
         t0 = float(rng.uniform(0.3, 2.5)) * (1 if i % 3 else -1)
         x0 = float(rng.uniform(-2.0, 2.0))
         jet = jet_of_solution(sol, t0, x0, 1)
-        defect = 0.0
-        try:
-            moving_frame(jet, FrameKind.T_NORMALIZED)
-            defect = 1.0  # must be singular everywhere on this family
-        except SingularFrameError:
-            pass
         u, u_t, u_x = jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)]
         near_miss = Jet(1, t0, x0, {**jet.u, (1, 0): u_t + 1e-13 * (abs(u_t) + abs(u * u_x))})
-        try:
-            moving_frame(near_miss, FrameKind.T_NORMALIZED)
-        except SingularFrameError:
-            defect = 1.0
-        if t0 > 0:
-            try:
-                if moving_frame(jet, FrameKind.X_NORMALIZED).branch != 1:
-                    defect = 1.0
-            except SingularFrameError:
-                defect = 1.0
-        yield defect
+        expected = (
+            _branch(jet, FrameKind.T_NORMALIZED) is None  # singular everywhere on this family
+            and _branch(near_miss, FrameKind.T_NORMALIZED) is not None
+            and (t0 <= 0 or _branch(jet, FrameKind.X_NORMALIZED) == 1)
+        )
+        yield 0.0 if expected else 1.0
 
 
 # the suites in report order, each with its default tolerance

@@ -123,9 +123,7 @@ def float_jets(seed, orders):
     for order in orders:
         for kind in KINDS:
             for branch in (1, -1):
-                t_branch = branch if kind is FrameKind.T_NORMALIZED else None
-                x_branch = branch if kind is FrameKind.X_NORMALIZED else None
-                free = random_free_jet(rng, order, t_branch=t_branch, x_branch=x_branch)
+                free = random_free_jet(rng, order, kind, branch)
                 sol, t0, x0 = random_soliton_point(rng, kind, branch)
                 soliton = jet_of_solution(sol, t0, x0, order)
                 for jet in (free, soliton, signed_zero_jet(rng, free), signed_zero_jet(rng, soliton)):

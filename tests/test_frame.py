@@ -15,7 +15,7 @@ from jetframe.group import GroupElement, prolong_act
 from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Rational, Soliton, jet_of_solution
-from jetframe.verify import random_free_jet, random_group_element
+from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
 
@@ -72,12 +72,7 @@ def test_frame_requires_first_order_jet():
 def test_frame_lands_on_cross_section(kind, branch):
     rng = np.random.default_rng(23 if branch > 0 else 24)
     for _ in range(40):
-        jet = random_free_jet(
-            rng,
-            3,
-            t_branch=branch if kind is FrameKind.T_NORMALIZED else None,
-            x_branch=branch if kind is FrameKind.X_NORMALIZED else None,
-        )
+        jet = random_free_jet(rng, 3, kind, branch)
         result = moving_frame(jet, kind)
         moved = prolong_act(result.rho, jet)
         assert abs(moved.t) < 1e-12
@@ -99,12 +94,7 @@ def test_equivariance_random_elements(kind):
     rng = np.random.default_rng(37)
     for i in range(200):
         branch = 1 if i % 2 else -1
-        jet = random_free_jet(
-            rng,
-            2,
-            t_branch=branch if kind is FrameKind.T_NORMALIZED else None,
-            x_branch=branch if kind is FrameKind.X_NORMALIZED else None,
-        )
+        jet = random_free_jet(rng, 2, kind, branch)
         g = random_group_element(rng)
         assert equivariance_defect(jet, g, kind) <= 1e-9
 
@@ -161,8 +151,15 @@ def test_a_frame_kind_must_be_a_frame_kind():
         lambda kind: normalized_invariant(jet, (1, 1), kind),
         lambda kind: germ.invariant_series((1, 1), kind, 1),
         lambda kind: germ.differentiate(series, kind),
+        # a request for only the invariantized u reads no pivot
+        lambda kind: normalized_invariant(jet, (0, 0), kind),
+        lambda kind: normalized_invariant(jet, [(0, 0)], kind),
+        lambda kind: germ.invariant_series((0, 0), kind, 1),
+        # a forced branch names the pivot of a kind
+        lambda kind: random_free_jet(np.random.default_rng(0), 3, kind, 1),
+        lambda kind: random_soliton_point(np.random.default_rng(0), kind, 1),
     )
-    for kind in ("t", "x", None, 0):
+    for kind in ("t", "x", "zzz", None, 0):
         for call in calls:
             with pytest.raises(UsageError, match="FrameKind"):
                 call(kind)

@@ -24,6 +24,7 @@ from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
 from jetframe.verify import (
+    _sample_jet,
     random_free_jet,
     random_group_element,
     random_soliton_point,
@@ -56,12 +57,7 @@ def test_invariantized_u_vanishes_and_pivot_entry_is_branch():
     rng = np.random.default_rng(3)
     for branch in (1, -1):
         for kind in KINDS:
-            jet = random_free_jet(
-                rng,
-                3,
-                t_branch=branch if kind is FrameKind.T_NORMALIZED else None,
-                x_branch=branch if kind is FrameKind.X_NORMALIZED else None,
-            )
+            jet = random_free_jet(rng, 3, kind, branch)
             assert normalized_invariant(jet, (0, 0), kind) == 0.0
             assert normalized_invariant(jet, kind.pivot_alpha, kind) == pytest.approx(branch)
 
@@ -179,6 +175,23 @@ def test_table_with_a_missing_or_non_finite_entry_is_rejected():
     for bad in (missing, {**table.values, (1, 1): float("nan")}, {**table.values, (2, 0): float("inf")}, series):
         with pytest.raises(UsageError):
             InvariantTable(table.kind, 2, table.branch, bad, {})
+
+
+@pytest.mark.parametrize(
+    "kind, branch, phantoms",
+    [
+        ("x", 1, {}),
+        (None, 1, {}),
+        (FrameKind.X_NORMALIZED, 0, {}),
+        (FrameKind.X_NORMALIZED, 2, {}),
+        (FrameKind.X_NORMALIZED, 1, None),
+        (FrameKind.X_NORMALIZED, 1, "u"),
+    ],
+    ids=repr,
+)
+def test_table_kind_branch_and_phantoms_are_checked(kind, branch, phantoms):
+    with pytest.raises(UsageError):
+        InvariantTable(kind, 2, branch, [0.0] * 6, phantoms)
 
 
 def test_invariantized_u_of_a_series_jet_is_a_zero_series():
@@ -534,19 +547,12 @@ def _same_series(a, b):
     return a.order == b.order and a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
-def _free_or_soliton(rng, i, order, kind, branch):
-    if i % 2 == 0:
-        forced = {"t_branch" if kind is FrameKind.T_NORMALIZED else "x_branch": branch}
-        return random_free_jet(rng, order, **forced)
-    return jet_of_solution(*random_soliton_point(rng, kind, branch), order)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("branch", [1, -1])
 def test_normalized_invariant_sequence_matches_scalar_calls(kind, branch):
     rng = np.random.default_rng(53 + branch)
     for i, order in enumerate((1, 2, 4, 7, 12, 12)):
-        jet = _free_or_soliton(rng, i, order, kind, branch)
+        jet = _sample_jet(rng, i % 2 == 0, order, kind, branch)
         alphas = multi_indices(order)
         expected = [normalized_invariant(jet, alpha, kind) for alpha in alphas]
         got = normalized_invariant(jet, alphas, kind)

@@ -242,6 +242,20 @@ def test_jet_rejects_non_finite_real_entries():
         Jet(order=1, t=lifted, x=math.nan, u=u)
 
 
+@pytest.mark.parametrize("point", [{"t": "a"}, {"x": None}, {"x": 1j}, {"t": [0.0]}], ids=repr)
+def test_jet_base_point_is_a_real_number_or_a_series(point):
+    with pytest.raises(UsageError, match="base point"):
+        Jet(**{"order": 0, "t": 0.0, "x": 0.0, "u": np.zeros(1), **point})
+    # an integer is a real number
+    Jet(0, 1, 0.5, np.zeros(1))
+
+
+@pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, "a", None, 1j], ids=repr)
+def test_pow_exponent_is_a_finite_real_number(exponent):
+    with pytest.raises(UsageError, match="finite real exponent"):
+        series_pow(TruncatedSeries.constant(1.0, 2), exponent)
+
+
 def test_jet_of_solution_entry_overflow_is_domain_error():
     # every coefficient of x/t at t0 = 1e-23 is finite, but 12! * c_(12,0) is not
     jet_of_solution(Rational(), 1e-23, 10.0, 11)
