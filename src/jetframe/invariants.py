@@ -34,7 +34,7 @@ sequence of multi-indices, and :meth:`SolutionGerm.differentiate` a list of
 series of one order; they return the list of results in the same order.
 The work that does not depend on alpha is done once per call: the pivot and
 its singular test, ln|pivot| or one series power per distinct weight, the
-powers of u, and the germ with its series jet.  The boost sums of all
+powers of u, and the series jet.  The boost sums of all
 alphas are one pass over the jet's dense entries
 (:func:`jetframe.group._transform`).  Each element of the list is
 bit-identical to the call on that element alone.
@@ -65,8 +65,8 @@ from .group import (
     act_point,
 )
 from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for
-from .solutions import _expansion, jet_of_solution
-from .taylor import MAX_ORDER, TruncatedSeries, _integer, _multi_index, _pos, multi_indices, series_pow
+from .solutions import _expansion, _read_jet
+from .taylor import TruncatedSeries, _integer, _multi_index, _pos, multi_indices, series_pow
 
 
 def _prefactors(p, branch, weights, w_den, size):
@@ -224,14 +224,23 @@ class SolutionGerm:
     Everything is expanded around a fixed base point (t0, x0) to a fixed
     total order, so invariant differentiation becomes exact series algebra:
     each application of an invariant derivative costs one series order.
+    The germ is the one expansion of its point: the float jet there
+    (:meth:`jet`) and every series below are read off it.
     """
 
     def __init__(self, solution, t0, x0, order):
-        self.solution = solution
+        self._master = _expansion(solution, t0, x0, order)
         self.t0 = float(t0)
         self.x0 = float(x0)
-        self.order = order
-        self._master = _expansion(solution, t0, x0, order)
+        self.order = self._master.order
+
+    def jet(self, order):
+        """The float jet of order `order` at the base point, read off the germ's expansion.
+
+        No coefficient of degree <= `order` depends on where the expansion is
+        cut, so this is :func:`~jetframe.solutions.jet_of_solution` bit for bit.
+        """
+        return _read_jet(self._master, self.t0, self.x0, _integer(order, "jet order", high=self.order))
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
@@ -244,7 +253,7 @@ class SolutionGerm:
         the result is the list of their series.
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
-        jet = self.series_jet(_rows_for(alphas, MAX_ORDER)[0], order)  # a germ too short is a UsageError
+        jet = self.series_jet(_rows_for(alphas, self.order)[0], order)  # a germ too short is a UsageError
         return shape(normalized_invariant(jet, alphas, kind))
 
     def differentiate(self, series, kind):
@@ -280,14 +289,19 @@ class SolutionGerm:
         return shape(d_t), shape(d_x)
 
 
-def invariant_derivative(solution, t0, x0, alpha, kind):
-    """(D_t^i I_alpha, D_x^i I_alpha) at (t0, x0) along `solution`, exact to machine precision.
+def _require_germ(germ):
+    if not isinstance(germ, SolutionGerm):
+        raise UsageError(f"expected a SolutionGerm, got {type(germ).__name__}")
 
-    For a sequence of multi-indices, one germ serves them all and the result
-    is the list of their pairs.
+
+def invariant_derivative(germ, alpha, kind):
+    """(D_t^i I_alpha, D_x^i I_alpha) at the germ's base point, exact to machine precision.
+
+    The germ's order must exceed |alpha| by one.  For a sequence of
+    multi-indices the result is the list of their pairs.
     """
+    _require_germ(germ)
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 1)
     dtF, dxF = germ.differentiate(germ.invariant_series(alphas, kind, 1), kind)
     return shape([(dt.value, dx.value) for dt, dx in zip(dtF, dxF)])
 
@@ -298,17 +312,17 @@ def _bracket_order(kind):
     return a, 1 - a
 
 
-def invariant_commutator(solution, t0, x0, alpha, kind):
-    """(I_alpha, D_t^i I_alpha, D_x^i I_alpha, bracket) at (t0, x0), from one germ.
+def invariant_commutator(germ, alpha, kind):
+    """(I_alpha, D_t^i I_alpha, D_x^i I_alpha, bracket) at the germ's base point.
 
     The bracket [D_a^i, D_b^i] I_alpha puts the pivot's direction first
     (:func:`_bracket_order`): [D_t^i, D_x^i] I_alpha for the time-normalized
-    frame and [D_x^i, D_t^i] I_alpha for the space-normalized one.  For a sequence of
-    multi-indices, one germ serves them all and the result is the list of
-    their 4-tuples.
+    frame and [D_x^i, D_t^i] I_alpha for the space-normalized one.  The
+    germ's order must exceed |alpha| by two.  For a sequence of
+    multi-indices the result is the list of their 4-tuples.
     """
+    _require_germ(germ)
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    germ = SolutionGerm(solution, t0, x0, _rows_for(alphas, MAX_ORDER)[0] + 2)
     F = germ.invariant_series(alphas, kind, 2)
     first = germ.differentiate(F, kind)
     a, b = _bracket_order(kind)
@@ -389,10 +403,11 @@ _RECONSTRUCTED = (2, 0)
 _MAX_CONDITION = 1e8
 
 
-def reconstruct_generators(solution, t0, x0, kind):
+def reconstruct_generators(germ, kind):
     """Rebuild I[2,0] from the frame's generating invariant I_g, g the non-pivot unit.
 
-    D_t^i I_g, D_x^i I_g and the bracket of I_g, taken along the solution, obey
+    D_t^i I_g, D_x^i I_g and the bracket of I_g, taken along the germ of
+    order >= 3 (:func:`invariant_commutator`), obey
     the universal recurrence formula (Fels & Olver, Moving coframes II, Acta
     Appl. Math. 1999) on an order-2 table whose first-order entries are known.
     R is affine in the table's second-order entries, so the residuals of
@@ -400,11 +415,12 @@ def reconstruct_generators(solution, t0, x0, kind):
     are read exactly at zero and at the unit vectors, and one 3x3 solve gives
     I[2,0].  Returns (reconstructed, direct) to compare with the closed form.
     """
+    _require_germ(germ)
     order = sum(_RECONSTRUCTED)
-    jet = jet_of_solution(solution, t0, x0, order)
+    jet = germ.jet(order)
     _, branch = require_regular_pivot(jet, kind)
     g = next(e for e in _UNITS if e != kind.pivot_alpha)
-    i_g, dt, dx, bracket = invariant_commutator(solution, t0, x0, g, kind)
+    i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
     unknowns = [a for a in multi_indices(order) if sum(a) == order]
     # the rows below the unknowns in storage order: I[0,0] = 0, the pivot's branch and I_g
     known = np.zeros(len(multi_indices(order)) - len(unknowns))
@@ -420,6 +436,6 @@ def reconstruct_generators(solution, t0, x0, kind):
     A = np.column_stack([residuals(e) - at_zero for e in np.eye(len(unknowns))])
     condition = np.linalg.cond(A)
     if not condition <= _MAX_CONDITION:
-        raise DegeneratePointError(f"reconstruction at ({t0}, {x0}) has condition {condition:.3g}")
+        raise DegeneratePointError(f"reconstruction at ({germ.t0}, {germ.x0}) has condition {condition:.3g}")
     reconstructed = np.linalg.solve(A, -at_zero)[unknowns.index(_RECONSTRUCTED)]
     return float(reconstructed), normalized_invariant(jet, _RECONSTRUCTED, kind)

@@ -16,6 +16,7 @@ equation residual in the test suite before being used anywhere else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,12 +129,15 @@ def make_solution(name, **params):
 def _expansion(solution, t0, x0, order):
     """`solution.series(t0, x0, order)` with its failures typed.
 
-    A non-finite base point is a :class:`UsageError`; an arithmetic failure
+    A `solution` that is not a :class:`Solution`, or a base point that is not
+    two finite real numbers, is a :class:`UsageError`; an arithmetic failure
     or a non-finite coefficient (the point is too far out for double
     precision) is a :class:`DomainError`.
     """
-    if not (math.isfinite(t0) and math.isfinite(x0)):
-        raise UsageError(f"base point must be finite, got (t0, x0) = ({t0}, {x0})")
+    if not isinstance(solution, Solution):
+        raise UsageError(f"expected a catalog or custom Solution, got {type(solution).__name__}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (t0, x0)):
+        raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
     order = _integer(order, "expansion order")
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
@@ -148,15 +152,12 @@ def _expansion(solution, t0, x0, order):
     return s
 
 
-def jet_of_solution(solution, t0, x0, order):
-    """Jet of a solution at (t0, x0) with all derivatives up to `order`.
+def _read_jet(s, t0, x0, order):
+    """The order-`order` jet at (t0, x0) read off the expansion `s` of a solution there.
 
-    The solution is expanded to exactly `order` (no coefficient of degree
-    <= order depends on where the expansion is cut), and the jet entries are
-    read off as i! j! times the series coefficients; an entry that
+    The entries are i! j! times the coefficients of `s`; an entry that
     overflows a double is a :class:`DomainError`.
     """
-    s = _expansion(solution, t0, x0, order)
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
         values = s.derivatives(order, 0)[:, 0]
     finite = np.isfinite(values)
@@ -164,6 +165,17 @@ def jet_of_solution(solution, t0, x0, order):
         alpha = multi_indices(order)[int(np.argmin(finite))]
         raise DomainError(f"jet entry u_{alpha} at ({t0}, {x0}) overflows a double")
     return Jet(order, float(t0), float(x0), values)
+
+
+def jet_of_solution(solution, t0, x0, order):
+    """Jet of a solution at (t0, x0) with all derivatives up to `order`.
+
+    The solution is expanded to exactly `order` (no coefficient of degree
+    <= order depends on where the expansion is cut) and the jet is read off
+    that expansion (:func:`_read_jet`).
+    """
+    s = _expansion(solution, t0, x0, order)
+    return _read_jet(s, t0, x0, s.order)
 
 
 def kdv_residual(jet):

@@ -279,7 +279,10 @@ def _univariate_coeffs(kind, a0, n, exponent=None):
         return out
     if kind == "sech":
         # coupled recurrences from s' = -s*t and t' = s^2, t = tanh
-        s = [1.0 / math.cosh(a0)]
+        try:
+            s = [1.0 / math.cosh(a0)]
+        except OverflowError:  # |a0| > ~710.5: sech(a0) = 2 exp(-|a0|) to double precision, subnormal or zero
+            s = [2.0 * math.exp(-abs(a0))]
         t = [math.tanh(a0)]
         for k in range(n):  # the sums pair s[m] with t[k-m] and s[k-m], m = 0..k
             s_next = -sum(map(operator.mul, s, reversed(t))) / (k + 1)

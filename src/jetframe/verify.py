@@ -31,6 +31,7 @@ from .group import (
     prolong_act,
 )
 from .invariants import (
+    SolutionGerm,
     commutator_coefficients,
     invariant_commutator,
     invariant_derivative,
@@ -248,10 +249,10 @@ def _suite_recurrences(rng, samples, order):
     for i in range(samples):
         kind = _KINDS[i % 2]
         branch = 1 if i % 4 < 2 else -1
-        sol, t0, x0 = random_soliton_point(rng, kind, branch)
-        table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
+        germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 4)
+        table = invariant_table(germ.jet(4), kind, 4)
         alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
-        lhs = invariant_derivative(sol, t0, x0, alphas, kind)  # one germ for all, (t, x) pairs
+        lhs = invariant_derivative(germ, alphas, kind)  # (t, x) pairs
         yield _worst(
             _rel(value, rhs)
             for alpha, pair in zip(alphas, lhs)
@@ -262,13 +263,13 @@ def _suite_recurrences(rng, samples, order):
 def _suite_commutators(rng, samples, order):
     targets = ((0, 1), (0, 2), (1, 0))
     for _ in range(samples):
-        sol, t0, x0 = random_soliton_point(rng)
-        jet = jet_of_solution(sol, t0, x0, 2)
+        germ = SolutionGerm(*random_soliton_point(rng), 4)  # serves both frames and the jet
+        jet = germ.jet(2)
         defects = []
         for kind in _KINDS:
             table = invariant_table(jet, kind, 2)
             a_t, a_x = commutator_coefficients(table)
-            for _, dt, dx, bracket in invariant_commutator(sol, t0, x0, targets, kind):
+            for _, dt, dx, bracket in invariant_commutator(germ, targets, kind):
                 defects.append(_rel(bracket, a_t * dt + a_x * dx))
         yield _worst(defects)
 
@@ -278,8 +279,7 @@ def _suite_reconstruction(rng, samples, order):
     for _ in range(samples):
         for kind in _KINDS:
             def attempt(kind=kind):
-                sol, t0, x0 = random_soliton_point(rng, kind)
-                return reconstruct_generators(sol, t0, x0, kind)
+                return reconstruct_generators(SolutionGerm(*random_soliton_point(rng, kind), 3), kind)
 
             pair = _retrying(attempt)
             if pair is not None:
@@ -349,15 +349,17 @@ def run_suite(suites=("all",), seed=0, samples=100, order=6):
     """
     if isinstance(suites, str):
         suites = (suites,)
-    names = list(SUITES) if "all" in suites else list(suites)
+    names = list(suites)
     if not names:
         raise UsageError(f"no suite requested; valid names: {list(SUITES)}")
     seed = _integer(seed, "seed", -math.inf, math.inf)
     samples = _integer(samples, "samples", 1, math.inf)
     order = _integer(order, "order", low=1)
-    unknown = [n for n in names if n not in _SUITES]
+    unknown = [n for n in names if n != "all" and n not in _SUITES]
     if unknown:
         raise UsageError(f"unknown suite(s) {unknown}; valid names: {list(SUITES)}")
+    if "all" in names:
+        names = SUITES
     reports = []
     for name, (suite, tolerance) in _SUITES.items():  # canonical, deterministic ordering
         if name not in names:

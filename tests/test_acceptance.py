@@ -11,6 +11,7 @@ import numpy as np
 from jetframe.frame import FrameKind, moving_frame
 from jetframe.group import prolong_act
 from jetframe.invariants import (
+    SolutionGerm,
     invariant_derivative,
     invariant_table,
     normalized_invariant,
@@ -111,7 +112,7 @@ def test_criterion_08_reconstruction():
         sol, t0, x0 = random_soliton_point(rng, FrameKind.X_NORMALIZED, +1)
         table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.X_NORMALIZED, 2)
         assert table.branch == 1
-        _, dx10 = invariant_derivative(sol, t0, x0, (1, 0), FrameKind.X_NORMALIZED)
+        _, dx10 = invariant_derivative(SolutionGerm(sol, t0, x0, 2), (1, 0), FrameKind.X_NORMALIZED)
         i11 = dx10 + (5.0 / 3.0) * table.value((1, 0)) * table.value((0, 2)) - 1.0
         want = table.value((1, 1))
         worst = max(worst, abs(i11 - want) / max(1.0, abs(want)))

@@ -276,9 +276,11 @@ def test_verify_multiple_suites_csv(capsys):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suites", "nosuch")
-    assert code == EXIT_USAGE
-    assert "nosuch" in err
+    for suites in ("nosuch", "all,nosuch"):
+        code, out, err = run_cli(capsys, "verify", "--suites", suites, "--samples", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nosuch" in err
 
 
 def test_bad_flag_is_usage_error(capsys):
@@ -406,6 +408,16 @@ def test_eval_arithmetic_failure_is_domain_error(capsys, argv):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("jetframe: ") and "Traceback" not in err
+
+
+def test_eval_far_soliton_tail_is_a_singular_frame(capsys):
+    # past |theta| ~ 710 sech underflows to zero instead of overflowing cosh, so
+    # the far tail is the flat wave it is, at x0 = 2000 as at x0 = 1000
+    for x0 in ("1000", "2000"):
+        code, out, err = run_cli(capsys, "eval", "--solution", "soliton", "--frame", "x", "--x0", x0)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("jetframe: singular frame: pivot u_x = 0.0")
 
 
 @pytest.mark.parametrize(

@@ -310,7 +310,7 @@ def test_affine_overflow_matches_the_dense_products_without_a_warning():
         # far out on the soliton tail the order-1 pivot's prefactor overflows;
         # the dense products turn that into the NaN the error names
         with pytest.raises(DomainError, match=r"I_\(10, 2\) = nan"):
-            invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), FrameKind.X_NORMALIZED)
+            invariant_derivative(SolutionGerm(Soliton(), 0.0, 60.0, 13), (10, 2), FrameKind.X_NORMALIZED)
 
 
 # -- the Jet type ----------------------------------------------------------------

@@ -233,8 +233,9 @@ def test_invariant_derivative_against_finite_differences(kind):
     rng = np.random.default_rng(11)
     for _ in range(8):
         sol, t0, x0 = random_soliton_point(rng, kind)
+        germ = SolutionGerm(sol, t0, x0, 3)
         for alpha in [(0, 1), (1, 0), (0, 2)]:
-            got = invariant_derivative(sol, t0, x0, alpha, kind)
+            got = invariant_derivative(germ, alpha, kind)
             want = fd_invariant_derivative(sol, t0, x0, alpha, kind)
             for j in (0, 1):
                 assert rel(got[j], want[j]) <= 1e-6, (alpha, j, kind)
@@ -243,7 +244,7 @@ def test_invariant_derivative_against_finite_differences(kind):
 def test_derivative_of_phantom_is_zero():
     sol = Soliton(c=1.2)
     for kind in KINDS:
-        assert invariant_derivative(sol, 0.4, 1.1, (0, 0), kind) == (0.0, 0.0)
+        assert invariant_derivative(SolutionGerm(sol, 0.4, 1.1, 1), (0, 0), kind) == (0.0, 0.0)
 
 
 def test_time_frame_generator_derivative_relation():
@@ -255,7 +256,7 @@ def test_time_frame_generator_derivative_relation():
         table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.T_NORMALIZED, 2)
         assert table.branch == 1
         i01, i11, i20 = table.value((0, 1)), table.value((1, 1)), table.value((2, 0))
-        lhs, _ = invariant_derivative(sol, t0, x0, (0, 1), FrameKind.T_NORMALIZED)
+        lhs, _ = invariant_derivative(SolutionGerm(sol, t0, x0, 2), (0, 1), FrameKind.T_NORMALIZED)
         assert rel(lhs, -0.6 * i01**2 + i11 - 0.6 * i01 * i20) <= 1e-6
 
 
@@ -321,8 +322,9 @@ def test_recurrences_match_derivatives(kind, branch):
         sol, t0, x0 = random_soliton_point(rng, kind, branch)
         table = invariant_table(jet_of_solution(sol, t0, x0, 4), kind, 4)
         assert table.branch == branch
+        germ = SolutionGerm(sol, t0, x0, 4)
         for alpha in alphas:
-            pairs = zip(invariant_derivative(sol, t0, x0, alpha, kind), recurrence_rhs(table, alpha))
+            pairs = zip(invariant_derivative(germ, alpha, kind), recurrence_rhs(table, alpha))
             for j, (lhs, rhs) in enumerate(pairs):
                 assert rel(lhs, rhs) <= 1e-12, (alpha, j, branch)
 
@@ -373,22 +375,23 @@ def test_commutator_reproduces_nested_derivatives(kind):
         sol, t0, x0 = random_soliton_point(rng, kind)
         table = invariant_table(jet_of_solution(sol, t0, x0, 2), kind, 2)
         a_t, a_x = commutator_coefficients(table)
+        germ = SolutionGerm(sol, t0, x0, 4)
         for alpha in [(0, 1), (0, 2), (1, 0)]:
-            i_alpha, dt, dx, bracket = invariant_commutator(sol, t0, x0, alpha, kind)
+            i_alpha, dt, dx, bracket = invariant_commutator(germ, alpha, kind)
             assert rel(i_alpha, table.value(alpha)) <= 1e-13, (alpha, kind)
-            assert (dt, dx) == invariant_derivative(sol, t0, x0, alpha, kind)
+            assert (dt, dx) == invariant_derivative(germ, alpha, kind)
             assert rel(bracket, a_t * dt + a_x * dx) <= 1e-12, (alpha, kind)
 
 
-def typed_reconstruction(solution, t0, x0, kind):
+def typed_reconstruction(germ, kind):
     # typed oracle: each frame's relations eliminated by hand down to I[2,0],
     # with s the branch sign
-    s = float(moving_frame(jet_of_solution(solution, t0, x0, 1), kind).branch)
+    s = float(moving_frame(germ.jet(1), kind).branch)
     if kind is FrameKind.T_NORMALIZED:
-        i01, dt, dx, bracket = invariant_commutator(solution, t0, x0, (0, 1), kind)
+        i01, dt, dx, bracket = invariant_commutator(germ, (0, 1), kind)
         num = bracket - (3.0 / 5.0) * s * (dt + (8.0 / 5.0) * i01**2) * dt + (6.0 / 5.0) * i01 * dx
         return num / ((9.0 / 25.0) * i01 * dt - (1.0 / 5.0) * s * dx)
-    i10, dt, dx, bracket = invariant_commutator(solution, t0, x0, (1, 0), kind)
+    i10, dt, dx, bracket = invariant_commutator(germ, (1, 0), kind)
     i02 = (bracket - (1.0 / 3.0) * s * (dx + 2.0) * dx) / ((5.0 / 9.0) * i10 * dx - s * dt)
     i11 = dx + (5.0 / 3.0) * s * i10 * i02 - 1.0
     return dt + (5.0 / 3.0) * s * i11 * i10 - s * i10
@@ -400,13 +403,13 @@ def test_reconstruction_matches_direct_value(kind, branch):
     rng = np.random.default_rng(29)
     done = 0
     while done < 10:
-        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 3)
         try:
-            rec, direct = reconstruct_generators(sol, t0, x0, kind)
+            rec, direct = reconstruct_generators(germ, kind)
         except DegeneratePointError:
             continue
         assert rel(rec, direct) <= 1e-12
-        assert rel(rec, typed_reconstruction(sol, t0, x0, kind)) <= 1e-13
+        assert rel(rec, typed_reconstruction(germ, kind)) <= 1e-13
         done += 1
 
 
@@ -418,7 +421,7 @@ def test_second_generator_identity():
         for _ in range(10):
             sol, t0, x0 = random_soliton_point(rng, FrameKind.X_NORMALIZED, branch)
             table = invariant_table(jet_of_solution(sol, t0, x0, 2), FrameKind.X_NORMALIZED, 2)
-            _, dx10 = invariant_derivative(sol, t0, x0, (1, 0), FrameKind.X_NORMALIZED)
+            _, dx10 = invariant_derivative(SolutionGerm(sol, t0, x0, 2), (1, 0), FrameKind.X_NORMALIZED)
             i11 = dx10 + (5.0 / 3.0) * branch * table.value((1, 0)) * table.value((0, 2)) - 1.0
             assert rel(i11, table.value((1, 1))) <= 1e-6
 
@@ -429,8 +432,9 @@ def test_degenerate_point_on_soliton():
     x_star = 2.2924316695611773
     for x0 in (x_star, -x_star):
         with pytest.raises(DegeneratePointError):
-            reconstruct_generators(Soliton(), 0.0, x0, FrameKind.X_NORMALIZED)
-    rec, direct = reconstruct_generators(Soliton(), 0.0, x_star + 1e-3, FrameKind.X_NORMALIZED)
+            reconstruct_generators(SolutionGerm(Soliton(), 0.0, x0, 3), FrameKind.X_NORMALIZED)
+    germ = SolutionGerm(Soliton(), 0.0, x_star + 1e-3, 3)
+    rec, direct = reconstruct_generators(germ, FrameKind.X_NORMALIZED)
     assert rel(rec, direct) <= 1e-12
 
 
@@ -476,6 +480,60 @@ def test_germ_series_do_not_share_the_master_coefficients():
             assert not np.shares_memory(entry.coeffs, master)
 
 
+# soliton points on branch -1 and +1 of both frames, and two rational points
+_GERM_POINTS = {
+    "soliton-neg": (Soliton(), 0.3, 1.7),
+    "soliton-pos": (Soliton(), 0.3, -0.9),
+    "rational-pos": (Rational(), 1.3, 0.4),
+    "rational-neg": (Rational(), -0.8, 1.1),
+}
+
+
+@pytest.mark.parametrize("sol, t0, x0", _GERM_POINTS.values(), ids=_GERM_POINTS)
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_germ_jet_is_the_jet_of_the_solution_bit_for_bit(sol, t0, x0, n):
+    want = jet_of_solution(sol, t0, x0, n)
+    for order in range(n, n + 4):
+        got = SolutionGerm(sol, t0, x0, order).jet(n)
+        assert (got.order, got.t, got.x) == (want.order, want.t, want.x)
+        assert got.data.tobytes() == want.data.tobytes(), (n, order)
+
+
+def test_germ_jet_raises_what_jet_of_solution_raises():
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 3)
+    for order in (4, -1, 2.0, None):
+        with pytest.raises(UsageError, match="jet order"):
+            germ.jet(order)
+    # u = x/t near its pole: the expansion is finite, an order-12 entry overflows
+    with pytest.raises(DomainError, match=r"jet entry u_\(\d+, \d+\)") as want:
+        jet_of_solution(Rational(), 1e-23, 10.0, 12)
+    with pytest.raises(DomainError) as got:
+        SolutionGerm(Rational(), 1e-23, 10.0, 12).jet(12)
+    assert str(got.value) == str(want.value)
+
+
+def test_series_calculus_takes_a_germ():
+    sol, t0, x0 = Soliton(), 0.3, 0.8
+    kind = FrameKind.X_NORMALIZED
+    for not_a_germ in (sol, jet_of_solution(sol, t0, x0, 3), None):
+        for call in (
+            lambda: invariant_derivative(not_a_germ, (1, 0), kind),
+            lambda: invariant_commutator(not_a_germ, (1, 0), kind),
+            lambda: reconstruct_generators(not_a_germ, kind),
+        ):
+            with pytest.raises(UsageError, match="SolutionGerm"):
+                call()
+    # a germ too short for the alpha is a usage error too
+    germ = SolutionGerm(sol, t0, x0, 2)
+    for call in (
+        lambda: invariant_derivative(germ, (1, 1), kind),
+        lambda: invariant_commutator(germ, (0, 1), kind),
+        lambda: reconstruct_generators(germ, kind),
+    ):
+        with pytest.raises(UsageError):
+            call()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("branch", [1, -1])
 def test_germ_invariant_series_is_the_closed_form(kind, branch):
@@ -516,7 +574,7 @@ def test_non_finite_invariant_is_domain_error():
     # finite coefficients, but a product of series rows overflows to nan
     for compute in (
         lambda: normalized_invariant(jet, (0, 6), FrameKind.X_NORMALIZED),
-        lambda: invariant_derivative(Soliton(), 0.0, 60.0, (10, 2), FrameKind.X_NORMALIZED),
+        lambda: invariant_derivative(SolutionGerm(Soliton(), 0.0, 60.0, 13), (10, 2), FrameKind.X_NORMALIZED),
         lambda: SolutionGerm(Soliton(), 0.0, 65.0, 13).invariant_series((9, 2), FrameKind.X_NORMALIZED, 1),
     ):
         with pytest.raises(DomainError) as info:
@@ -572,14 +630,12 @@ def test_numpy_integer_multi_index_is_one_alpha():
     kind = FrameKind.X_NORMALIZED
     sol, t0, x0 = random_soliton_point(rng, kind, 1)
     jet = jet_of_solution(sol, t0, x0, 3)
-    germ = SolutionGerm(sol, t0, x0, 3)
+    germ = SolutionGerm(sol, t0, x0, 5)
     for alpha in ((np.int64(1), np.int64(2)), np.array([1, 2]), (np.int32(1), 2)):
         assert normalized_invariant(jet, alpha, kind) == normalized_invariant(jet, (1, 2), kind)
         assert _same_series(germ.invariant_series(alpha, kind, 0), germ.invariant_series((1, 2), kind, 0))
-        assert invariant_derivative(sol, t0, x0, alpha, kind) == invariant_derivative(sol, t0, x0, (1, 2), kind)
-        assert invariant_commutator(sol, t0, x0, alpha, kind) == invariant_commutator(
-            sol, t0, x0, (1, 2), kind
-        )
+        assert invariant_derivative(germ, alpha, kind) == invariant_derivative(germ, (1, 2), kind)
+        assert invariant_commutator(germ, alpha, kind) == invariant_commutator(germ, (1, 2), kind)
     # a 2-d array is a sequence of multi-indices
     many = normalized_invariant(jet, np.array([[1, 2], [0, 3]]), kind)
     assert many == [normalized_invariant(jet, alpha, kind) for alpha in ((1, 2), (0, 3))]
@@ -624,14 +680,14 @@ def test_invariant_derivative_and_commutator_sequences_match_scalar_calls(kind, 
     rng = np.random.default_rng(67 + branch)
     alphas = multi_indices(3)
     for _ in range(3):
-        sol, t0, x0 = random_soliton_point(rng, kind, branch)
-        assert invariant_derivative(sol, t0, x0, alphas, kind) == [
-            invariant_derivative(sol, t0, x0, alpha, kind) for alpha in alphas
+        germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 5)
+        assert invariant_derivative(germ, alphas, kind) == [
+            invariant_derivative(germ, alpha, kind) for alpha in alphas
         ]
-        assert invariant_commutator(sol, t0, x0, alphas, kind) == [
-            invariant_commutator(sol, t0, x0, alpha, kind) for alpha in alphas
+        assert invariant_commutator(germ, alphas, kind) == [
+            invariant_commutator(germ, alpha, kind) for alpha in alphas
         ]
-        assert invariant_derivative(sol, t0, x0, [(0, 0)], kind) == [(0.0, 0.0)]
+        assert invariant_derivative(germ, [(0, 0)], kind) == [(0.0, 0.0)]
 
 
 def test_sequence_forms_raise_what_a_scalar_call_raises():
@@ -652,13 +708,13 @@ def _multi_index_entry_points():
     kind, (sol, t0, x0) = FrameKind.X_NORMALIZED, (Soliton(), 0.3, 0.8)
     jet = jet_of_solution(sol, t0, x0, 4)
     table = invariant_table(jet, kind, 4)
-    germ = SolutionGerm(sol, t0, x0, 4)
+    germ = SolutionGerm(sol, t0, x0, 5)
     return {
         "normalized_invariant": lambda a: normalized_invariant(jet, a, kind),
         "eta_alpha": lambda a: eta_alpha(VectorField.galilean_boost(), a, jet),
         "invariant_series": lambda a: germ.invariant_series(a, kind, 1).coeffs.tolist(),
-        "invariant_derivative": lambda a: invariant_derivative(sol, t0, x0, a, kind),
-        "invariant_commutator": lambda a: invariant_commutator(sol, t0, x0, a, kind),
+        "invariant_derivative": lambda a: invariant_derivative(germ, a, kind),
+        "invariant_commutator": lambda a: invariant_commutator(germ, a, kind),
         "recurrence_rhs": lambda a: recurrence_rhs(table, a),
         "Jet.value": jet.value,
         "InvariantTable.value": table.value,

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf, sech, diff
 
 from jetframe.errors import DomainError, UsageError
+from jetframe.invariants import SolutionGerm
 from jetframe.jets import multi_indices
 from jetframe.solutions import (
     Constant,
@@ -146,3 +147,23 @@ def test_jet_independent_of_truncation_order(sol):
     low = jet_of_solution(sol, 0.7, 0.4, 3)
     high = jet_of_solution(sol, 0.7, 0.4, 5)
     assert low.u == {a: high.u[a] for a in multi_indices(3)}
+
+
+@pytest.mark.parametrize(
+    "solution, t0, x0",
+    [
+        (Soliton(), "a", 0.0),
+        (Soliton(), 0.0, "1.5"),
+        (Soliton(), None, 0.0),
+        (Soliton(), 0.0, 1j),
+        ("soliton", 0.0, 0.0),
+        (None, 0.0, 0.0),
+    ],
+    ids=["t0-str", "x0-numeric-str", "t0-none", "x0-complex", "solution-name", "solution-none"],
+)
+@pytest.mark.parametrize(
+    "expand", [jet_of_solution, SolutionGerm], ids=["jet_of_solution", "SolutionGerm"]
+)
+def test_expansion_inputs_are_typed(expand, solution, t0, x0):
+    with pytest.raises(UsageError, match="real numbers|Solution"):
+        expand(solution, t0, x0, 2)

@@ -130,6 +130,19 @@ def test_analytic_matches_pointwise(kind, exponent):
         assert evaluate(composed, dt, dx) == pytest.approx(want, abs=1e-10)
 
 
+def test_sech_is_total_beyond_the_range_of_cosh():
+    # cosh overflows past |a0| ~ 710.5; sech is then 2 exp(-|a0|), subnormal or zero
+    for a0 in (711.0, -800.0, 745.0, 1e5, -1e300):
+        with pytest.raises(OverflowError):
+            math.cosh(a0)
+        s = series_sech(TruncatedSeries.affine(a0, 0.4, -0.3, 3))
+        assert s.value == 2.0 * math.exp(-abs(a0)) < 1e-300
+        assert np.isfinite(s.coeffs).all()
+    # up to there it keeps its bits
+    for a0 in (0.0, -3.0, 709.0, -710.0):
+        assert series_sech(TruncatedSeries.constant(a0, 2)).value == 1.0 / math.cosh(a0)
+
+
 def test_public_api():
     assert all(hasattr(jetframe, name) for name in jetframe.__all__)
     assert len(set(jetframe.__all__)) == len(jetframe.__all__)

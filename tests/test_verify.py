@@ -6,6 +6,7 @@ import pytest
 
 import jetframe.group as group
 import jetframe.invariants as invariants
+import jetframe.solutions as solutions
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, UsageError
 from jetframe.frame import FrameKind
@@ -46,6 +47,9 @@ def test_seed_changes_reports():
 def test_unknown_suite_rejected():
     with pytest.raises(UsageError):
         run_suite(suites=("nosuch",), seed=0)
+    # next to "all" too, and the message names it
+    with pytest.raises(UsageError, match="bogus"):
+        run_suite(suites=("all", "bogus"), seed=0, samples=1)
 
 
 def test_reconstruction_report_is_independent_of_order():
@@ -287,3 +291,28 @@ def test_germ_calculus_differentiates_once_per_derivative_and_twice_per_commutat
     (report,) = run_suite(("commutators",), seed=0, samples=3)
     assert report.samples == 3
     assert counts == {"differentiate": 12, "invariant_derivative": 0, "invariant_commutator": 6}
+
+
+def test_series_calculus_suites_expand_each_sample_point_once(monkeypatch):
+    # recurrences and commutators read their float table off the germ they
+    # build, and reconstruction its order-2 jet off its germ: one expansion
+    # per sample point, or per reconstruction attempt
+    expansions, attempts = [0], [0]
+    real_expansion, real_point = invariants._expansion, verify.random_soliton_point
+
+    def expansion(*args):
+        expansions[0] += 1
+        return real_expansion(*args)
+
+    def point(*args):
+        attempts[0] += 1
+        return real_point(*args)
+
+    for module in (invariants, solutions):
+        monkeypatch.setattr(module, "_expansion", expansion)
+    monkeypatch.setattr(verify, "random_soliton_point", point)
+    for suite in ("recurrences", "commutators", "reconstruction"):
+        expansions[0] = attempts[0] = 0
+        (report,) = run_suite((suite,), seed=0, samples=10)
+        assert report.passed and report.samples >= 10
+        assert expansions[0] == attempts[0] >= report.samples, suite
