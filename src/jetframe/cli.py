@@ -9,6 +9,7 @@ and by --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -126,7 +127,7 @@ def parse_json_lines(text):
     return values
 
 
-def _eval_records(args, table):
+def _eval_records(args, solution, table):
     meta = {
         "record": "meta",
         "command": "eval",
@@ -137,12 +138,8 @@ def _eval_records(args, table):
         "order": args.order,
         "branch": table.branch,
         "branch_policy": args.branch_policy,
+        **dataclasses.asdict(solution),
     }
-    if args.solution == "soliton":
-        meta["c"] = args.c
-        meta["phase"] = args.phase
-    if args.solution == "constant":
-        meta["u0"] = args.u0
     records = [meta]
     for name, value in table.phantoms.items():
         records.append({"record": "phantom", "name": name, "value": value})
@@ -188,8 +185,7 @@ def _negative_pivot(jet, kind):
 
 
 def _cmd_eval(args):
-    params = {"c": args.c, "phase": args.phase, "u0": args.u0}
-    solution = make_solution(args.solution, **params)
+    solution = make_solution(args.solution, c=args.c, phase=args.phase, u0=args.u0)
     jet = jet_of_solution(solution, args.t0, args.x0, args.order)
     kind = FrameKind(args.frame)
     strict = args.branch_policy == "strict-positive"
@@ -204,7 +200,7 @@ def _cmd_eval(args):
         raise
     if strict and table.branch < 0:
         raise _negative_pivot(jet, kind)
-    records = _eval_records(args, table)
+    records = _eval_records(args, solution, table)
     if args.format == "json-lines":
         print(format_json_lines(records))
     else:

@@ -1,13 +1,14 @@
 """Catalog of exact solutions of u_t + u*u_x + u_xxx = 0.
 
-Each solution knows how to expand itself as a :class:`TruncatedSeries` around
-an arbitrary admissible base point, which is how jets are manufactured to
-machine precision.  The catalog covers
+A solution is a map of series: given the two input series t0 + dt and
+x0 + dx, it returns the series of u around (t0, x0).  :func:`_expansion`
+builds those inputs, once for every solution, and checks what comes back;
+that is how jets are manufactured to machine precision.  The catalog covers
 
 * ``Constant``  u = u0                       (trivial, frame-singular everywhere)
 * ``Rational``  u = x/t                      (t != 0)
 * ``Soliton``   u = 3c sech^2(sqrt(c)/2 (x - c t - phase)), c > 0
-* ``Custom``    any user closure mapping base-point series (t, x) to u
+* ``Custom``    any user closure mapping the input series (t, x) to u
 
 The soliton profile is a derived closed form; it is validated against the
 equation residual in the test suite before being used anywhere else.
@@ -15,6 +16,7 @@ equation residual in the test suite before being used anywhere else.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,12 +30,17 @@ from .taylor import TruncatedSeries, _integer, series_recip, series_sech
 
 
 class Solution:
-    """Base class: an exact solution expandable around any admissible point."""
+    """Base class: an exact solution, as a map of its input series.
+
+    :meth:`series` takes the series t = t0 + dt and x = x0 + dx of one order
+    and returns the series of u at that order; the expansion that calls it
+    (:func:`_expansion`) checks the result.
+    """
 
     name = "solution"
 
-    def series(self, t0: float, x0: float, order: int) -> TruncatedSeries:
-        raise NotImplementedError
+    def series(self, t: TruncatedSeries, x: TruncatedSeries) -> TruncatedSeries:
+        raise UsageError(f"{type(self).__name__} does not define series(t, x)")
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,8 @@ class Constant(Solution):
         if not math.isfinite(self.u0):
             raise UsageError(f"constant solution value must be finite, got {self.u0}")
 
-    def series(self, t0, x0, order):
-        return TruncatedSeries.constant(self.u0, order)
+    def series(self, t, x):
+        return TruncatedSeries.constant(self.u0, t.order)
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,10 @@ class Rational(Solution):
 
     name = "rational"
 
-    def series(self, t0, x0, order):
-        if t0 == 0.0:
+    def series(self, t, x):
+        if t.value == 0.0:
             raise DomainError("rational solution x/t is undefined at t = 0")
-        num = TruncatedSeries.affine(x0, 0.0, 1.0, order)
-        den = TruncatedSeries.affine(t0, 1.0, 0.0, order)
-        return num * series_recip(den)
+        return x * series_recip(t)
 
 
 @dataclass(frozen=True)
@@ -79,21 +84,18 @@ class Soliton(Solution):
         if not math.isfinite(self.phase):
             raise UsageError(f"soliton phase must be finite, got {self.phase}")
 
-    def series(self, t0, x0, order):
+    def series(self, t, x):
         k = 0.5 * math.sqrt(self.c)
-        theta = TruncatedSeries.affine(
-            k * (x0 - self.c * t0 - self.phase), -k * self.c, k, order
-        )
-        s = series_sech(theta)
+        s = series_sech(k * (x - self.c * t - self.phase))
         return (3.0 * self.c) * s * s
 
 
 @dataclass(frozen=True)
 class Custom(Solution):
-    """Solution given by a closure from base-point series (t, x) to u.
+    """Solution given by a closure from the input series (t, x) to the series of u.
 
-    The closure receives two series of the requested order representing
-    t0 + dt and x0 + dx and must return the series of u around that point.
+    The closure receives the two series t0 + dt and x0 + dx and must return
+    the series of u around that point, at their order.
     """
 
     fn: Callable[[TruncatedSeries, TruncatedSeries], TruncatedSeries]
@@ -103,45 +105,43 @@ class Custom(Solution):
     def name(self):
         return self.label
 
-    def series(self, t0, x0, order):
-        t = TruncatedSeries.affine(t0, 1.0, 0.0, order)
-        x = TruncatedSeries.affine(x0, 0.0, 1.0, order)
-        out = self.fn(t, x)
-        if not isinstance(out, TruncatedSeries) or out.order != order:
-            raise UsageError("custom solution closure must return a series of the same order")
-        return out
+    def series(self, t, x):
+        return self.fn(t, x)
 
 
-CATALOG = ("soliton", "rational", "constant")
+_CATALOG = {cls.name: cls for cls in (Soliton, Rational, Constant)}
+CATALOG = tuple(_CATALOG)
 
 
 def make_solution(name, **params):
-    """Build a catalog solution by name, validating its parameters."""
-    if name == "soliton":
-        return Soliton(c=params.get("c", 1.0), phase=params.get("phase", 0.0))
-    if name == "rational":
-        return Rational()
-    if name == "constant":
-        return Constant(u0=params.get("u0", 0.0))
-    raise UsageError(f"unknown solution {name!r}; pick one of {CATALOG}")
+    """Build a catalog solution by name from the entries of `params` it takes, validating them."""
+    cls = _CATALOG.get(name)
+    if cls is None:
+        raise UsageError(f"unknown solution {name!r}; pick one of {CATALOG}")
+    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 
 
 def _expansion(solution, t0, x0, order):
-    """`solution.series(t0, x0, order)` with its failures typed.
+    """`solution.series(t, x)` on the input series t0 + dt and x0 + dx, with its failures typed.
 
-    A `solution` that is not a :class:`Solution`, or a base point that is not
-    two finite real numbers, is a :class:`UsageError`; an arithmetic failure
-    or a non-finite coefficient (the point is too far out for double
-    precision) is a :class:`DomainError`.
+    A `solution` that is not a :class:`Solution`, a base point that is not
+    two finite real numbers, or a result that is not a series of the inputs'
+    order is a :class:`UsageError`; an arithmetic failure or a non-finite
+    coefficient (the point is too far out for double precision) is a
+    :class:`DomainError`.
     """
     if not isinstance(solution, Solution):
         raise UsageError(f"expected a catalog or custom Solution, got {type(solution).__name__}")
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (t0, x0)):
         raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
     order = _integer(order, "expansion order")
+    t = TruncatedSeries.affine(t0, 1.0, 0.0, order)
+    x = TruncatedSeries.affine(x0, 0.0, 1.0, order)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-            s = solution.series(t0, x0, order)
+            s = solution.series(t, x)
+        if not isinstance(s, TruncatedSeries) or s.order != order:
+            raise UsageError(f"{solution.name}: series(t, x) must return a series of the inputs' order {order}")
         finite = np.isfinite(s.coeffs).all()
     except (OverflowError, ZeroDivisionError):
         finite = False

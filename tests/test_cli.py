@@ -389,14 +389,14 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--solution", "soliton", "--frame", "x", "--x0", "1e5"),
+        ("--solution", "soliton", "--frame", "x", "--phase", "1.7e308", "--x0", "-1.7e308"),
         ("--solution", "soliton", "--frame", "x", "--c", "1e308", "--x0", "0.5"),
         ("--solution", "rational", "--frame", "x", "--t0", "1e-300", "--x0", "1"),
         ("--solution", "rational", "--frame", "x", "--order", "6", "--t0", "1e5", "--x0", "1e155"),
         ("--solution", "rational", "--frame", "x", "--order", "12", "--t0", "1e-23", "--x0", "10"),
     ],
     ids=[
-        "soliton-far-tail",
+        "soliton-phase-overflow",
         "soliton-huge-speed",
         "rational-near-pole",
         "rational-boost-overflow",

@@ -12,6 +12,7 @@ from jetframe.solutions import (
     Custom,
     Rational,
     Soliton,
+    Solution,
     jet_of_solution,
     kdv_residual,
     make_solution,
@@ -126,16 +127,35 @@ def test_custom_solution_closure():
     assert blob.name == "xx_plus_t"
 
 
-def test_custom_closure_must_preserve_order():
-    bad = Custom(fn=lambda t, x: TruncatedSeries.constant(1.0, 1), label="bad")
-    with pytest.raises(UsageError):
-        jet_of_solution(bad, 0.0, 0.0, 3)
+class _FloatSolution(Solution):
+    name = "float"
+
+    def series(self, t, x):
+        return 1.0
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [Custom(fn=lambda t, x: TruncatedSeries.constant(1.0, 1), label="bad"), _FloatSolution(), Solution()],
+    ids=["custom-wrong-order", "subclass-returns-float", "bare-base-class"],
+)
+@pytest.mark.parametrize(
+    "expand", [jet_of_solution, SolutionGerm], ids=["jet_of_solution", "SolutionGerm"]
+)
+def test_solution_must_return_series_of_input_order(expand, solution):
+    with pytest.raises(UsageError, match="series"):
+        expand(solution, 0.0, 0.0, 3)
 
 
 def test_make_solution_factory():
     assert make_solution("soliton", c=2.0).c == 2.0
     assert make_solution("constant", u0=3.0).u0 == 3.0
     assert isinstance(make_solution("rational"), Rational)
+    # each class takes only its own fields from the parameters
+    assert make_solution("rational", c=2.0) == Rational()
+    assert make_solution("soliton", u0=1.0) == Soliton()
+    with pytest.raises(UsageError):
+        make_solution("constant", u0=math.inf)
     with pytest.raises(UsageError):
         make_solution("nosuch")
 
