@@ -33,11 +33,12 @@ The invariant derivatives come as one (D_t^i, D_x^i) pair, from
 sequence of multi-indices, and :meth:`SolutionGerm.differentiate` a list of
 series of one order; they return the list of results in the same order.
 The work that does not depend on alpha is done once per call: the pivot and
-its singular test, ln|pivot| or one series power per distinct weight, the
-powers of u, and the series jet.  The boost sums of all
-alphas are one pass over the jet's dense entries
+its singular test, ln|pivot| or the series powers of every distinct weight
+(one Horner pass for all of them), the powers of u, and the series jet.  The
+boost sums of all alphas are one pass over the jet's dense entries
 (:func:`jetframe.group._transform`).  Each element of the list is
-bit-identical to the call on that element alone.
+bit-identical to the call on that element alone.  The probe tables of a
+reconstruction likewise share one correction solve.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from .group import (
 )
 from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, _read_jet
-from .taylor import TruncatedSeries, _integer, _multi_index, _pos, multi_indices, series_pow
+from .taylor import TruncatedSeries, _integer, _multi_index, _pos, _pow_rows, multi_indices
+from .taylor import series_pow  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
 
 
 def _prefactors(p, branch, weights, w_den, size):
@@ -75,15 +77,14 @@ def _prefactors(p, branch, weights, w_den, size):
     These are the fractional-power prefactors of a frame.  A float pivot p
     gives exp(-w*ln|p|/w_den), with ln|p| taken once; a series pivot gives
     the rows of series_pow(branch*p, -w/w_den), whose constant term branch*p
-    is positive.  A pivot just above the singular threshold can overflow
-    this power at high weight; that is a DomainError, not an arithmetic crash.
+    is positive, all weights in one Horner pass (:func:`~jetframe.taylor._pow_rows`).
+    A pivot just above the singular threshold can overflow this power at high
+    weight; that is a DomainError, not an arithmetic crash.
     """
     try:
         if isinstance(p, TruncatedSeries):
-            base = branch * p
             scales = np.zeros((size, p.coeffs.size))
-            for w in weights:
-                scales[w] = series_pow(base, -w / w_den).coeffs
+            scales[list(weights)] = _pow_rows(branch * p, [-w / w_den for w in weights])
             return scales
         log_p = math.log(abs(p))
         scales = np.zeros(size)
@@ -141,7 +142,8 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
         _require_kind(kind)
         values = np.zeros((len(alphas),) + jet.data.shape[1:])
     else:
-        derived = None if rows is None else [a for a in alphas if sum(a) > 0]
+        # read back from the rows as Python ints: a weight of numpy unsigned ints would wrap when negated
+        derived = None if rows is None else [multi_indices(order)[r] for r in rows if r > 0]
         values = _table(jet, kind, order, derived, _pivot)
         if rows is not None:
             values = values[rows]
@@ -203,7 +205,7 @@ class InvariantTable:
     @cached_property
     def _R(self):
         # built on the first recurrence or commutator query, not by invariant_table
-        return _corrections(self)
+        return _corrections([self])[0]
 
 
 def invariant_table(jet, kind, order):
@@ -335,17 +337,21 @@ def _plus(alpha, e):
     return (alpha[0] + e[0], alpha[1] + e[1])
 
 
-def _corrections(table):
-    """Correction matrix R[kappa][j] = R_j^kappa, kappa over VectorField.basis(), j over (t, x).
+def _corrections(tables):
+    """Stacked correction matrices R[kappa][j] = R_j^kappa of `tables`, kappa over VectorField.basis(), j over (t, x).
 
     The phantoms z = t, x, u, u_p are constant on the cross-section, so R solves
     0 = iota(D_j z) + sum_kappa R_j^kappa iota(v_kappa z) on the invariantized jet J.
+    The tables are of one frame and share their first-order entries, the only
+    ones the matrix iota(v_kappa z) reads: it is built once, from the first
+    table, and one solve takes every table's right-hand side, each solved
+    exactly as on its own.
     """
-    p, origin = table.kind.pivot_alpha, (0.0, 0.0, 0.0)
+    p, origin = tables[0].kind.pivot_alpha, (0.0, 0.0, 0.0)
     fields = VectorField.basis()
-    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[_pos(*p)]] for v, etas in zip(fields, table._etas)]
+    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[_pos(*p)]] for v, etas in zip(fields, tables[0]._etas)]
     # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
-    d_z = [list(e) for e in _UNITS] + [[table.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)]
+    d_z = [[list(e) for e in _UNITS] + [[t.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)] for t in tables]
     return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
 
 
@@ -363,9 +369,14 @@ def recurrence_rhs(table, alpha):
     alpha = _multi_index(alpha)
     if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
+    return _recurrence(table, alpha, table._R, table._etas)
+
+
+def _recurrence(table, alpha, R, etas):
+    """The recurrence of `recurrence_rhs` with the correction matrix R and the eta rows given."""
     d_t, d_x = (table.value(_plus(alpha, e)) for e in _UNITS)  # alpha + e_j in the table, so alpha too
-    for etas, r in zip(table._etas, table._R):
-        eta = etas[_pos(*alpha)]
+    for eta_row, r in zip(etas, R):
+        eta = eta_row[_pos(*alpha)]
         d_t += float(r[0]) * eta
         d_x += float(r[1]) * eta
     return d_t, d_x
@@ -390,9 +401,14 @@ def commutator_coefficients(table):
 
     iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.
     """
-    a, b = _bracket_order(table.kind)
+    return _bracket(table.kind, table._R)
+
+
+def _bracket(kind, R):
+    """The coefficients of `commutator_coefficients` from the correction matrix R."""
+    a, b = _bracket_order(kind)
     out = [0.0, 0.0]
-    for jacobian, r in zip(_XI_JACOBIAN, table._R):
+    for jacobian, r in zip(_XI_JACOBIAN, R):
         for l, d_xi in enumerate(jacobian):
             out[l] += float(r[b]) * d_xi[a] - float(r[a]) * d_xi[b]
     return tuple(out)
@@ -413,29 +429,34 @@ def reconstruct_generators(germ, kind):
     R is affine in the table's second-order entries, so the residuals of
     `recurrence_rhs` and `commutator_coefficients` are too: their coefficients
     are read exactly at zero and at the unit vectors, and one 3x3 solve gives
-    I[2,0].  Returns (reconstructed, direct) to compare with the closed form.
+    I[2,0].  The probe tables differ only in second-order entries, so their
+    correction matrices come from one solve (:func:`_corrections`) and their
+    eta rows at g from the first table.  Returns (reconstructed, direct) to
+    compare with the closed form.
     """
     _require_germ(germ)
     order = sum(_RECONSTRUCTED)
     jet = germ.jet(order)
-    _, branch = require_regular_pivot(jet, kind)
+    p, branch = require_regular_pivot(jet, kind)
     g = next(e for e in _UNITS if e != kind.pivot_alpha)
     i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
     unknowns = [a for a in multi_indices(order) if sum(a) == order]
     # the rows below the unknowns in storage order: I[0,0] = 0, the pivot's branch and I_g
     known = np.zeros(len(multi_indices(order)) - len(unknowns))
     known[_pos(*kind.pivot_alpha)], known[_pos(*g)] = branch, i_g
+    probes = np.vstack((np.zeros(len(unknowns)), np.eye(len(unknowns))))
+    tables = [InvariantTable(kind, order, branch, np.concatenate((known, entries)), {}) for entries in probes]
+    etas = tables[0]._etas  # read at g only, a first-order index
 
-    def residuals(entries):
-        table = InvariantTable(kind, order, branch, np.concatenate((known, entries)), {})
-        a_t, a_x = commutator_coefficients(table)
-        rhs_t, rhs_x = recurrence_rhs(table, g)
+    def residuals(table, R):
+        a_t, a_x = _bracket(kind, R)
+        rhs_t, rhs_x = _recurrence(table, g, R, etas)
         return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
 
-    at_zero = residuals(np.zeros(len(unknowns)))
-    A = np.column_stack([residuals(e) - at_zero for e in np.eye(len(unknowns))])
+    at_zero, *at_units = map(residuals, tables, _corrections(tables))
+    A = np.column_stack([r - at_zero for r in at_units])
     condition = np.linalg.cond(A)
     if not condition <= _MAX_CONDITION:
         raise DegeneratePointError(f"reconstruction at ({germ.t0}, {germ.x0}) has condition {condition:.3g}")
     reconstructed = np.linalg.solve(A, -at_zero)[unknowns.index(_RECONSTRUCTED)]
-    return float(reconstructed), normalized_invariant(jet, _RECONSTRUCTED, kind)
+    return float(reconstructed), normalized_invariant(jet, _RECONSTRUCTED, kind, _pivot=(p, branch))

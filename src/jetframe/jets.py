@@ -34,9 +34,15 @@ from .taylor import (
 )
 
 
+def _is_integer(a):
+    # int first, the type the program passes; a tuple or list is never an Integral
+    return type(a) is int or type(a) not in (tuple, list) and isinstance(a, numbers.Integral)
+
+
 def _is_multi_index(arg) -> bool:
     """True for one multi-index (integers, numpy ones included) or anything unsized, False for a sequence."""
-    return not isinstance(arg, Sized) or len(arg) > 0 and all(isinstance(a, numbers.Integral) for a in arg)
+    sized = type(arg) in (tuple, list) or isinstance(arg, Sized)
+    return not sized or len(arg) > 0 and all(map(_is_integer, arg))
 
 
 def _one_or_many(arg, is_one):
@@ -132,7 +138,8 @@ class Jet:
 
     def __init__(self, order, t, x, u):
         order = _integer(order, "jet order")
-        data = _rows_of(order, u) if isinstance(u, Mapping) else _array(u)
+        mapping = type(u) in (dict, MappingProxyType) or type(u) is not np.ndarray and isinstance(u, Mapping)
+        data = _rows_of(order, u) if mapping else _array(u)
         n = len(multi_indices(order))
         series = data.ndim == 2 and _series_order(data.shape[1]) is not None
         if data.shape[:1] != (n,) or not (data.ndim == 1 or series):
@@ -147,7 +154,7 @@ class Jet:
                     raise UsageError(f"a jet's base point {name} is a real number or a series, got {c!r}")
             if data.ndim == 1:
                 named.update(zip((f"u_{a}" for a in multi_indices(order)), data.tolist()))
-            bad = {k: c for k, c in named.items() if isinstance(c, numbers.Real) and not math.isfinite(c)}
+            bad = {k: c for k, c in named.items() if not isinstance(c, TruncatedSeries) and not math.isfinite(c)}
             if bad:
                 raise UsageError(f"jet entries must be finite, got {bad}")
         data.flags.writeable = False

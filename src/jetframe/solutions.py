@@ -132,7 +132,7 @@ def _expansion(solution, t0, x0, order):
     """
     if not isinstance(solution, Solution):
         raise UsageError(f"expected a catalog or custom Solution, got {type(solution).__name__}")
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (t0, x0)):
+    if not all((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v) for v in (t0, x0)):
         raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
     order = _integer(order, "expansion order")
     t = TruncatedSeries.affine(t0, 1.0, 0.0, order)

@@ -203,11 +203,20 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries._wrap(self.order, -self.coeffs)
 
+    # a - b is a + (-b) in IEEE arithmetic, signed zeros included, so
+    # subtracting directly gives the sum's bits without a negated copy
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, TruncatedSeries):
+            self._check_order(other)
+            return TruncatedSeries._wrap(self.order, self.coeffs - other.coeffs)
+        out = self.coeffs.copy()
+        out[0] -= other
+        return TruncatedSeries._wrap(self.order, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        out = -self.coeffs
+        out[0] += other
+        return TruncatedSeries._wrap(self.order, out)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -234,17 +243,24 @@ class TruncatedSeries:
         return factor * self.coeffs[source]
 
 
-def _row_products(a, b):
-    """Series product of each row of `a` with the same row of `b`, as rows of coefficients.
+@functools.lru_cache(maxsize=None)
+def _stacked_bins(order, rows):
+    """The out row of _product_table(order) for `rows` stacked series, row r's bins offset by r series sizes.
 
-    One gather and one bincount serve every row; the bins of row r are
-    offset by r times the row length, so each row sums its pairs in the
-    order of a single product and equals, bit for bit, a row times b row.
+    One bincount over these bins sums every row's pairs at once, each row in
+    the order of a single product, so each row equals its own product bit
+    for bit.
     """
+    _, _, out = _product_table(order)
+    return _read_only((out + triangle_size(order) * np.arange(rows)[:, None]).ravel())
+
+
+def _row_products(a, b):
+    """Series product of each row of `a` with the same row of `b`, as rows of coefficients."""
     rows, size = a.shape
-    lhs, rhs, out = _product_table(_series_order(size))
-    bins = out + size * np.arange(rows)[:, None]
-    return np.bincount(bins.ravel(), (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
+    order = _series_order(size)
+    lhs, rhs, _ = _product_table(order)
+    return np.bincount(_stacked_bins(order, rows), (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
 
 
 # -- analytic composition ----------------------------------------------------
@@ -350,6 +366,27 @@ def analytic(kind, a, exponent=None):
             return TruncatedSeries._wrap(a.order, r)
     b = a - a.value  # zero constant term, so b**k has minimum degree k
     return TruncatedSeries._wrap(a.order, _horner(coeffs, b.coeffs, _product_table(a.order)))
+
+
+def _pow_rows(a, exponents):
+    """The coefficient rows of series_pow(a, r) for each r in `exponents`, from one Horner loop.
+
+    The univariate coefficients of the exponents are the rows of one matrix,
+    and each Horner step multiplies every row by b = a - a(0) in one
+    bincount over :func:`_stacked_bins`: the dense product of :func:`_horner`
+    for every row at once.  So each row is :func:`analytic`'s dense result,
+    which its affine steps match bit for bit.
+    """
+    coeffs = np.array([_univariate_coeffs("pow", a.value, a.order, r) for r in exponents])
+    b = (a - a.value).coeffs
+    lhs, rhs, _ = _product_table(a.order)
+    bins, factors = _stacked_bins(a.order, len(coeffs)), b[rhs]
+    r = np.zeros((len(coeffs), b.size))
+    r[:, 0] = coeffs[:, -1]
+    for k in reversed(range(a.order)):
+        r = np.bincount(bins, (r[:, lhs] * factors).ravel(), r.size).reshape(r.shape)
+        r[:, 0] += coeffs[:, k]
+    return r
 
 
 def series_pow(a, exponent):

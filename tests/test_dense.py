@@ -8,9 +8,12 @@ Analytic composition with an affine inner series is held to the same
 standard against Horner's rule with one dense series product per step.
 """
 
+import abc
 import math
+import numbers
 import struct
 import warnings
+from collections.abc import Mapping, Sized
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from jetframe.frame import FrameKind, require_regular_pivot
 from jetframe.group import GroupElement, VectorField, act_point, eta_alpha, pr_v_apply, prolong_act
 from jetframe.invariants import (
     SolutionGerm,
+    _prefactors,
     invariant_derivative,
     invariant_table,
     normalized_invariant,
@@ -313,6 +317,54 @@ def test_affine_overflow_matches_the_dense_products_without_a_warning():
             invariant_derivative(SolutionGerm(Soliton(), 0.0, 60.0, 13), (10, 2), FrameKind.X_NORMALIZED)
 
 
+# -- stacked prefactor powers -----------------------------------------------------
+
+
+def test_stacked_prefactor_rows_are_the_series_powers_bit_for_bit():
+    # every weight's row of one Horner pass is that weight's own series_pow
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 8),
+        st.booleans(),
+        st.floats(0.05, 5.0),
+        st.sampled_from([1, -1]),
+        st.sets(st.integers(1, 40), min_size=1, max_size=17),
+        st.sampled_from([3, 5]),
+        st.data(),
+    )
+    def check(order, affine, magnitude, branch, weights, w_den, data):
+        size = taylor.triangle_size(order if not affine else min(order, 1))
+        coeffs = [branch * magnitude] + data.draw(st.lists(entries, min_size=size - 1, max_size=size - 1))
+        p = TruncatedSeries(order, coeffs + [0.0] * (taylor.triangle_size(order) - size))
+        weights = sorted(weights)
+        rows = taylor._pow_rows(branch * p, [-w / w_den for w in weights])
+        scales = _prefactors(p, branch, weights, w_den, weights[-1] + 1)
+        for w, row in enumerate(scales):
+            want = series_pow(branch * p, -w / w_den).coeffs if w in weights else np.zeros(p.coeffs.size)
+            assert row.tobytes() == want.tobytes(), (w, order, affine)
+            if w in weights:
+                assert rows[weights.index(w)].tobytes() == want.tobytes(), (w, order, affine)
+
+    check()
+
+
+def test_series_prefactor_overflow_is_a_domain_error_without_a_warning():
+    # far out on the soliton tail u_x ~ -1e-25 is regular, but the order-12
+    # coefficient of |u_x|^(-w/3) is about 1e25^(12 + w/3), past the double range
+    pivot = SolutionGerm(Soliton(), 0.0, 60.0, 13).series_jet(1, 12).u[(0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="overflows a double for a weight w <= 13"):
+            _prefactors(pivot, -1, [1, 3, 13], 3, 14)
+        germ = SolutionGerm(Soliton(), 0.0, 60.0, 14)
+        with pytest.raises(DomainError, match="overflows"):
+            germ.differentiate(TruncatedSeries.constant(1.0, 13), FrameKind.X_NORMALIZED)
+
+
 # -- the Jet type ----------------------------------------------------------------
 
 
@@ -364,6 +416,41 @@ def test_jet_equality_compares_order_base_point_and_entries():
     germ = SolutionGerm(Soliton(), 0.3, 0.8, 4)
     assert germ.series_jet(2, 2) == germ.series_jet(2, 2)
     assert germ.series_jet(2, 2) != germ.series_jet(2, 1)
+
+
+def test_jets_and_multi_indices_take_the_abstract_types_after_the_concrete_ones(monkeypatch):
+    # the program's own dicts, arrays, tuples and ints take no abstract-base-class
+    # check; any other mapping, integer or index is still accepted through one
+    class Entries(Mapping):
+        def __init__(self, values):
+            self._values = dict(values)
+
+        def __getitem__(self, key):
+            return self._values[key]
+
+        def __iter__(self):
+            return iter(self._values)
+
+        def __len__(self):
+            return len(self._values)
+
+    checked = []
+    real_check = abc.ABCMeta.__instancecheck__
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", lambda cls, obj: checked.append(cls) or real_check(cls, obj))
+    rng = np.random.default_rng(13)
+    kind = FrameKind.X_NORMALIZED
+    jet = random_free_jet(rng, 3)
+    germ = SolutionGerm(*random_soliton_point(rng, kind, 1), 4)
+    invariant_table(Jet(3, jet.t, jet.x, dict(jet.u)), kind, 3)
+    invariant_derivative(germ, [(0, 1), (1, 2)], kind)
+    assert not {Mapping, Sized, numbers.Integral} & set(checked)
+    assert Jet(3, jet.t, jet.x, Entries(jet.u)) == jet
+    with pytest.raises(UsageError, match="incomplete jet"):
+        Jet(3, jet.t, jet.x, Entries({(0, 0): 1.0}))
+    want = normalized_invariant(jet, (1, 2), kind)
+    for alpha in ((np.int64(1), np.int64(2)), (np.uint8(1), 2), np.array([1, 2]), [1, 2]):
+        assert normalized_invariant(jet, alpha, kind) == want
+    assert normalized_invariant(jet, np.array([[1, 2]]), kind) == [want]
 
 
 def test_jet_rejects_malformed_arrays():

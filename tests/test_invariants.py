@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jetframe import invariants
 from jetframe.errors import (
     DegeneratePointError,
     DomainError,
@@ -22,7 +23,7 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
-from jetframe.taylor import TruncatedSeries
+from jetframe.taylor import TruncatedSeries, _pos
 from jetframe.verify import (
     _sample_jet,
     random_free_jet,
@@ -413,6 +414,75 @@ def test_reconstruction_matches_direct_value(kind, branch):
         done += 1
 
 
+def four_table_reconstruction(germ, kind):
+    # the reconstruction as first written: each probe table solves its own R
+    # through the public recurrence and commutator of one table
+    jet = germ.jet(2)
+    branch = moving_frame(jet, kind).branch
+    g = next(e for e in ((1, 0), (0, 1)) if e != kind.pivot_alpha)
+    i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
+    known = np.zeros(3)
+    known[_pos(*g)], known[_pos(*kind.pivot_alpha)] = i_g, branch
+
+    def residuals(entries):
+        table = InvariantTable(kind, 2, branch, np.concatenate((known, entries)), {})
+        a_t, a_x = commutator_coefficients(table)
+        rhs_t, rhs_x = recurrence_rhs(table, g)
+        return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
+
+    at_zero = residuals(np.zeros(3))
+    A = np.column_stack([residuals(e) - at_zero for e in np.eye(3)])
+    if not np.linalg.cond(A) <= 1e8:
+        raise DegeneratePointError("degenerate")
+    return float(np.linalg.solve(A, -at_zero)[2]), normalized_invariant(jet, (2, 0), kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reconstruction_is_the_four_table_algorithm_bit_for_bit(kind):
+    rng = np.random.default_rng(37)
+    for branch in (1, -1):
+        for _ in range(100):
+            germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 3)
+            try:
+                want = four_table_reconstruction(germ, kind)
+            except DegeneratePointError:
+                with pytest.raises(DegeneratePointError):
+                    reconstruct_generators(germ, kind)
+                continue
+            assert np.array(reconstruct_generators(germ, kind)).tobytes() == np.array(want).tobytes()
+    germ = SolutionGerm(Soliton(), 0.0, 2.2924316695611773, 3)  # on the space frame's degenerate set
+    for compute in (four_table_reconstruction, reconstruct_generators):
+        with pytest.raises(DegeneratePointError):
+            compute(germ, FrameKind.X_NORMALIZED)
+
+
+def test_reconstruction_solves_R_once_and_tests_the_pivot_once(monkeypatch):
+    # the probe tables share one correction solve, and the direct value
+    # reuses the pivot of the order-2 jet
+    real_solve, real_pivot = np.linalg.solve, invariants.require_regular_pivot
+    solves, pivots = [], []
+
+    def solve(a, b):
+        solves.append(np.shape(a))
+        return real_solve(a, b)
+
+    def pivot(jet, kind):
+        if jet.data.ndim == 1:  # the float jet; series jets belong to the germ calculus
+            pivots.append(kind)
+        return real_pivot(jet, kind)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(invariants, "require_regular_pivot", pivot)
+    rng = np.random.default_rng(41)
+    for kind in KINDS:
+        for branch in (1, -1):
+            germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 3)
+            solves.clear(), pivots.clear()
+            reconstruct_generators(germ, kind)
+            assert solves.count((4, 4)) == 1 and len(solves) == 2, solves
+            assert pivots == [kind]
+
+
 def test_second_generator_identity():
     # the mixed second invariant is one derivative of the generator plus a
     # product correction; branch-aware form, literal on the positive branch
@@ -631,7 +701,8 @@ def test_numpy_integer_multi_index_is_one_alpha():
     sol, t0, x0 = random_soliton_point(rng, kind, 1)
     jet = jet_of_solution(sol, t0, x0, 3)
     germ = SolutionGerm(sol, t0, x0, 5)
-    for alpha in ((np.int64(1), np.int64(2)), np.array([1, 2]), (np.int32(1), 2)):
+    # unsigned numpy integers too: a weight computed from them would wrap when negated
+    for alpha in ((np.int64(1), np.int64(2)), np.array([1, 2]), (np.int32(1), 2), (np.uint8(1), np.uint8(2))):
         assert normalized_invariant(jet, alpha, kind) == normalized_invariant(jet, (1, 2), kind)
         assert _same_series(germ.invariant_series(alpha, kind, 0), germ.invariant_series((1, 2), kind, 0))
         assert invariant_derivative(germ, alpha, kind) == invariant_derivative(germ, (1, 2), kind)

@@ -12,6 +12,7 @@ from jetframe.taylor import (
     TruncatedSeries,
     _pos,
     _row_products,
+    _series_order,
     analytic,
     series_pow,
     series_recip,
@@ -274,6 +275,31 @@ def test_jet_of_solution_entry_overflow_is_domain_error():
     jet_of_solution(Rational(), 1e-23, 10.0, 11)
     with pytest.raises(DomainError, match=r"u_\(12, 0\)"):
         jet_of_solution(Rational(), 1e-23, 10.0, 12)
+
+
+def test_subtraction_is_the_sum_of_the_negation_bit_for_bit():
+    # IEEE a - b is a + (-b), signed zeros and infinities included
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+    def same(x, y):
+        return x.order == y.order and x.coeffs.tobytes() == y.coeffs.tobytes()
+
+    def pairs(size):
+        row = st.lists(values, min_size=size, max_size=size)
+        return st.tuples(row, row)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 3).map(triangle_size).flatmap(pairs), values)
+    def check(rows, c):
+        a, b = (TruncatedSeries(_series_order(len(row)), row) for row in rows)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan either way
+            assert same(a - b, a + (-b))
+            assert same(a - c, a + (-c))
+            assert same(c - a, (-a) + c)
+
+    check()
 
 
 def test_kernel_results_own_their_coefficients():

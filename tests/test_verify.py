@@ -253,14 +253,14 @@ def test_series_calculus_suites_fail_when_the_germ_derivative_pair_is_swapped(mo
 
 def test_recurrence_suites_fail_when_the_recurrence_pair_is_swapped(monkeypatch):
     suites = ("recurrences", "reconstruction")
-    real = invariants.recurrence_rhs
+    real = invariants._recurrence
     assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
 
-    def swapped(table, alpha):
-        return real(table, alpha)[::-1]
+    def swapped(table, alpha, R, etas):
+        return real(table, alpha, R, etas)[::-1]
 
-    monkeypatch.setattr(invariants, "recurrence_rhs", swapped)  # read by reconstruct_generators
-    monkeypatch.setattr(verify, "recurrence_rhs", swapped)  # read by the recurrences suite
+    # read by recurrence_rhs (the recurrences suite) and by reconstruct_generators
+    monkeypatch.setattr(invariants, "_recurrence", swapped)
     reports = run_suite(suites, seed=0, samples=20)
     assert [r.name for r in reports] == list(suites)
     for r in reports:
