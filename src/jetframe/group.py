@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _entries, _is_multi_index, _one_or_many, _rows_for
+from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for
 from .taylor import TruncatedSeries, _pos, _read_only, _row_products, multi_indices
 
 
@@ -231,15 +231,6 @@ def _transform(data, order, powers, scales):
     return _times(scales[plan.weight], sums)
 
 
-def _first_non_finite(values, alphas):
-    """The first alpha whose value (float or series row) is not finite, and its first non-finite number."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return None
-    k = int(np.argmin(finite))  # the first non-finite number in row-major order lies in the first such row
-    return alphas[k // (values.size // len(values))], values.flat[k].item()
-
-
 def _exp_or_inf(x):
     try:
         return math.exp(x)
@@ -369,6 +360,8 @@ def _eps_coefficient(value, slot=_UNITS[0]):
     A real number is a constant; anything but a series, a real number or a
     list or tuple of them is a UsageError, never a silent zero.
     """
+    if type(value) is float:  # the common constant, before the abstract check below
+        return 0.0
     if isinstance(value, (list, tuple)):
         return [_eps_coefficient(element, slot) for element in value]
     if not isinstance(value, TruncatedSeries):

@@ -34,11 +34,11 @@ sequence of multi-indices, and :meth:`SolutionGerm.differentiate` a list of
 series of one order; they return the list of results in the same order.
 The work that does not depend on alpha is done once per call: the pivot and
 its singular test, ln|pivot| or the series powers of every distinct weight
-(one Horner pass for all of them), the powers of u, and the series jet.  The
-boost sums of all alphas are one pass over the jet's dense entries
-(:func:`jetframe.group._transform`).  Each element of the list is
-bit-identical to the call on that element alone.  The probe tables of a
-reconstruction likewise share one correction solve.
+(one Horner loop for all of them, :func:`jetframe.taylor._compose`), the
+powers of u, and the series jet.  The boost sums of all alphas are one pass
+over the jet's dense entries (:func:`jetframe.group._transform`).  Each
+element of the list is bit-identical to the call on that element alone.  The
+probe tables of a reconstruction likewise share one correction solve.
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ from .group import (
     _boost_plan,
     _boost_powers,
     _eta_rows,
-    _first_non_finite,
     _partials,
     _transform,
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _is_multi_index, _one_or_many, _rows_for
+from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, _read_jet
-from .taylor import TruncatedSeries, _integer, _multi_index, _pos, _pow_rows, multi_indices
+from .taylor import TruncatedSeries, _compose, _integer, _multi_index, _pos, multi_indices
 from .taylor import series_pow  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
 
 
@@ -77,14 +76,16 @@ def _prefactors(p, branch, weights, w_den, size):
     These are the fractional-power prefactors of a frame.  A float pivot p
     gives exp(-w*ln|p|/w_den), with ln|p| taken once; a series pivot gives
     the rows of series_pow(branch*p, -w/w_den), whose constant term branch*p
-    is positive, all weights in one Horner pass (:func:`~jetframe.taylor._pow_rows`).
+    is positive, all weights in one Horner loop (:func:`~jetframe.taylor._compose`),
+    on the slope pairs alone when p is affine.
     A pivot just above the singular threshold can overflow this power at high
     weight; that is a DomainError, not an arithmetic crash.
     """
     try:
         if isinstance(p, TruncatedSeries):
             scales = np.zeros((size, p.coeffs.size))
-            scales[list(weights)] = _pow_rows(branch * p, [-w / w_den for w in weights])
+            rows = _compose("pow", branch * p, [-w / w_den for w in weights])
+            scales[list(weights)] = rows.reshape(len(weights), -1)
             return scales
         log_p = math.log(abs(p))
         scales = np.zeros(size)

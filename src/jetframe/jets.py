@@ -45,6 +45,15 @@ def _is_multi_index(arg) -> bool:
     return not sized or len(arg) > 0 and all(map(_is_integer, arg))
 
 
+def _first_non_finite(values, alphas):
+    """The first alpha whose value (float or series row) is not finite, and its first non-finite number."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    k = int(np.argmin(finite))  # the first non-finite number in row-major order lies in the first such row
+    return alphas[k // (values.size // len(values))], values.flat[k].item()
+
+
 def _one_or_many(arg, is_one):
     """Items of an argument that is one item or a sequence of them, and the shape of the answer.
 

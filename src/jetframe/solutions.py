@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, multi_indices
+from .jets import Jet, _first_non_finite, multi_indices
 from .taylor import TruncatedSeries, _integer, series_recip, series_sech
 
 
@@ -160,10 +160,9 @@ def _read_jet(s, t0, x0, order):
     """
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
         values = s.derivatives(order, 0)[:, 0]
-    finite = np.isfinite(values)
-    if not finite.all():
-        alpha = multi_indices(order)[int(np.argmin(finite))]
-        raise DomainError(f"jet entry u_{alpha} at ({t0}, {x0}) overflows a double")
+    bad = _first_non_finite(values, multi_indices(order))
+    if bad is not None:
+        raise DomainError(f"jet entry u_{bad[0]} at ({t0}, {x0}) overflows a double")
     return Jet(order, float(t0), float(x0), values)
 
 

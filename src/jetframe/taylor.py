@@ -14,12 +14,15 @@ tables derived from it.  The same order lays out the entries of every
 :class:`~jetframe.jets.Jet`, which is why it is defined here.
 
 Analytic composition runs one Horner loop in the inner series b = a - a(0),
-each step one bincount over a table of coefficient pairs.  When b is affine
-(no coefficient above degree 1), as the soliton phase, the rational
-solution's denominator and every order-1 series are, the table holds only
-the two pairs per coefficient whose factor of b is a slope instead of the
-dense product's every pair, and the result is the same bit for bit (see
-:func:`analytic`).
+for one exponent or many, each step one bincount over a table of coefficient
+pairs (:func:`_compose`).  When b is affine (no coefficient above degree 1),
+as the soliton phase, the rational solution's denominator, a frame pivot on
+an order-1 germ and every order-1 series are, the table holds only the two
+pairs per coefficient whose factor of b is a slope instead of the dense
+product's every pair, and the result is the same bit for bit.  Many
+exponents, as the prefactors |pivot|^(-w/d) of every weight w of a frame,
+stack their rows end to end in one loop over one table
+(:func:`_stacked_pairs`).
 """
 
 from __future__ import annotations
@@ -244,15 +247,20 @@ class TruncatedSeries:
 
 
 @functools.lru_cache(maxsize=None)
-def _stacked_bins(order, rows):
-    """The out row of _product_table(order) for `rows` stacked series, row r's bins offset by r series sizes.
+def _stacked_pairs(order, rows, slopes):
+    """(lhs, rhs, out) rows of the pairs of `rows` products by one series b, the rows end to end.
 
-    One bincount over these bins sums every row's pairs at once, each row in
-    the order of a single product, so each row equals its own product bit
-    for bit.
+    The pairs are those of :func:`_product_table`, or with `slopes` those
+    whose rhs is (1, 0) or (0, 1).  lhs and out are shifted by r series sizes
+    in row r, and rhs indexes b.  One bincount over out sums each row's pairs
+    in the order of a single product, so each row is its own product bit for bit.
     """
-    _, _, out = _product_table(order)
-    return _read_only((out + triangle_size(order) * np.arange(rows)[:, None]).ravel())
+    lhs, rhs, out = _product_table(order)
+    if slopes:
+        keep = (rhs == _pos(1, 0)) | (rhs == _pos(0, 1))
+        lhs, rhs, out = lhs[keep], rhs[keep], out[keep]
+    shift = triangle_size(order) * np.arange(rows)[:, None]
+    return _read_only((lhs + shift).ravel()), _read_only(np.tile(rhs, rows)), _read_only((out + shift).ravel())
 
 
 def _row_products(a, b):
@@ -260,7 +268,8 @@ def _row_products(a, b):
     rows, size = a.shape
     order = _series_order(size)
     lhs, rhs, _ = _product_table(order)
-    return np.bincount(_stacked_bins(order, rows), (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
+    bins = _stacked_pairs(order, rows, False)[2]
+    return np.bincount(bins, (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
 
 
 # -- analytic composition ----------------------------------------------------
@@ -308,44 +317,55 @@ def _univariate_coeffs(kind, a0, n, exponent=None):
     raise UsageError(f"unknown analytic function {kind!r}; pick pow or sech")
 
 
-@functools.lru_cache(maxsize=None)
-def _slope_pairs(order):
-    """(lhs, rhs, out) rows of the pairs of _product_table(order) whose rhs is (1, 0) or (0, 1), in its order."""
-    lhs, rhs, out = _product_table(order)
-    keep = (rhs == _pos(1, 0)) | (rhs == _pos(0, 1))
-    return _read_only(lhs[keep]), _read_only(rhs[keep]), _read_only(out[keep])
-
-
 def _horner(coeffs, b, pairs):
-    """Coefficients of sum_k coeffs[k] b^k by Horner's rule, b given by its coefficients.
+    """Rows of sum_k c[k] b^k by Horner's rule, one per row c of `coeffs`, laid end to end.
 
-    Each step r*b + f_k is one bincount of the products r[lhs]*b[rhs] over
-    the (lhs, rhs, out) rows `pairs` of a product table, as in
-    ``TruncatedSeries.__mul__``, then f_k added to the constant term.
+    b is given by its coefficients.  Each step r*b + c[k] is one bincount of
+    the products r[lhs]*b[rhs] over the (lhs, rhs, out) rows `pairs` of
+    :func:`_stacked_pairs` for len(coeffs) rows, as in
+    ``TruncatedSeries.__mul__``, then c[k] added to each row's constant term.
     """
     lhs, rhs, out = pairs
+    rows, size = len(coeffs), b.size
+    if rows == 1:  # a scalar add at position 0 costs less than a strided one
+        heads, steps = 0, coeffs[0]
+    else:  # every row's constant term, as one strided view
+        heads, steps = slice(None, None, size), np.array(coeffs).T
     factors = b[rhs]
-    r = np.zeros(b.size)
-    r[0] = coeffs[-1]
-    for f in reversed(coeffs[:-1]):
-        r = np.bincount(out, r[lhs] * factors, b.size)
-        r[0] += f
+    r = np.zeros(rows * size)
+    r[heads] = steps[-1]
+    for c in reversed(steps[:-1]):
+        r = np.bincount(out, r[lhs] * factors, r.size)
+        r[heads] += c
     return r
 
 
-def analytic(kind, a, exponent=None):
-    """Compose an analytic map with a series: exact Taylor re-expansion.
+def _compose(kind, a, exponents):
+    """The coefficients of analytic(kind, a, r) for each r in `exponents`, end to end, in one Horner loop.
 
-    Horner's rule in b = a - a(0) sums the univariate coefficients, one
-    product by b per step (:func:`_horner`).  When b is affine (no nonzero
-    coefficient above degree 1) and of order >= 1, a step needs only the
-    pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1)
-    (:func:`_slope_pairs`), which never read b's constant term, so they run
-    on a's own coefficients.  Every other pair of the dense product is an
-    exact zero while r is finite, and a bincount's running sum starts at
-    +0.0 and so is never -0.0, which such a zero leaves unchanged: the slope
-    pairs give the dense product bit for bit.  Any other b, or a non-finite
-    slope-pair result, takes every pair of :func:`_product_table`.
+    Horner's rule runs in b = a - a(0) (:func:`_horner`).  When b is affine
+    (no nonzero coefficient above degree 1) and of order >= 1, a step needs
+    only the pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1),
+    which never read b's constant term, so they run on a's own coefficients.
+    Every other pair of the dense product is an exact zero while r is
+    finite, and a bincount's running sum starts at +0.0 and so is never
+    -0.0, which such a zero leaves unchanged: the slope pairs give the dense
+    product bit for bit.  Any other b, or a non-finite slope-pair result in
+    any row, takes every pair of the product table for every row.
+    """
+    coeffs = [_univariate_coeffs(kind, a.value, a.order, r) for r in exponents]
+    # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
+    if a.order and math.isfinite(a.value) and not np.count_nonzero(a.coeffs[3:]):
+        with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included
+            r = _horner(coeffs, a.coeffs, _stacked_pairs(a.order, len(coeffs), True))
+        if np.isfinite(r).all():
+            return r
+    b = a - a.value  # zero constant term, so b**k has minimum degree k
+    return _horner(coeffs, b.coeffs, _stacked_pairs(a.order, len(coeffs), False))
+
+
+def analytic(kind, a, exponent=None):
+    """Compose an analytic map with a series: exact Taylor re-expansion (:func:`_compose`).
 
     Parameters
     ----------
@@ -357,36 +377,7 @@ def analytic(kind, a, exponent=None):
     exponent : float, optional
         Exponent for ``pow``, a finite real number; ignored otherwise.
     """
-    coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
-    # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
-    if a.order and math.isfinite(a.value) and not np.count_nonzero(a.coeffs[3:]):
-        with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included
-            r = _horner(coeffs, a.coeffs, _slope_pairs(a.order))
-        if np.isfinite(r).all():
-            return TruncatedSeries._wrap(a.order, r)
-    b = a - a.value  # zero constant term, so b**k has minimum degree k
-    return TruncatedSeries._wrap(a.order, _horner(coeffs, b.coeffs, _product_table(a.order)))
-
-
-def _pow_rows(a, exponents):
-    """The coefficient rows of series_pow(a, r) for each r in `exponents`, from one Horner loop.
-
-    The univariate coefficients of the exponents are the rows of one matrix,
-    and each Horner step multiplies every row by b = a - a(0) in one
-    bincount over :func:`_stacked_bins`: the dense product of :func:`_horner`
-    for every row at once.  So each row is :func:`analytic`'s dense result,
-    which its affine steps match bit for bit.
-    """
-    coeffs = np.array([_univariate_coeffs("pow", a.value, a.order, r) for r in exponents])
-    b = (a - a.value).coeffs
-    lhs, rhs, _ = _product_table(a.order)
-    bins, factors = _stacked_bins(a.order, len(coeffs)), b[rhs]
-    r = np.zeros((len(coeffs), b.size))
-    r[:, 0] = coeffs[:, -1]
-    for k in reversed(range(a.order)):
-        r = np.bincount(bins, (r[:, lhs] * factors).ravel(), r.size).reshape(r.shape)
-        r[:, 0] += coeffs[:, k]
-    return r
+    return TruncatedSeries._wrap(a.order, _compose(kind, a, (exponent,)))
 
 
 def series_pow(a, exponent):

@@ -21,7 +21,15 @@ import pytest
 from jetframe import taylor
 from jetframe.errors import DomainError, UsageError
 from jetframe.frame import FrameKind, require_regular_pivot
-from jetframe.group import GroupElement, VectorField, act_point, eta_alpha, pr_v_apply, prolong_act
+from jetframe.group import (
+    GroupElement,
+    VectorField,
+    act_point,
+    determining_equation_residuals,
+    eta_alpha,
+    pr_v_apply,
+    prolong_act,
+)
 from jetframe.invariants import (
     SolutionGerm,
     _prefactors,
@@ -34,8 +42,7 @@ from jetframe.solutions import Soliton, jet_of_solution
 from jetframe.taylor import (
     TruncatedSeries,
     _pos,
-    _product_table,
-    _slope_pairs,
+    _stacked_pairs,
     _univariate_coeffs,
     analytic,
     series_pow,
@@ -296,7 +303,7 @@ def test_affine_composition_matches_the_dense_products_bit_for_bit(monkeypatch, 
     horner = taylor._horner
     monkeypatch.setattr(taylor, "_horner", recording_horner)
     # an affine inner series of order >= 1 takes the slope pairs alone, with no dense rerun
-    expected = _slope_pairs(order) if order else _product_table(0)
+    expected = _stacked_pairs(order, 1, order > 0)
     for kind, exponent, a, want in cases:
         tables.clear()
         assert bits(analytic(kind, a, exponent)) == bits(want), (kind, exponent, a.coeffs[:3])
@@ -317,14 +324,48 @@ def test_affine_overflow_matches_the_dense_products_without_a_warning():
             invariant_derivative(SolutionGerm(Soliton(), 0.0, 60.0, 13), (10, 2), FrameKind.X_NORMALIZED)
 
 
-# -- stacked prefactor powers -----------------------------------------------------
+# -- stacked Horner rows -------------------------------------------------------
 
 
-def test_stacked_prefactor_rows_are_the_series_powers_bit_for_bit():
-    # every weight's row of one Horner pass is that weight's own series_pow
+def test_stacked_horner_rows_are_the_single_rows_bit_for_bit():
+    # every row of one loop over 1-17 stacked polynomials is that polynomial's loop alone,
+    # on the dense pairs and on the slope pairs; alone on the dense pairs, it is Horner's
+    # rule with one series product per step
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 8), st.integers(1, 17), st.booleans(), st.data())
+    def check(order, rows, slopes, data):
+        slopes = slopes and order > 0
+        size = taylor.triangle_size(order)
+        b = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+        coeffs = data.draw(st.lists(st.lists(entries, min_size=order + 1, max_size=order + 1),
+                                    min_size=rows, max_size=rows))
+        stacked = taylor._horner(coeffs, b, _stacked_pairs(order, rows, slopes))
+        assert stacked.shape == (rows * size,)
+        for k, c in enumerate(coeffs):
+            alone = taylor._horner([c], b, _stacked_pairs(order, 1, slopes))
+            assert stacked[k * size:(k + 1) * size].tobytes() == alone.tobytes(), (order, rows, slopes, k)
+            if not slopes:
+                want = TruncatedSeries.constant(c[-1], order)
+                for f in reversed(c[:-1]):
+                    want = want * TruncatedSeries(order, b) + f
+                assert alone.tobytes() == want.coeffs.tobytes(), (order, k)
+
+    check()
+
+
+def test_stacked_prefactor_rows_are_the_series_powers_bit_for_bit(monkeypatch):
+    # every weight's row of one Horner loop is that weight's own series_pow;
+    # an affine pivot's rows take the slope pairs, with no dense rerun
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+    tables = []  # the pair table of each Horner loop that ran
+    horner = taylor._horner
+    monkeypatch.setattr(taylor, "_horner", lambda coeffs, b, pairs: tables.append(pairs) or horner(coeffs, b, pairs))
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
@@ -341,7 +382,11 @@ def test_stacked_prefactor_rows_are_the_series_powers_bit_for_bit():
         coeffs = [branch * magnitude] + data.draw(st.lists(entries, min_size=size - 1, max_size=size - 1))
         p = TruncatedSeries(order, coeffs + [0.0] * (taylor.triangle_size(order) - size))
         weights = sorted(weights)
-        rows = taylor._pow_rows(branch * p, [-w / w_den for w in weights])
+        slopes = order > 0 and not np.count_nonzero(p.coeffs[3:])
+        tables.clear()
+        rows = taylor._compose("pow", branch * p, [-w / w_den for w in weights]).reshape(len(weights), -1)
+        assert len(tables) == 1 and tables[0] is _stacked_pairs(order, len(weights), slopes), (order, affine)
+        assert not affine or slopes or order == 0
         scales = _prefactors(p, branch, weights, w_den, weights[-1] + 1)
         for w, row in enumerate(scales):
             want = series_pow(branch * p, -w / w_den).coeffs if w in weights else np.zeros(p.coeffs.size)
@@ -443,7 +488,10 @@ def test_jets_and_multi_indices_take_the_abstract_types_after_the_concrete_ones(
     germ = SolutionGerm(*random_soliton_point(rng, kind, 1), 4)
     invariant_table(Jet(3, jet.t, jet.x, dict(jet.u)), kind, 3)
     invariant_derivative(germ, [(0, 1), (1, 2)], kind)
-    assert not {Mapping, Sized, numbers.Integral} & set(checked)
+    assert pr_v_apply(VectorField.basis()[:2], lambda lifted: [0.5, lifted.u[(0, 0)], -1.5], jet)[0][0] == 0.0
+    for v in VectorField.basis():
+        determining_equation_residuals(v, 0.3, -0.7, 1.1)
+    assert not {Mapping, Sized, numbers.Integral, numbers.Real} & set(checked)
     assert Jet(3, jet.t, jet.x, Entries(jet.u)) == jet
     with pytest.raises(UsageError, match="incomplete jet"):
         Jet(3, jet.t, jet.x, Entries({(0, 0): 1.0}))

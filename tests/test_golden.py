@@ -33,6 +33,11 @@ CASES = {
                                "--t0", "1.3", "--x0", "0.4"],
     "eval-rational-x-neg-o6": ["eval", "--solution", "rational", "--frame", "x", "--order", "6",
                                "--t0", "-0.8", "--x0", "1.1"],
+    # the order cap: sech and recip composed by the slope-pair Horner at M = 30
+    "eval-soliton-x-pos-o30": ["eval", "--solution", "soliton", "--t0", "0.3", "--x0", "-0.9",
+                               "--frame", "x", "--order", "30"],
+    "eval-rational-x-pos-o30": ["eval", "--solution", "rational", "--frame", "x", "--order", "30",
+                                "--t0", "1.3", "--x0", "0.4"],
     "eval-soliton-t-csv-o5": ["eval", "--solution", "soliton", "--c", "1.3", "--phase", "0.2",
                               "--t0", "-0.4", "--x0", "0.1", "--frame", "t", "--order", "5",
                               "--format", "csv"],
