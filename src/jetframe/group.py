@@ -358,12 +358,20 @@ def _eps_coefficient(value, slot=_UNITS[0]):
     """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple).
 
     A real number is a constant; anything but a series, a real number or a
-    list or tuple of them is a UsageError, never a silent zero.
+    list or tuple of them is a UsageError, never a silent zero.  A list of
+    series of order >= 1 alone, as a lifted batch of invariants, is read in
+    one pass with one finiteness test.
     """
     if type(value) is float:  # the common constant, before the abstract check below
         return 0.0
     if isinstance(value, (list, tuple)):
-        return [_eps_coefficient(element, slot) for element in value]
+        if not all(type(element) is TruncatedSeries and element.order for element in value):
+            return [_eps_coefficient(element, slot) for element in value]
+        pos = _pos(*slot)
+        d = np.array([element.coeffs[pos] for element in value])
+        if not np.isfinite(d).all():
+            raise DomainError("derivative along the flow is not finite at this point")
+        return d.tolist()
     if not isinstance(value, TruncatedSeries):
         if isinstance(value, numbers.Real):
             return 0.0

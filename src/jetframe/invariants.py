@@ -32,13 +32,18 @@ The invariant derivatives come as one (D_t^i, D_x^i) pair, from
 :func:`invariant_derivative` and :func:`invariant_commutator` also take a
 sequence of multi-indices, and :meth:`SolutionGerm.differentiate` a list of
 series of one order; they return the list of results in the same order.
-The work that does not depend on alpha is done once per call: the pivot and
-its singular test, ln|pivot| or the series powers of every distinct weight
-(one Horner loop for all of them, :func:`jetframe.taylor._compose`), the
-powers of u, and the series jet.  The boost sums of all alphas are one pass
-over the jet's dense entries (:func:`jetframe.group._transform`).  Each
-element of the list is bit-identical to the call on that element alone.  The
-probe tables of a reconstruction likewise share one correction solve.
+The work that does not depend on alpha is done once per call: ln|pivot| or
+the series powers of every distinct weight (one Horner loop for all of them,
+:func:`jetframe.taylor._compose`), the powers of u, and the series jet.  The
+boost sums of all alphas are one pass over the jet's dense entries
+(:func:`jetframe.group._transform`), and the invariant derivatives of all
+series are three stacked products (:func:`jetframe.taylor._row_products`).
+Each element of the list is bit-identical to the call on that element alone.
+A float jet's pivot and singular test come once per call; along a germ they
+come once per germ and frame: the germ keeps each frame's pivot, u and
+derivative prefactors at the highest series order asked, and reads lower
+orders as prefix slices.  The probes of a reconstruction are rows of one
+array that share one correction solve.
 """
 
 from __future__ import annotations
@@ -66,7 +71,17 @@ from .group import (
 )
 from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for
 from .solutions import _expansion, _read_jet
-from .taylor import TruncatedSeries, _compose, _integer, _multi_index, _pos, multi_indices
+from .taylor import (
+    TruncatedSeries,
+    _compose,
+    _derivative_table,
+    _integer,
+    _multi_index,
+    _pos,
+    _row_products,
+    multi_indices,
+    triangle_size,
+)
 from .taylor import series_pow  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
 
 
@@ -95,6 +110,10 @@ def _prefactors(p, branch, weights, w_den, size):
         raise DomainError(
             f"frame prefactor |pivot|^(-w/{w_den}) overflows a double for a weight w <= {max(weights)}"
         ) from None
+
+
+# the scaling weights of t and x: the invariant derivatives carry |pivot|^(-w/d), w in (3, 1)
+_DERIVATIVE_WEIGHTS = (3, 1)
 
 
 def _table(jet, kind, order, derived=None, pivot=None):
@@ -206,7 +225,9 @@ class InvariantTable:
     @cached_property
     def _R(self):
         # built on the first recurrence or commutator query, not by invariant_table
-        return _corrections([self])[0]
+        if self.order < 2:
+            raise UsageError(f"the correction matrix reads second-order invariants, got a table of order {self.order}")
+        return _corrections(self.kind, self._etas, self._jet.data[None])[0]
 
 
 def invariant_table(jet, kind, order):
@@ -228,7 +249,8 @@ class SolutionGerm:
     total order, so invariant differentiation becomes exact series algebra:
     each application of an invariant derivative costs one series order.
     The germ is the one expansion of its point: the float jet there
-    (:meth:`jet`) and every series below are read off it.
+    (:meth:`jet`) and every series below are read off it.  It holds the
+    frame of each kind once (:meth:`_frame`, :meth:`_derivative_scales`).
     """
 
     def __init__(self, solution, t0, x0, order):
@@ -236,6 +258,7 @@ class SolutionGerm:
         self.t0 = float(t0)
         self.x0 = float(x0)
         self.order = self._master.order
+        self._frames, self._scales = {}, {}
 
     def jet(self, order):
         """The float jet of order `order` at the base point, read off the germ's expansion.
@@ -249,15 +272,51 @@ class SolutionGerm:
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
         return Jet(jet_order, self.t0, self.x0, self._master.derivatives(jet_order, order))
 
+    def _frame(self, kind, order, jet=None):
+        """(pivot, branch, u) of the frame `kind` along the germ, at series order `order`.
+
+        The pivot is a series and u a coefficient row.  Each kind keeps them
+        at the highest order asked so far, with one singular-pivot test
+        there; a lower order reads prefix slices, which are bit for bit what
+        that order computes, as no coefficient of degree <= `order` depends
+        on where a series is cut.  A singular frame is never kept, so it
+        raises on every call.  `jet` is a series jet of order >= 1 at series
+        order `order`, when the caller has one.
+        """
+        _require_kind(kind)
+        order = _integer(order, "series order of a frame", high=self.order - 1)
+        frame = self._frames.get(kind)
+        if frame is None or frame[0] < order:
+            jet = self.series_jet(1, order) if jet is None else jet
+            p, branch = require_regular_pivot(jet, kind)
+            frame = self._frames[kind] = (order, p.coeffs, branch, jet.data[0])
+        size = triangle_size(order)
+        return TruncatedSeries._wrap(order, frame[1][:size]), frame[2], frame[3][:size]
+
+    def _derivative_scales(self, kind, order):
+        """(u, [scale_t, scale_x]): u and the prefactor rows |pivot|^(-3/d), |pivot|^(-1/d) of D_t^i and D_x^i.
+
+        The prefactors are kept per kind as the frame is, at the highest
+        order asked, and read as prefix slices below it.
+        """
+        p, branch, u = self._frame(kind, order)
+        scales = self._scales.get(kind)
+        if scales is None or scales.shape[1] < u.size:
+            rows = _prefactors(p, branch, _DERIVATIVE_WEIGHTS, kind.weight_denominator, 4)
+            scales = self._scales[kind] = rows[list(_DERIVATIVE_WEIGHTS)]
+        return u, scales[:, : u.size]
+
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
 
-        For a sequence of multi-indices, one series jet serves them all and
-        the result is the list of their series.
+        For a sequence of multi-indices, one series jet and the germ's frame
+        serve them all and the result is the list of their series.
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
-        jet = self.series_jet(_rows_for(alphas, self.order)[0], order)  # a germ too short is a UsageError
-        return shape(normalized_invariant(jet, alphas, kind))
+        jet_order = _rows_for(alphas, self.order)[0]
+        jet = self.series_jet(jet_order, order)  # a germ too short is a UsageError
+        pivot = self._frame(kind, order, jet)[:2] if jet_order else None  # (0, 0) alone needs no pivot
+        return shape(normalized_invariant(jet, alphas, kind, pivot))
 
     def differentiate(self, series, kind):
         """(D_t^i s, D_x^i s): both invariant derivatives of the frame; series order drops by one.
@@ -267,29 +326,26 @@ class SolutionGerm:
 
         i.e. |pivot| to minus the scaling weight of t (3) or of x (1) over
         the frame's weight denominator.  For a list of series of one order
-        the result is the pair of lists of their derivatives, from one series
-        jet, pivot test and prefactor call; series of different orders are a
-        UsageError, and ``differentiate([])`` is ``([], [])``.
+        the result is the pair of lists of their derivatives, read off the
+        germ's frame and computed on the stacked coefficient rows, each
+        series bit for bit its own call; series of different orders are a
+        UsageError, and ``differentiate([], kind)`` is ``([], [])``.
         """
         items, shape = _one_or_many(series, lambda arg: isinstance(arg, TruncatedSeries))
         orders = {s.order for s in items}
         if len(orders) > 1:
             raise UsageError(f"series differentiated in one call share one order, got {sorted(orders)}")
         if not items:
+            _require_kind(kind)  # no frame is read, but the kind is still checked
             return [], []
         order = items[0].order - 1
-        jet = self.series_jet(1, order)  # a series too short is a UsageError
-        p, branch = require_regular_pivot(jet, kind)
-        scales = _prefactors(p, branch, (3, 1), kind.weight_denominator, 4)
-        scale_t, scale_x = (TruncatedSeries._wrap(order, scales[w]) for w in (3, 1))
-        u = jet.u[(0, 0)]
-        d_t, d_x = [], []
-        for s in items:
-            rows = s.derivatives(1, order)  # the d/dt and d/dx rows of s
-            dt, dx = (TruncatedSeries._wrap(order, rows[_pos(*e)]) for e in _UNITS)
-            d_t.append(scale_t * (dt + u * dx))
-            d_x.append(scale_x * dx)
-        return shape(d_t), shape(d_x)
+        u, (scale_t, scale_x) = self._derivative_scales(kind, order)  # a series too short is a UsageError
+        source, factor = _derivative_table(1, order)
+        stacked = np.array([s.coeffs for s in items])
+        # the d/dt and d/dx rows of every series, as TruncatedSeries.derivatives reads them
+        dt, dx = (factor[k] * stacked[:, source[k]] for k in (_pos(*e) for e in _UNITS))
+        d_t = _row_products(scale_t, dt + _row_products(u, dx))
+        return shape(_entries(d_t)), shape(_entries(_row_products(scale_x, dx)))
 
 
 def _require_germ(germ):
@@ -338,21 +394,22 @@ def _plus(alpha, e):
     return (alpha[0] + e[0], alpha[1] + e[1])
 
 
-def _corrections(tables):
-    """Stacked correction matrices R[kappa][j] = R_j^kappa of `tables`, kappa over VectorField.basis(), j over (t, x).
+def _corrections(kind, etas, entries):
+    """Stacked correction matrices R[kappa][j] = R_j^kappa, kappa over VectorField.basis(), j over (t, x).
 
     The phantoms z = t, x, u, u_p are constant on the cross-section, so R solves
     0 = iota(D_j z) + sum_kappa R_j^kappa iota(v_kappa z) on the invariantized jet J.
-    The tables are of one frame and share their first-order entries, the only
-    ones the matrix iota(v_kappa z) reads: it is built once, from the first
-    table, and one solve takes every table's right-hand side, each solved
-    exactly as on its own.
+    `entries` holds one dense row per invariantized jet of the frame `kind`,
+    of order >= 2, and `etas` the eta rows of the basis fields on one of
+    them.  The jets share their first-order entries, the only ones the matrix
+    iota(v_kappa z) reads: it is built once, and one solve takes every row's
+    right-hand side, each solved exactly as on its own.
     """
-    p, origin = tables[0].kind.pivot_alpha, (0.0, 0.0, 0.0)
+    p, origin = kind.pivot_alpha, (0.0, 0.0, 0.0)
     fields = VectorField.basis()
-    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), etas[_pos(*p)]] for v, etas in zip(fields, tables[0]._etas)]
+    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), row[_pos(*p)]] for v, row in zip(fields, etas)]
     # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
-    d_z = [[list(e) for e in _UNITS] + [[t.value(_plus(z, e)) for e in _UNITS] for z in ((0, 0), p)] for t in tables]
+    d_z = [[list(e) for e in _UNITS] + [[row[_pos(*_plus(z, e))] for e in _UNITS] for z in ((0, 0), p)] for row in entries]
     return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
 
 
@@ -370,12 +427,14 @@ def recurrence_rhs(table, alpha):
     alpha = _multi_index(alpha)
     if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
-    return _recurrence(table, alpha, table._R, table._etas)
+    if sum(alpha) >= table.order:
+        raise UsageError(f"the recurrence of I_{alpha} reads order {sum(alpha) + 1}, beyond the table's order {table.order}")
+    return _recurrence(table._jet.data, alpha, table._R, table._etas)
 
 
-def _recurrence(table, alpha, R, etas):
-    """The recurrence of `recurrence_rhs` with the correction matrix R and the eta rows given."""
-    d_t, d_x = (table.value(_plus(alpha, e)) for e in _UNITS)  # alpha + e_j in the table, so alpha too
+def _recurrence(entries, alpha, R, etas):
+    """The recurrence of `recurrence_rhs` on the dense row `entries` of a table, with R and the eta rows given."""
+    d_t, d_x = (float(entries[_pos(*_plus(alpha, e))]) for e in _UNITS)
     for eta_row, r in zip(etas, R):
         eta = eta_row[_pos(*alpha)]
         d_t += float(r[0]) * eta
@@ -430,10 +489,10 @@ def reconstruct_generators(germ, kind):
     R is affine in the table's second-order entries, so the residuals of
     `recurrence_rhs` and `commutator_coefficients` are too: their coefficients
     are read exactly at zero and at the unit vectors, and one 3x3 solve gives
-    I[2,0].  The probe tables differ only in second-order entries, so their
-    correction matrices come from one solve (:func:`_corrections`) and their
-    eta rows at g from the first table.  Returns (reconstructed, direct) to
-    compare with the closed form.
+    I[2,0].  The probes differ only in second-order entries: they are rows
+    of one array, their correction matrices come from one solve
+    (:func:`_corrections`), and their eta rows at g from one table of the
+    first.  Returns (reconstructed, direct) to compare with the closed form.
     """
     _require_germ(germ)
     order = sum(_RECONSTRUCTED)
@@ -446,15 +505,15 @@ def reconstruct_generators(germ, kind):
     known = np.zeros(len(multi_indices(order)) - len(unknowns))
     known[_pos(*kind.pivot_alpha)], known[_pos(*g)] = branch, i_g
     probes = np.vstack((np.zeros(len(unknowns)), np.eye(len(unknowns))))
-    tables = [InvariantTable(kind, order, branch, np.concatenate((known, entries)), {}) for entries in probes]
-    etas = tables[0]._etas  # read at g only, a first-order index
+    entries = np.hstack((np.tile(known, (len(probes), 1)), probes))
+    etas = InvariantTable(kind, order, branch, entries[0], {})._etas  # read at g only, a first-order index
 
-    def residuals(table, R):
+    def residuals(row, R):
         a_t, a_x = _bracket(kind, R)
-        rhs_t, rhs_x = _recurrence(table, g, R, etas)
+        rhs_t, rhs_x = _recurrence(row, g, R, etas)
         return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
 
-    at_zero, *at_units = map(residuals, tables, _corrections(tables))
+    at_zero, *at_units = map(residuals, entries, _corrections(kind, etas, entries))
     A = np.column_stack([r - at_zero for r in at_units])
     condition = np.linalg.cond(A)
     if not condition <= _MAX_CONDITION:

@@ -264,12 +264,15 @@ def _stacked_pairs(order, rows, slopes):
 
 
 def _row_products(a, b):
-    """Series product of each row of `a` with the same row of `b`, as rows of coefficients."""
-    rows, size = a.shape
+    """Series product of each row of `a` with the same row of `b`, as rows of coefficients.
+
+    A 1-D `a` is one series, the left factor of every row of `b`.
+    """
+    rows, size = b.shape
     order = _series_order(size)
     lhs, rhs, _ = _product_table(order)
     bins = _stacked_pairs(order, rows, False)[2]
-    return np.bincount(bins, (a[:, lhs] * b[:, rhs]).ravel(), rows * size).reshape(rows, size)
+    return np.bincount(bins, (a.take(lhs, -1) * b.take(rhs, 1)).ravel(), rows * size).reshape(rows, size)
 
 
 # -- analytic composition ----------------------------------------------------

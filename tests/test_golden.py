@@ -47,6 +47,9 @@ CASES = {
     # float jets off the germ they build
     "verify-series-seed3-s100-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
                                     "--seed", "3", "--samples", "100", "--order", "6"],
+    # the same suites at seed 0, written before each germ kept its frames
+    "verify-series-seed0-s100-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
+                                    "--seed", "0", "--samples", "100", "--order", "6"],
 }
 
 

@@ -332,6 +332,22 @@ def test_pr_v_result_must_be_a_series_or_a_real_number():
             pr_v_apply(v, lambda j: [j.t, F(j)], jet)
 
 
+def test_pr_v_list_of_series_is_read_in_one_pass_as_element_calls():
+    # a list of lifted series takes one pass and one finiteness test: the
+    # same floats, the same DomainError, and an order-0 series stays a UsageError
+    jet = random_free_jet(np.random.default_rng(39), 3)
+    v = VectorField.galilean_boost()
+    entries = [lambda j, a=a: j.u[a] * j.u[(0, 1)] for a in multi_indices(3)]
+    got = pr_v_apply(v, lambda j: [F(j) for F in entries], jet)
+    assert all(type(d) is float for d in got)
+    assert got == [pr_v_apply(v, F, jet) for F in entries]
+    blow_up = TruncatedSeries.affine(0.0, math.inf, 0.0, 1)
+    with pytest.raises(DomainError, match="not finite"):
+        pr_v_apply(v, lambda j: [j.t, j.u[(0, 1)] + blow_up, j.x], jet)
+    with pytest.raises(UsageError):
+        pr_v_apply(v, lambda j: [j.t, TruncatedSeries.constant(1.0, 0)], jet)
+
+
 def test_determining_equations_hold():
     rng = np.random.default_rng(18)
     fields = list(VectorField.basis())

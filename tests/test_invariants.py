@@ -8,7 +8,7 @@ from jetframe.errors import (
     SingularFrameError,
     UsageError,
 )
-from jetframe.frame import FrameKind, moving_frame, pivot_value
+from jetframe.frame import FrameKind, moving_frame, pivot_value, require_regular_pivot
 from jetframe.group import VectorField, eta_alpha, prolong_act
 from jetframe.invariants import (
     InvariantTable,
@@ -23,7 +23,7 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
-from jetframe.taylor import TruncatedSeries, _pos
+from jetframe.taylor import TruncatedSeries, _pos, series_pow, triangle_size
 from jetframe.verify import (
     _sample_jet,
     random_free_jet,
@@ -742,6 +742,96 @@ def test_differentiate_takes_series_of_one_order():
     series = germ.invariant_series([(0, 1), (1, 0)], kind, 2) + germ.invariant_series([(0, 2)], kind, 1)
     with pytest.raises(UsageError, match=r"one order, got \[1, 2\]"):
         germ.differentiate(series, kind)
+
+
+def per_series_derivatives(germ, s, kind):
+    # the germ calculus as first written: per series, its own series jet,
+    # pivot and prefactors, and three TruncatedSeries products
+    order = s.order - 1
+    jet = germ.series_jet(1, order)
+    p, branch = require_regular_pivot(jet, kind)
+    scale_t, scale_x = (series_pow(branch * p, -w / kind.weight_denominator) for w in (3, 1))
+    rows = s.derivatives(1, order)
+    dt, dx = (TruncatedSeries(order, rows[_pos(*e)]) for e in ((1, 0), (0, 1)))
+    return scale_t * (dt + jet.u[(0, 0)] * dx), scale_x * dx
+
+
+# the orders of successive differentiate calls on one germ; "series first"
+# computes the frame in invariant_series, at an order between the others
+_CALL_ORDERS = {"high-low": (4, 3, 2, 1, 0), "low-high": (0, 1, 2, 3, 4), "series-first": (2, 4, 0, 3, 1)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("calls", sorted(_CALL_ORDERS))
+def test_stacked_differentiate_is_the_per_series_calculus_bit_for_bit(kind, branch, calls):
+    rng = np.random.default_rng(sum(map(ord, calls)) + 3 * branch)
+    for _ in range(3):
+        sol, t0, x0 = random_soliton_point(rng, kind, branch)
+        germ = SolutionGerm(sol, t0, x0, 5)
+        assert moving_frame(germ.jet(1), kind).branch == branch
+        if calls == "series-first":
+            got = germ.invariant_series(multi_indices(2), kind, 3)
+            want = SolutionGerm(sol, t0, x0, 5).invariant_series(multi_indices(2), kind, 3)
+            assert all(map(_same_series, got, want))
+        for order in _CALL_ORDERS[calls]:
+            size = triangle_size(order + 1)
+            items = [TruncatedSeries(order + 1, rng.normal(size=size)) for _ in range(rng.integers(1, 9))]
+            got = germ.differentiate(items, kind)
+            for k, s in enumerate(items):
+                want = per_series_derivatives(germ, s, kind)
+                for j in (0, 1):
+                    assert _same_series(got[j][k], want[j]), (order, k, j)
+        # a frame kept at order 4 serves a lower order of invariant_series as a fresh germ does
+        got = germ.invariant_series(multi_indices(3), kind, 1)
+        want = SolutionGerm(sol, t0, x0, 5).invariant_series(multi_indices(3), kind, 1)
+        assert all(map(_same_series, got, want))
+
+
+def test_germ_frame_errors_hold_on_every_call():
+    kind = FrameKind.X_NORMALIZED
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 3)
+    for _ in range(2):  # before and after the frame is kept
+        with pytest.raises(UsageError, match="one order"):
+            germ.differentiate([TruncatedSeries(2), TruncatedSeries(1)], kind)
+        with pytest.raises(UsageError):  # an order-0 series has no derivative
+            germ.differentiate(TruncatedSeries.constant(1.0, 0), kind)
+        with pytest.raises(UsageError):  # a germ of order 3 is too short for order-3 derivatives
+            germ.differentiate(TruncatedSeries(4), kind)
+        with pytest.raises(UsageError):  # an unhashable kind
+            germ.differentiate(TruncatedSeries(2), ["x"])
+        with pytest.raises(UsageError):  # no series, but still a kind to check
+            germ.differentiate([], ["x"])
+        with pytest.raises(UsageError):
+            germ.invariant_series((0, 1), ["x"], 1)
+        germ.differentiate(germ.invariant_series((0, 1), kind, 2), kind)
+    singular = SolutionGerm(Rational(), 1.3, 0.7, 3)
+    series = singular.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
+    for _ in range(2):  # a singular frame is never kept
+        with pytest.raises(SingularFrameError):
+            singular.invariant_series((0, 1), FrameKind.T_NORMALIZED, 1)
+        with pytest.raises(SingularFrameError):
+            singular.differentiate(series, FrameKind.T_NORMALIZED)
+
+
+def test_germ_tests_each_frame_pivot_once(monkeypatch):
+    # one series pivot test per (germ, kind): the commutator's invariant
+    # series, both of its differentiate calls and any later lower-order call
+    # read the frame the germ keeps
+    real_pivot, tested = invariants.require_regular_pivot, []
+
+    def pivot(jet, kind):
+        if jet.data.ndim == 2:
+            tested.append(kind)
+        return real_pivot(jet, kind)
+
+    monkeypatch.setattr(invariants, "require_regular_pivot", pivot)
+    germ = SolutionGerm(Soliton(), 0.3, -0.9, 4)
+    for kind in KINDS:
+        invariant_commutator(germ, [(0, 1), (0, 2), (1, 0)], kind)
+        invariant_commutator(germ, (1, 1), kind)
+        invariant_derivative(germ, (2, 0), kind)
+    assert tested == list(KINDS)
 
 
 @pytest.mark.parametrize("kind", KINDS)
