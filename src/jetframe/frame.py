@@ -19,6 +19,7 @@ from enum import Enum
 
 from .errors import SingularFrameError, UsageError
 from .group import GroupElement, _weight, compose, inverse, prolong_act
+from .jets import _require_real
 from .taylor import TruncatedSeries
 
 SINGULAR_THRESHOLD = 1e-30
@@ -102,6 +103,7 @@ def moving_frame(jet, kind):
     pivot coordinate to branch = sign(pivot).  Applying the returned element
     to `jet` therefore lands exactly on the cross-section.
     """
+    _require_real(jet, "moving_frame")
     p, branch = require_regular_pivot(jet, kind)
     eps4 = math.log(abs(p)) / kind.weight_denominator
     rho = GroupElement(-jet.t, -jet.x, -jet.u[(0, 0)], eps4)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for
+from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
 from .taylor import TruncatedSeries, _pos, _read_only, _row_products, multi_indices
 
 
@@ -205,15 +205,16 @@ def _boost_powers(b, top, order):
         raise DomainError(f"a power up to {b!r}**{top} of the boost overflows a double") from None
 
 
-def _transform(data, order, powers, scales):
-    """scales[w] * sum_k C(a1, k) powers[k] u[a1 - k, a2 + k] for every alpha of multi_indices(order).
+def _transform(data, order, powers, weights, scales):
+    """scale(w) * sum_k C(a1, k) powers[k] u[a1 - k, a2 + k] for every alpha of multi_indices(order).
 
     This is u_alpha after a Galilean boost by b, the powers of b being
     ``_boost_powers``, then a scaling with one factor per weight
     w = 3*a1 + a2 + 2: the transformation law of every derivative
     coordinate, closed at fixed total order.  `data` holds the entries of a
-    jet of order >= `order`, floats or series rows, and `scales` is indexed
-    by weight.  Each term is one gather and one product (one row-stacked
+    jet of order >= `order`, floats or series rows, and `scales` holds
+    scale(w), a float or a series row, for each w in `weights` (zero for any
+    other w).  Each term is one gather and one product (one row-stacked
     series product), the sums are one bincount that adds each alpha's terms
     in k order, and the scaling is one more product, so every entry is
     bit-identical to the loop over k that it replaces.  Overflow gives inf
@@ -228,7 +229,9 @@ def _transform(data, order, powers, scales):
         width = terms.shape[1]
         bins = plan.target[:, None] * width + np.arange(width)
         sums = np.bincount(bins.ravel(), terms.ravel(), size * width).reshape(size, width)
-    return _times(scales[plan.weight], sums)
+    by_weight = np.zeros((3 * order + 3,) + data.shape[1:])
+    by_weight[list(weights)] = scales
+    return _times(by_weight[plan.weight], sums)
 
 
 def _exp_or_inf(x):
@@ -251,13 +254,13 @@ def prolong_act(g, jet):
     with one math.exp per distinct weight.  A transformed coordinate that
     leaves double-precision range is a DomainError.
     """
+    _require_real(jet, "prolong_act")
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     order = jet.order
-    plan = _boost_plan(order)
-    scales = np.zeros(3 * order + 3)
-    scales[list(plan.weights)] = [_exp_or_inf(-w * g.eps4) for w in plan.weights]
+    weights = _boost_plan(order).weights
+    scales = [_exp_or_inf(-w * g.eps4) for w in weights]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _transform(jet.data, order, _boost_powers(-g.eps3, order, order), scales)
+        values = _transform(jet.data, order, _boost_powers(-g.eps3, order, order), weights, scales)
     values[0] = U0
     bad = _first_non_finite(values, multi_indices(order))
     if bad is not None:
@@ -404,6 +407,7 @@ def pr_v_apply(v, F, jet):
     fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
     if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
+    _require_real(jet, "pr_v_apply")
     t, x, u = jet.t, jet.x, jet.u[(0, 0)]
     lift = np.zeros((len(jet.data), 3))  # one order-1 series per entry
     lift[:, 0] = jet.data

@@ -37,13 +37,15 @@ the series powers of every distinct weight (one Horner loop for all of them,
 :func:`jetframe.taylor._compose`), the powers of u, and the series jet.  The
 boost sums of all alphas are one pass over the jet's dense entries
 (:func:`jetframe.group._transform`), and the invariant derivatives of all
-series are three stacked products (:func:`jetframe.taylor._row_products`).
-Each element of the list is bit-identical to the call on that element alone.
-A float jet's pivot and singular test come once per call; along a germ they
-come once per germ and frame: the germ keeps each frame's pivot, u and
-derivative prefactors at the highest series order asked, and reads lower
-orders as prefix slices.  The probes of a reconstruction are rows of one
-array that share one correction solve.
+series are one derivative gather (:func:`jetframe.taylor._derivatives`) and
+three stacked products (:func:`jetframe.taylor._row_products`).  Each
+element of the list is bit-identical to the call on that element alone.  A
+float jet's pivot and singular test come once per call; along a germ, once
+per germ and frame, a reconstruction's direct value included: the germ keeps
+each frame's tested pivot and branch, and its derivative prefactor rows, at
+the highest series order asked, and reads lower orders as prefix slices.
+The probes of a reconstruction are rows of one array that share one
+correction solve.
 """
 
 from __future__ import annotations
@@ -69,12 +71,12 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for
+from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
 from .solutions import _expansion, _read_jet
 from .taylor import (
     TruncatedSeries,
     _compose,
-    _derivative_table,
+    _derivatives,
     _integer,
     _multi_index,
     _pos,
@@ -85,8 +87,8 @@ from .taylor import (
 from .taylor import series_pow  # noqa: F401  bench/test_bench.py checks that the tracer rebinds it here
 
 
-def _prefactors(p, branch, weights, w_den, size):
-    """|p|^(-w/w_den) at index w, for each w in `weights`, zero elsewhere up to `size`.
+def _prefactors(p, branch, weights, w_den):
+    """|p|^(-w/w_den) for each w in `weights`: one float, or one series row, per weight.
 
     These are the fractional-power prefactors of a frame.  A float pivot p
     gives exp(-w*ln|p|/w_den), with ln|p| taken once; a series pivot gives
@@ -98,22 +100,13 @@ def _prefactors(p, branch, weights, w_den, size):
     """
     try:
         if isinstance(p, TruncatedSeries):
-            scales = np.zeros((size, p.coeffs.size))
-            rows = _compose("pow", branch * p, [-w / w_den for w in weights])
-            scales[list(weights)] = rows.reshape(len(weights), -1)
-            return scales
+            return _compose("pow", branch * p, [-w / w_den for w in weights]).reshape(len(weights), -1)
         log_p = math.log(abs(p))
-        scales = np.zeros(size)
-        scales[list(weights)] = [math.exp(-w * log_p / w_den) for w in weights]
-        return scales
+        return [math.exp(-w * log_p / w_den) for w in weights]
     except OverflowError:
         raise DomainError(
             f"frame prefactor |pivot|^(-w/{w_den}) overflows a double for a weight w <= {max(weights)}"
         ) from None
-
-
-# the scaling weights of t and x: the invariant derivatives carry |pivot|^(-w/d), w in (3, 1)
-_DERIVATIVE_WEIGHTS = (3, 1)
 
 
 def _table(jet, kind, order, derived=None, pivot=None):
@@ -133,9 +126,9 @@ def _table(jet, kind, order, derived=None, pivot=None):
         weights, top = sorted({_weight(alpha) for alpha in derived}), max(a1 for a1, _ in derived)
     p, branch = require_regular_pivot(jet, kind) if pivot is None else pivot
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite invariant is reported by the caller
-        scales = _prefactors(p, branch, weights, kind.weight_denominator, 3 * order + 3)
+        scales = _prefactors(p, branch, weights, kind.weight_denominator)
         powers = _boost_powers(jet.u[(0, 0)], top, order)
-        values = _transform(jet.data, order, powers, scales)
+        values = _transform(jet.data, order, powers, weights, scales)
     values[0] = 0.0
     return values
 
@@ -207,8 +200,7 @@ class InvariantTable:
         except (TypeError, ValueError):
             raise UsageError(f"an invariant table's phantoms are a mapping, got {self.phantoms!r}") from None
         jet = Jet(self.order, 0.0, 0.0, self.values)
-        if jet.data.ndim != 1:
-            raise UsageError("invariant table entries must be real numbers, not series")
+        _require_real(jet, "an invariant table")
         object.__setattr__(self, "_jet", jet)
         object.__setattr__(self, "values", jet.u)
         object.__setattr__(self, "phantoms", MappingProxyType(phantoms))
@@ -249,8 +241,8 @@ class SolutionGerm:
     total order, so invariant differentiation becomes exact series algebra:
     each application of an invariant derivative costs one series order.
     The germ is the one expansion of its point: the float jet there
-    (:meth:`jet`) and every series below are read off it.  It holds the
-    frame of each kind once (:meth:`_frame`, :meth:`_derivative_scales`).
+    (:meth:`jet`) and every series below are read off it.  It holds each
+    frame kind's pivot (:meth:`_frame`) and derivative prefactors once.
     """
 
     def __init__(self, solution, t0, x0, order):
@@ -273,38 +265,23 @@ class SolutionGerm:
         return Jet(jet_order, self.t0, self.x0, self._master.derivatives(jet_order, order))
 
     def _frame(self, kind, order, jet=None):
-        """(pivot, branch, u) of the frame `kind` along the germ, at series order `order`.
+        """(pivot series of order `order`, branch) of the frame `kind` along the germ.
 
-        The pivot is a series and u a coefficient row.  Each kind keeps them
-        at the highest order asked so far, with one singular-pivot test
-        there; a lower order reads prefix slices, which are bit for bit what
-        that order computes, as no coefficient of degree <= `order` depends
-        on where a series is cut.  A singular frame is never kept, so it
-        raises on every call.  `jet` is a series jet of order >= 1 at series
-        order `order`, when the caller has one.
+        Each kind keeps what :func:`~jetframe.frame.require_regular_pivot`
+        returns at the highest order asked, tested once there; a lower order
+        reads a prefix slice, bit for bit what that order computes, as no
+        coefficient of degree <= `order` depends on where a series is cut.
+        A singular frame is never kept, so it raises on every call.  `jet`
+        is a series jet of order >= 1 at series order `order`, if any.
         """
         _require_kind(kind)
         order = _integer(order, "series order of a frame", high=self.order - 1)
         frame = self._frames.get(kind)
-        if frame is None or frame[0] < order:
+        if frame is None or frame[0].order < order:
             jet = self.series_jet(1, order) if jet is None else jet
-            p, branch = require_regular_pivot(jet, kind)
-            frame = self._frames[kind] = (order, p.coeffs, branch, jet.data[0])
-        size = triangle_size(order)
-        return TruncatedSeries._wrap(order, frame[1][:size]), frame[2], frame[3][:size]
-
-    def _derivative_scales(self, kind, order):
-        """(u, [scale_t, scale_x]): u and the prefactor rows |pivot|^(-3/d), |pivot|^(-1/d) of D_t^i and D_x^i.
-
-        The prefactors are kept per kind as the frame is, at the highest
-        order asked, and read as prefix slices below it.
-        """
-        p, branch, u = self._frame(kind, order)
-        scales = self._scales.get(kind)
-        if scales is None or scales.shape[1] < u.size:
-            rows = _prefactors(p, branch, _DERIVATIVE_WEIGHTS, kind.weight_denominator, 4)
-            scales = self._scales[kind] = rows[list(_DERIVATIVE_WEIGHTS)]
-        return u, scales[:, : u.size]
+            frame = self._frames[kind] = require_regular_pivot(jet, kind)
+        p, branch = frame
+        return TruncatedSeries._wrap(order, p.coeffs[: triangle_size(order)]), branch
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
@@ -339,12 +316,16 @@ class SolutionGerm:
             _require_kind(kind)  # no frame is read, but the kind is still checked
             return [], []
         order = items[0].order - 1
-        u, (scale_t, scale_x) = self._derivative_scales(kind, order)  # a series too short is a UsageError
-        source, factor = _derivative_table(1, order)
-        stacked = np.array([s.coeffs for s in items])
-        # the d/dt and d/dx rows of every series, as TruncatedSeries.derivatives reads them
-        dt, dx = (factor[k] * stacked[:, source[k]] for k in (_pos(*e) for e in _UNITS))
-        d_t = _row_products(scale_t, dt + _row_products(u, dx))
+        p, branch = self._frame(kind, order)  # a series too short is a UsageError
+        size = p.coeffs.size
+        # |pivot|^(-w/d) at the scaling weights 3 of t and 1 of x, kept per kind as the frame is
+        scales = self._scales.get(kind)
+        if scales is None or scales.shape[1] < size:
+            scales = self._scales[kind] = _prefactors(p, branch, (3, 1), kind.weight_denominator)
+        scale_t, scale_x = scales[:, :size]
+        rows = _derivatives(np.array([s.coeffs for s in items]), 1, order)
+        dt, dx = (rows[:, _pos(*e)] for e in _UNITS)
+        d_t = _row_products(scale_t, dt + _row_products(self._master.coeffs[:size], dx))
         return shape(_entries(d_t)), shape(_entries(_row_products(scale_x, dx)))
 
 
@@ -492,14 +473,15 @@ def reconstruct_generators(germ, kind):
     I[2,0].  The probes differ only in second-order entries: they are rows
     of one array, their correction matrices come from one solve
     (:func:`_corrections`), and their eta rows at g from one table of the
-    first.  Returns (reconstructed, direct) to compare with the closed form.
+    first.  Returns (reconstructed, direct) to compare with the closed form,
+    the direct value at the pivot of the germ's frame.
     """
     _require_germ(germ)
-    order = sum(_RECONSTRUCTED)
-    jet = germ.jet(order)
-    p, branch = require_regular_pivot(jet, kind)
+    _require_kind(kind)
     g = next(e for e in _UNITS if e != kind.pivot_alpha)
     i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
+    p, branch = germ._frame(kind, 0)
+    order = sum(_RECONSTRUCTED)
     unknowns = [a for a in multi_indices(order) if sum(a) == order]
     # the rows below the unknowns in storage order: I[0,0] = 0, the pivot's branch and I_g
     known = np.zeros(len(multi_indices(order)) - len(unknowns))
@@ -519,4 +501,4 @@ def reconstruct_generators(germ, kind):
     if not condition <= _MAX_CONDITION:
         raise DegeneratePointError(f"reconstruction at ({germ.t0}, {germ.x0}) has condition {condition:.3g}")
     reconstructed = np.linalg.solve(A, -at_zero)[unknowns.index(_RECONSTRUCTED)]
-    return float(reconstructed), normalized_invariant(jet, _RECONSTRUCTED, kind, _pivot=(p, branch))
+    return float(reconstructed), normalized_invariant(germ.jet(order), _RECONSTRUCTED, kind, _pivot=(p.value, branch))

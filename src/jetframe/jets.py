@@ -86,6 +86,12 @@ def _rows_for(alphas, order):
     return max(map(sum, alphas), default=0), [_pos(*alpha) for alpha in alphas]
 
 
+def _require_real(jet, what):
+    """A series jet is a UsageError where `what` takes only real jets."""
+    if jet.data.ndim != 1:
+        raise UsageError(f"{what} takes a jet of real numbers, not series")
+
+
 def _entries(values):
     """Python floats, or TruncatedSeries rows, of an array of jet entries."""
     if values.ndim == 1:

@@ -239,11 +239,15 @@ class TruncatedSeries:
         One row of coefficients per alpha, in ``multi_indices(jet_order)``
         order; row alpha at order 0 is the alpha! c_alpha of a jet entry.
         """
-        if jet_order < 0 or order < 0 or jet_order + order > self.order:
-            raise UsageError(f"cannot read order-{order} series of derivatives up to order "
-                             f"{jet_order} off a series of order {self.order}")
-        source, factor = _derivative_table(jet_order, order)
-        return factor * self.coeffs[source]
+        return _derivatives(self.coeffs, jet_order, order)
+
+
+def _derivatives(coeffs, jet_order, order):
+    """:meth:`TruncatedSeries.derivatives` of the series `coeffs`, or of each row of a stack of series."""
+    top = _series_order(coeffs.shape[-1])
+    jet_order = _integer(jet_order, "derivative order", high=top)
+    source, factor = _derivative_table(jet_order, _integer(order, "derivative series order", high=top - jet_order))
+    return factor * coeffs.take(source, -1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,14 @@ from jetframe.frame import (
     require_regular_pivot,
 )
 from jetframe.group import GroupElement, prolong_act
-from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
+from jetframe.invariants import (
+    SolutionGerm,
+    invariant_commutator,
+    invariant_derivative,
+    invariant_table,
+    normalized_invariant,
+    reconstruct_generators,
+)
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Rational, Soliton, jet_of_solution
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
@@ -151,6 +158,10 @@ def test_a_frame_kind_must_be_a_frame_kind():
         lambda kind: normalized_invariant(jet, (1, 1), kind),
         lambda kind: germ.invariant_series((1, 1), kind, 1),
         lambda kind: germ.differentiate(series, kind),
+        lambda kind: invariant_derivative(germ, (1, 1), kind),
+        lambda kind: invariant_commutator(germ, (0, 1), kind),
+        lambda kind: reconstruct_generators(germ, kind),
+        lambda kind: equivariance_defect(jet, GroupElement(0.1, -0.2, 0.3, 0.05), kind),
         # a request for only the invariantized u reads no pivot
         lambda kind: normalized_invariant(jet, (0, 0), kind),
         lambda kind: normalized_invariant(jet, [(0, 0)], kind),

@@ -8,8 +8,8 @@ from jetframe.errors import (
     SingularFrameError,
     UsageError,
 )
-from jetframe.frame import FrameKind, moving_frame, pivot_value, require_regular_pivot
-from jetframe.group import VectorField, eta_alpha, prolong_act
+from jetframe.frame import FrameKind, equivariance_defect, moving_frame, pivot_value, require_regular_pivot
+from jetframe.group import GroupElement, VectorField, eta_alpha, pr_v_apply, prolong_act
 from jetframe.invariants import (
     InvariantTable,
     SolutionGerm,
@@ -22,7 +22,7 @@ from jetframe.invariants import (
     recurrence_rhs,
 )
 from jetframe.jets import Jet, multi_indices
-from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
+from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 from jetframe.taylor import TruncatedSeries, _pos, series_pow, triangle_size
 from jetframe.verify import (
     _sample_jet,
@@ -458,7 +458,7 @@ def test_reconstruction_is_the_four_table_algorithm_bit_for_bit(kind):
 
 def test_reconstruction_solves_R_once_and_tests_the_pivot_once(monkeypatch):
     # the probe tables share one correction solve, and the direct value
-    # reuses the pivot of the order-2 jet
+    # reads the pivot of the germ's frame: no float jet is tested
     real_solve, real_pivot = np.linalg.solve, invariants.require_regular_pivot
     solves, pivots = [], []
 
@@ -480,7 +480,7 @@ def test_reconstruction_solves_R_once_and_tests_the_pivot_once(monkeypatch):
             solves.clear(), pivots.clear()
             reconstruct_generators(germ, kind)
             assert solves.count((4, 4)) == 1 and len(solves) == 2, solves
-            assert pivots == [kind]
+            assert pivots == []
 
 
 def test_second_generator_identity():
@@ -532,14 +532,19 @@ def test_germ_orders_are_validated():
 
 
 def test_germ_rejects_negative_or_too_high_orders():
-    # a negative index is a usage error, never an endless recursion
+    # a negative index is a usage error, never an endless recursion, and a
+    # non-integer order one too, never a bare TypeError
     germ = SolutionGerm(Soliton(), 0.3, 0.8, 3)
-    for jet_order, order in [(-1, 0), (0, -1), (4, 0), (2, 2)]:
+    for jet_order, order in [(-1, 0), (0, -1), (4, 0), (2, 2), (1, 1.0), (1, "1"), (1.0, 1), ("1", 1)]:
         with pytest.raises(UsageError):
             germ.series_jet(jet_order, order)
     for alpha in [(-1, 0), (0, -1), (-1, 2), (-1, 1)]:
         with pytest.raises(UsageError):
             germ.invariant_series(alpha, FrameKind.X_NORMALIZED, 1)
+    for kind in KINDS:
+        for order in (1.0, "1"):
+            with pytest.raises(UsageError, match="must be an integer"):
+                germ.invariant_series((0, 1), kind, order)
 
 
 def test_germ_series_do_not_share_the_master_coefficients():
@@ -548,6 +553,38 @@ def test_germ_series_do_not_share_the_master_coefficients():
     for jet_order, order in [(0, 6), (3, 3), (6, 0)]:
         for entry in germ.series_jet(jet_order, order).u.values():
             assert not np.shares_memory(entry.coeffs, master)
+
+
+# the calls that take only real jets, each as a function of the jet alone
+_REAL_JET_CALLS = {
+    "moving_frame": lambda jet: moving_frame(jet, FrameKind.X_NORMALIZED),
+    "invariant_table": lambda jet: invariant_table(jet, FrameKind.X_NORMALIZED, 2),
+    "equivariance_defect": lambda jet: equivariance_defect(jet, GroupElement(0.1, -0.2, 0.3, 0.05), FrameKind.X_NORMALIZED),
+    "prolong_act": lambda jet: prolong_act(GroupElement(0.1, -0.2, 0.3, 0.05), jet),
+    "pr_v_apply": lambda jet: pr_v_apply(VectorField.scaling(), lambda j: j.u[(0, 1)], jet),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_REAL_JET_CALLS))
+def test_a_series_jet_is_a_usage_error_where_only_real_jets_work(call):
+    germ = SolutionGerm(Soliton(), 0.3, -0.9, 4)
+    with pytest.raises(UsageError, match="real numbers, not series"):
+        _REAL_JET_CALLS[call](germ.series_jet(2, 1))
+    _REAL_JET_CALLS[call](germ.jet(2))
+
+
+def test_the_closed_forms_keep_taking_series_jets():
+    # the pivot, the invariants, eta and the residual are series arithmetic
+    germ, kind = SolutionGerm(Soliton(), 0.3, -0.9, 4), FrameKind.X_NORMALIZED
+    jet = germ.series_jet(3, 1)
+    for value in (
+        normalized_invariant(jet, (0, 2), kind),
+        pivot_value(jet, kind),
+        require_regular_pivot(jet, kind)[0],
+        eta_alpha(VectorField.scaling(), (0, 2), jet),
+        kdv_residual(jet),
+    ):
+        assert isinstance(value, TruncatedSeries) and value.order == 1
 
 
 # soliton points on branch -1 and +1 of both frames, and two rational points
@@ -816,8 +853,8 @@ def test_germ_frame_errors_hold_on_every_call():
 
 def test_germ_tests_each_frame_pivot_once(monkeypatch):
     # one series pivot test per (germ, kind): the commutator's invariant
-    # series, both of its differentiate calls and any later lower-order call
-    # read the frame the germ keeps
+    # series, both of its differentiate calls, any later lower-order call and
+    # a reconstruction's direct value read the frame the germ keeps
     real_pivot, tested = invariants.require_regular_pivot, []
 
     def pivot(jet, kind):
@@ -831,6 +868,7 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
         invariant_commutator(germ, [(0, 1), (0, 2), (1, 0)], kind)
         invariant_commutator(germ, (1, 1), kind)
         invariant_derivative(germ, (2, 0), kind)
+        reconstruct_generators(germ, kind)
     assert tested == list(KINDS)
 
 
