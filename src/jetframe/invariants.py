@@ -42,10 +42,11 @@ three stacked products (:func:`jetframe.taylor._row_products`).  Each
 element of the list is bit-identical to the call on that element alone.  A
 float jet's pivot and singular test come once per call; along a germ, once
 per germ and frame, a reconstruction's direct value included: the germ keeps
-each frame's tested pivot and branch, and its derivative prefactor rows, at
-the highest series order asked, and reads lower orders as prefix slices.
-The probes of a reconstruction are rows of one array that share one
-correction solve.
+one record per frame kind (:meth:`SolutionGerm._frame`), the tested pivot and
+branch and the derivative prefactor rows computed with them, at the highest
+series order asked, and reads lower orders as prefix slices.  The probes of a
+reconstruction are rows of one array that share one correction solve and
+the eta rows of one jet.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ class SolutionGerm:
     total order, so invariant differentiation becomes exact series algebra:
     each application of an invariant derivative costs one series order.
     The germ is the one expansion of its point: the float jet there
-    (:meth:`jet`) and every series below are read off it.  It holds each
-    frame kind's pivot (:meth:`_frame`) and derivative prefactors once.
+    (:meth:`jet`) and every series below are read off it.  It holds one
+    frame record per frame kind (:meth:`_frame`).
     """
 
     def __init__(self, solution, t0, x0, order):
@@ -250,7 +251,7 @@ class SolutionGerm:
         self.t0 = float(t0)
         self.x0 = float(x0)
         self.order = self._master.order
-        self._frames, self._scales = {}, {}
+        self._frames = {}
 
     def jet(self, order):
         """The float jet of order `order` at the base point, read off the germ's expansion.
@@ -265,23 +266,27 @@ class SolutionGerm:
         return Jet(jet_order, self.t0, self.x0, self._master.derivatives(jet_order, order))
 
     def _frame(self, kind, order, jet=None):
-        """(pivot series of order `order`, branch) of the frame `kind` along the germ.
+        """(pivot series, branch, prefactor rows) of the frame `kind` along the germ, at series order `order`.
 
-        Each kind keeps what :func:`~jetframe.frame.require_regular_pivot`
-        returns at the highest order asked, tested once there; a lower order
-        reads a prefix slice, bit for bit what that order computes, as no
-        coefficient of degree <= `order` depends on where a series is cut.
-        A singular frame is never kept, so it raises on every call.  `jet`
-        is a series jet of order >= 1 at series order `order`, if any.
+        Each kind keeps one record at the highest order asked: what
+        :func:`~jetframe.frame.require_regular_pivot` returns there, tested
+        once, and the rows of |pivot|^(-3/d) and |pivot|^(-1/d), the
+        prefactors of D_t^i and D_x^i at the scaling weights 3 of t and 1 of
+        x.  A lower order reads prefix slices, bit for bit what that order
+        computes, as no coefficient of degree <= `order` depends on where a
+        series is cut.  A singular frame is never kept, so it raises on every
+        call.  `jet` is a series jet of order >= 1 at series order `order`, if any.
         """
         _require_kind(kind)
         order = _integer(order, "series order of a frame", high=self.order - 1)
         frame = self._frames.get(kind)
         if frame is None or frame[0].order < order:
             jet = self.series_jet(1, order) if jet is None else jet
-            frame = self._frames[kind] = require_regular_pivot(jet, kind)
-        p, branch = frame
-        return TruncatedSeries._wrap(order, p.coeffs[: triangle_size(order)]), branch
+            p, branch = require_regular_pivot(jet, kind)
+            frame = self._frames[kind] = p, branch, _prefactors(p, branch, (3, 1), kind.weight_denominator)
+        p, branch, scales = frame
+        size = triangle_size(order)
+        return TruncatedSeries._wrap(order, p.coeffs[:size]), branch, scales[:, :size]
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
@@ -316,16 +321,10 @@ class SolutionGerm:
             _require_kind(kind)  # no frame is read, but the kind is still checked
             return [], []
         order = items[0].order - 1
-        p, branch = self._frame(kind, order)  # a series too short is a UsageError
-        size = p.coeffs.size
-        # |pivot|^(-w/d) at the scaling weights 3 of t and 1 of x, kept per kind as the frame is
-        scales = self._scales.get(kind)
-        if scales is None or scales.shape[1] < size:
-            scales = self._scales[kind] = _prefactors(p, branch, (3, 1), kind.weight_denominator)
-        scale_t, scale_x = scales[:, :size]
+        _, _, (scale_t, scale_x) = self._frame(kind, order)  # a series too short is a UsageError
         rows = _derivatives(np.array([s.coeffs for s in items]), 1, order)
         dt, dx = (rows[:, _pos(*e)] for e in _UNITS)
-        d_t = _row_products(scale_t, dt + _row_products(self._master.coeffs[:size], dx))
+        d_t = _row_products(scale_t, dt + _row_products(self._master.coeffs[: scale_t.size], dx))
         return shape(_entries(d_t)), shape(_entries(_row_products(scale_x, dx)))
 
 
@@ -466,29 +465,29 @@ def reconstruct_generators(germ, kind):
     D_t^i I_g, D_x^i I_g and the bracket of I_g, taken along the germ of
     order >= 3 (:func:`invariant_commutator`), obey
     the universal recurrence formula (Fels & Olver, Moving coframes II, Acta
-    Appl. Math. 1999) on an order-2 table whose first-order entries are known.
-    R is affine in the table's second-order entries, so the residuals of
-    `recurrence_rhs` and `commutator_coefficients` are too: their coefficients
-    are read exactly at zero and at the unit vectors, and one 3x3 solve gives
-    I[2,0].  The probes differ only in second-order entries: they are rows
-    of one array, their correction matrices come from one solve
-    (:func:`_corrections`), and their eta rows at g from one table of the
+    Appl. Math. 1999) on an order-2 invariantized jet whose first-order
+    entries are known.  R is affine in its second-order entries, so the
+    residuals of `recurrence_rhs` and `commutator_coefficients` are too: their
+    coefficients are read exactly at zero and at the unit vectors, and one 3x3
+    solve gives I[2,0].  The probes differ only in second-order entries: they
+    are rows of one array, their correction matrices come from one solve
+    (:func:`_corrections`), and their eta rows at g from one jet of the
     first.  Returns (reconstructed, direct) to compare with the closed form,
     the direct value at the pivot of the germ's frame.
     """
     _require_germ(germ)
     _require_kind(kind)
-    g = next(e for e in _UNITS if e != kind.pivot_alpha)
+    g = _UNITS[_bracket_order(kind)[1]]
     i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
-    p, branch = germ._frame(kind, 0)
+    p, branch, _ = germ._frame(kind, 0)
     order = sum(_RECONSTRUCTED)
-    unknowns = [a for a in multi_indices(order) if sum(a) == order]
-    # the rows below the unknowns in storage order: I[0,0] = 0, the pivot's branch and I_g
-    known = np.zeros(len(multi_indices(order)) - len(unknowns))
-    known[_pos(*kind.pivot_alpha)], known[_pos(*g)] = branch, i_g
-    probes = np.vstack((np.zeros(len(unknowns)), np.eye(len(unknowns))))
-    entries = np.hstack((np.tile(known, (len(probes), 1)), probes))
-    etas = InvariantTable(kind, order, branch, entries[0], {})._etas  # read at g only, a first-order index
+    # the rows below the unknowns in storage order hold I[0,0] = 0, the pivot's
+    # branch and I_g; the probes set the unknowns to zero, then to each unit vector
+    known, size = triangle_size(order - 1), triangle_size(order)
+    entries = np.zeros((1 + size - known, size))
+    entries[:, _pos(*kind.pivot_alpha)], entries[:, _pos(*g)] = branch, i_g
+    entries[1:, known:] = np.eye(size - known)
+    etas = _eta_rows(VectorField.basis(), Jet(order, 0.0, 0.0, entries[0])).tolist()  # read at g only
 
     def residuals(row, R):
         a_t, a_x = _bracket(kind, R)
@@ -500,5 +499,5 @@ def reconstruct_generators(germ, kind):
     condition = np.linalg.cond(A)
     if not condition <= _MAX_CONDITION:
         raise DegeneratePointError(f"reconstruction at ({germ.t0}, {germ.x0}) has condition {condition:.3g}")
-    reconstructed = np.linalg.solve(A, -at_zero)[unknowns.index(_RECONSTRUCTED)]
+    reconstructed = np.linalg.solve(A, -at_zero)[_pos(*_RECONSTRUCTED) - known]
     return float(reconstructed), normalized_invariant(germ.jet(order), _RECONSTRUCTED, kind, _pivot=(p.value, branch))

@@ -43,6 +43,14 @@ class Solution:
         raise UsageError(f"{type(self).__name__} does not define series(t, x)")
 
 
+def _require_real_fields(solution):
+    """A catalog parameter that is not a real number is a UsageError, before its range is checked."""
+    for f in dataclasses.fields(solution):
+        value = getattr(solution, f.name)
+        if not (type(value) is float or isinstance(value, numbers.Real)):
+            raise UsageError(f"{solution.name} parameter {f.name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constant(Solution):
     """u = u0 everywhere."""
@@ -51,6 +59,7 @@ class Constant(Solution):
     name = "constant"
 
     def __post_init__(self):
+        _require_real_fields(self)
         if not math.isfinite(self.u0):
             raise UsageError(f"constant solution value must be finite, got {self.u0}")
 
@@ -79,6 +88,7 @@ class Soliton(Solution):
     name = "soliton"
 
     def __post_init__(self):
+        _require_real_fields(self)
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise UsageError(f"soliton speed must be positive and finite, got {self.c}")
         if not math.isfinite(self.phase):

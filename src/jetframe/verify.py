@@ -326,8 +326,8 @@ _SUITES = {
     "determining-eqs": (_suite_determining_eqs, 1e-12),
     "equivariance": (_suite_equivariance, 1e-12),
     "invariance": (_suite_invariance, 1e-8),
-    "phantom": (_suite_phantom, 1e-9),
-    "kdv-residual": (_suite_kdv_residual, 1e-9),
+    "phantom": (_suite_phantom, 1e-12),
+    "kdv-residual": (_suite_kdv_residual, 1e-12),
     "recurrences": (_suite_recurrences, 1e-11),
     "commutators": (_suite_commutators, 1e-12),
     "reconstruction": (_suite_reconstruction, 1e-12),

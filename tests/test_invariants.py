@@ -852,17 +852,29 @@ def test_germ_frame_errors_hold_on_every_call():
 
 
 def test_germ_tests_each_frame_pivot_once(monkeypatch):
-    # one series pivot test per (germ, kind): the commutator's invariant
-    # series, both of its differentiate calls, any later lower-order call and
-    # a reconstruction's direct value read the frame the germ keeps
+    # one frame record per (germ, kind): the commutator's invariant series,
+    # both of its differentiate calls, any later lower-order call and a
+    # reconstruction's direct value read the pivot test and the D_t^i, D_x^i
+    # prefactors made once, and reconstruction builds no InvariantTable
     real_pivot, tested = invariants.require_regular_pivot, []
+    real_prefactors, computed = invariants._prefactors, []
 
     def pivot(jet, kind):
         if jet.data.ndim == 2:
             tested.append(kind)
         return real_pivot(jet, kind)
 
+    def prefactors(p, branch, weights, w_den):
+        if tuple(weights) == (3, 1):
+            computed.append(w_den)
+        return real_prefactors(p, branch, weights, w_den)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("an InvariantTable was built")
+
     monkeypatch.setattr(invariants, "require_regular_pivot", pivot)
+    monkeypatch.setattr(invariants, "_prefactors", prefactors)
+    monkeypatch.setattr(invariants, "InvariantTable", no_table)
     germ = SolutionGerm(Soliton(), 0.3, -0.9, 4)
     for kind in KINDS:
         invariant_commutator(germ, [(0, 1), (0, 2), (1, 0)], kind)
@@ -870,6 +882,7 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
         invariant_derivative(germ, (2, 0), kind)
         reconstruct_generators(germ, kind)
     assert tested == list(KINDS)
+    assert computed == [kind.weight_denominator for kind in KINDS]
 
 
 @pytest.mark.parametrize("kind", KINDS)

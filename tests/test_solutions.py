@@ -64,6 +64,21 @@ def test_soliton_requires_positive_speed():
         Soliton(c=-1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Soliton(c="1"),
+        lambda: Soliton(phase=1j),
+        lambda: Constant(u0=None),
+        lambda: make_solution("soliton", c=[1]),
+    ],
+    ids=["c-str", "phase-complex", "u0-none", "factory-c-list"],
+)
+def test_non_numeric_catalog_parameter_is_a_usage_error(build):
+    with pytest.raises(UsageError, match="must be a real number"):
+        build()
+
+
 def test_soliton_derivatives_against_high_precision_oracle():
     # independent oracle: central finite differences run at 40-digit precision
     mp.dps = 40

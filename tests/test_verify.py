@@ -236,6 +236,20 @@ def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypat
         assert r.passed is False, r
 
 
+def test_solution_jet_suites_fail_when_the_soliton_amplitude_is_off(monkeypatch):
+    # phantom and kdv-residual read float jets of solutions; a relative error
+    # of 1e-10 in the soliton's amplitude breaks the equation by about 1e-10,
+    # above their 1e-12 tolerances and below the 1e-9 they had before
+    suites = ("phantom", "kdv-residual")
+    real_series = Soliton.series
+    assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
+    monkeypatch.setattr(Soliton, "series", lambda self, t, x: real_series(self, t, x) * (1 + 1e-10))
+    reports = run_suite(suites, seed=0, samples=20)
+    assert [r.name for r in reports] == list(suites)
+    for r in reports:
+        assert r.passed is False and r.max_defect < 1e-9, r
+
+
 _PAIR_SUITES = ("recurrences", "commutators", "reconstruction")
 
 
