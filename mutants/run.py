@@ -1,7 +1,7 @@
 """Scoped mutation harness: which suites of the battery kill each of a fixed table of mutants.
 
     python3 mutants/run.py                  # the program next to this directory
-    python3 mutants/run.py --root <checkout> --json
+    python3 mutants/run.py --root <checkout>    # another checkout, e.g. the parent commit
 
 A mutant is one exact text substitution in one file of ``src/``.  Its old
 text must occur exactly once in that file, so a refactor that moves or
@@ -140,7 +140,7 @@ def killers(src, baseline):
     return out
 
 
-def run_all(root=ROOT, mutants=MUTANTS):
+def run_all(root=ROOT):
     """(baseline failures per order, {mutant name: killers per order}) for the checkout at `root`."""
     src = Path(root) / "src"
     baseline = {}
@@ -151,7 +151,7 @@ def run_all(root=ROOT, mutants=MUTANTS):
         baseline[order] = suites - failed, suites
     results = {}
     with tempfile.TemporaryDirectory(prefix="jetframe-mutant-") as tmp:
-        for mutant in mutants:
+        for mutant in MUTANTS:
             copy = Path(tmp) / mutant.name
             shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             target = copy / "jetframe" / mutant.file
@@ -163,12 +163,8 @@ def run_all(root=ROOT, mutants=MUTANTS):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is mutated")
-    parser.add_argument("--json", action="store_true", help="print the kill sets as one JSON object")
     args = parser.parse_args(argv)
     baseline, results = run_all(args.root)
-    if args.json:
-        print(json.dumps({"baseline": baseline, "mutants": results}, indent=1))
-        return 0
     print(f"# unmutated failures: {baseline}")
     for mutant in MUTANTS:
         by_order = results[mutant.name]
