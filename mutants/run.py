@@ -53,15 +53,15 @@ MUTANTS = (
     Mutant(
         "prefactor-high-weight",
         "invariants.py",
-        "return [math.exp(-w * log_p / w_den) for w in weights]",
-        "return [math.exp(-w * log_p / w_den) * (1 + 1e-3 * (w > 14)) for w in weights]",
+        "rows.append([math.exp(-w * log_p / w_den) for w in weights])",
+        "rows.append([math.exp(-w * log_p / w_den) * (1 + 1e-3 * (w > 14)) for w in weights])",
         "the float prefactor |pivot|^(-w/d) is 1e-3 too large above weight 14",
     ),
     Mutant(
         "i0n-doubled",
         "invariants.py",
-        "    values[0] = 0.0\n    return values",
-        "    values[0] = 0.0\n    if order >= 5:\n        values[_pos(0, order)] *= 2\n    return values",
+        "    values[:, 0] = 0.0\n    return values",
+        "    values[:, 0] = 0.0\n    if order >= 5:\n        values[:, _pos(0, order)] *= 2\n    return values",
         "I[0,n] is doubled in every table of order n >= 5",
     ),
     Mutant(
@@ -81,8 +81,8 @@ MUTANTS = (
     Mutant(
         "bracket-sign",
         "invariants.py",
-        "out[l] += float(r[b]) * d_xi[a] - float(r[a]) * d_xi[b]",
-        "out[l] -= float(r[b]) * d_xi[a] - float(r[a]) * d_xi[b]",
+        "out[l] += r[..., b] * d_xi[a] - r[..., a] * d_xi[b]",
+        "out[l] -= r[..., b] * d_xi[a] - r[..., a] * d_xi[b]",
         "the commutator coefficients change sign",
     ),
     Mutant(
@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "r-columns-swapped",
         "invariants.py",
-        "return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))",
-        "return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))[..., ::-1]",
+        "return np.linalg.solve(v_z, -d_z)",
+        "return np.linalg.solve(v_z, -d_z)[..., ::-1]",
         "the t and x columns of the correction matrix R trade places",
     ),
 )

@@ -1,7 +1,9 @@
 """Command-line front end: evaluate invariant tables and run check suites.
 
 Exit codes: 0 success, 1 verification failure, 2 singular-frame or other
-domain error (the message names the vanishing pivot), 64 usage error.
+domain error (the message names the vanishing pivot), 64 usage error, 70
+internal error (an unexpected exception: one line on stderr, never a
+traceback, and never read as a failed check).
 The default seed is 0, overridable by the JETFRAME_SEED environment variable
 and by --seed.
 """
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE of sysexits.h, next to 64 = EX_USAGE
 
 
 # A value that starts with a minus sign, as float() reads it.  argparse's own
@@ -250,6 +253,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"jetframe: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:  # a bug, not a failed check: exit 1 would read as one
+        print(f"jetframe: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,14 +13,17 @@ group, so each branch carries its own well-defined equivariant frame.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import SingularFrameError, UsageError
 from .group import GroupElement, _weight, compose, inverse, prolong_act
 from .jets import _require_real
-from .taylor import TruncatedSeries
+from .taylor import TruncatedSeries, _row_products
 
 SINGULAR_THRESHOLD = 1e-30
 _CANCEL_ULPS = 32.0 * sys.float_info.epsilon
@@ -55,35 +58,69 @@ def _require_kind(kind):
         raise UsageError(f"a frame kind is a FrameKind, got {kind!r}")
 
 
+def _pivot(u, u_t, u_x, kind, times=operator.mul):
+    """The pivot of `kind` from u, u_t and u_x; `times` multiplies two entries."""
+    return u_t + times(u, u_x) if kind is FrameKind.T_NORMALIZED else u_x
+
+
+def _singular(p0, u, u_t, u_x, kind):
+    """Whether a pivot value p0 is singular: floats give a bool, arrays one per point.
+
+    A pivot is singular when it is a hard zero or a pure cancellation
+    artifact: the time-normalized pivot is a sum, and a result within a few
+    ulps of the magnitude of its terms means the exact pivot is zero.  u_x is
+    a single coordinate, not a sum, and needs no such scale.
+    """
+    scale = abs(u_t) + abs(u * u_x) if kind is FrameKind.T_NORMALIZED else 0.0
+    return (abs(p0) < SINGULAR_THRESHOLD) | (abs(p0) <= _CANCEL_ULPS * scale)
+
+
 def pivot_value(jet, kind):
     """The normalized quantity whose sign and size control the frame."""
     _require_kind(kind)
     if jet.order < 1:
         raise UsageError("frames need a jet of order >= 1")
-    if kind is FrameKind.T_NORMALIZED:
-        return jet.u[(1, 0)] + jet.u[(0, 0)] * jet.u[(0, 1)]
-    return jet.u[(0, 1)]
+    return _pivot(jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)], kind)
 
 
 def require_regular_pivot(jet, kind):
-    """Pivot of `kind` at `jet` and its branch sign; raises where the frame is singular.
+    """Pivot of `kind` at `jet` and its branch sign; raises where the frame is singular (:func:`_singular`).
 
     Jet entries may be floats or truncated series around a base point; the
-    singular test and the branch read the base-point values.  A pivot is
-    singular when it is a hard zero or a pure cancellation artifact: the
-    time-normalized pivot is a sum, and a result within a few ulps of the
-    magnitude of its terms means the exact pivot is zero.  u_x is a single
-    coordinate, not a sum, and needs no such scale.
+    singular test and the branch read the base-point values.
     """
     p = pivot_value(jet, kind)
     p0, u, u_t, u_x = p, jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)]
     if isinstance(p, TruncatedSeries):
         p0, u, u_t, u_x = p.value, u.value, u_t.value, u_x.value
-    scale = abs(u_t) + abs(u * u_x) if kind is FrameKind.T_NORMALIZED else 0.0
-    if abs(p0) < SINGULAR_THRESHOLD or abs(p0) <= _CANCEL_ULPS * scale:
+    if _singular(p0, u, u_t, u_x, kind):
         t, x = (c.value if isinstance(c, TruncatedSeries) else c for c in (jet.t, jet.x))
         raise SingularFrameError(kind.pivot_name, p0, f"at (t, x) = ({t}, {x})")
     return p, 1 if p0 > 0 else -1
+
+
+def require_regular_pivots(data, kind, points):
+    """Pivots of `kind` and their branch signs at each point of a stack; raises at the first singular one.
+
+    `data` holds one dense row of jet entries per point, floats or series
+    rows, and `points` each point's base (t, x).  The pivots are one float
+    or one series row per point, each bit for bit what
+    :func:`require_regular_pivot` gives at that point's jet, and the
+    branches are an array of signs.
+    """
+    _require_kind(kind)
+    if data.shape[1] < 3:
+        raise UsageError("frames need a jet of order >= 1")
+    series = data.ndim == 3
+    u, u_x, u_t = (data[:, i] for i in range(3))  # the storage order of (0, 0), (0, 1), (1, 0)
+    p = _pivot(u, u_t, u_x, kind, _row_products if series else operator.mul)
+    p0, u, u_t, u_x = (c[:, 0] if series else c for c in (p, u, u_t, u_x))
+    singular = _singular(p0, u, u_t, u_x, kind)
+    if singular.any():
+        i = int(np.argmax(singular))
+        t, x = points[i]
+        raise SingularFrameError(kind.pivot_name, float(p0[i]), f"at (t, x) = ({t}, {x})")
+    return p, np.where(p0 > 0, 1, -1)
 
 
 @dataclass(frozen=True)

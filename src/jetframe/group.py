@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
-from .taylor import TruncatedSeries, _pos, _read_only, _row_products, multi_indices
+from .taylor import TruncatedSeries, _pos, _read_only, _row_products, _shifted, multi_indices
 
 
 @dataclass(frozen=True)
@@ -175,63 +175,66 @@ def _boost_plan(order):
     )
 
 
-def _per_row(values, data):
-    """One value per row of `data`, shaped to scale its entries: floats, or rows of series."""
-    return values.reshape(values.shape + (1,) * (data.ndim - 1))
-
-
 def _times(a, b):
-    """Entrywise product of two arrays of jet entries: floats, or series rows."""
-    return a * b if a.ndim == 1 else _row_products(a, b)
+    """Entrywise product of two arrays of jet entries of a stack: floats, or series rows."""
+    return a * b if a.ndim == 2 else _row_products(a, b)
 
 
 def _boost_powers(b, top, order):
-    """Rows of the powers b^0, ..., b^top of the boost, then zero rows up to `order`.
+    """Rows of the powers b^0, ..., b^top of the boost, then zero rows up to `order`, one block per point.
 
-    A float power is b**k; a series power is the previous one times b.  A
-    float power that leaves double-precision range is a DomainError.
+    `b` holds the boost of each point of a stack: floats, or series rows.  A
+    float power is b**k, taken point by point; a series power is the
+    previous one times b.  A float power that leaves double-precision range
+    is a DomainError.
     """
-    if isinstance(b, TruncatedSeries):
-        rows = np.zeros((order + 1, b.coeffs.size))
-        power = TruncatedSeries.constant(1.0, b.order)
-        rows[0] = power.coeffs
+    if b.ndim == 2:
+        rows = np.zeros((len(b), order + 1, b.shape[1]))
+        power = rows[:, 0]
+        power[:, 0] = 1.0
         for k in range(1, top + 1):
-            power = power * b
-            rows[k] = power.coeffs
+            power = rows[:, k] = _row_products(power, b)
         return rows
     try:
-        return np.array([b**k for k in range(top + 1)] + [0.0] * (order - top))
+        return np.array([[x**k for k in range(top + 1)] + [0.0] * (order - top) for x in b.tolist()])
     except OverflowError:
-        raise DomainError(f"a power up to {b!r}**{top} of the boost overflows a double") from None
+        raise DomainError(f"a power up to {max(b.tolist(), key=abs)!r}**{top} of the boost overflows a double") from None
 
 
 def _transform(data, order, powers, weights, scales):
-    """scale(w) * sum_k C(a1, k) powers[k] u[a1 - k, a2 + k] for every alpha of multi_indices(order).
+    """scale(w) * sum_k C(a1, k) powers[k] u[a1 - k, a2 + k] for every alpha of multi_indices(order), at each point of a stack.
 
     This is u_alpha after a Galilean boost by b, the powers of b being
     ``_boost_powers``, then a scaling with one factor per weight
     w = 3*a1 + a2 + 2: the transformation law of every derivative
-    coordinate, closed at fixed total order.  `data` holds the entries of a
-    jet of order >= `order`, floats or series rows, and `scales` holds
-    scale(w), a float or a series row, for each w in `weights` (zero for any
-    other w).  Each term is one gather and one product (one row-stacked
-    series product), the sums are one bincount that adds each alpha's terms
-    in k order, and the scaling is one more product, so every entry is
+    coordinate, closed at fixed total order.  `data` holds one dense row of
+    entries per point, of a jet of order >= `order`, floats or series rows,
+    and `scales` holds scale(w) at each point, a float or a series row for
+    each w in `weights`; the row of an alpha of any other weight is junk.
+    Each term is one gather and one product (one row-stacked series
+    product), the sums are one bincount that adds each alpha's terms in k
+    order, and the scaling is one more product, so every entry is
     bit-identical to the loop over k that it replaces.  Overflow gives inf
     or nan, which callers report.
     """
     plan = _boost_plan(order)
-    size = len(plan.weight)
-    terms = _times(_per_row(plan.comb, powers) * powers[plan.k], data[plan.source])
-    if terms.ndim == 1:
-        sums = np.bincount(plan.target, terms, size)
+    points, size = len(data), len(plan.weight)
+    if data.ndim == 2:
+        bins, width, comb = plan.target, 1, plan.comb
     else:  # one bin per (alpha, coefficient)
-        width = terms.shape[1]
-        bins = plan.target[:, None] * width + np.arange(width)
-        sums = np.bincount(bins.ravel(), terms.ravel(), size * width).reshape(size, width)
-    by_weight = np.zeros((3 * order + 3,) + data.shape[1:])
-    by_weight[list(weights)] = scales
-    return _times(by_weight[plan.weight], sums)
+        width, comb = data.shape[2], plan.comb[:, None]
+        bins = (plan.target[:, None] * width + np.arange(width)).ravel()
+    terms = _times(comb * powers.take(plan.k, 1), data.take(plan.source, 1))
+    sums = np.bincount(_shifted(bins, points, size * width), terms.ravel(), points * size * width)
+    return _times(scales.take(_weight_slots(order, tuple(weights)), 1), sums.reshape((points, size) + data.shape[2:]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _weight_slots(order, weights):
+    """The position among `weights` of each alpha's weight, read off a table of the weights of the order; 0 for any other weight."""
+    slot = np.zeros(3 * order + 3, dtype=int)
+    slot[list(weights)] = np.arange(len(weights))
+    return _read_only(slot[_boost_plan(order).weight])
 
 
 def _exp_or_inf(x):
@@ -258,9 +261,9 @@ def prolong_act(g, jet):
     T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
     order = jet.order
     weights = _boost_plan(order).weights
-    scales = [_exp_or_inf(-w * g.eps4) for w in weights]
+    scales = np.array([[_exp_or_inf(-w * g.eps4) for w in weights]])
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _transform(jet.data, order, _boost_powers(-g.eps3, order, order), weights, scales)
+        (values,) = _transform(jet.data[None], order, _boost_powers(np.array([-g.eps3]), order, order), weights, scales)
     values[0] = U0
     bad = _first_non_finite(values, multi_indices(order))
     if bad is not None:
@@ -317,19 +320,26 @@ class VectorField:
 
 
 def _eta_rows(fields, jet):
-    """eta^alpha of each field at every alpha of the jet, one row of entries per field.
+    """eta^alpha of each field at every alpha of the jet, one row of entries per field."""
+    return _eta_stack(fields, jet.data[None], jet.order)[0]
+
+
+def _eta_stack(fields, data, order):
+    """eta^alpha of each field at every alpha, at each point of a stack: one row of entries per point and field.
 
     -(3*a1 + a2 + 2)*c4*u_alpha - a1*c3*u[a1-1, a2+1], plus c3 at (0, 0);
-    the a1*c3 term is the k = 1 term of the boost sum.
+    the a1*c3 term is the k = 1 term of the boost sum.  `data` holds one
+    dense row of entries per point, of a jet of order `order`, floats or
+    series rows.
     """
-    data, plan = jet.data, _boost_plan(jet.order)
-    column = (-1,) + (1,) * data.ndim  # one row of entries per field
-    c3 = np.array([v.c3 for v in fields]).reshape(column)
-    c4 = np.array([v.c4 for v in fields]).reshape(column)
-    etas = (-_per_row(plan.weight, data) * c4) * data
-    etas[(slice(None),) + (0,) * data.ndim] += c3.ravel()  # the constant term of u's coefficient
+    plan = _boost_plan(order)
+    entry = (1,) * (data.ndim - 2)  # the shape that scales one entry
+    c3 = np.array([v.c3 for v in fields]).reshape((1, -1, 1) + entry)
+    c4 = np.array([v.c4 for v in fields]).reshape((1, -1, 1) + entry)
+    etas = (-plan.weight.reshape((-1,) + entry) * c4) * data[:, None]
+    etas[(slice(None), slice(None), 0) + (0,) * len(entry)] += c3.ravel()  # the constant term of u's coefficient
     target, source, a1 = plan.lowered
-    etas[:, target] -= (_per_row(a1, data) * c3) * data[source]
+    etas[:, :, target] -= (a1.reshape((-1,) + entry) * c3) * data[:, None, source]
     return etas
 
 

@@ -45,8 +45,24 @@ per germ and frame, a reconstruction's direct value included: the germ keeps
 one record per frame kind (:meth:`SolutionGerm._frame`), the tested pivot and
 branch and the derivative prefactor rows computed with them, at the highest
 series order asked, and reads lower orders as prefix slices.  The probes of a
-reconstruction are rows of one array that share one correction solve and
+reconstruction are rows of one array that share one correction matrix and
 the eta rows of one jet.
+
+The same work also runs on many points at once.  A stack of germs
+(:meth:`SolutionGerm.stack`) holds one expansion row per point, and every
+array above gains a leading point axis: the series jet, the frame record,
+the powers of u, the boost sums, the derivative rows, and, for the float
+tables of the stack's points (:meth:`SolutionGerm._tables`), the
+invariants, the eta rows, R (:func:`_corrections`), the recurrences
+(:func:`_recurrence`) and the bracket coefficients (:func:`_bracket`).
+Only what must stay a per-point Python float operation for its bits is
+taken point by point: ln|pivot| and exp in the float prefactors, the float
+powers of u, and the Taylor coefficients of a composition.  Products and
+sums keep their per-point order, and each LAPACK solve or condition number
+runs once per matrix with one point's right-hand sides, so each point of a
+stack is bit for bit its own call, and a call on one germ is the stack of
+one point.  The seeded suites draw their germs first and evaluate each
+stack once (:mod:`jetframe.verify`).
 """
 
 from __future__ import annotations
@@ -60,20 +76,21 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
-from .frame import FrameKind, _require_kind, moving_frame, require_regular_pivot
+from .frame import FrameKind, _require_kind, moving_frame, require_regular_pivot, require_regular_pivots
 from .group import (
     _UNITS,
     VectorField,
     _boost_plan,
     _boost_powers,
     _eta_rows,
+    _eta_stack,
     _partials,
     _transform,
     _weight,
     act_point,
 )
 from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
-from .solutions import _expansion, _read_jet
+from .solutions import _expansion, _jet_rows
 from .taylor import (
     TruncatedSeries,
     _compose,
@@ -89,48 +106,79 @@ from .taylor import series_pow  # noqa: F401  bench/test_bench.py checks that th
 
 
 def _prefactors(p, branch, weights, w_den):
-    """|p|^(-w/w_den) for each w in `weights`: one float, or one series row, per weight.
+    """|p|^(-w/w_den) for each w in `weights`, at each pivot of a stack: one row per pivot.
 
-    These are the fractional-power prefactors of a frame.  A float pivot p
-    gives exp(-w*ln|p|/w_den), with ln|p| taken once; a series pivot gives
-    the rows of series_pow(branch*p, -w/w_den), whose constant term branch*p
-    is positive, all weights in one Horner loop (:func:`~jetframe.taylor._compose`),
-    on the slope pairs alone when p is affine.
+    These are the fractional-power prefactors of a frame.  `p` holds the
+    pivots, floats or series rows, and `branch` their signs.  A float pivot
+    gives exp(-w*ln|p|/w_den) per weight, with ln|p| taken once, point by
+    point; series pivots give the rows of series_pow(branch*p, -w/w_den),
+    whose constant terms branch*p are positive, every pivot and weight in
+    one Horner loop (:func:`~jetframe.taylor._compose`), on the slope pairs
+    alone when every p is affine.
     A pivot just above the singular threshold can overflow this power at high
     weight; that is a DomainError, not an arithmetic crash.
     """
     try:
-        if isinstance(p, TruncatedSeries):
-            return _compose("pow", branch * p, [-w / w_den for w in weights]).reshape(len(weights), -1)
-        log_p = math.log(abs(p))
-        return [math.exp(-w * log_p / w_den) for w in weights]
+        if p.ndim == 2:
+            exponents = [-w / w_den for w in weights]
+            return _compose("pow", p * branch[:, None], exponents).reshape(len(p), len(weights), -1)
+        rows = []
+        for pivot in p.tolist():
+            log_p = math.log(abs(pivot))
+            rows.append([math.exp(-w * log_p / w_den) for w in weights])
+        return np.array(rows)
     except OverflowError:
         raise DomainError(
             f"frame prefactor |pivot|^(-w/{w_den}) overflows a double for a weight w <= {max(weights)}"
         ) from None
 
 
-def _table(jet, kind, order, derived=None, pivot=None):
-    """I_alpha of every alpha of multi_indices(order) at `jet`, as floats or series rows.
+def _table(data, kind, order, derived, pivot):
+    """I_alpha of every alpha of multi_indices(order) at each point of a stack, as floats or series rows.
 
-    The boost by u and the frame's scaling go through the group's
-    transformation law with the powers of u and one prefactor per weight.
-    Only the weights and powers that the multi-indices `derived` need are
-    computed (all of positive order when None), so the row of an alpha
-    outside them is junk, never an error.  Row (0, 0), the invariantized u,
-    is zero: 0.0, or a zero series row.  `pivot` is the (p, branch) of
-    `require_regular_pivot` when the caller already has it.
+    `data` holds one dense row of jet entries per point and `pivot` the
+    (pivots, branches) of the frame there, as :func:`require_regular_pivots`
+    gives them.  The boost by u and the frame's scaling go through the
+    group's transformation law with the powers of u and one prefactor per
+    weight.  Only the weights and powers that the multi-indices `derived`
+    need are computed (all of positive order when None), so the row of an
+    alpha outside them is junk, never an error.  Row (0, 0), the
+    invariantized u, is zero: 0.0, or a zero series row.
     """
     if derived is None:
         weights, top = _boost_plan(order).weights, order
     else:
         weights, top = sorted({_weight(alpha) for alpha in derived}), max(a1 for a1, _ in derived)
-    p, branch = require_regular_pivot(jet, kind) if pivot is None else pivot
+    p, branch = pivot
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite invariant is reported by the caller
         scales = _prefactors(p, branch, weights, kind.weight_denominator)
-        powers = _boost_powers(jet.u[(0, 0)], top, order)
-        values = _transform(jet.data, order, powers, weights, scales)
-    values[0] = 0.0
+        powers = _boost_powers(data[:, 0], top, order)
+        values = _transform(data, order, powers, weights, scales)
+    values[:, 0] = 0.0
+    return values
+
+
+def _invariant_rows(data, kind, alphas, jet_order, pivot):
+    """I_alpha of each of `alphas` at each point of a stack: one row of floats or series rows per point.
+
+    `data` holds one dense row of entries of a jet of order `jet_order` per
+    point; `pivot()` gives the frame's (pivots, branches) there, and is
+    asked only when some alpha has positive order.  A non-finite invariant
+    is a DomainError.
+    """
+    order, rows = _rows_for(alphas, jet_order)
+    if order == 0:
+        _require_kind(kind)
+        return np.zeros((len(data), len(alphas)) + data.shape[2:])
+    # read back from the rows as Python ints: a weight of numpy unsigned ints would wrap when negated
+    derived = None if rows is None else [multi_indices(order)[r] for r in rows if r > 0]
+    values = _table(data, kind, order, derived, pivot())
+    if rows is not None:
+        values = values[:, rows]
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        bad = _first_non_finite(values[int(np.argmin(finite))], alphas)
+        raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
     return values
 
 
@@ -151,24 +199,49 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     alpha, for a caller that stores them as they are.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    order, rows = _rows_for(alphas, jet.order)
-    if order == 0:
-        _require_kind(kind)
-        values = np.zeros((len(alphas),) + jet.data.shape[1:])
-    else:
-        # read back from the rows as Python ints: a weight of numpy unsigned ints would wrap when negated
-        derived = None if rows is None else [multi_indices(order)[r] for r in rows if r > 0]
-        values = _table(jet, kind, order, derived, _pivot)
-        if rows is not None:
-            values = values[rows]
-        bad = _first_non_finite(values, alphas)
-        if bad is not None:
-            raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
+
+    def pivot():
+        p, branch = require_regular_pivot(jet, kind) if _pivot is None else _pivot
+        return (p.coeffs[None] if isinstance(p, TruncatedSeries) else np.array([p])), np.array([branch])
+
+    (values,) = _invariant_rows(jet.data[None], kind, alphas, jet.order, pivot)
     return values if _dense else shape(_entries(values))
 
 
+class _Corrections:
+    """The correction matrix R of an invariant table, or of a stack of them, built on first use.
+
+    A subclass gives the frame `kind`, the table `order`, the dense entries
+    `_data` of its invariantized jets and the basis fields' eta rows `_etas`
+    on them: one table has no leading axis, a stack one row per point.
+    """
+
+    @cached_property
+    def _R(self):
+        # built on the first recurrence or commutator query, not with the table
+        if self.order < 2:
+            raise UsageError(f"the correction matrix reads second-order invariants, got a table of order {self.order}")
+        return _corrections(self.kind, self._etas, self._data)
+
+
+class _TableStack(_Corrections):
+    """The invariant tables of one frame at each point of a germ stack (:meth:`SolutionGerm._tables`).
+
+    :func:`recurrence_rhs` and :func:`commutator_coefficients` read it as
+    they read an :class:`InvariantTable`, and give an array of one value per
+    point for each float that a table gives.
+    """
+
+    def __init__(self, kind, order, data):
+        self.kind, self.order, self._data = kind, order, data
+
+    @cached_property
+    def _etas(self):
+        return _eta_stack(VectorField.basis(), self._data, self.order)
+
+
 @dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(_Corrections):
     """All normalized invariants of one frame at one jet, up to `order`.
 
     The values are the invariantized jet J, a :class:`~jetframe.jets.Jet`
@@ -209,18 +282,15 @@ class InvariantTable:
     def value(self, alpha):
         return self._jet.value(alpha)
 
+    @property
+    def _data(self):
+        return self._jet.data
+
     @cached_property
     def _etas(self):
         # eta^alpha of each basis field on the invariantized jet J: one row
         # per field, alpha at _pos(*alpha)
-        return _eta_rows(VectorField.basis(), self._jet).tolist()
-
-    @cached_property
-    def _R(self):
-        # built on the first recurrence or commutator query, not by invariant_table
-        if self.order < 2:
-            raise UsageError(f"the correction matrix reads second-order invariants, got a table of order {self.order}")
-        return _corrections(self.kind, self._etas, self._jet.data[None])[0]
+        return _eta_rows(VectorField.basis(), self._jet)
 
 
 def invariant_table(jet, kind, order):
@@ -236,7 +306,7 @@ def invariant_table(jet, kind, order):
 
 
 class SolutionGerm:
-    """Taylor expansions of jet data and invariants along one solution.
+    """Taylor expansions of jet data and invariants along a solution, at one point or at a stack of points.
 
     Everything is expanded around a fixed base point (t0, x0) to a fixed
     total order, so invariant differentiation becomes exact series algebra:
@@ -244,14 +314,56 @@ class SolutionGerm:
     The germ is the one expansion of its point: the float jet there
     (:meth:`jet`) and every series below are read off it.  It holds one
     frame record per frame kind (:meth:`_frame`).
+
+    A stack of germs of one order (:meth:`stack`), of any solutions, holds
+    one expansion row per point; `t0` and `x0` are then the tuples of the
+    points' coordinates.  Its calls, and :func:`invariant_derivative`,
+    :func:`invariant_commutator` and :func:`reconstruct_generators` on it,
+    run every point at once and return one result per point, each bit for
+    bit that point's own call; a call on one germ is the one-row case of
+    the same code.
     """
 
     def __init__(self, solution, t0, x0, order):
-        self._master = _expansion(solution, t0, x0, order)
+        master = _expansion(solution, t0, x0, order)
         self.t0 = float(t0)
         self.x0 = float(x0)
-        self.order = self._master.order
+        self.order = master.order
+        self._coeffs = master.coeffs[None]  # one expansion row per point
+        self._points = [(self.t0, self.x0)]
+        self._stacked = False
         self._frames = {}
+
+    @classmethod
+    def stack(cls, germs):
+        """One germ over the points of `germs`, in their order; germs of different orders are a UsageError."""
+        germs = list(germs)
+        for germ in germs:
+            _require_germ(germ)
+        orders = sorted({germ.order for germ in germs})
+        if len(orders) != 1:
+            raise UsageError(f"a stack holds germs of one order, got {orders}")
+        stack = cls.__new__(cls)
+        stack._points = [point for germ in germs for point in germ._points]
+        stack.t0, stack.x0 = map(tuple, zip(*stack._points))
+        stack.order = orders[0]
+        stack._coeffs = np.concatenate([germ._coeffs for germ in germs])
+        stack._stacked = True
+        stack._frames = {}
+        return stack
+
+    def _results(self, results):
+        """What a call returns, from the list of its results per point: the list for a stack, its one item otherwise."""
+        return results if self._stacked else results[0]
+
+    def _each(self, value):
+        """The per-point items of an argument or result of a call: the inverse of :meth:`_results`."""
+        if not self._stacked:
+            return [value]
+        items = list(value)
+        if len(items) != len(self._points):
+            raise UsageError(f"a stack of {len(self._points)} points takes one item per point, got {len(items)}")
+        return items
 
     def jet(self, order):
         """The float jet of order `order` at the base point, read off the germ's expansion.
@@ -259,34 +371,55 @@ class SolutionGerm:
         No coefficient of degree <= `order` depends on where the expansion is
         cut, so this is :func:`~jetframe.solutions.jet_of_solution` bit for bit.
         """
-        return _read_jet(self._master, self.t0, self.x0, _integer(order, "jet order", high=self.order))
+        order = _integer(order, "jet order", high=self.order)
+        return self._results([Jet(order, t, x, row) for (t, x), row in zip(self._points, self._jet_rows(order))])
+
+    def _jet_rows(self, order):
+        return _jet_rows(self._coeffs, order, self._points)
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
-        return Jet(jet_order, self.t0, self.x0, self._master.derivatives(jet_order, order))
+        rows = self._series_rows(jet_order, order)
+        return self._results([Jet(jet_order, t, x, row) for (t, x), row in zip(self._points, rows)])
 
-    def _frame(self, kind, order, jet=None):
-        """(pivot series, branch, prefactor rows) of the frame `kind` along the germ, at series order `order`.
+    def _series_rows(self, jet_order, order):
+        # one row of series per point and u_alpha, alpha in multi_indices(jet_order)
+        return _derivatives(self._coeffs, jet_order, order)
+
+    def _frame(self, kind, order, rows=None):
+        """(pivot rows, branches, prefactor rows) of the frame `kind` at each point, at series order `order`.
 
         Each kind keeps one record at the highest order asked: what
-        :func:`~jetframe.frame.require_regular_pivot` returns there, tested
+        :func:`~jetframe.frame.require_regular_pivots` returns there, tested
         once, and the rows of |pivot|^(-3/d) and |pivot|^(-1/d), the
         prefactors of D_t^i and D_x^i at the scaling weights 3 of t and 1 of
         x.  A lower order reads prefix slices, bit for bit what that order
         computes, as no coefficient of degree <= `order` depends on where a
         series is cut.  A singular frame is never kept, so it raises on every
-        call.  `jet` is a series jet of order >= 1 at series order `order`, if any.
+        call.  `rows` are the series rows of a jet of order >= 1 at series
+        order `order`, if any.
         """
         _require_kind(kind)
         order = _integer(order, "series order of a frame", high=self.order - 1)
+        size = triangle_size(order)
         frame = self._frames.get(kind)
-        if frame is None or frame[0].order < order:
-            jet = self.series_jet(1, order) if jet is None else jet
-            p, branch = require_regular_pivot(jet, kind)
+        if frame is None or frame[0].shape[1] < size:
+            rows = self._series_rows(1, order) if rows is None else rows
+            p, branch = require_regular_pivots(rows, kind, self._points)
             frame = self._frames[kind] = p, branch, _prefactors(p, branch, (3, 1), kind.weight_denominator)
         p, branch, scales = frame
-        size = triangle_size(order)
-        return TruncatedSeries._wrap(order, p.coeffs[:size]), branch, scales[:, :size]
+        return p[:, :size], branch, scales[:, :, :size]
+
+    def _tables(self, kind, order):
+        """The invariant tables of the frame `kind` up to `order` at each point, as one :class:`_TableStack`.
+
+        Each row is bit for bit the table :func:`invariant_table` gives at
+        that point's float jet, read off the expansion; a singular pivot is
+        a SingularFrameError there too.
+        """
+        data = self._jet_rows(_integer(order, "table order", high=self.order))
+        pivot = require_regular_pivots(data, kind, self._points)
+        return _TableStack(kind, order, _invariant_rows(data, kind, multi_indices(order), order, lambda: pivot))
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
@@ -296,9 +429,9 @@ class SolutionGerm:
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
         jet_order = _rows_for(alphas, self.order)[0]
-        jet = self.series_jet(jet_order, order)  # a germ too short is a UsageError
-        pivot = self._frame(kind, order, jet)[:2] if jet_order else None  # (0, 0) alone needs no pivot
-        return shape(normalized_invariant(jet, alphas, kind, pivot))
+        rows = self._series_rows(jet_order, order)  # a germ too short is a UsageError
+        values = _invariant_rows(rows, kind, alphas, jet_order, lambda: self._frame(kind, order, rows)[:2])
+        return self._results([shape(_entries(v)) for v in values])
 
     def differentiate(self, series, kind):
         """(D_t^i s, D_x^i s): both invariant derivatives of the frame; series order drops by one.
@@ -311,21 +444,28 @@ class SolutionGerm:
         the result is the pair of lists of their derivatives, read off the
         germ's frame and computed on the stacked coefficient rows, each
         series bit for bit its own call; series of different orders are a
-        UsageError, and ``differentiate([], kind)`` is ``([], [])``.
+        UsageError, and ``differentiate([], kind)`` is ``([], [])``.  A stack
+        takes one item per point, a series or a list of as many series as
+        every other point's, and each half of the pair holds one result per
+        point.
         """
-        items, shape = _one_or_many(series, lambda arg: isinstance(arg, TruncatedSeries))
-        orders = {s.order for s in items}
+        parts = [_one_or_many(item, lambda arg: isinstance(arg, TruncatedSeries)) for item in self._each(series)]
+        orders = sorted({s.order for items, _ in parts for s in items})
         if len(orders) > 1:
-            raise UsageError(f"series differentiated in one call share one order, got {sorted(orders)}")
-        if not items:
+            raise UsageError(f"series differentiated in one call share one order, got {orders}")
+        if len({len(items) for items, _ in parts}) > 1:
+            raise UsageError("every point of a stack differentiates as many series")
+        if not orders:
             _require_kind(kind)  # no frame is read, but the kind is still checked
-            return [], []
-        order = items[0].order - 1
-        _, _, (scale_t, scale_x) = self._frame(kind, order)  # a series too short is a UsageError
-        rows = _derivatives(np.array([s.coeffs for s in items]), 1, order)
-        dt, dx = (rows[:, _pos(*e)] for e in _UNITS)
-        d_t = _row_products(scale_t, dt + _row_products(self._master.coeffs[: scale_t.size], dx))
-        return shape(_entries(d_t)), shape(_entries(_row_products(scale_x, dx)))
+            return tuple(self._results([shape([]) for _, shape in parts]) for _ in _UNITS)
+        order = orders[0] - 1
+        _, _, scales = self._frame(kind, order)  # a series too short is a UsageError
+        rows = _derivatives(np.array([[s.coeffs for s in items] for items, _ in parts]), 1, order)
+        dt, dx = (rows[:, :, _pos(*e)] for e in _UNITS)
+        u = self._coeffs[:, None, : scales.shape[2]]
+        d_t = _row_products(scales[:, :1], dt + _row_products(u, dx))
+        d_x = _row_products(scales[:, 1:], dx)
+        return tuple(self._results([shape(_entries(d)) for d, (_, shape) in zip(half, parts)]) for half in (d_t, d_x))
 
 
 def _require_germ(germ):
@@ -337,12 +477,13 @@ def invariant_derivative(germ, alpha, kind):
     """(D_t^i I_alpha, D_x^i I_alpha) at the germ's base point, exact to machine precision.
 
     The germ's order must exceed |alpha| by one.  For a sequence of
-    multi-indices the result is the list of their pairs.
+    multi-indices the result is the list of their pairs; a stack gives one
+    result per point.
     """
     _require_germ(germ)
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    dtF, dxF = germ.differentiate(germ.invariant_series(alphas, kind, 1), kind)
-    return shape([(dt.value, dx.value) for dt, dx in zip(dtF, dxF)])
+    dtF, dxF = map(germ._each, germ.differentiate(germ.invariant_series(alphas, kind, 1), kind))
+    return germ._results([shape([(dt.value, dx.value) for dt, dx in zip(*pair)]) for pair in zip(dtF, dxF)])
 
 
 def _bracket_order(kind):
@@ -358,39 +499,54 @@ def invariant_commutator(germ, alpha, kind):
     (:func:`_bracket_order`): [D_t^i, D_x^i] I_alpha for the time-normalized
     frame and [D_x^i, D_t^i] I_alpha for the space-normalized one.  The
     germ's order must exceed |alpha| by two.  For a sequence of
-    multi-indices the result is the list of their 4-tuples.
+    multi-indices the result is the list of their 4-tuples; a stack gives
+    one result per point.
     """
     _require_germ(germ)
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    F = germ.invariant_series(alphas, kind, 2)
-    first = germ.differentiate(F, kind)
+    F = germ._each(germ.invariant_series(alphas, kind, 2))
+    first = [germ._each(half) for half in germ.differentiate(germ._results(F), kind)]
     a, b = _bracket_order(kind)
-    second = germ.differentiate(first[b] + first[a], kind)  # read: D_a^i of D_b^i F, D_b^i of D_a^i F
-    pairs = zip(F, *first, second[a], second[b][len(F):])
-    return shape([(f.value, dt.value, dx.value, ab.value - ba.value) for f, dt, dx, ab, ba in pairs])
+    # one call on D_b^i F and D_a^i F: read D_a^i of the first half, D_b^i of the second
+    second = germ.differentiate(germ._results([fb + fa for fb, fa in zip(first[b], first[a])]), kind)
+    ab, ba = (germ._each(second[j]) for j in (a, b))
+    n = len(alphas)
+    return germ._results([
+        shape([(f.value, dt.value, dx.value, x.value - y.value) for f, dt, dx, x, y in zip(*point)])
+        for point in zip(F, *first, ab, (series[n:] for series in ba))
+    ])
 
 
 def _plus(alpha, e):
     return (alpha[0] + e[0], alpha[1] + e[1])
 
 
+# iota(v_kappa z) of the phantoms z = t, x, u as [z][kappa], kappa over
+# VectorField.basis(): tau, xi and eta of each field at the origin
+_AT_ORIGIN = tuple(zip(*((v.tau(0.0, 0.0, 0.0), v.xi(0.0, 0.0, 0.0), v.eta(0.0, 0.0, 0.0)) for v in VectorField.basis())))
+
+
 def _corrections(kind, etas, entries):
-    """Stacked correction matrices R[kappa][j] = R_j^kappa, kappa over VectorField.basis(), j over (t, x).
+    """Correction matrices R[..., kappa, j] = R_j^kappa, kappa over VectorField.basis(), j over (t, x).
 
     The phantoms z = t, x, u, u_p are constant on the cross-section, so R solves
     0 = iota(D_j z) + sum_kappa R_j^kappa iota(v_kappa z) on the invariantized jet J.
-    `entries` holds one dense row per invariantized jet of the frame `kind`,
-    of order >= 2, and `etas` the eta rows of the basis fields on one of
-    them.  The jets share their first-order entries, the only ones the matrix
-    iota(v_kappa z) reads: it is built once, and one solve takes every row's
-    right-hand side, each solved exactly as on its own.
+    `entries` holds the dense rows of invariantized jets of the frame
+    `kind`, of order >= 2, and `etas` the eta rows of the basis fields on
+    them; their leading axes broadcast, so jets that share their first-order
+    entries, the only ones the matrix iota(v_kappa z) reads, can share one
+    row of etas.  Each matrix takes its jets' right-hand sides in one LAPACK
+    solve, each solved exactly as on its own.
     """
-    p, origin = kind.pivot_alpha, (0.0, 0.0, 0.0)
-    fields = VectorField.basis()
-    v_z = [[v.tau(*origin), v.xi(*origin), v.eta(*origin), row[_pos(*p)]] for v, row in zip(fields, etas)]
+    at = [[_pos(*_plus(z, e)) for e in _UNITS] for z in ((0, 0), kind.pivot_alpha)]
+    v_z = np.empty(etas.shape[:-2] + (4, 4))
+    v_z[..., :3, :] = _AT_ORIGIN
+    v_z[..., 3, :] = etas[..., _pos(*kind.pivot_alpha)]
     # iota(D_j z): D_j t and D_j x are the units themselves, D_j u_z is u_(z + e_j)
-    d_z = [[list(e) for e in _UNITS] + [[row[_pos(*_plus(z, e))] for e in _UNITS] for z in ((0, 0), p)] for row in entries]
-    return np.linalg.solve(np.array(v_z).T, -np.array(d_z, dtype=float))
+    d_z = np.zeros(entries.shape[:-1] + (4, 2))
+    d_z[..., 0, 0] = d_z[..., 1, 1] = 1.0
+    d_z[..., 2:, :] = entries[..., at]
+    return np.linalg.solve(v_z, -d_z)
 
 
 def recurrence_rhs(table, alpha):
@@ -402,23 +558,35 @@ def recurrence_rhs(table, alpha):
 
         D_j^i I_alpha = I[alpha + e_j] + sum_kappa R_j^kappa eta^alpha_kappa(J),  j over (t, x)
 
-    The phantom indices (0, 0) and the frame's pivot index are rejected.
+    The phantom indices (0, 0) and the frame's pivot index are rejected.  A
+    stack of tables (:meth:`SolutionGerm._tables`) gives two arrays of one
+    value per point.
     """
     alpha = _multi_index(alpha)
     if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
     if sum(alpha) >= table.order:
         raise UsageError(f"the recurrence of I_{alpha} reads order {sum(alpha) + 1}, beyond the table's order {table.order}")
-    return _recurrence(table._jet.data, alpha, table._R, table._etas)
+    return _floats(_recurrence(table._data, alpha, table._R, table._etas))
+
+
+def _floats(values):
+    """The values of one table as Python floats; the arrays of a stack as they are."""
+    return tuple(v if np.ndim(v) else float(v) for v in values)
 
 
 def _recurrence(entries, alpha, R, etas):
-    """The recurrence of `recurrence_rhs` on the dense row `entries` of a table, with R and the eta rows given."""
-    d_t, d_x = (float(entries[_pos(*_plus(alpha, e))]) for e in _UNITS)
-    for eta_row, r in zip(etas, R):
-        eta = eta_row[_pos(*alpha)]
-        d_t += float(r[0]) * eta
-        d_x += float(r[1]) * eta
+    """The recurrence of `recurrence_rhs` on dense rows `entries` of tables, with R and the eta rows given.
+
+    The leading axes of the three broadcast, so one call runs every point
+    of a stack, each bit for bit its own.
+    """
+    d_t, d_x = (entries[..., _pos(*_plus(alpha, e))] for e in _UNITS)
+    at = _pos(*alpha)
+    for kappa in range(R.shape[-2]):
+        eta = etas[..., kappa, at]
+        d_t = d_t + R[..., kappa, 0] * eta
+        d_x = d_x + R[..., kappa, 1] * eta
     return d_t, d_x
 
 
@@ -439,18 +607,20 @@ def commutator_coefficients(table):
 
         Y^l = sum_kappa (R_b^kappa iota(D_a xi^l_kappa) - R_a^kappa iota(D_b xi^l_kappa)).
 
-    iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.
+    iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.  A stack of
+    tables gives two arrays of one value per point.
     """
-    return _bracket(table.kind, table._R)
+    return _floats(_bracket(table.kind, table._R))
 
 
 def _bracket(kind, R):
-    """The coefficients of `commutator_coefficients` from the correction matrix R."""
+    """The coefficients of `commutator_coefficients` from the correction matrices R, over R's leading axes."""
     a, b = _bracket_order(kind)
     out = [0.0, 0.0]
-    for jacobian, r in zip(_XI_JACOBIAN, R):
+    for kappa, jacobian in enumerate(_XI_JACOBIAN):
+        r = R[..., kappa, :]
         for l, d_xi in enumerate(jacobian):
-            out[l] += float(r[b]) * d_xi[a] - float(r[a]) * d_xi[b]
+            out[l] += r[..., b] * d_xi[a] - r[..., a] * d_xi[b]
     return tuple(out)
 
 
@@ -470,34 +640,38 @@ def reconstruct_generators(germ, kind):
     residuals of `recurrence_rhs` and `commutator_coefficients` are too: their
     coefficients are read exactly at zero and at the unit vectors, and one 3x3
     solve gives I[2,0].  The probes differ only in second-order entries: they
-    are rows of one array, their correction matrices come from one solve
+    are rows of one array, their correction matrices come from one matrix
     (:func:`_corrections`), and their eta rows at g from one jet of the
     first.  Returns (reconstructed, direct) to compare with the closed form,
-    the direct value at the pivot of the germ's frame.
+    the direct value at the pivot of the germ's frame; a stack gives one
+    pair per point, and a point whose system is worse conditioned than
+    :data:`_MAX_CONDITION` is a DegeneratePointError.
     """
     _require_germ(germ)
     _require_kind(kind)
     g = _UNITS[_bracket_order(kind)[1]]
-    i_g, dt, dx, bracket = invariant_commutator(germ, g, kind)
+    # one column per point, to broadcast over the probes
+    i_g, dt, dx, bracket = np.array(germ._each(invariant_commutator(germ, g, kind))).T[..., None]
     p, branch, _ = germ._frame(kind, 0)
     order = sum(_RECONSTRUCTED)
     # the rows below the unknowns in storage order hold I[0,0] = 0, the pivot's
     # branch and I_g; the probes set the unknowns to zero, then to each unit vector
     known, size = triangle_size(order - 1), triangle_size(order)
-    entries = np.zeros((1 + size - known, size))
-    entries[:, _pos(*kind.pivot_alpha)], entries[:, _pos(*g)] = branch, i_g
-    entries[1:, known:] = np.eye(size - known)
-    etas = _eta_rows(VectorField.basis(), Jet(order, 0.0, 0.0, entries[0])).tolist()  # read at g only
-
-    def residuals(row, R):
-        a_t, a_x = _bracket(kind, R)
-        rhs_t, rhs_x = _recurrence(row, g, R, etas)
-        return np.array([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket])
-
-    at_zero, *at_units = map(residuals, entries, _corrections(kind, etas, entries))
-    A = np.column_stack([r - at_zero for r in at_units])
+    entries = np.zeros((len(branch), 1 + size - known, size))
+    entries[..., _pos(*kind.pivot_alpha)], entries[..., _pos(*g)] = branch[:, None], i_g
+    entries[:, 1:, known:] = np.eye(size - known)
+    etas = _eta_stack(VectorField.basis(), entries[:, 0], order)[:, None]  # read at g only
+    R = _corrections(kind, etas, entries)
+    a_t, a_x = _bracket(kind, R)
+    rhs_t, rhs_x = _recurrence(entries, g, R, etas)
+    residuals = np.stack([rhs_t - dt, rhs_x - dx, a_t * dt + a_x * dx - bracket], axis=-1)
+    A = (residuals[:, 1:] - residuals[:, :1]).swapaxes(1, 2)
     condition = np.linalg.cond(A)
-    if not condition <= _MAX_CONDITION:
-        raise DegeneratePointError(f"reconstruction at ({germ.t0}, {germ.x0}) has condition {condition:.3g}")
-    reconstructed = np.linalg.solve(A, -at_zero)[_pos(*_RECONSTRUCTED) - known]
-    return float(reconstructed), normalized_invariant(germ.jet(order), _RECONSTRUCTED, kind, _pivot=(p.value, branch))
+    degenerate = ~(condition <= _MAX_CONDITION)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        t0, x0 = germ._points[i]
+        raise DegeneratePointError(f"reconstruction at ({t0}, {x0}) has condition {condition[i]:.3g}")
+    reconstructed = np.linalg.solve(A, -residuals[:, 0, :, None])[:, _pos(*_RECONSTRUCTED) - known, 0]
+    direct = _invariant_rows(germ._jet_rows(order), kind, [_RECONSTRUCTED], order, lambda: (p[:, 0], branch))
+    return germ._results(list(zip(reconstructed.tolist(), direct[:, 0].tolist())))

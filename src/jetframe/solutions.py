@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .jets import Jet, _first_non_finite, multi_indices
-from .taylor import TruncatedSeries, _integer, series_recip, series_sech
+from .taylor import TruncatedSeries, _derivatives, _integer, series_recip, series_sech
 
 
 class Solution:
@@ -163,17 +163,24 @@ def _expansion(solution, t0, x0, order):
 
 
 def _read_jet(s, t0, x0, order):
-    """The order-`order` jet at (t0, x0) read off the expansion `s` of a solution there.
+    """The order-`order` jet at (t0, x0) read off the expansion `s` of a solution there (:func:`_jet_rows`)."""
+    return Jet(order, float(t0), float(x0), _jet_rows(s.coeffs, order, [(t0, x0)]))
 
-    The entries are i! j! times the coefficients of `s`; an entry that
-    overflows a double is a :class:`DomainError`.
+
+def _jet_rows(coeffs, order, points):
+    """The dense rows of the order-`order` jets read off expansions: one row per coefficient row of `coeffs`.
+
+    The entries are i! j! times the coefficients; an entry that overflows a
+    double is a :class:`DomainError` naming its point, (t0, x0) in `points`.
     """
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
-        values = s.derivatives(order, 0)[:, 0]
-    bad = _first_non_finite(values, multi_indices(order))
-    if bad is not None:
-        raise DomainError(f"jet entry u_{bad[0]} at ({t0}, {x0}) overflows a double")
-    return Jet(order, float(t0), float(x0), values)
+        values = _derivatives(coeffs, order, 0)[..., 0]
+    if not np.isfinite(values).all():
+        rows = values.reshape(len(points), -1)
+        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        alpha, _ = _first_non_finite(rows[i], multi_indices(order))
+        raise DomainError(f"jet entry u_{alpha} at ({points[i][0]}, {points[i][1]}) overflows a double")
+    return values
 
 
 def jet_of_solution(solution, t0, x0, order):

@@ -22,7 +22,11 @@ pairs per coefficient whose factor of b is a slope instead of the dense
 product's every pair, and the result is the same bit for bit.  Many
 exponents, as the prefactors |pivot|^(-w/d) of every weight w of a frame,
 stack their rows end to end in one loop over one table
-(:func:`_stacked_pairs`).
+(:func:`_stacked_pairs`); many inner series, as the pivots of a stack of
+germs, run in the same loop, one block of rows each.  Row-wise products of
+many series (:func:`_row_products`) are one bincount as well.  Tables are
+cached per order and per number of exponents, never per number of rows of a
+stack: a stack's tables are shifted copies made for the call.
 """
 
 from __future__ import annotations
@@ -250,6 +254,13 @@ def _derivatives(coeffs, jet_order, order):
     return factor * coeffs.take(source, -1)
 
 
+def _shifted(table, copies, stride):
+    """`table` repeated `copies` times end to end, copy r shifted by r*stride: the index rows of a stack."""
+    if copies == 1:
+        return table
+    return (table + stride * np.arange(copies)[:, None]).ravel()
+
+
 @functools.lru_cache(maxsize=None)
 def _stacked_pairs(order, rows, slopes):
     """(lhs, rhs, out) rows of the pairs of `rows` products by one series b, the rows end to end.
@@ -263,20 +274,24 @@ def _stacked_pairs(order, rows, slopes):
     if slopes:
         keep = (rhs == _pos(1, 0)) | (rhs == _pos(0, 1))
         lhs, rhs, out = lhs[keep], rhs[keep], out[keep]
-    shift = triangle_size(order) * np.arange(rows)[:, None]
-    return _read_only((lhs + shift).ravel()), _read_only(np.tile(rhs, rows)), _read_only((out + shift).ravel())
+    size = triangle_size(order)
+    return _read_only(_shifted(lhs, rows, size)), _read_only(np.tile(rhs, rows)), _read_only(_shifted(out, rows, size))
 
 
 def _row_products(a, b):
-    """Series product of each row of `a` with the same row of `b`, as rows of coefficients.
+    """Series products of the rows of `a` and `b` (the last axis), their leading axes broadcast.
 
-    A 1-D `a` is one series, the left factor of every row of `b`.
+    A 1-D `a` is one series, the left factor of every row of `b`.  One
+    bincount over the pairs of :func:`_product_table`, shifted by one series
+    size per row, sums each row's pairs in the order of a single product, so
+    each row is its own product bit for bit.
     """
-    rows, size = b.shape
-    order = _series_order(size)
-    lhs, rhs, _ = _product_table(order)
-    bins = _stacked_pairs(order, rows, False)[2]
-    return np.bincount(bins, (a.take(lhs, -1) * b.take(rhs, 1)).ravel(), rows * size).reshape(rows, size)
+    size = b.shape[-1]
+    lhs, rhs, out = _product_table(_series_order(size))
+    products = a.take(lhs, -1) * b.take(rhs, -1)
+    shape = products.shape[:-1]
+    rows = math.prod(shape)
+    return np.bincount(_shifted(out, rows, size), products.ravel(), rows * size).reshape(shape + (size,))
 
 
 # -- analytic composition ----------------------------------------------------
@@ -327,18 +342,24 @@ def _univariate_coeffs(kind, a0, n, exponent=None):
 def _horner(coeffs, b, pairs):
     """Rows of sum_k c[k] b^k by Horner's rule, one per row c of `coeffs`, laid end to end.
 
-    b is given by its coefficients.  Each step r*b + c[k] is one bincount of
-    the products r[lhs]*b[rhs] over the (lhs, rhs, out) rows `pairs` of
-    :func:`_stacked_pairs` for len(coeffs) rows, as in
-    ``TruncatedSeries.__mul__``, then c[k] added to each row's constant term.
+    b is given by its coefficients: one series, or the rows of a stack of
+    series, each the b of one block of len(coeffs) // len(b) consecutive rows.
+    Each step r*b + c[k] is one bincount of the products r[lhs]*b[rhs] over
+    the (lhs, rhs, out) rows `pairs` of :func:`_stacked_pairs` for one block,
+    as in ``TruncatedSeries.__mul__``, shifted block by block, then c[k]
+    added to each row's constant term.
     """
     lhs, rhs, out = pairs
-    rows, size = len(coeffs), b.size
+    size = b.shape[-1]
+    blocks, rows = b.size // size, len(coeffs)
+    if blocks > 1:
+        lhs, out = (_shifted(table, blocks, rows // blocks * size) for table in (lhs, out))
+        rhs = _shifted(rhs, blocks, size)
     if rows == 1:  # a scalar add at position 0 costs less than a strided one
         heads, steps = 0, coeffs[0]
     else:  # every row's constant term, as one strided view
         heads, steps = slice(None, None, size), np.array(coeffs).T
-    factors = b[rhs]
+    factors = b.ravel()[rhs]
     r = np.zeros(rows * size)
     r[heads] = steps[-1]
     for c in reversed(steps[:-1]):
@@ -350,25 +371,33 @@ def _horner(coeffs, b, pairs):
 def _compose(kind, a, exponents):
     """The coefficients of analytic(kind, a, r) for each r in `exponents`, end to end, in one Horner loop.
 
-    Horner's rule runs in b = a - a(0) (:func:`_horner`).  When b is affine
-    (no nonzero coefficient above degree 1) and of order >= 1, a step needs
-    only the pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1),
-    which never read b's constant term, so they run on a's own coefficients.
+    `a` is a series, or the coefficient rows of a stack of series of one
+    order, which give one block of rows each, in stack order; each block is
+    bit for bit the call on its series alone.  Horner's rule runs in
+    b = a - a(0) (:func:`_horner`).  When every b is affine (no nonzero
+    coefficient above degree 1) and of order >= 1, a step needs only the
+    pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1), which
+    never read b's constant term, so they run on a's own coefficients.
     Every other pair of the dense product is an exact zero while r is
     finite, and a bincount's running sum starts at +0.0 and so is never
     -0.0, which such a zero leaves unchanged: the slope pairs give the dense
     product bit for bit.  Any other b, or a non-finite slope-pair result in
     any row, takes every pair of the product table for every row.
     """
-    coeffs = [_univariate_coeffs(kind, a.value, a.order, r) for r in exponents]
+    if isinstance(a, TruncatedSeries):
+        rows, order, values = a.coeffs, a.order, [a.value]
+    else:
+        rows, order, values = a, _series_order(a.shape[1]), a[:, 0].tolist()
+    coeffs = [_univariate_coeffs(kind, a0, order, r) for a0 in values for r in exponents]
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
-    if a.order and math.isfinite(a.value) and not np.count_nonzero(a.coeffs[3:]):
+    if order and all(map(math.isfinite, values)) and not np.count_nonzero(rows[..., 3:]):
         with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included
-            r = _horner(coeffs, a.coeffs, _stacked_pairs(a.order, len(coeffs), True))
+            r = _horner(coeffs, rows, _stacked_pairs(order, len(exponents), True))
         if np.isfinite(r).all():
             return r
-    b = a - a.value  # zero constant term, so b**k has minimum degree k
-    return _horner(coeffs, b.coeffs, _stacked_pairs(a.order, len(coeffs), False))
+    b = rows.copy()
+    b[..., 0] -= rows[..., 0]  # zero constant term, so b**k has minimum degree k
+    return _horner(coeffs, b, _stacked_pairs(order, len(exponents), False))
 
 
 def analytic(kind, a, exponent=None):

@@ -8,6 +8,16 @@ solutions (the invariantized-equation identities hold only on solutions).
 Singular draws are retried a bounded number of times; a sample that finds no
 admissible point is not counted, so the report's sample count shows the
 shortfall.  A NaN defect, or a suite that checked nothing, fails.
+
+The three suites of the germ calculus (recurrences, commutators and
+reconstruction) draw first and evaluate second, in stacks of at most
+:data:`_STACK` samples (:func:`_stacked`): the draw pass makes the random
+calls of the loop over samples and builds each point's germ through its
+solution's own series, and the evaluate pass runs the germs of each frame
+kind as one stack (:meth:`~jetframe.invariants.SolutionGerm.stack`), whose
+every point is bit for bit its own call.  A typed error anywhere in a stack
+replays it one sample at a time from the generator state its draws began
+at, retries included, so no report depends on the stacking.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePointError, SingularFrameError, UsageError
+from .errors import DegeneratePointError, JetFrameError, SingularFrameError, UsageError
 from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame
 from .group import (
     GroupElement,
@@ -170,6 +180,43 @@ def _worst(defects):
     return float(np.max(np.fromiter(defects, dtype=float)))
 
 
+def _rels(a, b):
+    """:func:`_rel` of arrays of floats, entry by entry, as silent as on Python floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+# the most samples one stack draws and evaluates: a constant, so that the
+# memory of an evaluate pass does not grow with the sample count
+_STACK = 128
+
+
+def _stacked(rng, samples, draw, evaluate, replay=None):
+    """The defects of `samples` samples, drawn and evaluated a stack at a time.
+
+    A stack draws its samples first, ``draw(rng, i)`` for each sample i in
+    order, then ``evaluate(draws)`` gives their defects, all at once.  A
+    typed error anywhere in a stack rewinds `rng` to where its draws began
+    and replays the stack one sample at a time: ``replay(rng, i)`` yields
+    sample i's defects, by default those of a stack of that sample alone.
+    The replay meets each sample as the loop over samples does, so the
+    defects do not depend on the stacking.
+    """
+    if replay is None:
+        def replay(rng, i):
+            return evaluate([draw(rng, i)])
+
+    for start in range(0, samples, _STACK):
+        stack = range(start, min(start + _STACK, samples))
+        state = rng.bit_generator.state
+        try:
+            defects = evaluate([draw(rng, i) for i in stack])
+        except JetFrameError:
+            rng.bit_generator.state = state
+            defects = [defect for i in stack for defect in replay(rng, i)]
+        yield from defects
+
+
 # -- individual suites ---------------------------------------------------------
 #
 # Each suite is a generator yielding one defect per sample it checked (the
@@ -246,37 +293,56 @@ def _suite_kdv_residual(rng, samples, order):
 
 
 def _suite_recurrences(rng, samples, order):
-    for i in range(samples):
+    def draw(rng, i):
         kind = _KINDS[i % 2]
         branch = 1 if i % 4 < 2 else -1
-        germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 4)
-        table = invariant_table(germ.jet(4), kind, 4)
-        alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
-        lhs = invariant_derivative(germ, alphas, kind)  # (t, x) pairs
-        yield _worst(
-            _rel(value, rhs)
-            for alpha, pair in zip(alphas, lhs)
-            for value, rhs in zip(pair, recurrence_rhs(table, alpha))
-        )
+        return kind, SolutionGerm(*random_soliton_point(rng, kind, branch), 4)
+
+    def evaluate(draws):
+        defects = np.empty(len(draws))
+        for kind in _KINDS:
+            at = [j for j, (k, _) in enumerate(draws) if k is kind]
+            if not at:
+                continue
+            germ = SolutionGerm.stack(draws[j][1] for j in at)
+            tables = germ._tables(kind, 4)
+            alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
+            lhs = np.array(invariant_derivative(germ, alphas, kind))  # (t, x) pairs, point-major
+            rhs = np.array([recurrence_rhs(tables, alpha) for alpha in alphas]).transpose(2, 0, 1)
+            defects[at] = np.max(_rels(lhs, rhs), axis=(1, 2))
+        return defects.tolist()
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_commutators(rng, samples, order):
     targets = ((0, 1), (0, 2), (1, 0))
-    for _ in range(samples):
-        germ = SolutionGerm(*random_soliton_point(rng), 4)  # serves both frames and the jet
-        jet = germ.jet(2)
+
+    def draw(rng, i):
+        return SolutionGerm(*random_soliton_point(rng), 4)  # serves both frames and the jet
+
+    def evaluate(germs):
+        germ = SolutionGerm.stack(germs)
         defects = []
         for kind in _KINDS:
-            table = invariant_table(jet, kind, 2)
-            a_t, a_x = commutator_coefficients(table)
-            for _, dt, dx, bracket in invariant_commutator(germ, targets, kind):
-                defects.append(_rel(bracket, a_t * dt + a_x * dx))
-        yield _worst(defects)
+            a_t, a_x = commutator_coefficients(germ._tables(kind, 2))
+            _, dt, dx, bracket = np.array(invariant_commutator(germ, targets, kind)).T  # one column per point
+            defects.append(_rels(bracket, a_t * dt + a_x * dx))
+        return np.max(np.concatenate(defects), axis=0).tolist()
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_reconstruction(rng, samples, order):
     # one sample per frame kind that finds a nondegenerate point
-    for _ in range(samples):
+    def draw(rng, i):
+        return [SolutionGerm(*random_soliton_point(rng, kind), 3) for kind in _KINDS]
+
+    def evaluate(draws):
+        pairs = [reconstruct_generators(SolutionGerm.stack(germs), kind) for kind, germs in zip(_KINDS, zip(*draws))]
+        return [_rel(*pair) for point in zip(*pairs) for pair in point]
+
+    def replay(rng, i):
         for kind in _KINDS:
             def attempt(kind=kind):
                 return reconstruct_generators(SolutionGerm(*random_soliton_point(rng, kind), 3), kind)
@@ -284,6 +350,8 @@ def _suite_reconstruction(rng, samples, order):
             pair = _retrying(attempt)
             if pair is not None:
                 yield _rel(*pair)
+
+    return _stacked(rng, samples, draw, evaluate, replay)
 
 
 def _suite_infinitesimal(rng, samples, order):

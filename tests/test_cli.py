@@ -9,12 +9,14 @@ import pytest
 from jetframe.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     format_json_lines,
     main,
     parse_json_lines,
 )
+import jetframe.cli as cli
 from jetframe.frame import require_regular_pivot
 from jetframe.solutions import CATALOG
 from jetframe.verify import SUITES
@@ -281,6 +283,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         assert code == EXIT_USAGE
         assert out == ""
         assert "nosuch" in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # a crash is exit 70 with one line on stderr, never 1, which means a failed check
+    def crash(**kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    code, out, err = run_cli(capsys, "verify", "--suites", "phantom", "--samples", "1")
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == "jetframe: internal error: IndexError: index 7 is out of bounds\n"
 
 
 def test_bad_flag_is_usage_error(capsys):

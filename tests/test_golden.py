@@ -53,6 +53,13 @@ CASES = {
     # the same suites at seed 0, written before each germ kept its frames
     "verify-series-seed0-s100-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
                                     "--seed", "0", "--samples", "100", "--order", "6"],
+    # uneven and tiny stacks, written before the suites evaluated a stack of
+    # samples at once: 7 samples give recurrences 4 t-frame and 3 x-frame
+    # germs, and 1 sample is the benchmark's warm-up
+    "verify-series-seed5-s7-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
+                                  "--seed", "5", "--samples", "7", "--order", "6"],
+    "verify-series-seed5-s1-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
+                                  "--seed", "5", "--samples", "1", "--order", "6"],
 }
 
 

@@ -479,7 +479,9 @@ def test_reconstruction_solves_R_once_and_tests_the_pivot_once(monkeypatch):
             germ = SolutionGerm(*random_soliton_point(rng, kind, branch), 3)
             solves.clear(), pivots.clear()
             reconstruct_generators(germ, kind)
-            assert solves.count((4, 4)) == 1 and len(solves) == 2, solves
+            # the matrices carry the germ's point axis (and the 4x4 one the probes'): one of each
+            assert [shape[-2:] for shape in solves] == [(4, 4), (3, 3)], solves
+            assert all(np.prod(shape[:-2]) == 1 for shape in solves), solves
             assert pivots == []
 
 
@@ -549,7 +551,7 @@ def test_germ_rejects_negative_or_too_high_orders():
 
 def test_germ_series_do_not_share_the_master_coefficients():
     germ = SolutionGerm(Soliton(), 0.3, 0.8, 6)
-    master = germ._master.coeffs
+    master = germ._coeffs
     for jet_order, order in [(0, 6), (3, 3), (6, 0)]:
         for entry in germ.series_jet(jet_order, order).u.values():
             assert not np.shares_memory(entry.coeffs, master)
@@ -856,13 +858,13 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
     # both of its differentiate calls, any later lower-order call and a
     # reconstruction's direct value read the pivot test and the D_t^i, D_x^i
     # prefactors made once, and reconstruction builds no InvariantTable
-    real_pivot, tested = invariants.require_regular_pivot, []
+    real_pivot, tested = invariants.require_regular_pivots, []
     real_prefactors, computed = invariants._prefactors, []
 
-    def pivot(jet, kind):
-        if jet.data.ndim == 2:
+    def pivot(rows, kind, points):
+        if rows.ndim == 3:  # series rows: the germ's frame, not a float table
             tested.append(kind)
-        return real_pivot(jet, kind)
+        return real_pivot(rows, kind, points)
 
     def prefactors(p, branch, weights, w_den):
         if tuple(weights) == (3, 1):
@@ -872,7 +874,7 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("an InvariantTable was built")
 
-    monkeypatch.setattr(invariants, "require_regular_pivot", pivot)
+    monkeypatch.setattr(invariants, "require_regular_pivots", pivot)
     monkeypatch.setattr(invariants, "_prefactors", prefactors)
     monkeypatch.setattr(invariants, "InvariantTable", no_table)
     germ = SolutionGerm(Soliton(), 0.3, -0.9, 4)
@@ -948,3 +950,106 @@ def test_malformed_multi_index_is_usage_error(entry, alpha):
 def test_any_pair_of_integers_is_a_multi_index(entry, alpha):
     call = MULTI_INDEX_ENTRY_POINTS[entry]
     assert call(alpha) == call((1, 2))
+
+
+# -- stacks: one germ over many points, each point bit for bit its own germ ------
+
+
+def _same_bits(got, want):
+    """Equal types and bit patterns, through lists and tuples of floats and series."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, TruncatedSeries):
+        return got.order == want.order and got.coeffs.tobytes() == want.coeffs.tobytes()
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(_same_bits, got, want))
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _germ_at(rng, kind, order):
+    """A germ where the frame `kind` is regular: a soliton point, or in the x frame maybe a rational one."""
+    if kind is FrameKind.X_NORMALIZED and rng.uniform() < 0.4:  # x/t: the t frame is singular everywhere
+        t0 = float(rng.uniform(0.5, 2.0)) * (1 if rng.uniform() < 0.5 else -1)
+        return SolutionGerm(Rational(), t0, float(rng.uniform(-2.0, 2.0)), order)
+    return SolutionGerm(*random_soliton_point(rng, kind, 1 if rng.uniform() < 0.5 else -1), order)
+
+
+def test_a_stack_is_its_germs_bit_for_bit():
+    # every germ entry point on a stack of 1-9 points gives each point's own result
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+    def check(kind, points, seed, count, order):
+        rng = np.random.default_rng(seed)
+        germs = [_germ_at(rng, kind, 5) for _ in range(points)]
+        stack = SolutionGerm.stack(germs)
+        assert stack.t0 == tuple(g.t0 for g in germs) and stack.x0 == tuple(g.x0 for g in germs)
+        assert [jet.data.tobytes() for jet in stack.jet(3)] == [g.jet(3).data.tobytes() for g in germs]
+        alphas = multi_indices(3)
+        for series_order in (0, 2):
+            got = stack.invariant_series(alphas, kind, series_order)
+            assert _same_bits(got, [g.invariant_series(alphas, kind, series_order) for g in germs])
+        assert _same_bits(stack.invariant_series((1, 1), kind, 1), [g.invariant_series((1, 1), kind, 1) for g in germs])
+        # one list of `count` series per point, or one series per point
+        size = triangle_size(order)
+        items = [[TruncatedSeries(order, rng.normal(size=size)) for _ in range(count)] for _ in germs]
+        for per_point in (items, [item[0] for item in items]):
+            got = stack.differentiate(per_point, kind)
+            want = [g.differentiate(item, kind) for g, item in zip(germs, per_point)]
+            assert _same_bits(got, tuple([pair[j] for pair in want] for j in (0, 1)))
+        for alpha in (alphas, (1, 2)):
+            got = invariant_derivative(stack, alpha, kind)
+            assert _same_bits(got, [invariant_derivative(g, alpha, kind) for g in germs])
+        for alpha in (multi_indices(2), (0, 2)):
+            got = invariant_commutator(stack, alpha, kind)
+            assert _same_bits(got, [invariant_commutator(g, alpha, kind) for g in germs])
+        try:
+            want = [reconstruct_generators(g, kind) for g in germs]
+        except DegeneratePointError:
+            with pytest.raises(DegeneratePointError):
+                reconstruct_generators(stack, kind)
+        else:
+            assert _same_bits(reconstruct_generators(stack, kind), want)
+
+    check()
+
+
+def test_a_stack_holds_germs_of_one_order():
+    kind = FrameKind.X_NORMALIZED
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 4)
+    with pytest.raises(UsageError, match=r"one order, got \[4, 5\]"):
+        SolutionGerm.stack([germ, SolutionGerm(Soliton(), 0.3, -0.9, 5)])
+    with pytest.raises(UsageError, match="one order"):
+        SolutionGerm.stack([])
+    with pytest.raises(UsageError, match="SolutionGerm"):
+        SolutionGerm.stack([germ, Soliton()])
+    stack = SolutionGerm.stack([germ, SolutionGerm(Rational(), 1.3, 0.4, 4)])
+    assert (stack.t0, stack.x0, stack.order) == ((0.3, 1.3), (0.8, 0.4), 4)
+    # a stack of stacks is the stack of their points
+    twice = SolutionGerm.stack([stack, germ])
+    assert twice.t0 == (0.3, 1.3, 0.3)
+    with pytest.raises(UsageError, match="one item per point"):
+        stack.differentiate([TruncatedSeries(2)], kind)
+    with pytest.raises(UsageError, match="as many series"):
+        stack.differentiate([[TruncatedSeries(2)], []], kind)
+    assert stack.differentiate([[], []], kind) == ([[], []], [[], []])
+    # a stack of one point still answers with a list
+    (one,) = SolutionGerm.stack([germ]).invariant_series([(0, 1)], kind, 1)
+    assert _same_bits(one, germ.invariant_series([(0, 1)], kind, 1))
+
+
+def test_a_singular_point_raises_for_its_whole_stack():
+    kind = FrameKind.T_NORMALIZED
+    points = [(Soliton(), 0.3, -0.9), (Rational(), 1.3, 0.7), (Soliton(), 0.3, 1.7)]
+    stack = SolutionGerm.stack(SolutionGerm(*point, 4) for point in points)
+    for call in (
+        lambda: stack.invariant_series((0, 1), kind, 1),
+        lambda: invariant_derivative(stack, (0, 1), kind),
+        lambda: reconstruct_generators(stack, kind),
+    ):
+        with pytest.raises(SingularFrameError, match=r"at \(t, x\) = \(1.3, 0.7\)"):
+            call()
+    # the other frame is regular at every point
+    assert len(invariant_derivative(stack, (1, 1), FrameKind.X_NORMALIZED)) == 3

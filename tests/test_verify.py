@@ -283,7 +283,8 @@ def test_recurrence_suites_fail_when_the_recurrence_pair_is_swapped(monkeypatch)
 
 def test_germ_calculus_differentiates_once_per_derivative_and_twice_per_commutator(monkeypatch):
     # each differentiate call gives both directions: one per invariant derivative,
-    # two per commutator (the second one on D_t^i F and D_x^i F together)
+    # two per commutator (the second one on D_t^i F and D_x^i F together); a
+    # suite makes one call per frame kind on a stack of all its samples
     counts = {"differentiate": 0, "invariant_derivative": 0, "invariant_commutator": 0}
 
     def counted(owner, name):
@@ -300,11 +301,11 @@ def test_germ_calculus_differentiates_once_per_derivative_and_twice_per_commutat
     counted(verify, "invariant_commutator")
     (report,) = run_suite(("recurrences",), seed=0, samples=6)
     assert report.samples == 6
-    assert counts == {"differentiate": 6, "invariant_derivative": 6, "invariant_commutator": 0}
+    assert counts == {"differentiate": 2, "invariant_derivative": 2, "invariant_commutator": 0}
     counts.update(dict.fromkeys(counts, 0))
     (report,) = run_suite(("commutators",), seed=0, samples=3)
     assert report.samples == 3
-    assert counts == {"differentiate": 12, "invariant_derivative": 0, "invariant_commutator": 6}
+    assert counts == {"differentiate": 4, "invariant_derivative": 0, "invariant_commutator": 2}
 
 
 def test_series_calculus_suites_expand_each_sample_point_once(monkeypatch):
@@ -330,3 +331,47 @@ def test_series_calculus_suites_expand_each_sample_point_once(monkeypatch):
         (report,) = run_suite((suite,), seed=0, samples=10)
         assert report.passed and report.samples >= 10
         assert expansions[0] == attempts[0] >= report.samples, suite
+
+
+def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypatch):
+    # with the conditioning bound lowered, some seed-0 points are degenerate: a
+    # stack that holds one raises, and the suite replays that stack one sample
+    # at a time from the random state before its draws, retries included; the
+    # report is the one the loop over samples gives, and later stacks run whole
+    monkeypatch.setattr(invariants, "_MAX_CONDITION", 40.0)
+    monkeypatch.setattr(verify, "_STACK", 3)
+    samples, rng = 12, verify._suite_rng(0, "reconstruction")
+    defects, degenerate = [], [0]
+
+    def attempt(kind):
+        try:
+            return invariants.reconstruct_generators(SolutionGerm(*verify.random_soliton_point(rng, kind), 3), kind)
+        except DegeneratePointError:
+            degenerate[0] += 1
+            raise
+
+    for _ in range(samples):
+        for kind in verify._KINDS:
+            pair = verify._retrying(lambda kind=kind: attempt(kind))
+            if pair is not None:
+                defects.append(verify._rel(*pair))
+    assert degenerate[0] > 0
+
+    stacks = []  # (points, raised) of each call on a stack
+    real = verify.reconstruct_generators
+
+    def counted(germ, kind):
+        if isinstance(germ.t0, tuple):
+            stacks.append([len(germ.t0), True])
+            result = real(germ, kind)
+            stacks[-1][1] = False
+            return result
+        return real(germ, kind)
+
+    monkeypatch.setattr(verify, "reconstruct_generators", counted)
+    (report,) = run_suite(("reconstruction",), seed=0, samples=samples)
+    assert (report.samples, report.max_defect) == (len(defects), max(defects))
+    assert [3, True] in stacks and [3, False] in stacks, stacks
+    # defect by defect too: a replay from anywhere but the saved state meets other points
+    suite, _ = verify._SUITES["reconstruction"]
+    assert list(suite(verify._suite_rng(0, "reconstruction"), samples, 6)) == defects
