@@ -99,22 +99,22 @@ def require_regular_pivot(jet, kind):
     return p, 1 if p0 > 0 else -1
 
 
+# kept beside require_regular_pivot: on one jet the scalar path measures faster than a one-point stack
 def require_regular_pivots(data, kind, points):
     """Pivots of `kind` and their branch signs at each point of a stack; raises at the first singular one.
 
-    `data` holds one dense row of jet entries per point, floats or series
-    rows, and `points` each point's base (t, x).  The pivots are one float
-    or one series row per point, each bit for bit what
-    :func:`require_regular_pivot` gives at that point's jet, and the
+    `data` holds one dense row of series rows of jet entries per point (a
+    germ's series jet), and `points` each point's base (t, x).  The pivots
+    are one series row per point, each bit for bit what
+    :func:`require_regular_pivot` gives at that point's series jet, and the
     branches are an array of signs.
     """
     _require_kind(kind)
     if data.shape[1] < 3:
         raise UsageError("frames need a jet of order >= 1")
-    series = data.ndim == 3
     u, u_x, u_t = (data[:, i] for i in range(3))  # the storage order of (0, 0), (0, 1), (1, 0)
-    p = _pivot(u, u_t, u_x, kind, _row_products if series else operator.mul)
-    p0, u, u_t, u_x = (c[:, 0] if series else c for c in (p, u, u_t, u_x))
+    p = _pivot(u, u_t, u_x, kind, _row_products)
+    p0, u, u_t, u_x = (c[:, 0] for c in (p, u, u_t, u_x))
     singular = _singular(p0, u, u_t, u_x, kind)
     if singular.any():
         i = int(np.argmax(singular))

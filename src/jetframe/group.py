@@ -265,9 +265,9 @@ def prolong_act(g, jet):
     with np.errstate(over="ignore", invalid="ignore"):
         (values,) = _transform(jet.data[None], order, _boost_powers(np.array([-g.eps3]), order, order), weights, scales)
     values[0] = U0
-    bad = _first_non_finite(values, multi_indices(order))
+    bad = _first_non_finite(values[None], multi_indices(order))
     if bad is not None:
-        raise DomainError(f"transformed u_{bad[0]} under {g} leaves double-precision range")
+        raise DomainError(f"transformed u_{bad[1]} under {g} leaves double-precision range")
     return Jet(order, T, X, values)
 
 

@@ -40,13 +40,15 @@ boost sums of all alphas are one pass over the jet's dense entries
 series are one derivative gather (:func:`jetframe.taylor._derivatives`) and
 three stacked products (:func:`jetframe.taylor._row_products`).  Each
 element of the list is bit-identical to the call on that element alone.  A
-float jet's pivot and singular test come once per call; along a germ, once
-per germ and frame, a reconstruction's direct value included: the germ keeps
-one record per frame kind (:meth:`SolutionGerm._frame`), the tested pivot and
-branch and the derivative prefactor rows computed with them, at the highest
-series order asked, and reads lower orders as prefix slices.  The probes of a
-reconstruction are rows of one array that share one correction matrix and
-the eta rows of one jet.
+float jet's pivot and singular test come once per call.  Along a germ each
+point's pivot is decided once per germ and frame, float tables and a
+reconstruction's direct value included: the germ keeps one record per frame
+kind (:meth:`SolutionGerm._frame`), the tested pivot and branch and the
+derivative prefactor rows computed with them, at the highest series order
+asked, and reads lower orders as prefix slices; the float tables
+(:meth:`SolutionGerm._tables`) read the constant terms of its pivot rows.
+The probes of a reconstruction are rows of one array that share one
+correction matrix and the eta rows of one jet.
 
 The same work also runs on many points at once.  A stack of germs
 (:meth:`SolutionGerm.stack`) holds one expansion row per point, and every
@@ -137,13 +139,14 @@ def _table(data, kind, order, derived, pivot):
     """I_alpha of every alpha of multi_indices(order) at each point of a stack, as floats or series rows.
 
     `data` holds one dense row of jet entries per point and `pivot` the
-    (pivots, branches) of the frame there, as :func:`require_regular_pivots`
-    gives them.  The boost by u and the frame's scaling go through the
-    group's transformation law with the powers of u and one prefactor per
-    weight.  Only the weights and powers that the multi-indices `derived`
-    need are computed (all of positive order when None), so the row of an
-    alpha outside them is junk, never an error.  Row (0, 0), the
-    invariantized u, is zero: 0.0, or a zero series row.
+    (pivots, branches) of the frame there: series rows as
+    :func:`require_regular_pivots` gives them, or one float per point.  The
+    boost by u and the frame's scaling go through the group's transformation
+    law with the powers of u and one prefactor per weight.  Only the weights
+    and powers that the multi-indices `derived` need are computed (all of
+    positive order when None), so the row of an alpha outside them is junk,
+    never an error.  Row (0, 0), the invariantized u, is zero: 0.0, or a
+    zero series row.
     """
     if derived is None:
         weights, top = _boost_plan(order).weights, order
@@ -175,10 +178,9 @@ def _invariant_rows(data, kind, alphas, jet_order, pivot):
     values = _table(data, kind, order, derived, pivot())
     if rows is not None:
         values = values[:, rows]
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-        bad = _first_non_finite(values[int(np.argmin(finite))], alphas)
-        raise DomainError(f"invariant I_{bad[0]} = {bad[1]!r} is not finite at this jet")
+    bad = _first_non_finite(values, alphas)
+    if bad is not None:
+        raise DomainError(f"invariant I_{bad[1]} = {bad[2]!r} is not finite at this jet")
     return values
 
 
@@ -360,10 +362,12 @@ class SolutionGerm:
         """The per-point items of an argument or result of a call: the inverse of :meth:`_results`."""
         if not self._stacked:
             return [value]
-        items = list(value)
-        if len(items) != len(self._points):
-            raise UsageError(f"a stack of {len(self._points)} points takes one item per point, got {len(items)}")
-        return items
+        n = len(self._points)
+        if not isinstance(value, (list, tuple)):
+            raise UsageError(f"a stack of {n} points takes a list of one item per point, got {type(value).__name__}")
+        if len(value) != n:
+            raise UsageError(f"a stack of {n} points takes one item per point, got {len(value)}")
+        return list(value)
 
     def jet(self, order):
         """The float jet of order `order` at the base point, read off the germ's expansion.
@@ -386,7 +390,7 @@ class SolutionGerm:
         # one row of series per point and u_alpha, alpha in multi_indices(jet_order)
         return _derivatives(self._coeffs, jet_order, order)
 
-    def _frame(self, kind, order, rows=None):
+    def _frame(self, kind, order):
         """(pivot rows, branches, prefactor rows) of the frame `kind` at each point, at series order `order`.
 
         Each kind keeps one record at the highest order asked: what
@@ -395,17 +399,17 @@ class SolutionGerm:
         prefactors of D_t^i and D_x^i at the scaling weights 3 of t and 1 of
         x.  A lower order reads prefix slices, bit for bit what that order
         computes, as no coefficient of degree <= `order` depends on where a
-        series is cut.  A singular frame is never kept, so it raises on every
-        call.  `rows` are the series rows of a jet of order >= 1 at series
-        order `order`, if any.
+        series is cut.  The constant terms of the pivot rows are the pivots
+        of the float jets, so the float tables (:meth:`_tables`) read the
+        same record: each point's pivot is decided once per germ and frame.
+        A singular frame is never kept, so it raises on every call.
         """
         _require_kind(kind)
         order = _integer(order, "series order of a frame", high=self.order - 1)
         size = triangle_size(order)
         frame = self._frames.get(kind)
         if frame is None or frame[0].shape[1] < size:
-            rows = self._series_rows(1, order) if rows is None else rows
-            p, branch = require_regular_pivots(rows, kind, self._points)
+            p, branch = require_regular_pivots(self._series_rows(1, order), kind, self._points)
             frame = self._frames[kind] = p, branch, _prefactors(p, branch, (3, 1), kind.weight_denominator)
         p, branch, scales = frame
         return p[:, :size], branch, scales[:, :, :size]
@@ -414,12 +418,18 @@ class SolutionGerm:
         """The invariant tables of the frame `kind` up to `order` at each point, as one :class:`_TableStack`.
 
         Each row is bit for bit the table :func:`invariant_table` gives at
-        that point's float jet, read off the expansion; a singular pivot is
-        a SingularFrameError there too.
+        that point's float jet, read off the expansion.  The pivots and
+        branches are the constant terms of the germ's frame record
+        (:meth:`_frame`), read only when the table has positive order, so a
+        singular pivot is the SingularFrameError of that record.
         """
         data = self._jet_rows(_integer(order, "table order", high=self.order))
-        pivot = require_regular_pivots(data, kind, self._points)
-        return _TableStack(kind, order, _invariant_rows(data, kind, multi_indices(order), order, lambda: pivot))
+
+        def pivot():
+            p, branch, _ = self._frame(kind, 0)
+            return p[:, 0], branch
+
+        return _TableStack(kind, order, _invariant_rows(data, kind, multi_indices(order), order, pivot))
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
@@ -430,7 +440,7 @@ class SolutionGerm:
         alphas, shape = _one_or_many(alpha, _is_multi_index)
         jet_order = _rows_for(alphas, self.order)[0]
         rows = self._series_rows(jet_order, order)  # a germ too short is a UsageError
-        values = _invariant_rows(rows, kind, alphas, jet_order, lambda: self._frame(kind, order, rows)[:2])
+        values = _invariant_rows(rows, kind, alphas, jet_order, lambda: self._frame(kind, order)[:2])
         return self._results([shape(_entries(v)) for v in values])
 
     def differentiate(self, series, kind):
@@ -445,11 +455,14 @@ class SolutionGerm:
         germ's frame and computed on the stacked coefficient rows, each
         series bit for bit its own call; series of different orders are a
         UsageError, and ``differentiate([], kind)`` is ``([], [])``.  A stack
-        takes one item per point, a series or a list of as many series as
-        every other point's, and each half of the pair holds one result per
-        point.
+        takes a list of one item per point, a series or a list of as many
+        series as every other point's, and each half of the pair holds one
+        result per point.  Any other item is a UsageError naming its type.
         """
-        parts = [_one_or_many(item, lambda arg: isinstance(arg, TruncatedSeries)) for item in self._each(series)]
+        parts = [_one_or_many(item, lambda arg: not isinstance(arg, (list, tuple))) for item in self._each(series)]
+        bad = [type(s).__name__ for items, _ in parts for s in items if not isinstance(s, TruncatedSeries)]
+        if bad:
+            raise UsageError(f"differentiate takes a TruncatedSeries or a list of them, got {bad[0]}")
         orders = sorted({s.order for items, _ in parts for s in items})
         if len(orders) > 1:
             raise UsageError(f"series differentiated in one call share one order, got {orders}")

@@ -46,12 +46,18 @@ def _is_multi_index(arg) -> bool:
 
 
 def _first_non_finite(values, alphas):
-    """The first alpha whose value (float or series row) is not finite, and its first non-finite number."""
+    """(point, alpha, number) of the first non-finite number of a stack, or None when every one is finite.
+
+    `values` holds one row per point: the value of each of `alphas` there, a
+    float or a series row.  The first non-finite number in row-major order
+    lies in the first such point and, within it, in the first such alpha.
+    """
     finite = np.isfinite(values)
     if finite.all():
         return None
-    k = int(np.argmin(finite))  # the first non-finite number in row-major order lies in the first such row
-    return alphas[k // (values.size // len(values))], values.flat[k].item()
+    k = int(np.argmin(finite))
+    point, a = np.unravel_index(k, values.shape)[:2]
+    return int(point), alphas[a], values.flat[k].item()
 
 
 def _one_or_many(arg, is_one):

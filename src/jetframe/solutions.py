@@ -162,11 +162,6 @@ def _expansion(solution, t0, x0, order):
     return s
 
 
-def _read_jet(s, t0, x0, order):
-    """The order-`order` jet at (t0, x0) read off the expansion `s` of a solution there (:func:`_jet_rows`)."""
-    return Jet(order, float(t0), float(x0), _jet_rows(s.coeffs, order, [(t0, x0)]))
-
-
 def _jet_rows(coeffs, order, points):
     """The dense rows of the order-`order` jets read off expansions: one row per coefficient row of `coeffs`.
 
@@ -176,9 +171,7 @@ def _jet_rows(coeffs, order, points):
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
         values = _derivatives(coeffs, order, 0)[..., 0]
     if not np.isfinite(values).all():
-        rows = values.reshape(len(points), -1)
-        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        alpha, _ = _first_non_finite(rows[i], multi_indices(order))
+        i, alpha, _ = _first_non_finite(values.reshape(len(points), -1), multi_indices(order))
         raise DomainError(f"jet entry u_{alpha} at ({points[i][0]}, {points[i][1]}) overflows a double")
     return values
 
@@ -188,10 +181,10 @@ def jet_of_solution(solution, t0, x0, order):
 
     The solution is expanded to exactly `order` (no coefficient of degree
     <= order depends on where the expansion is cut) and the jet is read off
-    that expansion (:func:`_read_jet`).
+    that expansion (:func:`_jet_rows`).
     """
     s = _expansion(solution, t0, x0, order)
-    return _read_jet(s, t0, x0, s.order)
+    return Jet(s.order, float(t0), float(x0), _jet_rows(s.coeffs, s.order, [(t0, x0)]))
 
 
 def kdv_residual(jet):

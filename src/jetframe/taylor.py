@@ -225,6 +225,7 @@ class TruncatedSeries:
         out[0] += other
         return TruncatedSeries._wrap(self.order, out)
 
+    # kept beside _row_products: on one series this product measures faster than a one-row stack
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries._wrap(self.order, self.coeffs * float(other))
@@ -371,9 +372,9 @@ def _horner(coeffs, b, pairs):
 def _compose(kind, a, exponents):
     """The coefficients of analytic(kind, a, r) for each r in `exponents`, end to end, in one Horner loop.
 
-    `a` is a series, or the coefficient rows of a stack of series of one
-    order, which give one block of rows each, in stack order; each block is
-    bit for bit the call on its series alone.  Horner's rule runs in
+    `a` holds the coefficient rows of a stack of series of one order, which
+    give one block of rows each, in stack order; each block is bit for bit
+    the call on its series alone.  Horner's rule runs in
     b = a - a(0) (:func:`_horner`).  When every b is affine (no nonzero
     coefficient above degree 1) and of order >= 1, a step needs only the
     pairs whose factor of b is a slope, ct*r(i-1, j) + cx*r(i, j-1), which
@@ -384,10 +385,7 @@ def _compose(kind, a, exponents):
     product bit for bit.  Any other b, or a non-finite slope-pair result in
     any row, takes every pair of the product table for every row.
     """
-    if isinstance(a, TruncatedSeries):
-        rows, order, values = a.coeffs, a.order, [a.value]
-    else:
-        rows, order, values = a, _series_order(a.shape[1]), a[:, 0].tolist()
+    rows, order, values = a, _series_order(a.shape[1]), a[:, 0].tolist()
     coeffs = [_univariate_coeffs(kind, a0, order, r) for a0 in values for r in exponents]
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
     if order and all(map(math.isfinite, values)) and not np.count_nonzero(rows[..., 3:]):
@@ -413,7 +411,7 @@ def analytic(kind, a, exponent=None):
     exponent : float, optional
         Exponent for ``pow``, a finite real number; ignored otherwise.
     """
-    return TruncatedSeries._wrap(a.order, _compose(kind, a, (exponent,)))
+    return TruncatedSeries._wrap(a.order, _compose(kind, a.coeffs[None], (exponent,)))
 
 
 def series_pow(a, exponent):

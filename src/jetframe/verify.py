@@ -305,9 +305,10 @@ def _suite_recurrences(rng, samples, order):
             if not at:
                 continue
             germ = SolutionGerm.stack(draws[j][1] for j in at)
-            tables = germ._tables(kind, 4)
             alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
+            # the calculus first: it builds the germ's frame record, whose pivots the table then reads
             lhs = np.array(invariant_derivative(germ, alphas, kind))  # (t, x) pairs, point-major
+            tables = germ._tables(kind, 4)
             rhs = np.array([recurrence_rhs(tables, alpha) for alpha in alphas]).transpose(2, 0, 1)
             defects[at] = np.max(_rels(lhs, rhs), axis=(1, 2))
         return defects.tolist()
@@ -325,8 +326,8 @@ def _suite_commutators(rng, samples, order):
         germ = SolutionGerm.stack(germs)
         defects = []
         for kind in _KINDS:
-            a_t, a_x = commutator_coefficients(germ._tables(kind, 2))
             _, dt, dx, bracket = np.array(invariant_commutator(germ, targets, kind)).T  # one column per point
+            a_t, a_x = commutator_coefficients(germ._tables(kind, 2))  # reads the frame record just built
             defects.append(_rels(bracket, a_t * dt + a_x * dx))
         return np.max(np.concatenate(defects), axis=0).tolist()
 

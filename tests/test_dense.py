@@ -384,7 +384,8 @@ def test_stacked_prefactor_rows_are_the_series_powers_bit_for_bit(monkeypatch):
         weights = sorted(weights)
         slopes = order > 0 and not np.count_nonzero(p.coeffs[3:])
         tables.clear()
-        rows = taylor._compose("pow", branch * p, [-w / w_den for w in weights]).reshape(len(weights), -1)
+        exponents = [-w / w_den for w in weights]
+        rows = taylor._compose("pow", (branch * p).coeffs[None], exponents).reshape(len(weights), -1)
         assert len(tables) == 1 and tables[0] is _stacked_pairs(order, len(weights), slopes), (order, affine)
         assert not affine or slopes or order == 0
         (scales,) = _prefactors(p.coeffs[None], np.array([branch]), weights, w_den)  # a stack of one pivot

@@ -43,6 +43,9 @@ CASES = {
                               "--format", "csv"],
     "verify-all-seed0-s20-o6": ["verify", "--suites", "all", "--seed", "0", "--samples", "20",
                                 "--order", "6"],
+    # the benchmark's battery (seed 0, 100 samples, order 6); CI runs it too
+    "verify-all-seed0-s100-o6": ["verify", "--suites", "all", "--seed", "0", "--samples", "100",
+                                 "--order", "6"],
     # the battery at order 8, where the series run longer; CI runs it too
     "verify-all-seed0-s100-o8": ["verify", "--suites", "all", "--seed", "0", "--samples", "100",
                                  "--order", "8"],

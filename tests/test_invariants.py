@@ -621,6 +621,30 @@ def test_germ_jet_raises_what_jet_of_solution_raises():
     assert str(got.value) == str(want.value)
 
 
+def test_a_stack_names_the_point_of_an_overflowing_jet_entry():
+    far = SolutionGerm(Rational(), 1e-23, 10.0, 12)
+    stack = SolutionGerm.stack([SolutionGerm(Soliton(), 0.3, 0.8, 12), far])
+    with pytest.raises(DomainError) as want:
+        far.jet(12)
+    with pytest.raises(DomainError) as got:
+        stack.jet(12)
+    assert "(1e-23, 10.0)" in str(got.value) and str(got.value) == str(want.value)
+
+
+def test_differentiate_takes_series_or_lists_of_series_only():
+    kind = FrameKind.X_NORMALIZED
+    germ = SolutionGerm(Soliton(), 0.3, -0.9, 4)
+    with pytest.raises(UsageError, match="got float"):
+        germ.differentiate(1.0, kind)
+    with pytest.raises(UsageError, match="got float"):
+        germ.differentiate([1.0], kind)
+    stack = SolutionGerm.stack([germ, SolutionGerm(Soliton(), 0.3, 0.8, 4)])
+    with pytest.raises(UsageError, match="got NoneType"):
+        stack.differentiate([None, None], kind)
+    with pytest.raises(UsageError, match="got TruncatedSeries"):  # a stack takes a list of one item per point
+        stack.differentiate(TruncatedSeries(2), kind)
+
+
 def test_series_calculus_takes_a_germ():
     sol, t0, x0 = Soliton(), 0.3, 0.8
     kind = FrameKind.X_NORMALIZED
@@ -862,8 +886,7 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
     real_prefactors, computed = invariants._prefactors, []
 
     def pivot(rows, kind, points):
-        if rows.ndim == 3:  # series rows: the germ's frame, not a float table
-            tested.append(kind)
+        tested.append(kind)
         return real_pivot(rows, kind, points)
 
     def prefactors(p, branch, weights, w_den):

@@ -308,6 +308,34 @@ def test_germ_calculus_differentiates_once_per_derivative_and_twice_per_commutat
     assert counts == {"differentiate": 4, "invariant_derivative": 0, "invariant_commutator": 2}
 
 
+def test_germ_suites_decide_each_pivot_once_per_frame(monkeypatch):
+    # the float tables of recurrences and commutators read the pivots of the
+    # frame record that the germ calculus builds: one stacked pivot test per
+    # frame kind, as in reconstruction; the series prefactors of the record
+    # and of the invariant series, and the float ones of the tables, stay
+    tested, prefactors = [], []
+    real_pivots, real_prefactors = invariants.require_regular_pivots, invariants._prefactors
+
+    def pivots(rows, kind, points):
+        tested.append(len(points))
+        return real_pivots(rows, kind, points)
+
+    def counted_prefactors(p, branch, weights, w_den):
+        prefactors.append("series" if p.ndim == 2 else "float")
+        return real_prefactors(p, branch, weights, w_den)
+
+    monkeypatch.setattr(invariants, "require_regular_pivots", pivots)
+    monkeypatch.setattr(invariants, "_prefactors", counted_prefactors)
+    points = {"recurrences": 100, "commutators": 200, "reconstruction": 200}
+    for suite, total in points.items():
+        tested.clear()
+        prefactors.clear()
+        (report,) = run_suite((suite,), seed=0, samples=100, order=6)
+        assert report.passed
+        assert (len(tested), sum(tested)) == (2, total), suite
+        assert sorted(prefactors) == ["float"] * 2 + ["series"] * 4, suite
+
+
 def test_series_calculus_suites_expand_each_sample_point_once(monkeypatch):
     # recurrences and commutators read their float table off the germ they
     # build, and reconstruction its order-2 jet off its germ: one expansion
