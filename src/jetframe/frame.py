@@ -83,6 +83,11 @@ def pivot_value(jet, kind):
     return _pivot(jet.u[(0, 0)], jet.u[(1, 0)], jet.u[(0, 1)], kind)
 
 
+def _base_value(c):
+    """The value at the base point of a coordinate: a float, or a series' constant term (t and x of a lift)."""
+    return c.value if isinstance(c, TruncatedSeries) else c
+
+
 def require_regular_pivot(jet, kind):
     """Pivot of `kind` at `jet` and its branch sign; raises where the frame is singular (:func:`_singular`).
 
@@ -94,7 +99,7 @@ def require_regular_pivot(jet, kind):
     if isinstance(p, TruncatedSeries):
         p0, u, u_t, u_x = p.value, u.value, u_t.value, u_x.value
     if _singular(p0, u, u_t, u_x, kind):
-        t, x = (c.value if isinstance(c, TruncatedSeries) else c for c in (jet.t, jet.x))
+        t, x = map(_base_value, (jet.t, jet.x))
         raise SingularFrameError(kind.pivot_name, p0, f"at (t, x) = ({t}, {x})")
     return p, 1 if p0 > 0 else -1
 
@@ -103,22 +108,26 @@ def require_regular_pivot(jet, kind):
 def require_regular_pivots(data, kind, points):
     """Pivots of `kind` and their branch signs at each point of a stack; raises at the first singular one.
 
-    `data` holds one dense row of series rows of jet entries per point (a
-    germ's series jet), and `points` each point's base (t, x).  The pivots
-    are one series row per point, each bit for bit what
-    :func:`require_regular_pivot` gives at that point's series jet, and the
-    branches are an array of signs.
+    `data` holds one dense row of jet entries per point, floats or series
+    rows, and `points` each point's base (t, x), floats or the series of a
+    lift.  The pivots are one float or one series row per point, each bit
+    for bit what :func:`require_regular_pivot` gives at that point's jet,
+    and the branches are an array of signs.
     """
     _require_kind(kind)
     if data.shape[1] < 3:
         raise UsageError("frames need a jet of order >= 1")
     u, u_x, u_t = (data[:, i] for i in range(3))  # the storage order of (0, 0), (0, 1), (1, 0)
-    p = _pivot(u, u_t, u_x, kind, _row_products)
-    p0, u, u_t, u_x = (c[:, 0] for c in (p, u, u_t, u_x))
-    singular = _singular(p0, u, u_t, u_x, kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as the scalar test on Python floats
+        if data.ndim == 2:
+            p = p0 = _pivot(u, u_t, u_x, kind)
+        else:
+            p = _pivot(u, u_t, u_x, kind, _row_products)
+            p0, u, u_t, u_x = (c[:, 0] for c in (p, u, u_t, u_x))
+        singular = _singular(p0, u, u_t, u_x, kind)
     if singular.any():
         i = int(np.argmax(singular))
-        t, x = points[i]
+        t, x = map(_base_value, points[i])
         raise SingularFrameError(kind.pivot_name, float(p0[i]), f"at (t, x) = ({t}, {x})")
     return p, np.where(p0 > 0, 1, -1)
 

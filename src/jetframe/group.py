@@ -26,8 +26,12 @@ flow.  First-order coefficients do not mix, so one lift serves every output
 and two fields at once, one in each first-order slot of the series.
 
 Batched forms are exact, not approximate: a list of outputs of one lift, the
-second field of a pair, and every boost sum of a table read off one plan are
-each bit-identical to computing that value alone, one term at a time.
+second field of a pair, every jet of a stack lifted at once, every jet of a
+stack moved by one prolongation (:func:`_prolong`), and every boost sum of a
+table read off one plan are each bit-identical to computing that value
+alone, one term at a time.  A stack keeps per point, in Python, what a
+single call takes in Python: the image of each base point, the exp of each
+weight and the float powers of each boost.
 """
 
 from __future__ import annotations
@@ -258,17 +262,30 @@ def prolong_act(g, jet):
     leaves double-precision range is a DomainError.
     """
     _require_real(jet, "prolong_act")
-    T, X, U0 = act_point(g, (jet.t, jet.x, jet.u[(0, 0)]))
-    order = jet.order
+    return _prolong([g], [jet])[0]
+
+
+def _prolong(elements, jets):
+    """The jets elements[i] . jets[i] of :func:`prolong_act`, for real jets of one order, in one pass.
+
+    Each image point and each exp of a weight is taken point by point in
+    Python, and the boost sums of every point are one :func:`_transform`,
+    so each jet is bit for bit its own call.  The first point whose image
+    leaves double-precision range, or else the first whose transformed
+    coordinate does, is the DomainError, named by its alpha and element.
+    """
+    order = jets[0].order
+    images = [act_point(g, (jet.t, jet.x, float(jet.data[0]))) for g, jet in zip(elements, jets)]
     weights = _boost_plan(order).weights
-    scales = np.array([[_exp_or_inf(-w * g.eps4) for w in weights]])
+    scales = np.array([[_exp_or_inf(-w * g.eps4) for w in weights] for g in elements])
+    boosts = _boost_powers(np.array([-g.eps3 for g in elements]), order, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        (values,) = _transform(jet.data[None], order, _boost_powers(np.array([-g.eps3]), order, order), weights, scales)
-    values[0] = U0
-    bad = _first_non_finite(values[None], multi_indices(order))
+        values = _transform(np.stack([jet.data for jet in jets]), order, boosts, weights, scales)
+    values[:, 0] = [u for _, _, u in images]
+    bad = _first_non_finite(values, multi_indices(order))
     if bad is not None:
-        raise DomainError(f"transformed u_{bad[1]} under {g} leaves double-precision range")
-    return Jet(order, T, X, values)
+        raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
+    return [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)]
 
 
 @dataclass(frozen=True)
@@ -413,23 +430,45 @@ def pr_v_apply(v, F, jet):
     `v` may also be a pair of fields: the first rides in the dt slot of the
     lift and the second in the dx slot, F is evaluated once, and the result
     is the list of the two fields' results, each bit-identical to its own call.
+
+    `jet` may also be a list or tuple of real jets of one order, a stack:
+    one eta pass lifts them all, F is called once on the list of lifted
+    jets and returns one item per jet, and the result is the list of one
+    result per jet, each bit for bit the call on that jet alone.  A call on
+    one jet is the stack of one.  Jets of different orders, or a series
+    jet, are a UsageError.
     """
     fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
     if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
-    _require_real(jet, "pr_v_apply")
-    t, x, u = jet.t, jet.x, jet.u[(0, 0)]
-    lift = np.zeros((len(jet.data), 3))  # one order-1 series per entry
-    lift[:, 0] = jet.data
-    lift[:, [_pos(*slot) for slot in _UNITS[: len(fields)]]] = _eta_rows(fields, jet).T
-    lifted = Jet(
-        jet.order,
-        _lift(t, *(w.tau(t, x, u) for w in fields)),
-        _lift(x, *(w.xi(t, x, u) for w in fields)),
-        lift,
-    )
-    value = F(lifted)
-    return shape([_eps_coefficient(value, slot) for slot in _UNITS[: len(fields)]])
+    single = isinstance(jet, Jet)
+    if not (single or isinstance(jet, (list, tuple)) and all(isinstance(j, Jet) for j in jet)):
+        raise UsageError("pr_v_apply takes a jet or a list or tuple of jets")
+    jets = [jet] if single else list(jet)
+    for j in jets:
+        _require_real(j, "pr_v_apply")
+    orders = sorted({j.order for j in jets})
+    if len(orders) != 1:
+        raise UsageError(f"a stack of jets holds one order, got {orders}")
+    slots = _UNITS[: len(fields)]
+    data = np.stack([j.data for j in jets])
+    lift = np.zeros(data.shape + (3,))  # one order-1 series per entry
+    lift[..., 0] = data
+    lift[..., [_pos(*slot) for slot in slots]] = _eta_stack(fields, data, orders[0]).transpose(0, 2, 1)
+    lifted = []
+    for j, rows in zip(jets, lift):
+        t, x, u = j.t, j.x, float(j.data[0])
+        lifted.append(Jet(
+            j.order,
+            _lift(t, *(w.tau(t, x, u) for w in fields)),
+            _lift(x, *(w.xi(t, x, u) for w in fields)),
+            rows,
+        ))
+    values = [F(lifted[0])] if single else F(lifted)
+    if not single and (not isinstance(values, (list, tuple)) or len(values) != len(jets)):
+        raise UsageError(f"a jet function on a stack of {len(jets)} jets returns a list of one item per jet")
+    results = [shape([_eps_coefficient(value, slot) for slot in slots]) for value in values]
+    return results[0] if single else results
 
 
 def _partials(f, t, x, u):

@@ -139,8 +139,8 @@ def _table(data, kind, order, derived, pivot):
     """I_alpha of every alpha of multi_indices(order) at each point of a stack, as floats or series rows.
 
     `data` holds one dense row of jet entries per point and `pivot` the
-    (pivots, branches) of the frame there: series rows as
-    :func:`require_regular_pivots` gives them, or one float per point.  The
+    (pivots, branches) of the frame there, as :func:`require_regular_pivots`
+    gives them: series rows, or one float per point.  The
     boost by u and the frame's scaling go through the group's transformation
     law with the powers of u and one prefactor per weight.  Only the weights
     and powers that the multi-indices `derived` need are computed (all of

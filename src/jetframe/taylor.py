@@ -298,33 +298,48 @@ def _row_products(a, b):
 # -- analytic composition ----------------------------------------------------
 
 
-def _univariate_coeffs(kind, a0, n, exponent=None):
-    """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind` at a0."""
-    if kind == "pow":
-        try:
-            finite = math.isfinite(exponent)
-        except TypeError:  # None, a string, a complex number
-            finite = False
-        if not finite:
-            raise UsageError(f"pow requires a finite real exponent, got {exponent!r}")
-        r = exponent
-        if r == int(r):
-            r = int(r)
+def _pow_terms(exponent, n):
+    """(r, terms) of x**r: r, an int when it is integral, and the pairs (C(r, k), r - k), k = 0..n.
+
+    A non-finite or non-real exponent is a UsageError.  The binomials run
+    the falling-factorial recurrence C(r, k + 1) = C(r, k) * (r - k) / (k + 1).
+    Past an integer r >= 0 every k pairs the binomial 0.0 with the power 0,
+    a term that is 0.0 at any a0.
+    """
+    try:
+        finite = math.isfinite(exponent)
+    except TypeError:  # None, a string, a complex number
+        finite = False
+    if not finite:
+        raise UsageError(f"pow requires a finite real exponent, got {exponent!r}")
+    r = exponent
+    if r == int(r):
+        r = int(r)
+    terms = []
+    binom = 1.0
+    for k in range(n + 1):
+        if isinstance(r, int) and k > r >= 0:
+            terms.append((0.0, 0))
+            continue
+        terms.append((binom, r - k))
+        binom *= (r - k) / (k + 1)
+    return r, terms
+
+
+def _require_pow_domain(a0, exponents):
+    """A DomainError at the first r of `exponents` whose power has no Taylor series at a0; it needs a0 <= 0."""
+    for r in exponents:
+        if isinstance(r, int):
             if r < 0 and a0 == 0.0:
                 raise DomainError("negative power of a series with zero constant term")
         elif a0 <= 0.0:
             raise DomainError(
                 f"non-integer power requires a positive constant term, got {a0!r}"
             )
-        out = []
-        binom = 1.0  # falling-factorial binomial C(r, k)
-        for k in range(n + 1):
-            if isinstance(r, int) and k > r >= 0:
-                out.append(0.0)
-                continue
-            out.append(binom * a0 ** (r - k))
-            binom *= (r - k) / (k + 1)
-        return out
+
+
+def _univariate_coeffs(kind, a0, n):
+    """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind` at a0; pow's are made in :func:`_compose`."""
     if kind == "sech":
         # coupled recurrences from s' = -s*t and t' = s^2, t = tanh
         try:
@@ -384,9 +399,21 @@ def _compose(kind, a, exponents):
     -0.0, which such a zero leaves unchanged: the slope pairs give the dense
     product bit for bit.  Any other b, or a non-finite slope-pair result in
     any row, takes every pair of the product table for every row.
+
+    The Taylor coefficients of pow build each exponent's binomials
+    (:func:`_pow_terms`) once per call; only the domain test and the powers
+    a0 ** (r - k) are taken point by point, in Python, for their bits.
     """
     rows, order, values = a, _series_order(a.shape[1]), a[:, 0].tolist()
-    coeffs = [_univariate_coeffs(kind, a0, order, r) for a0 in values for r in exponents]
+    if kind == "pow":
+        pows = [_pow_terms(r, order) for r in exponents]
+        coeffs = []
+        for a0 in values:
+            if a0 <= 0.0:
+                _require_pow_domain(a0, [r for r, _ in pows])
+            coeffs += [[binom * a0 ** power for binom, power in terms] for _, terms in pows]
+    else:
+        coeffs = [_univariate_coeffs(kind, a0, order) for a0 in values for _ in exponents]
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
     if order and all(map(math.isfinite, values)) and not np.count_nonzero(rows[..., 3:]):
         with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included

@@ -10,14 +10,21 @@ admissible point is not counted, so the report's sample count shows the
 shortfall.  A NaN defect, or a suite that checked nothing, fails.
 
 The three suites of the germ calculus (recurrences, commutators and
-reconstruction) draw first and evaluate second, in stacks of at most
-:data:`_STACK` samples (:func:`_stacked`): the draw pass makes the random
-calls of the loop over samples and builds each point's germ through its
-solution's own series, and the evaluate pass runs the germs of each frame
-kind as one stack (:meth:`~jetframe.invariants.SolutionGerm.stack`), whose
-every point is bit for bit its own call.  A typed error anywhere in a stack
-replays it one sample at a time from the generator state its draws began
-at, retries included, so no report depends on the stacking.
+reconstruction) and two of the free-jet suites (invariance and
+infinitesimal) draw first and evaluate second, in stacks of at most
+:data:`_STACK` samples (:func:`_stacked`).  The draw pass makes the random
+calls of the loop over samples: it builds each point's germ through its
+solution's own series, or draws each jet and group element.  The evaluate
+pass runs the germs of each frame kind as one stack
+(:meth:`~jetframe.invariants.SolutionGerm.stack`), or moves the stack's jets
+in one prolongation, lifts them in one :func:`~jetframe.group.pr_v_apply`
+per pair of basis fields and takes each frame's invariants of them in one
+call (:func:`_invariants`); every point is bit for bit its own call.  A
+typed error anywhere in a stack replays it one sample at a time from the
+generator state its draws began at, retries included, so no report depends
+on the stacking.  Equivariance stays a loop over samples through the public
+:func:`~jetframe.frame.moving_frame`, :func:`~jetframe.group.prolong_act`
+and :func:`~jetframe.frame.equivariance_defect`.
 """
 
 from __future__ import annotations
@@ -29,30 +36,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePointError, JetFrameError, SingularFrameError, UsageError
-from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame
+from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame, require_regular_pivots
 from .group import (
     GroupElement,
     VectorField,
+    _prolong,
     act_point,
     compose,
     determining_equation_residuals,
     inverse,
     pr_v_apply,
-    prolong_act,
 )
 from .invariants import (
     SolutionGerm,
+    _invariant_rows,
     commutator_coefficients,
     invariant_commutator,
     invariant_derivative,
     invariant_table,
-    normalized_invariant,
     reconstruct_generators,
     recurrence_rhs,
 )
-from .jets import Jet, multi_indices
+from .jets import Jet, _entries, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
-from .taylor import _integer
+from .taylor import _integer, _pos
 
 _KINDS = tuple(FrameKind)
 _MAX_RETRIES = 400
@@ -98,14 +105,15 @@ def random_free_jet(rng, order, kind=None, branch=None):
     """
     if branch is not None:
         _require_kind(kind)
-    values = {alpha: float(rng.uniform(-_JET_BOUND, _JET_BOUND)) for alpha in multi_indices(order)}
+    values = rng.uniform(-_JET_BOUND, _JET_BOUND, size=len(multi_indices(order)))  # in storage order
     sx, st = (
         branch if k is kind and branch is not None else (1 if rng.uniform() < 0.5 else -1)
         for k in (FrameKind.X_NORMALIZED, FrameKind.T_NORMALIZED)
     )
-    values[(0, 1)] = sx * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
+    u, u_x, u_t = (_pos(*alpha) for alpha in ((0, 0), (0, 1), (1, 0)))
+    values[u_x] = sx * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
     pivot = st * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
-    values[(1, 0)] = pivot - values[(0, 0)] * values[(0, 1)]
+    values[u_t] = pivot - values[u] * values[u_x]
     t, x = rng.uniform(-1.5, 1.5, size=2)
     return Jet(order=order, t=float(t), x=float(x), u=values)
 
@@ -153,10 +161,26 @@ def _retrying(make):
     return None
 
 
-def _invariants(jet):
-    """Every I_alpha of both frames at `jet` up to its order, frame-major."""
-    alphas = multi_indices(jet.order)
-    return [value for kind in _KINDS for value in normalized_invariant(jet, alphas, kind)]
+def _invariants(jets):
+    """Every I_alpha of both frames up to the jets' order at each of `jets`, frame-major: one row per jet.
+
+    The jets share one order, and their entries are floats or the series of
+    a lift (:func:`~jetframe.group.pr_v_apply`).  Each frame's invariants
+    of them all are one :func:`~jetframe.invariants._invariant_rows` call on
+    the stacked rows, with the pivots of
+    :func:`~jetframe.frame.require_regular_pivots`, and each jet's row is
+    bit for bit :func:`~jetframe.invariants.normalized_invariant` at that jet:
+    floats, or the coefficient rows of a lift's series.
+    """
+    order = jets[0].order
+    alphas = multi_indices(order)
+    data = np.stack([jet.data for jet in jets])
+    points = [(jet.t, jet.x) for jet in jets]
+    rows = [
+        _invariant_rows(data, kind, alphas, order, lambda kind=kind: require_regular_pivots(data, kind, points))
+        for kind in _KINDS
+    ]
+    return np.concatenate(rows, axis=1)
 
 
 def _sample_jet(rng, free, order, kind=None, branch=None):
@@ -199,8 +223,9 @@ def _stacked(rng, samples, draw, evaluate, replay=None):
     typed error anywhere in a stack rewinds `rng` to where its draws began
     and replays the stack one sample at a time: ``replay(rng, i)`` yields
     sample i's defects, by default those of a stack of that sample alone.
-    The replay meets each sample as the loop over samples does, so the
-    defects do not depend on the stacking.
+    The replay meets each sample as the loop over samples does, and yields
+    each sample's defects before the next sample is drawn, so neither the
+    defects nor a typed error that ends them depend on the stacking.
     """
     if replay is None:
         def replay(rng, i):
@@ -213,7 +238,7 @@ def _stacked(rng, samples, draw, evaluate, replay=None):
             defects = evaluate([draw(rng, i) for i in stack])
         except JetFrameError:
             rng.bit_generator.state = state
-            defects = [defect for i in stack for defect in replay(rng, i)]
+            defects = (defect for i in stack for defect in replay(rng, i))
         yield from defects
 
 
@@ -257,10 +282,14 @@ def _suite_equivariance(rng, samples, order):
 
 
 def _suite_invariance(rng, samples, order):
-    for i in range(samples):
-        jet = _sample_jet(rng, i % 2 == 0, order)
-        g = random_group_element(rng)
-        yield _worst(map(_rel, _invariants(prolong_act(g, jet)), _invariants(jet)))
+    def draw(rng, i):
+        return _sample_jet(rng, i % 2 == 0, order), random_group_element(rng)
+
+    def evaluate(draws):
+        jets, elements = zip(*draws)
+        return np.max(_rels(_invariants(_prolong(elements, jets)), _invariants(jets)), axis=1).tolist()
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_phantom(rng, samples, order):
@@ -358,15 +387,19 @@ def _suite_reconstruction(rng, samples, order):
 def _suite_infinitesimal(rng, samples, order):
     # one lift per pair of basis fields gives pr v(I_alpha) for every alpha and both frames
     basis = VectorField.basis()
-    for i in range(samples):
-        jet = _sample_jet(rng, i % 2 == 0, min(order, 4))
-        scales = [1.0 + abs(value) for value in _invariants(jet)]
-        yield _worst(
-            abs(d) / s
-            for pair in (basis[:2], basis[2:])
-            for derivatives in pr_v_apply(pair, _invariants, jet)
-            for d, s in zip(derivatives, scales)
-        )
+
+    def invariants(lifted):  # pr_v_apply reads the eps coefficient of each invariant's TruncatedSeries
+        return list(map(_entries, _invariants(lifted)))
+
+    def draw(rng, i):
+        return _sample_jet(rng, i % 2 == 0, min(order, 4))
+
+    def evaluate(jets):
+        scales = 1.0 + np.abs(_invariants(jets))  # one row per jet
+        derivatives = np.array([pr_v_apply(pair, invariants, jets) for pair in (basis[:2], basis[2:])])
+        return np.max(np.abs(derivatives) / scales[:, None], axis=(0, 2, 3)).tolist()
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_singular_sets(rng, samples, order):

@@ -4,6 +4,7 @@ import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from jetframe.cli import (
@@ -366,7 +367,9 @@ def test_verify_nan_defect_fails_with_strict_json(capsys, monkeypatch):
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")
 
-    monkeypatch.setattr(verify, "normalized_invariant", lambda jet, alphas, kind: [math.nan] * len(alphas))
+    monkeypatch.setattr(
+        verify, "_invariant_rows", lambda data, kind, alphas, jet_order, pivot: np.full((len(data), len(alphas)), math.nan)
+    )
     code, out, err = run_cli(capsys, "verify", "--suites", "invariance", "--samples", "3")
     assert code == EXIT_CHECK_FAILED
     records = [json.loads(line, parse_constant=reject) for line in out.splitlines()]

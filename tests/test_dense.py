@@ -11,6 +11,7 @@ standard against Horner's rule with one dense series product per step.
 import abc
 import math
 import numbers
+import re
 import struct
 import warnings
 from collections.abc import Mapping, Sized
@@ -260,12 +261,30 @@ def ref_sech_coeffs(a0, n):
     return s
 
 
+def ref_pow_coeffs(a0, n, r):
+    """C(r, k) a0^(r - k), k = 0..n, with the binomial run point by point; a domain error as DomainError."""
+    if r == int(r):
+        r = int(r)
+        if r < 0 and a0 == 0.0:
+            raise DomainError("negative power of a series with zero constant term")
+    elif a0 <= 0.0:
+        raise DomainError(f"non-integer power requires a positive constant term, got {a0!r}")
+    out, binom = [], 1.0
+    for k in range(n + 1):
+        if isinstance(r, int) and k > r >= 0:
+            out.append(0.0)
+            continue
+        out.append(binom * a0 ** (r - k))
+        binom *= (r - k) / (k + 1)
+    return out
+
+
 def ref_analytic(kind, a, exponent=None):
     """Horner's rule in b = a - a(0) with one dense series product per step."""
     if kind == "sech":
         coeffs = ref_sech_coeffs(a.value, a.order)
     else:
-        coeffs = _univariate_coeffs(kind, a.value, a.order, exponent)
+        coeffs = ref_pow_coeffs(a.value, a.order, exponent)
     b = a - a.value
     result = TruncatedSeries.constant(coeffs[-1], a.order)
     for f in reversed(coeffs[:-1]):
@@ -276,6 +295,44 @@ def ref_analytic(kind, a, exponent=None):
 def test_sech_recurrence_matches_the_generator_sums():
     for a0 in (0.0, -0.0, 0.3, -1.7, 25.0, -700.0):
         assert_bit_identical(_univariate_coeffs("sech", a0, 30), ref_sech_coeffs(a0, 30))
+
+
+def test_pow_coefficients_take_each_exponents_binomials_once_per_call():
+    # _compose builds each exponent's binomial row once, and a numpy exponent
+    # keeps numpy's powers; every point's coefficients, and the first point's
+    # domain error, stay those of the running binomial taken point by point.
+    # The inner series a0 + y puts the coefficient of y^k at _pos(0, k).
+    exponents = (0, 1, 2, 3.0, 7, -1, -2, -0.6, 0.5, -1 / 3, -14 / 5, 2.5, np.float64(-0.6), np.float64(2.0))
+    points = (0.0, -0.0, 0.7, -1.9, 1e-200, 3.1, 1e5)
+    for n in (0, 1, 2, 5, 12, 30):
+        for r in exponents:
+            for a0 in points:
+                row = np.zeros(taylor.triangle_size(n))
+                row[0] = a0
+                if n:
+                    row[_pos(0, 1)] = 1.0
+                try:
+                    want = ref_pow_coeffs(a0, n, r)
+                except (DomainError, OverflowError, RuntimeWarning) as exc:  # 1e-200 ** -2 overflows
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        taylor._compose("pow", row[None], (r,))
+                    continue
+                got = taylor._compose("pow", row[None], (r,))
+                assert got.tobytes() == ref_analytic("pow", TruncatedSeries(n, row), r).coeffs.tobytes(), (n, r, a0)
+                assert [got[_pos(0, k)] for k in range(n + 1)] == want, (n, r, a0)  # signed zeros aside
+    rng = np.random.default_rng(53)
+    for order in (0, 1, 3, 6):
+        stack = rng.uniform(0.2, 2.0, size=(5, taylor.triangle_size(order)))
+        rows = taylor._compose("pow", stack, exponents).reshape(len(stack), len(exponents), -1)
+        for a, point in zip(stack, rows):
+            for r, row in zip(exponents, point):
+                want = ref_analytic("pow", TruncatedSeries(order, a), r).coeffs
+                assert row.tobytes() == want.tobytes(), (order, r)
+    stack[2, 0] = 0.0  # a zero constant term under a negative power
+    with pytest.raises(DomainError, match="negative power"):
+        taylor._compose("pow", stack, (2, -1))
+    with pytest.raises(UsageError, match="finite real exponent"):
+        taylor._compose("pow", stack, (2, math.nan))
 
 
 # signed zero, negative, tiny and ordinary slopes (ct, cx) of the inner series

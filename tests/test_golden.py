@@ -63,6 +63,14 @@ CASES = {
                                   "--seed", "5", "--samples", "7", "--order", "6"],
     "verify-series-seed5-s1-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
                                   "--seed", "5", "--samples", "1", "--order", "6"],
+    # the three free-jet suites, written before invariance and infinitesimal
+    # evaluated a stack of samples at once: 1 sample, an uneven 7, and 130,
+    # a stack of 128 and one of 2
+    **{
+        f"verify-freejet-seed5-s{samples}-o6": ["verify", "--suites", "equivariance,invariance,infinitesimal",
+                                                "--seed", "5", "--samples", str(samples), "--order", "6"]
+        for samples in (1, 7, 130)
+    },
 }
 
 

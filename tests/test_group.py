@@ -12,6 +12,7 @@ from jetframe.group import (
     determining_equation_residuals,
     eta_alpha,
     inverse,
+    _prolong,
     pr_v_apply,
     prolong_act,
 )
@@ -20,7 +21,7 @@ from jetframe.frame import FrameKind
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Custom, Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
-from jetframe.verify import random_free_jet, random_group_element
+from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 
 def rel(a, b):
@@ -346,6 +347,88 @@ def test_pr_v_list_of_series_is_read_in_one_pass_as_element_calls():
         pr_v_apply(v, lambda j: [j.t, j.u[(0, 1)] + blow_up, j.x], jet)
     with pytest.raises(UsageError):
         pr_v_apply(v, lambda j: [j.t, TruncatedSeries.constant(1.0, 0)], jet)
+
+
+def _stack_of_jets(rng, free, order):
+    """One jet per flag of `free`: a free jet where it is set, else a soliton jet, all of `order`."""
+    return [random_free_jet(rng, order) if f else jet_of_solution(*random_soliton_point(rng), order) for f in free]
+
+
+def test_pr_v_on_a_stack_matches_each_jet_alone():
+    # one eta pass lifts the whole stack and F runs once on it; every jet's
+    # result is its own call bit for bit (repr tells the signs of zeros apart)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fields = st.sampled_from(VectorField.basis() + (VectorField(0.3, -1.1, 0.7, 1.9),))
+    kinds = tuple(FrameKind)
+
+    def invariants(j):
+        return [value for kind in kinds for value in normalized_invariant(j, multi_indices(j.order), kind)]
+
+    def mixed(j):
+        return (j.t * j.x + j.u[(0, 1)], 4.25, j.u[(j.order, 0)] * j.u[(0, 0)])
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.booleans(), min_size=1, max_size=9),
+        st.integers(1, 6),
+        st.one_of(fields, st.tuples(fields, fields)),
+        st.sampled_from((invariants, mixed)),
+    )
+    def check(seed, free, order, v, F):
+        jets = _stack_of_jets(np.random.default_rng(seed), free, order)
+        stacked = pr_v_apply(v, lambda lifted: [F(j) for j in lifted], jets)
+        assert repr(stacked) == repr([pr_v_apply(v, F, jet) for jet in jets])
+        assert repr(pr_v_apply(v, lambda lifted: tuple(F(j) for j in lifted), tuple(jets))) == repr(stacked)
+
+    check()
+
+
+def test_pr_v_stack_takes_real_jets_of_one_order():
+    rng = np.random.default_rng(43)
+    v = VectorField.scaling()
+    jets = [random_free_jet(rng, 2), random_free_jet(rng, 3)]
+
+    def F(lifted):
+        return [j.u[(0, 1)] for j in lifted]
+
+    with pytest.raises(UsageError, match=r"one order, got \[2, 3\]"):
+        pr_v_apply(v, F, jets)
+    with pytest.raises(UsageError, match=r"one order, got \[\]"):
+        pr_v_apply(v, F, [])
+    series = Jet(2, 0.0, 0.0, np.zeros((6, 3)))
+    with pytest.raises(UsageError, match="not series"):
+        pr_v_apply(v, F, [jets[0], series])
+    with pytest.raises(UsageError, match="a jet or a list or tuple of jets"):
+        pr_v_apply(v, F, [jets[0], jets[0].data])
+    with pytest.raises(UsageError, match="one item per jet"):
+        pr_v_apply(v, lambda lifted: F(lifted)[:1], [jets[0]] * 2)
+
+
+def test_stacked_prolongation_is_each_jets_own_prolong_act():
+    rng = np.random.default_rng(47)
+    for order in (1, 4, 9):
+        jets = _stack_of_jets(rng, [True, False] * 4, order)
+        elements = [random_group_element(rng) for _ in jets]
+        moved = _prolong(elements, jets)
+        for g, jet, out in zip(elements, jets, moved):
+            one = prolong_act(g, jet)
+            assert repr((out.order, out.t, out.x, out.data.tolist())) == repr((one.order, one.t, one.x, one.data.tolist()))
+    # the first point whose image leaves range is the error, or else the first
+    # whose transformed coordinate does, each as its own call names it
+    elements[2] = GroupElement(eps4=-36.0)  # exp(20 * 36) scales u_(6, 0)
+    errors = []
+    for j in (2, 5):
+        with pytest.raises(DomainError) as stacked:
+            _prolong(elements, jets)
+        with pytest.raises(DomainError) as alone:
+            prolong_act(elements[j], jets[j])
+        errors.append(str(alone.value))
+        assert str(stacked.value) == errors[-1]
+        elements[5] = GroupElement(eps4=300.0)  # exp(300)**3
+    assert errors[0].startswith("transformed u_(") and "eps4=-36.0" in errors[0]
+    assert errors[1].startswith("image of the point") and "eps4=300.0" in errors[1]
 
 
 def test_determining_equations_hold():

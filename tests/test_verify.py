@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import jetframe.frame as frame
 import jetframe.group as group
 import jetframe.invariants as invariants
 import jetframe.solutions as solutions
 import jetframe.verify as verify
-from jetframe.errors import DegeneratePointError, UsageError
+from jetframe.errors import DegeneratePointError, JetFrameError, UsageError
 from jetframe.frame import FrameKind
-from jetframe.invariants import SolutionGerm, invariant_table
-from jetframe.jets import Jet
+from jetframe.group import VectorField, pr_v_apply, prolong_act
+from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
+from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
@@ -128,26 +130,31 @@ def test_suite_name_order_is_canonical():
     assert [r.name for r in reports] == ["group-axioms", "phantom"]
 
 
-_REAL_INVARIANT = verify.normalized_invariant
+_REAL_ROWS = verify._invariant_rows
+
+
+def _nan_invariants(at=None):
+    """The suites' invariant rows with NaN at the multi-index `at`, or at every one, in rows of floats.
+
+    The rows of a lift stay real: a NaN there would be a DomainError of the
+    derivative along the flow, not a NaN defect.
+    """
+
+    def rows(data, kind, alphas, jet_order, pivot):
+        values = _REAL_ROWS(data, kind, alphas, jet_order, pivot)
+        if data.ndim == 2:
+            values[:, [j for j, alpha in enumerate(alphas) if at in (None, alpha)]] = math.nan
+        return values
+
+    return rows
 
 
 @pytest.mark.parametrize(
     "formula, patched, suites",
     [
-        # the suites read every alpha of a frame in one call, so the fakes take a sequence
-        (
-            "normalized_invariant",
-            lambda jet, alphas, kind: [math.nan] * len(alphas),
-            ("invariance", "infinitesimal"),
-        ),
-        (
-            "normalized_invariant",  # NaN among finite defects of the same sample
-            lambda jet, alphas, kind: [
-                math.nan if alpha == (1, 1) else value
-                for alpha, value in zip(alphas, _REAL_INVARIANT(jet, alphas, kind))
-            ],
-            ("invariance", "infinitesimal"),
-        ),
+        # the suites read every alpha of a frame at every jet of a stack in one call
+        ("_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
+        ("_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),  # NaN among finite defects
         ("commutator_coefficients", lambda *args: (math.nan, math.nan), ("commutators",)),
     ],
     ids=["invariant-everywhere", "invariant-at-one-alpha", "commutator-coefficients"],
@@ -189,38 +196,38 @@ def test_phantom_suite_fails_when_the_frame_misses_the_cross_section(monkeypatch
 
 
 def test_infinitesimal_fails_when_a_prolongation_coefficient_is_off(monkeypatch):
-    real_eta_rows = group._eta_rows
+    real_eta_stack = group._eta_stack
 
-    def skewed(fields, jet):
+    def skewed(fields, data, order):
         # the weight term -(3*a1 + a2 + 2)*c4*u_alpha of every derivative
         # coordinate, scaled by 1.000001; u itself keeps the field's own -2*c4*u
         # (skewing u too would only rescale the field on the u-coordinates,
         # under which every invariant is still invariant)
-        etas = real_eta_rows([dataclasses.replace(v, c4=v.c4 * 1.000001) for v in fields], jet)
-        etas[:, 0] = real_eta_rows(fields, jet)[:, 0]
+        etas = real_eta_stack([dataclasses.replace(v, c4=v.c4 * 1.000001) for v in fields], data, order)
+        etas[:, :, 0] = real_eta_stack(fields, data, order)[:, :, 0]
         return etas
 
     (healthy,) = run_suite(("infinitesimal",), seed=0, samples=10, order=4)
     assert healthy.passed
-    monkeypatch.setattr(group, "_eta_rows", skewed)
+    monkeypatch.setattr(group, "_eta_stack", skewed)
     (report,) = run_suite(("infinitesimal",), seed=0, samples=10, order=4)
     assert report.passed is False
     assert report.max_defect > 1e-7
 
 
 def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
-    # one lift carries two basis fields, one in each first-order slot
+    # one lift carries two basis fields, one in each first-order slot, at
+    # every jet of a stack; 130 samples are a stack of _STACK and one of the rest
     calls = []
 
-    def counted(v, F, jet):
-        calls.append(v)
-        return group.pr_v_apply(v, F, jet)
+    def counted(v, F, jets):
+        calls.append((len(v), len(jets)))
+        return group.pr_v_apply(v, F, jets)
 
     monkeypatch.setattr(verify, "pr_v_apply", counted)
-    (report,) = run_suite(("infinitesimal",), seed=0, samples=7, order=6)
-    assert report.samples == 7
-    assert len(calls) == 2 * 7
-    assert all(len(fields) == 2 for fields in calls)
+    (report,) = run_suite(("infinitesimal",), seed=0, samples=130, order=6)
+    assert report.samples == 130
+    assert calls == [(2, verify._STACK)] * 2 + [(2, 130 - verify._STACK)] * 2
 
 
 def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypatch):
@@ -403,3 +410,133 @@ def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypat
     # defect by defect too: a replay from anywhere but the saved state meets other points
     suite, _ = verify._SUITES["reconstruction"]
     assert list(suite(verify._suite_rng(0, "reconstruction"), samples, 6)) == defects
+
+
+def _loop_invariants(jet):
+    return [value for kind in verify._KINDS for value in normalized_invariant(jet, multi_indices(jet.order), kind)]
+
+
+def _loop_over_samples(name, rng, samples, order):
+    """The free-jet suite `name` one sample at a time, through the public one-jet calls."""
+    basis = VectorField.basis()
+    for i in range(samples):
+        if name == "invariance":
+            jet = verify._sample_jet(rng, i % 2 == 0, order)
+            g = verify.random_group_element(rng)
+            yield verify._worst(map(verify._rel, _loop_invariants(prolong_act(g, jet)), _loop_invariants(jet)))
+        else:
+            jet = verify._sample_jet(rng, i % 2 == 0, min(order, 4))
+            scales = [1.0 + abs(value) for value in _loop_invariants(jet)]
+            yield verify._worst(
+                abs(d) / s
+                for pair in (basis[:2], basis[2:])
+                for derivatives in pr_v_apply(pair, _loop_invariants, jet)
+                for d, s in zip(derivatives, scales)
+            )
+
+
+def _outcome(defects):
+    """The defects a suite yields, as reprs, up to the typed error that ends it, if one does."""
+    seen = []
+    try:
+        for d in defects:
+            seen.append(repr(d))
+    except JetFrameError as exc:
+        return seen, f"{type(exc).__name__}: {exc}"
+    return seen, None
+
+
+@pytest.mark.parametrize("name", ["invariance", "infinitesimal"])
+def test_free_jet_suites_give_the_loop_over_samples_defect_by_defect(monkeypatch, name):
+    # uneven stacks of 3: each sample's defect is bit for bit the one-jet calls'
+    monkeypatch.setattr(verify, "_STACK", 3)
+    suite, _ = verify._SUITES[name]
+    for seed, samples, order in ((0, 7, 6), (3, 8, 3), (11, 1, 1)):
+        stacked = _outcome(suite(verify._suite_rng(seed, name), samples, order))
+        assert stacked == _outcome(_loop_over_samples(name, verify._suite_rng(seed, name), samples, order))
+        assert len(stacked[0]) == samples and stacked[1] is None
+
+
+def _spoiled(real, spoil, at):
+    """`real` with its `at`-th draw spoiled, and every later draw that starts from the same random state."""
+    states, calls = set(), [0]
+
+    def draw(rng, *args):
+        state = rng.bit_generator.state["state"]["state"]
+        value = real(rng, *args)
+        calls[0] += 1
+        if calls[0] == at:
+            states.add(state)
+        return spoil(value) if state in states else value
+
+    return draw
+
+
+def _overflowing_jet(jet):
+    data = jet.data.copy()
+    data[3:] = 1e308  # every entry of order >= 2
+    return Jet(jet.order, jet.t, jet.x, data)
+
+
+@pytest.mark.parametrize(
+    "name, draw, spoil, at",
+    [
+        # the fifth element: its scaling exp(20 * 40) leaves range
+        ("invariance", "random_group_element", lambda g: dataclasses.replace(g, eps4=-40.0), 5),
+        # the third free jet, the fifth sample's: its boost sums leave range
+        ("infinitesimal", "random_free_jet", _overflowing_jet, 3),
+    ],
+)
+def test_a_draw_that_overflows_mid_stack_ends_the_suite_as_the_loop_does(monkeypatch, name, draw, spoil, at):
+    # the fifth sample, in the middle of the second stack of 3, overflows: the
+    # stack replays one sample at a time from the random state its draws began
+    # at, so the defects before it and the DomainError are the loop's
+    monkeypatch.setattr(verify, "_STACK", 3)
+    monkeypatch.setattr(verify, draw, _spoiled(getattr(verify, draw), spoil, at))
+    suite, _ = verify._SUITES[name]
+    stacked = _outcome(suite(verify._suite_rng(0, name), 7, 6))
+    loop = _outcome(_loop_over_samples(name, verify._suite_rng(0, name), 7, 6))
+    assert stacked == loop
+    defects, error = loop
+    assert len(defects) == 4 and error.startswith("DomainError"), loop
+
+
+def test_the_battery_lifts_each_stack_once_per_pair_and_prolongs_only_for_equivariance(monkeypatch):
+    # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
+    # invariance moves its stack in one private pass, so prolong_act is
+    # equivariance's, once per sample and frame
+    counts = dict.fromkeys(("pr_v_apply", "prolong_act"), 0)
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in counts:
+        real = getattr(group, name)
+        for module in (group, frame, invariants, verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    reports = run_suite(("all",), seed=0, samples=100, order=6)
+    assert all(r.passed for r in reports)
+    assert counts == {"pr_v_apply": 2, "prolong_act": 200}
+
+
+def test_a_free_jet_draws_its_entries_in_one_call_as_one_call_each_would():
+    # 3, 6, 15, 28 and 45 entries: the same doubles, and the same next draw
+    def one_call_per_entry(rng, order):
+        values = {alpha: float(rng.uniform(-2.0, 2.0)) for alpha in multi_indices(order)}
+        sx, st = (1 if rng.uniform() < 0.5 else -1 for _ in range(2))
+        values[(0, 1)] = sx * float(rng.uniform(0.3, 2.0))
+        values[(1, 0)] = st * float(rng.uniform(0.3, 2.0)) - values[(0, 0)] * values[(0, 1)]
+        t, x = rng.uniform(-1.5, 1.5, size=2)
+        return Jet(order, float(t), float(x), values)
+
+    for order in (1, 2, 4, 6, 8):
+        rng, ref = np.random.default_rng(order), np.random.default_rng(order)
+        for _ in range(3):
+            jet, want = verify.random_free_jet(rng, order), one_call_per_entry(ref, order)
+            assert repr((jet.t, jet.x, jet.data.tolist())) == repr((want.t, want.x, want.data.tolist()))
+        assert rng.uniform() == ref.uniform()
