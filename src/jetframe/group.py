@@ -251,8 +251,9 @@ def _exp_or_inf(x):
 def prolong_act(g, jet):
     """Prolonged action of g on a jet; the output jet has the same order.
 
-    The base point moves by :func:`act_point`.  Each derivative coordinate
-    with multi-index (a1, a2), a1 + a2 >= 1, becomes
+    The base point and u move by :func:`act_point`; that is all of a jet of
+    order 0.  Each derivative coordinate with multi-index (a1, a2),
+    a1 + a2 >= 1, becomes
 
         U_alpha = exp(-(3*a1 + a2 + 2)*eps4)
                   * sum_k C(a1, k) (-eps3)^k u[a1 - k, a2 + k]
@@ -276,6 +277,8 @@ def _prolong(elements, jets):
     """
     order = jets[0].order
     images = [act_point(g, (jet.t, jet.x, float(jet.data[0]))) for g, jet in zip(elements, jets)]
+    if not order:  # no derivative coordinate, so no weight for _transform to scale by
+        return [Jet(0, t, x, [u]) for t, x, u in images]
     weights = _boost_plan(order).weights
     scales = np.array([[_exp_or_inf(-w * g.eps4) for w in weights] for g in elements])
     boosts = _boost_powers(np.array([-g.eps3 for g in elements]), order, order)
@@ -336,11 +339,6 @@ class VectorField:
         return -2.0 * self.c4 * u + self.c3
 
 
-def _eta_rows(fields, jet):
-    """eta^alpha of each field at every alpha of the jet, one row of entries per field."""
-    return _eta_stack(fields, jet.data[None], jet.order)[0]
-
-
 def _eta_stack(fields, data, order):
     """eta^alpha of each field at every alpha, at each point of a stack: one row of entries per point and field.
 
@@ -370,7 +368,7 @@ def eta_alpha(v, alpha, jet):
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     _, rows = _rows_for(alphas, jet.order)
-    (etas,) = _eta_rows((v,), jet)
+    ((etas,),) = _eta_stack((v,), jet.data[None], jet.order)
     return shape(_entries(etas[: len(alphas)] if rows is None else etas[rows]))
 
 

@@ -24,7 +24,8 @@ point, and on series (a :class:`SolutionGerm` expanded along an exact
 solution) it gives the Taylor expansion of I_alpha, so invariant
 differentiation, recurrence and commutator identities are checked without
 finite differences.  The recurrences, commutators and reconstruction of both
-frames and branches come from one computed correction matrix (:func:`_corrections`).
+frames and branches come from one computed correction matrix (:func:`_corrections`);
+dense rows of invariant tables get it, with their eta rows, from :func:`_relations`.
 The invariant derivatives come as one (D_t^i, D_x^i) pair, from
 :meth:`SolutionGerm.differentiate`, :func:`invariant_derivative` and :func:`recurrence_rhs`.
 
@@ -55,7 +56,7 @@ The same work also runs on many points at once.  A stack of germs
 array above gains a leading point axis: the series jet, the frame record,
 the powers of u, the boost sums, the derivative rows, and, for the float
 tables of the stack's points (:meth:`SolutionGerm._tables`), the
-invariants, the eta rows, R (:func:`_corrections`), the recurrences
+invariant rows, R and the eta rows (:func:`_relations`), the recurrences
 (:func:`_recurrence`) and the bracket coefficients (:func:`_bracket`).
 Only what must stay a per-point Python float operation for its bits is
 taken point by point: ln|pivot| and exp in the float prefactors, the float
@@ -84,7 +85,6 @@ from .group import (
     VectorField,
     _boost_plan,
     _boost_powers,
-    _eta_rows,
     _eta_stack,
     _partials,
     _transform,
@@ -94,6 +94,7 @@ from .group import (
 from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
 from .solutions import _expansion, _jet_rows
 from .taylor import (
+    MAX_ORDER,
     TruncatedSeries,
     _compose,
     _derivatives,
@@ -210,40 +211,8 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     return values if _dense else shape(_entries(values))
 
 
-class _Corrections:
-    """The correction matrix R of an invariant table, or of a stack of them, built on first use.
-
-    A subclass gives the frame `kind`, the table `order`, the dense entries
-    `_data` of its invariantized jets and the basis fields' eta rows `_etas`
-    on them: one table has no leading axis, a stack one row per point.
-    """
-
-    @cached_property
-    def _R(self):
-        # built on the first recurrence or commutator query, not with the table
-        if self.order < 2:
-            raise UsageError(f"the correction matrix reads second-order invariants, got a table of order {self.order}")
-        return _corrections(self.kind, self._etas, self._data)
-
-
-class _TableStack(_Corrections):
-    """The invariant tables of one frame at each point of a germ stack (:meth:`SolutionGerm._tables`).
-
-    :func:`recurrence_rhs` and :func:`commutator_coefficients` read it as
-    they read an :class:`InvariantTable`, and give an array of one value per
-    point for each float that a table gives.
-    """
-
-    def __init__(self, kind, order, data):
-        self.kind, self.order, self._data = kind, order, data
-
-    @cached_property
-    def _etas(self):
-        return _eta_stack(VectorField.basis(), self._data, self.order)
-
-
 @dataclass(frozen=True)
-class InvariantTable(_Corrections):
+class InvariantTable:
     """All normalized invariants of one frame at one jet, up to `order`.
 
     The values are the invariantized jet J, a :class:`~jetframe.jets.Jet`
@@ -284,15 +253,10 @@ class InvariantTable(_Corrections):
     def value(self, alpha):
         return self._jet.value(alpha)
 
-    @property
-    def _data(self):
-        return self._jet.data
-
     @cached_property
-    def _etas(self):
-        # eta^alpha of each basis field on the invariantized jet J: one row
-        # per field, alpha at _pos(*alpha)
-        return _eta_rows(VectorField.basis(), self._jet)
+    def _relations(self):
+        # (R, eta rows) of J as a stack of one, built on the first recurrence or commutator query
+        return _relations(self.kind, self._jet.data[None], self.order)
 
 
 def invariant_table(jet, kind, order):
@@ -415,10 +379,10 @@ class SolutionGerm:
         return p[:, :size], branch, scales[:, :, :size]
 
     def _tables(self, kind, order):
-        """The invariant tables of the frame `kind` up to `order` at each point, as one :class:`_TableStack`.
+        """The dense rows of the invariant tables of the frame `kind` up to `order`, one row per point.
 
-        Each row is bit for bit the table :func:`invariant_table` gives at
-        that point's float jet, read off the expansion.  The pivots and
+        Each row is bit for bit the values of the table :func:`invariant_table`
+        gives at that point's float jet, read off the expansion.  The pivots and
         branches are the constant terms of the germ's frame record
         (:meth:`_frame`), read only when the table has positive order, so a
         singular pivot is the SingularFrameError of that record.
@@ -429,17 +393,25 @@ class SolutionGerm:
             p, branch, _ = self._frame(kind, 0)
             return p[:, 0], branch
 
-        return _TableStack(kind, order, _invariant_rows(data, kind, multi_indices(order), order, pivot))
+        return _invariant_rows(data, kind, multi_indices(order), order, pivot)
 
     def invariant_series(self, alpha, kind, order):
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
 
         For a sequence of multi-indices, one series jet and the germ's frame
-        serve them all and the result is the list of their series.
+        serve them all and the result is the list of their series.  The germ
+        must reach the highest |alpha| plus `order`; a shorter one is a
+        UsageError naming both orders.
         """
         alphas, shape = _one_or_many(alpha, _is_multi_index)
-        jet_order = _rows_for(alphas, self.order)[0]
-        rows = self._series_rows(jet_order, order)  # a germ too short is a UsageError
+        order = _integer(order, "series order")
+        jet_order = _rows_for(alphas, MAX_ORDER)[0]
+        if jet_order + order > self.order:
+            raise UsageError(
+                f"series of order {order} of invariants of order {jet_order} need a germ of order"
+                f" {jet_order + order}, got order {self.order}"
+            )
+        rows = self._series_rows(jet_order, order)
         values = _invariant_rows(rows, kind, alphas, jet_order, lambda: self._frame(kind, order)[:2])
         return self._results([shape(_entries(v)) for v in values])
 
@@ -562,6 +534,19 @@ def _corrections(kind, etas, entries):
     return np.linalg.solve(v_z, -d_z)
 
 
+def _relations(kind, rows, order):
+    """(R, eta rows) of the frame `kind` on `rows`, the dense rows of invariant tables of `order`, one per point.
+
+    R is :func:`_corrections` on the basis fields' eta rows of each
+    invariantized jet; with the rows themselves they are all that
+    :func:`_recurrence` and :func:`_bracket` read.
+    """
+    if order < 2:
+        raise UsageError(f"the correction matrix reads second-order invariants, got a table of order {order}")
+    etas = _eta_stack(VectorField.basis(), rows, order)
+    return _corrections(kind, etas, rows), etas
+
+
 def recurrence_rhs(table, alpha):
     """(D_t^i I_alpha, D_x^i I_alpha) from the table, for either frame and branch.
 
@@ -571,25 +556,18 @@ def recurrence_rhs(table, alpha):
 
         D_j^i I_alpha = I[alpha + e_j] + sum_kappa R_j^kappa eta^alpha_kappa(J),  j over (t, x)
 
-    The phantom indices (0, 0) and the frame's pivot index are rejected.  A
-    stack of tables (:meth:`SolutionGerm._tables`) gives two arrays of one
-    value per point.
+    The phantom indices (0, 0) and the frame's pivot index are rejected.
     """
     alpha = _multi_index(alpha)
     if alpha in ((0, 0), table.kind.pivot_alpha):
         raise UsageError(f"recurrence undefined at phantom index {alpha}")
     if sum(alpha) >= table.order:
         raise UsageError(f"the recurrence of I_{alpha} reads order {sum(alpha) + 1}, beyond the table's order {table.order}")
-    return _floats(_recurrence(table._data, alpha, table._R, table._etas))
-
-
-def _floats(values):
-    """The values of one table as Python floats; the arrays of a stack as they are."""
-    return tuple(v if np.ndim(v) else float(v) for v in values)
+    return tuple(v.item() for v in _recurrence(table._jet.data[None], alpha, *table._relations))
 
 
 def _recurrence(entries, alpha, R, etas):
-    """The recurrence of `recurrence_rhs` on dense rows `entries` of tables, with R and the eta rows given.
+    """The recurrence of `recurrence_rhs` on dense rows `entries` of tables, with (R, etas) of :func:`_relations`.
 
     The leading axes of the three broadcast, so one call runs every point
     of a stack, each bit for bit its own.
@@ -620,10 +598,9 @@ def commutator_coefficients(table):
 
         Y^l = sum_kappa (R_b^kappa iota(D_a xi^l_kappa) - R_a^kappa iota(D_b xi^l_kappa)).
 
-    iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.  A stack of
-    tables gives two arrays of one value per point.
+    iota(D_j xi^l_kappa) is read off :data:`_XI_JACOBIAN`.
     """
-    return _floats(_bracket(table.kind, table._R))
+    return tuple(c.item() for c in _bracket(table.kind, table._relations[0]))
 
 
 def _bracket(kind, R):
@@ -656,16 +633,17 @@ def reconstruct_generators(germ, kind):
     are rows of one array, their correction matrices come from one matrix
     (:func:`_corrections`), and their eta rows at g from one jet of the
     first.  Returns (reconstructed, direct) to compare with the closed form,
-    the direct value at the pivot of the germ's frame; a stack gives one
-    pair per point, and a point whose system is worse conditioned than
-    :data:`_MAX_CONDITION` is a DegeneratePointError.
+    the direct value read off the germ's float table
+    (:meth:`SolutionGerm._tables`); a stack gives one pair per point, and a
+    point whose system is worse conditioned than :data:`_MAX_CONDITION` is
+    a DegeneratePointError.
     """
     _require_germ(germ)
     _require_kind(kind)
     g = _UNITS[_bracket_order(kind)[1]]
     # one column per point, to broadcast over the probes
     i_g, dt, dx, bracket = np.array(germ._each(invariant_commutator(germ, g, kind))).T[..., None]
-    p, branch, _ = germ._frame(kind, 0)
+    _, branch, _ = germ._frame(kind, 0)
     order = sum(_RECONSTRUCTED)
     # the rows below the unknowns in storage order hold I[0,0] = 0, the pivot's
     # branch and I_g; the probes set the unknowns to zero, then to each unit vector
@@ -686,5 +664,5 @@ def reconstruct_generators(germ, kind):
         t0, x0 = germ._points[i]
         raise DegeneratePointError(f"reconstruction at ({t0}, {x0}) has condition {condition[i]:.3g}")
     reconstructed = np.linalg.solve(A, -residuals[:, 0, :, None])[:, _pos(*_RECONSTRUCTED) - known, 0]
-    direct = _invariant_rows(germ._jet_rows(order), kind, [_RECONSTRUCTED], order, lambda: (p[:, 0], branch))
-    return germ._results(list(zip(reconstructed.tolist(), direct[:, 0].tolist())))
+    direct = germ._tables(kind, order)[:, _pos(*_RECONSTRUCTED)]
+    return germ._results(list(zip(reconstructed.tolist(), direct.tolist())))

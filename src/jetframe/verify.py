@@ -49,13 +49,14 @@ from .group import (
 )
 from .invariants import (
     SolutionGerm,
+    _bracket,
     _invariant_rows,
-    commutator_coefficients,
+    _recurrence,
+    _relations,
     invariant_commutator,
     invariant_derivative,
     invariant_table,
     reconstruct_generators,
-    recurrence_rhs,
 )
 from .jets import Jet, _entries, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
@@ -337,8 +338,9 @@ def _suite_recurrences(rng, samples, order):
             alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
             # the calculus first: it builds the germ's frame record, whose pivots the table then reads
             lhs = np.array(invariant_derivative(germ, alphas, kind))  # (t, x) pairs, point-major
-            tables = germ._tables(kind, 4)
-            rhs = np.array([recurrence_rhs(tables, alpha) for alpha in alphas]).transpose(2, 0, 1)
+            rows = germ._tables(kind, 4)
+            R, etas = _relations(kind, rows, 4)
+            rhs = np.array([_recurrence(rows, alpha, R, etas) for alpha in alphas]).transpose(2, 0, 1)
             defects[at] = np.max(_rels(lhs, rhs), axis=(1, 2))
         return defects.tolist()
 
@@ -356,7 +358,7 @@ def _suite_commutators(rng, samples, order):
         defects = []
         for kind in _KINDS:
             _, dt, dx, bracket = np.array(invariant_commutator(germ, targets, kind)).T  # one column per point
-            a_t, a_x = commutator_coefficients(germ._tables(kind, 2))  # reads the frame record just built
+            a_t, a_x = _bracket(kind, _relations(kind, germ._tables(kind, 2), 2)[0])  # reads the frame record just built
             defects.append(_rels(bracket, a_t * dt + a_x * dx))
         return np.max(np.concatenate(defects), axis=0).tolist()
 
@@ -366,7 +368,7 @@ def _suite_commutators(rng, samples, order):
 def _suite_reconstruction(rng, samples, order):
     # one sample per frame kind that finds a nondegenerate point
     def draw(rng, i):
-        return [SolutionGerm(*random_soliton_point(rng, kind), 3) for kind in _KINDS]
+        return [SolutionGerm(*random_soliton_point(rng), 3) for _ in _KINDS]
 
     def evaluate(draws):
         pairs = [reconstruct_generators(SolutionGerm.stack(germs), kind) for kind, germs in zip(_KINDS, zip(*draws))]
@@ -375,7 +377,7 @@ def _suite_reconstruction(rng, samples, order):
     def replay(rng, i):
         for kind in _KINDS:
             def attempt(kind=kind):
-                return reconstruct_generators(SolutionGerm(*random_soliton_point(rng, kind), 3), kind)
+                return reconstruct_generators(SolutionGerm(*random_soliton_point(rng), 3), kind)
 
             pair = _retrying(attempt)
             if pair is not None:

@@ -72,6 +72,10 @@ def test_frame_requires_first_order_jet():
     jet = Jet(order=0, t=0.0, x=0.0, u={(0, 0): 1.0})
     with pytest.raises(UsageError):
         moving_frame(jet, FrameKind.T_NORMALIZED)
+    # the group moves an order-0 jet, so equivariance meets the frame's own error
+    for kind in KINDS:
+        with pytest.raises(UsageError, match="frames need a jet of order >= 1"):
+            equivariance_defect(Jet(0, 0.5, 0.6, [1.5]), GroupElement(0.1, 0.2, 0.3, 0.4), kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)

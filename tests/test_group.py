@@ -431,6 +431,25 @@ def test_stacked_prolongation_is_each_jets_own_prolong_act():
     assert errors[1].startswith("image of the point") and "eps4=300.0" in errors[1]
 
 
+def test_prolongation_of_an_order_zero_jet_moves_its_point():
+    # an order-0 jet has no derivative coordinate and so no weight to scale by:
+    # act_point moves all of it, alone or in a stack
+    def moved(jet):
+        return jet.order, jet.t, jet.x, jet.u[(0, 0)]
+
+    g = GroupElement(0.1, 0.2, 0.3, 0.4)
+    jet = Jet(0, 0.5, 0.6, [1.5])
+    assert moved(prolong_act(g, jet)) == (0, *act_point(g, (0.5, 0.6, 1.5)))
+    rng = np.random.default_rng(29)
+    elements = [g, random_group_element(rng), GroupElement.identity()]
+    jets = [jet, Jet(0, -1.0, 2.0, [3.0]), Jet(0, 0.7, -0.2, [0.0])]
+    assert list(map(moved, _prolong(elements, jets))) == [
+        (0, *act_point(e, (j.t, j.x, j.u[(0, 0)]))) for e, j in zip(elements, jets)
+    ]
+    with pytest.raises(DomainError, match="image of the point"):
+        _prolong([g, GroupElement(eps4=300.0)], [jet, jet])
+
+
 def test_determining_equations_hold():
     rng = np.random.default_rng(18)
     fields = list(VectorField.basis())

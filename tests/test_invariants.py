@@ -656,14 +656,17 @@ def test_series_calculus_takes_a_germ():
         ):
             with pytest.raises(UsageError, match="SolutionGerm"):
                 call()
-    # a germ too short for the alpha is a usage error too
+    # a germ too short for the alpha is a usage error too, naming the germ's
+    # order and the one the call needs: |alpha| + 1, |alpha| + 2 or 3
     germ = SolutionGerm(sol, t0, x0, 2)
-    for call in (
-        lambda: invariant_derivative(germ, (1, 1), kind),
-        lambda: invariant_commutator(germ, (0, 1), kind),
-        lambda: reconstruct_generators(germ, kind),
+    for call, need in (
+        (lambda: invariant_derivative(germ, (1, 1), kind), 3),
+        (lambda: invariant_derivative(germ, (2, 1), kind), 4),
+        (lambda: invariant_commutator(germ, (0, 1), kind), 3),
+        (lambda: invariant_commutator(germ, (1, 1), kind), 4),
+        (lambda: reconstruct_generators(germ, kind), 3),
     ):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=f"need a germ of order {need}, got order 2"):
             call()
 
 
@@ -1037,6 +1040,29 @@ def test_a_stack_is_its_germs_bit_for_bit():
             assert _same_bits(reconstruct_generators(stack, kind), want)
 
     check()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stacks_relations_are_each_tables_own(kind):
+    # the germ suites read R, the recurrences and the bracket off the stacked
+    # table rows; each point is bit for bit the public call on its own table
+    rng = np.random.default_rng(53)
+    germs = [SolutionGerm(*random_soliton_point(rng, kind, branch), 5) for branch in (1, -1, 1, -1)]
+    if kind is FrameKind.X_NORMALIZED:  # x/t: the t frame is singular everywhere
+        germs += [SolutionGerm(Rational(), t0, x0, 5) for t0, x0 in ((1.3, 0.4), (-0.8, 1.1))]
+    stack = SolutionGerm.stack(germs)
+    for n in (2, 4):
+        rows = stack._tables(kind, n)
+        R, etas = invariants._relations(kind, rows, n)
+        tables = [invariant_table(g.jet(n), kind, n) for g in germs]
+        assert {t.branch for t in tables} == {1, -1}
+        got = list(zip(*(c.tolist() for c in invariants._bracket(kind, R))))  # one pair per point
+        assert _same_bits(got, [commutator_coefficients(t) for t in tables])
+        for alpha in multi_indices(n - 1):
+            if alpha in ((0, 0), kind.pivot_alpha):
+                continue
+            got = list(zip(*(d.tolist() for d in invariants._recurrence(rows, alpha, R, etas))))
+            assert _same_bits(got, [recurrence_rhs(t, alpha) for t in tables])
 
 
 def test_a_stack_holds_germs_of_one_order():

@@ -155,7 +155,7 @@ def _nan_invariants(at=None):
         # the suites read every alpha of a frame at every jet of a stack in one call
         ("_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
         ("_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),  # NaN among finite defects
-        ("commutator_coefficients", lambda *args: (math.nan, math.nan), ("commutators",)),
+        ("_bracket", lambda *args: (math.nan, math.nan), ("commutators",)),  # the commutator coefficients
     ],
     ids=["invariant-everywhere", "invariant-at-one-alpha", "commutator-coefficients"],
 )
@@ -277,10 +277,11 @@ def test_recurrence_suites_fail_when_the_recurrence_pair_is_swapped(monkeypatch)
     real = invariants._recurrence
     assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
 
-    def swapped(table, alpha, R, etas):
-        return real(table, alpha, R, etas)[::-1]
+    def swapped(entries, alpha, R, etas):
+        return real(entries, alpha, R, etas)[::-1]
 
-    # read by recurrence_rhs (the recurrences suite) and by reconstruct_generators
+    # read by the recurrences suite and by reconstruct_generators
+    monkeypatch.setattr(verify, "_recurrence", swapped)
     monkeypatch.setattr(invariants, "_recurrence", swapped)
     reports = run_suite(suites, seed=0, samples=20)
     assert [r.name for r in reports] == list(suites)
