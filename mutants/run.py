@@ -99,6 +99,13 @@ MUTANTS = (
         "return np.linalg.solve(v_z, -d_z)[..., ::-1]",
         "the t and x columns of the correction matrix R trade places",
     ),
+    Mutant(
+        "eps-constant-term",
+        "group.py",
+        "value[..., _pos(*slot)]",
+        "value[..., 0]",
+        "pr_v_apply reads rows of lifted values at their constant term, not the field's slot",
+    ),
 )
 
 

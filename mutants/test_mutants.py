@@ -26,12 +26,13 @@ KILLED = {
     "bracket-sign": ["commutators", "reconstruction"],
     "weight-plus-one": ["crash"],
     "r-columns-swapped": ["commutators", "reconstruction", "recurrences"],
+    "eps-constant-term": ["infinitesimal"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {
-    "max-condition": "the seed-0 draws reach condition 99 at most, far from 1e8; may be near-equivalent (ROADMAP item 2)",
-    "prefactor-high-weight": "every suite that relates I_alpha to something else stops at order 4 (ROADMAP item 2)",
-    "i0n-doubled": "invariance and equivariance compare a formula with itself (ROADMAP item 2)",
+    "max-condition": "the seed-0 draws reach condition 99 at most, far from 1e8; may be near-equivalent (ROADMAP items 1 and 6)",
+    "prefactor-high-weight": "every suite that relates I_alpha to something else stops at order 4 (ROADMAP items 1 and 6)",
+    "i0n-doubled": "invariance and equivariance compare a formula with itself (ROADMAP items 1 and 6)",
 }
 
 
@@ -54,7 +55,7 @@ def test_an_old_text_that_moved_fails_loudly():
 
 def test_the_unmutated_battery_fails_only_where_known(results):
     baseline, _ = results
-    # invariance on jets after prolong_act loses digits at order 12 (ROADMAP item 7)
+    # invariance on jets after prolong_act loses digits at order 12 (ROADMAP items 3 and 8)
     assert baseline == {6: [], 12: ["invariance"]}
 
 

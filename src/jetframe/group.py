@@ -25,13 +25,14 @@ of every value the function returns is that value's derivative along the
 flow.  First-order coefficients do not mix, so one lift serves every output
 and two fields at once, one in each first-order slot of the series.
 
-Batched forms are exact, not approximate: a list of outputs of one lift, the
-second field of a pair, every jet of a stack lifted at once, every jet of a
-stack moved by one prolongation (:func:`_prolong`), and every boost sum of a
-table read off one plan are each bit-identical to computing that value
-alone, one term at a time.  A stack keeps per point, in Python, what a
-single call takes in Python: the image of each base point, the exp of each
-weight and the float powers of each boost.
+Batched forms are exact, not approximate: a list of outputs of one lift or a
+float array of their coefficient rows, the second field of a pair, every jet
+of a stack lifted at once, every jet of a stack moved by one prolongation
+(:func:`_prolong`), and every boost sum of a table read off one plan are
+each bit-identical to computing that value alone, one term at a time.  A
+stack keeps per point, in Python, what a single call takes in Python: the
+image of each base point, the exp of each weight and the float powers of
+each boost.
 """
 
 from __future__ import annotations
@@ -385,18 +386,17 @@ def _lift(c, dt_slope, dx_slope=0.0):
 def _eps_coefficient(value, slot=_UNITS[0]):
     """d/deps at eps = 0 of a lifted computation (of each element of a list or tuple).
 
-    A real number is a constant; anything but a series, a real number or a
-    list or tuple of them is a UsageError, never a silent zero.  A list of
-    series of order >= 1 alone, as a lifted batch of invariants, is read in
-    one pass with one finiteness test.
+    A real number is a constant; anything but a series, a real number, a
+    list or tuple of them or a float array of >= 2 axes whose last holds the
+    lift's 3 coefficients (rows of series) is a UsageError, never a silent
+    zero.  Such an array is read with one slice and one finiteness test.
     """
     if type(value) is float:  # the common constant, before the abstract check below
         return 0.0
     if isinstance(value, (list, tuple)):
-        if not all(type(element) is TruncatedSeries and element.order for element in value):
-            return [_eps_coefficient(element, slot) for element in value]
-        pos = _pos(*slot)
-        d = np.array([element.coeffs[pos] for element in value])
+        return [_eps_coefficient(element, slot) for element in value]
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim >= 2 and value.shape[-1] == 3:
+        d = value[..., _pos(*slot)]
         if not np.isfinite(d).all():
             raise DomainError("derivative along the flow is not finite at this point")
         return d.tolist()
@@ -423,7 +423,8 @@ def pr_v_apply(v, F, jet):
     vanishes (up to roundoff) exactly when F is a differential invariant of
     the one-parameter group generated by v.  F may also return a list or
     tuple: the result is then a list of floats in the same order, each equal,
-    bit for bit, to the call on that element alone.
+    bit for bit, to the call on that element alone.  So is a float array of
+    rows of the lift's 3 series coefficients, into nested lists of floats.
 
     `v` may also be a pair of fields: the first rides in the dt slot of the
     lift and the second in the dx slot, F is evaluated once, and the result
@@ -431,10 +432,10 @@ def pr_v_apply(v, F, jet):
 
     `jet` may also be a list or tuple of real jets of one order, a stack:
     one eta pass lifts them all, F is called once on the list of lifted
-    jets and returns one item per jet, and the result is the list of one
-    result per jet, each bit for bit the call on that jet alone.  A call on
-    one jet is the stack of one.  Jets of different orders, or a series
-    jet, are a UsageError.
+    jets and returns one item per jet (a list, a tuple or an array), and
+    the result is the list of one result per jet, each bit for bit the call
+    on that jet alone.  A call on one jet is the stack of one.  Jets of
+    different orders, or a series jet, are a UsageError.
     """
     fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
     if not 1 <= len(fields) <= len(_UNITS):
@@ -463,7 +464,8 @@ def pr_v_apply(v, F, jet):
             rows,
         ))
     values = [F(lifted[0])] if single else F(lifted)
-    if not single and (not isinstance(values, (list, tuple)) or len(values) != len(jets)):
+    per_jet = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim > 0
+    if not per_jet or len(values) != len(jets):
         raise UsageError(f"a jet function on a stack of {len(jets)} jets returns a list of one item per jet")
     results = [shape([_eps_coefficient(value, slot) for slot in slots]) for value in values]
     return results[0] if single else results

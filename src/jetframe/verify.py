@@ -58,7 +58,7 @@ from .invariants import (
     invariant_table,
     reconstruct_generators,
 )
-from .jets import Jet, _entries, multi_indices
+from .jets import Jet, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 from .taylor import _integer, _pos
 
@@ -390,15 +390,12 @@ def _suite_infinitesimal(rng, samples, order):
     # one lift per pair of basis fields gives pr v(I_alpha) for every alpha and both frames
     basis = VectorField.basis()
 
-    def invariants(lifted):  # pr_v_apply reads the eps coefficient of each invariant's TruncatedSeries
-        return list(map(_entries, _invariants(lifted)))
-
     def draw(rng, i):
         return _sample_jet(rng, i % 2 == 0, min(order, 4))
 
     def evaluate(jets):
         scales = 1.0 + np.abs(_invariants(jets))  # one row per jet
-        derivatives = np.array([pr_v_apply(pair, invariants, jets) for pair in (basis[:2], basis[2:])])
+        derivatives = np.array([pr_v_apply(pair, _invariants, jets) for pair in (basis[:2], basis[2:])])
         return np.max(np.abs(derivatives) / scales[:, None], axis=(0, 2, 3)).tolist()
 
     return _stacked(rng, samples, draw, evaluate)

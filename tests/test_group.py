@@ -18,9 +18,10 @@ from jetframe.group import (
 )
 from jetframe.invariants import normalized_invariant
 from jetframe.frame import FrameKind
-from jetframe.jets import Jet, multi_indices
+from jetframe.jets import Jet, _entries, multi_indices
 from jetframe.solutions import Custom, Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
+from jetframe import verify
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 
@@ -334,8 +335,9 @@ def test_pr_v_result_must_be_a_series_or_a_real_number():
 
 
 def test_pr_v_list_of_series_is_read_in_one_pass_as_element_calls():
-    # a list of lifted series takes one pass and one finiteness test: the
-    # same floats, the same DomainError, and an order-0 series stays a UsageError
+    # a list of lifted series is read element by element: each float is the
+    # element's own call, a non-finite one is the DomainError, and an order-0
+    # series stays a UsageError
     jet = random_free_jet(np.random.default_rng(39), 3)
     v = VectorField.galilean_boost()
     entries = [lambda j, a=a: j.u[a] * j.u[(0, 1)] for a in multi_indices(3)]
@@ -404,6 +406,48 @@ def test_pr_v_stack_takes_real_jets_of_one_order():
         pr_v_apply(v, F, [jets[0], jets[0].data])
     with pytest.raises(UsageError, match="one item per jet"):
         pr_v_apply(v, lambda lifted: F(lifted)[:1], [jets[0]] * 2)
+
+
+def test_pr_v_reads_lifted_invariant_rows_as_their_series():
+    # F may hand back the lifted invariants as rows, a float array whose last
+    # axis holds the 3 coefficients of the lift: the same floats as the
+    # TruncatedSeries of those rows, on stacks and pairs alike; the lifted
+    # entries themselves, whose eps coefficients are the etas, tell the slots apart
+    rng = np.random.default_rng(53)
+    fields = VectorField.basis() + (VectorField(0.3, -1.1, 0.7, 1.9),)
+
+    def as_series(lifted):
+        return list(map(_entries, verify._invariants(lifted)))  # one TruncatedSeries per invariant
+
+    def entries(lifted):
+        return np.stack([j.data for j in lifted])
+
+    for order in range(1, 7):
+        for free in ((True,), (False,), (True, False, True), (False, True, False, False)):
+            jets = _stack_of_jets(rng, free, order)
+            for v in fields + tuple(zip(fields, fields[1:] + fields[:1])):
+                rows = pr_v_apply(v, verify._invariants, jets)
+                assert repr(rows) == repr(pr_v_apply(v, as_series, jets))
+                assert repr(rows[0]) == repr(pr_v_apply(v, lambda j: verify._invariants([j])[0], jets[0]))
+                etas = pr_v_apply(v, entries, jets)
+                assert repr(etas) == repr(pr_v_apply(v, lambda lifted: [_entries(j.data) for j in lifted], jets))
+
+
+def test_pr_v_rows_are_float_arrays_of_the_lifts_coefficients():
+    jet = random_free_jet(np.random.default_rng(59), 2)
+    v = VectorField.scaling()
+    with pytest.raises(DomainError, match="not finite"):
+        pr_v_apply(v, lambda j: j.data + np.array([0.0, math.inf, math.inf]), jet)
+    rows = np.zeros((2, 3))
+    bad = (rows[0], np.array(1.5), rows.astype(int), rows.astype(object), np.zeros((2, 2)), np.zeros((2, 4)))
+    for value in bad:
+        with pytest.raises(UsageError, match="real numbers"):
+            pr_v_apply(v, lambda j: value, jet)
+        with pytest.raises(UsageError, match="real numbers"):
+            pr_v_apply(v, lambda lifted: [value] * len(lifted), [jet] * 2)
+    for value in (np.array(1.5), verify._invariants([jet, jet])[:1]):
+        with pytest.raises(UsageError, match="one item per jet"):
+            pr_v_apply(v, lambda lifted: value, [jet] * 2)
 
 
 def test_stacked_prolongation_is_each_jets_own_prolong_act():

@@ -230,6 +230,24 @@ def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
     assert calls == [(2, verify._STACK)] * 2 + [(2, 130 - verify._STACK)] * 2
 
 
+def test_infinitesimal_reads_lifted_invariants_as_rows(monkeypatch):
+    # pr_v_apply reads the eps coefficients off the rows of _invariants, so no
+    # order-1 TruncatedSeries is wrapped; the order-4 ones are the 50 soliton
+    # jets' expansions, 7 each
+    counts = {}
+    wrap = TruncatedSeries._wrap.__func__
+
+    def counted(cls, order, coeffs):
+        counts[order] = counts.get(order, 0) + 1
+        return wrap(cls, order, coeffs)
+
+    monkeypatch.setattr(TruncatedSeries, "_wrap", classmethod(counted))
+    (report,) = run_suite(("infinitesimal",), seed=0, samples=100)
+    assert report.passed
+    assert counts.get(1, 0) == 0
+    assert counts[4] == 350
+
+
 def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypatch):
     # recurrences, commutators and reconstruction all read R; a relative error
     # of 1e-9 in it must show in each, far above their 1e-11 and 1e-12 tolerances
