@@ -100,6 +100,13 @@ MUTANTS = (
         "the t and x columns of the correction matrix R trade places",
     ),
     Mutant(
+        "bracket-halves-swapped",
+        "invariants.py",
+        "np.concatenate([first[b], first[a]], axis=1)",
+        "np.concatenate([first[a], first[b]], axis=1)",
+        "the stacked bracket reads D_a^i D_a^i - D_b^i D_b^i instead of D_a^i D_b^i - D_b^i D_a^i",
+    ),
+    Mutant(
         "eps-constant-term",
         "group.py",
         "value[..., _pos(*slot)]",

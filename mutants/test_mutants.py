@@ -24,6 +24,7 @@ KILLED = {
     "soliton-amplitude": ["kdv-residual", "phantom"],
     "record-weights-swapped": ["commutators", "reconstruction", "recurrences"],
     "bracket-sign": ["commutators", "reconstruction"],
+    "bracket-halves-swapped": ["commutators", "reconstruction"],
     "weight-plus-one": ["crash"],
     "r-columns-swapped": ["commutators", "reconstruction", "recurrences"],
     "eps-constant-term": ["infinitesimal"],

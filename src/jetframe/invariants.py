@@ -54,7 +54,9 @@ correction matrix and the eta rows of one jet.
 The same work also runs on many points at once.  A stack of germs
 (:meth:`SolutionGerm.stack`) holds one expansion row per point, and every
 array above gains a leading point axis: the series jet, the frame record,
-the powers of u, the boost sums, the derivative rows, and, for the float
+the powers of u, the boost sums, the derivative rows, the invariant series
+and their derivatives, which a stack takes and returns as float arrays of
+coefficient rows, never as series, and, for the float
 tables of the stack's points (:meth:`SolutionGerm._tables`), the
 invariant rows, R and the eta rows (:func:`_relations`), the recurrences
 (:func:`_recurrence`) and the bracket coefficients (:func:`_bracket`).
@@ -63,8 +65,9 @@ taken point by point: ln|pivot| and exp in the float prefactors, the float
 powers of u, and the Taylor coefficients of a composition.  Products and
 sums keep their per-point order, and each LAPACK solve or condition number
 runs once per matrix with one point's right-hand sides, so each point of a
-stack is bit for bit its own call, and a call on one germ is the stack of
-one point.  The seeded suites draw their germs first and evaluate each
+stack is bit for bit its own call.  A call on one germ runs as the stack
+of its one point, which shares the germ's frame record, and returns series
+and floats.  The seeded suites draw their germs first and evaluate each
 stack once (:mod:`jetframe.verify`).
 """
 
@@ -102,6 +105,7 @@ from .taylor import (
     _multi_index,
     _pos,
     _row_products,
+    _series_order,
     multi_indices,
     triangle_size,
 )
@@ -285,9 +289,13 @@ class SolutionGerm:
     one expansion row per point; `t0` and `x0` are then the tuples of the
     points' coordinates.  Its calls, and :func:`invariant_derivative`,
     :func:`invariant_commutator` and :func:`reconstruct_generators` on it,
-    run every point at once and return one result per point, each bit for
-    bit that point's own call; a call on one germ is the one-row case of
-    the same code.
+    run every point at once, each point bit for bit its own call.
+    :meth:`jet` and :meth:`series_jet` return one jet per point; the series
+    calculus takes and returns float arrays with a leading point axis:
+    coefficient rows (points[, alphas], coefficients) from
+    :meth:`invariant_series` and :meth:`differentiate`, and (points[,
+    alphas], 2), (points[, alphas], 4) and (points, 2) from the three
+    functions.  A call on one germ is the one-row case of the same code.
     """
 
     def __init__(self, solution, t0, x0, order):
@@ -302,10 +310,14 @@ class SolutionGerm:
 
     @classmethod
     def stack(cls, germs):
-        """One germ over the points of `germs`, in their order; germs of different orders are a UsageError."""
+        """One germ over the points of `germs`, in their order; germs of different orders are a UsageError.
+
+        A stack of one germ shares that germ's frame record (:meth:`_frame`).
+        """
         germs = list(germs)
         for germ in germs:
-            _require_germ(germ)
+            if not isinstance(germ, SolutionGerm):
+                raise UsageError(f"expected a SolutionGerm, got {type(germ).__name__}")
         orders = sorted({germ.order for germ in germs})
         if len(orders) != 1:
             raise UsageError(f"a stack holds germs of one order, got {orders}")
@@ -315,23 +327,23 @@ class SolutionGerm:
         stack.order = orders[0]
         stack._coeffs = np.concatenate([germ._coeffs for germ in germs])
         stack._stacked = True
-        stack._frames = {}
+        stack._frames = germs[0]._frames if len(germs) == 1 else {}
         return stack
 
     def _results(self, results):
         """What a call returns, from the list of its results per point: the list for a stack, its one item otherwise."""
         return results if self._stacked else results[0]
 
-    def _each(self, value):
-        """The per-point items of an argument or result of a call: the inverse of :meth:`_results`."""
-        if not self._stacked:
-            return [value]
-        n = len(self._points)
-        if not isinstance(value, (list, tuple)):
-            raise UsageError(f"a stack of {n} points takes a list of one item per point, got {type(value).__name__}")
-        if len(value) != n:
-            raise UsageError(f"a stack of {n} points takes one item per point, got {len(value)}")
-        return list(value)
+    def _answer(self, values, shape, item):
+        """What a call on multi-indices returns from `values`, its float array (points, alphas, ...).
+
+        A stack returns the array, without the alphas axis when `shape` (of
+        :func:`~jetframe.jets._one_or_many`) is that of one multi-index; one
+        germ returns `shape` of the list of `item` of its row.
+        """
+        if self._stacked:
+            return values if shape is list else values[:, 0]
+        return shape(item(values[0]))
 
     def jet(self, order):
         """The float jet of order `order` at the base point, read off the germ's expansion.
@@ -340,19 +352,13 @@ class SolutionGerm:
         cut, so this is :func:`~jetframe.solutions.jet_of_solution` bit for bit.
         """
         order = _integer(order, "jet order", high=self.order)
-        return self._results([Jet(order, t, x, row) for (t, x), row in zip(self._points, self._jet_rows(order))])
-
-    def _jet_rows(self, order):
-        return _jet_rows(self._coeffs, order, self._points)
+        rows = _jet_rows(self._coeffs, order, self._points)
+        return self._results([Jet(order, t, x, row) for (t, x), row in zip(self._points, rows)])
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
-        rows = self._series_rows(jet_order, order)
+        rows = _derivatives(self._coeffs, jet_order, order)  # one row of series per point and u_alpha
         return self._results([Jet(jet_order, t, x, row) for (t, x), row in zip(self._points, rows)])
-
-    def _series_rows(self, jet_order, order):
-        # one row of series per point and u_alpha, alpha in multi_indices(jet_order)
-        return _derivatives(self._coeffs, jet_order, order)
 
     def _frame(self, kind, order):
         """(pivot rows, branches, prefactor rows) of the frame `kind` at each point, at series order `order`.
@@ -373,7 +379,7 @@ class SolutionGerm:
         size = triangle_size(order)
         frame = self._frames.get(kind)
         if frame is None or frame[0].shape[1] < size:
-            p, branch = require_regular_pivots(self._series_rows(1, order), kind, self._points)
+            p, branch = require_regular_pivots(_derivatives(self._coeffs, 1, order), kind, self._points)
             frame = self._frames[kind] = p, branch, _prefactors(p, branch, (3, 1), kind.weight_denominator)
         p, branch, scales = frame
         return p[:, :size], branch, scales[:, :, :size]
@@ -387,7 +393,7 @@ class SolutionGerm:
         (:meth:`_frame`), read only when the table has positive order, so a
         singular pivot is the SingularFrameError of that record.
         """
-        data = self._jet_rows(_integer(order, "table order", high=self.order))
+        data = _jet_rows(self._coeffs, _integer(order, "table order", high=self.order), self._points)
 
         def pivot():
             p, branch, _ = self._frame(kind, 0)
@@ -399,7 +405,9 @@ class SolutionGerm:
         """Series of (t, x) -> I_alpha(jet at (t, x)) along the solution.
 
         For a sequence of multi-indices, one series jet and the germ's frame
-        serve them all and the result is the list of their series.  The germ
+        serve them all and the result is the list of their series.  A stack
+        returns the float array of coefficient rows (points, alphas,
+        coefficients), or (points, coefficients) for one multi-index.  The germ
         must reach the highest |alpha| plus `order`; a shorter one is a
         UsageError naming both orders.
         """
@@ -411,9 +419,9 @@ class SolutionGerm:
                 f"series of order {order} of invariants of order {jet_order} need a germ of order"
                 f" {jet_order + order}, got order {self.order}"
             )
-        rows = self._series_rows(jet_order, order)
+        rows = _derivatives(self._coeffs, jet_order, order)
         values = _invariant_rows(rows, kind, alphas, jet_order, lambda: self._frame(kind, order)[:2])
-        return self._results([shape(_entries(v)) for v in values])
+        return self._answer(values, shape, _entries)
 
     def differentiate(self, series, kind):
         """(D_t^i s, D_x^i s): both invariant derivatives of the frame; series order drops by one.
@@ -426,36 +434,46 @@ class SolutionGerm:
         the result is the pair of lists of their derivatives, read off the
         germ's frame and computed on the stacked coefficient rows, each
         series bit for bit its own call; series of different orders are a
-        UsageError, and ``differentiate([], kind)`` is ``([], [])``.  A stack
-        takes a list of one item per point, a series or a list of as many
-        series as every other point's, and each half of the pair holds one
-        result per point.  Any other item is a UsageError naming its type.
+        UsageError, and ``differentiate([], kind)`` is ``([], [])``.  Any
+        other item is a UsageError naming its type.  A stack takes a float
+        array of coefficient rows of one series order, (points,
+        coefficients) or (points, series, coefficients) as
+        :meth:`invariant_series` returns them, and returns the pair of
+        arrays in the same layout; anything else is a UsageError naming the
+        stack's point count.  One germ runs as the stack of its point.
         """
-        parts = [_one_or_many(item, lambda arg: not isinstance(arg, (list, tuple))) for item in self._each(series)]
-        bad = [type(s).__name__ for items, _ in parts for s in items if not isinstance(s, TruncatedSeries)]
-        if bad:
-            raise UsageError(f"differentiate takes a TruncatedSeries or a list of them, got {bad[0]}")
-        orders = sorted({s.order for items, _ in parts for s in items})
-        if len(orders) > 1:
-            raise UsageError(f"series differentiated in one call share one order, got {orders}")
-        if len({len(items) for items, _ in parts}) > 1:
-            raise UsageError("every point of a stack differentiates as many series")
-        if not orders:
-            _require_kind(kind)  # no frame is read, but the kind is still checked
-            return tuple(self._results([shape([]) for _, shape in parts]) for _ in _UNITS)
-        order = orders[0] - 1
-        _, _, scales = self._frame(kind, order)  # a series too short is a UsageError
-        rows = _derivatives(np.array([[s.coeffs for s in items] for items, _ in parts]), 1, order)
+        if not self._stacked:
+            items, shape = _one_or_many(series, lambda arg: not isinstance(arg, (list, tuple)))
+            bad = [type(s).__name__ for s in items if not isinstance(s, TruncatedSeries)]
+            if bad:
+                raise UsageError(f"differentiate takes a TruncatedSeries or a list of them, got {bad[0]}")
+            orders = sorted({s.order for s in items})
+            if len(orders) > 1:
+                raise UsageError(f"series differentiated in one call share one order, got {orders}")
+            if not orders:
+                _require_kind(kind)  # no frame is read, but the kind is still checked
+                return [], []
+            halves = SolutionGerm.stack([self]).differentiate(np.array([[s.coeffs for s in items]]), kind)
+            return tuple(shape(_entries(half[0])) for half in halves)
+        n, array = len(self._points), isinstance(series, np.ndarray)
+        top = _series_order(series.shape[-1]) if array and series.ndim in (2, 3) else None
+        if top is None or series.dtype.kind != "f" or len(series) != n:
+            got = f"{series.dtype} array of shape {series.shape}" if array else type(series).__name__
+            raise UsageError(f"a stack of {n} points differentiates a float array (points[, series], coefficients), got {got}")
+        if series.size == 0:  # as differentiate([], kind): no frame is read, but the kind is still checked
+            _require_kind(kind)
+            return tuple(np.zeros(series.shape[:-1] + (triangle_size(top - 1),)) for _ in _UNITS)
+        _, _, scales = self._frame(kind, top - 1)  # a series too short is a UsageError
+        size = scales.shape[2]
+        rows = _derivatives(series.reshape(n, -1, series.shape[-1]), 1, top - 1)
         dt, dx = (rows[:, :, _pos(*e)] for e in _UNITS)
-        u = self._coeffs[:, None, : scales.shape[2]]
-        d_t = _row_products(scales[:, :1], dt + _row_products(u, dx))
+        d_t = _row_products(scales[:, :1], dt + _row_products(self._coeffs[:, None, :size], dx))
         d_x = _row_products(scales[:, 1:], dx)
-        return tuple(self._results([shape(_entries(d)) for d, (_, shape) in zip(half, parts)]) for half in (d_t, d_x))
+        return tuple(half.reshape(series.shape[:-1] + (size,)) for half in (d_t, d_x))
 
 
-def _require_germ(germ):
-    if not isinstance(germ, SolutionGerm):
-        raise UsageError(f"expected a SolutionGerm, got {type(germ).__name__}")
+def _tuples(rows):
+    return [tuple(row) for row in rows.tolist()]
 
 
 def invariant_derivative(germ, alpha, kind):
@@ -463,12 +481,12 @@ def invariant_derivative(germ, alpha, kind):
 
     The germ's order must exceed |alpha| by one.  For a sequence of
     multi-indices the result is the list of their pairs; a stack gives one
-    result per point.
+    float array (points[, alphas], 2).
     """
-    _require_germ(germ)
+    stack = SolutionGerm.stack([germ])  # one germ runs as the stack of its point
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    dtF, dxF = map(germ._each, germ.differentiate(germ.invariant_series(alphas, kind, 1), kind))
-    return germ._results([shape([(dt.value, dx.value) for dt, dx in zip(*pair)]) for pair in zip(dtF, dxF)])
+    halves = stack.differentiate(stack.invariant_series(alphas, kind, 1), kind)
+    return germ._answer(np.stack([half[..., 0] for half in halves], axis=-1), shape, _tuples)
 
 
 def _bracket_order(kind):
@@ -485,21 +503,17 @@ def invariant_commutator(germ, alpha, kind):
     frame and [D_x^i, D_t^i] I_alpha for the space-normalized one.  The
     germ's order must exceed |alpha| by two.  For a sequence of
     multi-indices the result is the list of their 4-tuples; a stack gives
-    one result per point.
+    one float array (points[, alphas], 4).
     """
-    _require_germ(germ)
+    stack = SolutionGerm.stack([germ])  # one germ runs as the stack of its point
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    F = germ._each(germ.invariant_series(alphas, kind, 2))
-    first = [germ._each(half) for half in germ.differentiate(germ._results(F), kind)]
+    F = stack.invariant_series(alphas, kind, 2)
+    first = stack.differentiate(F, kind)
     a, b = _bracket_order(kind)
     # one call on D_b^i F and D_a^i F: read D_a^i of the first half, D_b^i of the second
-    second = germ.differentiate(germ._results([fb + fa for fb, fa in zip(first[b], first[a])]), kind)
-    ab, ba = (germ._each(second[j]) for j in (a, b))
-    n = len(alphas)
-    return germ._results([
-        shape([(f.value, dt.value, dx.value, x.value - y.value) for f, dt, dx, x, y in zip(*point)])
-        for point in zip(F, *first, ab, (series[n:] for series in ba))
-    ])
+    second = stack.differentiate(np.concatenate([first[b], first[a]], axis=1), kind)
+    values = (F, *first, second[a][:, : len(alphas)] - second[b][:, len(alphas) :])
+    return germ._answer(np.stack([v[..., 0] for v in values], axis=-1), shape, _tuples)
 
 
 def _plus(alpha, e):
@@ -634,16 +648,16 @@ def reconstruct_generators(germ, kind):
     (:func:`_corrections`), and their eta rows at g from one jet of the
     first.  Returns (reconstructed, direct) to compare with the closed form,
     the direct value read off the germ's float table
-    (:meth:`SolutionGerm._tables`); a stack gives one pair per point, and a
-    point whose system is worse conditioned than :data:`_MAX_CONDITION` is
-    a DegeneratePointError.
+    (:meth:`SolutionGerm._tables`); a stack gives one float array (points,
+    2), and a point whose system is worse conditioned than
+    :data:`_MAX_CONDITION` is a DegeneratePointError.
     """
-    _require_germ(germ)
+    stack = SolutionGerm.stack([germ])
     _require_kind(kind)
     g = _UNITS[_bracket_order(kind)[1]]
     # one column per point, to broadcast over the probes
-    i_g, dt, dx, bracket = np.array(germ._each(invariant_commutator(germ, g, kind))).T[..., None]
-    _, branch, _ = germ._frame(kind, 0)
+    i_g, dt, dx, bracket = invariant_commutator(stack, g, kind).T[..., None]
+    _, branch, _ = stack._frame(kind, 0)
     order = sum(_RECONSTRUCTED)
     # the rows below the unknowns in storage order hold I[0,0] = 0, the pivot's
     # branch and I_g; the probes set the unknowns to zero, then to each unit vector
@@ -664,5 +678,5 @@ def reconstruct_generators(germ, kind):
         t0, x0 = germ._points[i]
         raise DegeneratePointError(f"reconstruction at ({t0}, {x0}) has condition {condition[i]:.3g}")
     reconstructed = np.linalg.solve(A, -residuals[:, 0, :, None])[:, _pos(*_RECONSTRUCTED) - known, 0]
-    direct = germ._tables(kind, order)[:, _pos(*_RECONSTRUCTED)]
-    return germ._results(list(zip(reconstructed.tolist(), direct.tolist())))
+    pairs = np.stack([reconstructed, stack._tables(kind, order)[:, _pos(*_RECONSTRUCTED)]], axis=-1)
+    return pairs if germ._stacked else tuple(pairs[0].tolist())

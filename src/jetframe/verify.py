@@ -5,9 +5,12 @@ evaluates a battery of sample points and reports the worst defect against a
 tolerance.  Two jet generators are used: unconstrained random jets (the
 algebraic identities hold on the whole jet space) and jets of exact catalog
 solutions (the invariantized-equation identities hold only on solutions).
-Singular draws are retried a bounded number of times; a sample that finds no
-admissible point is not counted, so the report's sample count shows the
-shortfall.  A NaN defect, or a suite that checked nothing, fails.
+Only reconstruction retries a draw: a singular or degenerate point is
+drawn again a bounded number of times (:func:`_retrying`), and a sample
+that finds no admissible point is not counted, so the report's sample
+count shows the shortfall.  Every other suite draws away from the singular
+sets, and a typed error there is not retried: it ends the run.  A NaN
+defect, or a suite that checked nothing, fails.
 
 The three suites of the germ calculus (recurrences, commutators and
 reconstruction) and two of the free-jet suites (invariance and
@@ -337,7 +340,7 @@ def _suite_recurrences(rng, samples, order):
             germ = SolutionGerm.stack(draws[j][1] for j in at)
             alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
             # the calculus first: it builds the germ's frame record, whose pivots the table then reads
-            lhs = np.array(invariant_derivative(germ, alphas, kind))  # (t, x) pairs, point-major
+            lhs = invariant_derivative(germ, alphas, kind)  # (points, alphas, 2)
             rows = germ._tables(kind, 4)
             R, etas = _relations(kind, rows, 4)
             rhs = np.array([_recurrence(rows, alpha, R, etas) for alpha in alphas]).transpose(2, 0, 1)
@@ -357,7 +360,7 @@ def _suite_commutators(rng, samples, order):
         germ = SolutionGerm.stack(germs)
         defects = []
         for kind in _KINDS:
-            _, dt, dx, bracket = np.array(invariant_commutator(germ, targets, kind)).T  # one column per point
+            _, dt, dx, bracket = invariant_commutator(germ, targets, kind).T  # one column per point
             a_t, a_x = _bracket(kind, _relations(kind, germ._tables(kind, 2), 2)[0])  # reads the frame record just built
             defects.append(_rels(bracket, a_t * dt + a_x * dx))
         return np.max(np.concatenate(defects), axis=0).tolist()
@@ -371,8 +374,9 @@ def _suite_reconstruction(rng, samples, order):
         return [SolutionGerm(*random_soliton_point(rng), 3) for _ in _KINDS]
 
     def evaluate(draws):
-        pairs = [reconstruct_generators(SolutionGerm.stack(germs), kind) for kind, germs in zip(_KINDS, zip(*draws))]
-        return [_rel(*pair) for point in zip(*pairs) for pair in point]
+        stacks = [SolutionGerm.stack(germs) for germs in zip(*draws)]  # one per frame kind
+        pairs = np.stack([reconstruct_generators(germ, kind) for germ, kind in zip(stacks, _KINDS)], axis=1)
+        return _rels(pairs[..., 0], pairs[..., 1]).ravel().tolist()  # point-major, as the loop over samples
 
     def replay(rng, i):
         for kind in _KINDS:

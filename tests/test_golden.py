@@ -63,6 +63,10 @@ CASES = {
                                   "--seed", "5", "--samples", "7", "--order", "6"],
     "verify-series-seed5-s1-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
                                   "--seed", "5", "--samples", "1", "--order", "6"],
+    # a stack of 128 and one of 2, written before a stack's series calculus
+    # passed coefficient arrays instead of one series per point
+    "verify-series-seed5-s130-o6": ["verify", "--suites", "recurrences,commutators,reconstruction",
+                                    "--seed", "5", "--samples", "130", "--order", "6"],
     # the three free-jet suites, written before invariance and infinitesimal
     # evaluated a stack of samples at once: 1 sample, an uneven 7, and 130,
     # a stack of 128 and one of 2

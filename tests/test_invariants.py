@@ -23,7 +23,7 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
-from jetframe.taylor import TruncatedSeries, _pos, series_pow, triangle_size
+from jetframe.taylor import TruncatedSeries, _pos, _series_order, series_pow, triangle_size
 from jetframe.verify import (
     _sample_jet,
     random_free_jet,
@@ -638,11 +638,26 @@ def test_differentiate_takes_series_or_lists_of_series_only():
         germ.differentiate(1.0, kind)
     with pytest.raises(UsageError, match="got float"):
         germ.differentiate([1.0], kind)
+    # a stack takes a float array (points[, series], coefficients) and nothing else
     stack = SolutionGerm.stack([germ, SolutionGerm(Soliton(), 0.3, 0.8, 4)])
-    with pytest.raises(UsageError, match="got NoneType"):
-        stack.differentiate([None, None], kind)
-    with pytest.raises(UsageError, match="got TruncatedSeries"):  # a stack takes a list of one item per point
-        stack.differentiate(TruncatedSeries(2), kind)
+    rows = stack.invariant_series([(0, 1), (1, 0)], kind, 2)
+    for bad, got in (
+        ([None, None], "got list"),
+        (list(rows), "got list"),
+        (TruncatedSeries(2), "got TruncatedSeries"),
+        (rows[0, 0], r"got float64 array of shape \(6,\)"),  # one series row, no point axis
+        (rows[None], r"got float64 array of shape \(1, 2, 2, 6\)"),
+        (np.ones((2, 6), int), "got int64 array"),
+        (rows.astype(object), "got object array"),
+        (rows[:1], r"shape \(1, 2, 6\)"),
+        (np.concatenate([rows, rows]), r"shape \(4, 2, 6\)"),
+        (rows[..., :4], r"shape \(2, 2, 4\)"),  # 4 coefficients are no series order
+        (rows[..., :0], r"shape \(2, 2, 0\)"),
+    ):
+        with pytest.raises(UsageError, match=f"a stack of 2 points .*{got}"):
+            stack.differentiate(bad, kind)
+    with pytest.raises(UsageError):  # an order-0 series has no derivative
+        stack.differentiate(rows[..., :1], kind)
 
 
 def test_series_calculus_takes_a_germ():
@@ -1000,8 +1015,25 @@ def _germ_at(rng, kind, order):
     return SolutionGerm(*random_soliton_point(rng, kind, 1 if rng.uniform() < 0.5 else -1), order)
 
 
+def _rows(answer):
+    """A one-germ answer as a float array: floats as they are, series as their coefficient rows."""
+    if isinstance(answer, TruncatedSeries):
+        return answer.coeffs
+    if isinstance(answer, (list, tuple)):
+        return np.array([_rows(item) for item in answer])
+    assert type(answer) is float
+    return np.float64(answer)
+
+
+def _same_rows(got, want):
+    """A stack's float array holds the one-germ answers `want`, one per point, bit for bit."""
+    want = np.array([_rows(answer) for answer in want])
+    return type(got) is np.ndarray and got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_a_stack_is_its_germs_bit_for_bit():
-    # every germ entry point on a stack of 1-9 points gives each point's own result
+    # every germ entry point on a stack of 1-9 points gives a float array with a
+    # leading point axis, each row the coefficients or floats of that point's own call
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -1015,31 +1047,78 @@ def test_a_stack_is_its_germs_bit_for_bit():
         assert [jet.data.tobytes() for jet in stack.jet(3)] == [g.jet(3).data.tobytes() for g in germs]
         alphas = multi_indices(3)
         for series_order in (0, 2):
-            got = stack.invariant_series(alphas, kind, series_order)
-            assert _same_bits(got, [g.invariant_series(alphas, kind, series_order) for g in germs])
-        assert _same_bits(stack.invariant_series((1, 1), kind, 1), [g.invariant_series((1, 1), kind, 1) for g in germs])
-        # one list of `count` series per point, or one series per point
-        size = triangle_size(order)
-        items = [[TruncatedSeries(order, rng.normal(size=size)) for _ in range(count)] for _ in germs]
-        for per_point in (items, [item[0] for item in items]):
+            got = stack.invariant_series(alphas, kind, series_order)  # (points, alphas, coefficients)
+            assert _same_rows(got, [g.invariant_series(alphas, kind, series_order) for g in germs])
+        got = stack.invariant_series((1, 1), kind, 1)  # (points, coefficients)
+        assert _same_rows(got, [g.invariant_series((1, 1), kind, 1) for g in germs])
+        # `count` series per point, or one series per point
+        rows = rng.normal(size=(points, count, triangle_size(order)))
+        for per_point in (rows, rows[:, 0]):
             got = stack.differentiate(per_point, kind)
-            want = [g.differentiate(item, kind) for g, item in zip(germs, per_point)]
-            assert _same_bits(got, tuple([pair[j] for pair in want] for j in (0, 1)))
+            assert type(got) is tuple and len(got) == 2
+            want = [g.differentiate(_series(item), kind) for g, item in zip(germs, per_point)]
+            for j in (0, 1):
+                assert _same_rows(got[j], [pair[j] for pair in want])
         for alpha in (alphas, (1, 2)):
             got = invariant_derivative(stack, alpha, kind)
-            assert _same_bits(got, [invariant_derivative(g, alpha, kind) for g in germs])
+            assert _same_rows(got, [invariant_derivative(g, alpha, kind) for g in germs])
         for alpha in (multi_indices(2), (0, 2)):
             got = invariant_commutator(stack, alpha, kind)
-            assert _same_bits(got, [invariant_commutator(g, alpha, kind) for g in germs])
+            assert _same_rows(got, [invariant_commutator(g, alpha, kind) for g in germs])
         try:
             want = [reconstruct_generators(g, kind) for g in germs]
         except DegeneratePointError:
             with pytest.raises(DegeneratePointError):
                 reconstruct_generators(stack, kind)
         else:
-            assert _same_bits(reconstruct_generators(stack, kind), want)
+            assert _same_rows(reconstruct_generators(stack, kind), want)
 
     check()
+
+
+def _series(rows):
+    """One germ's differentiate argument for coefficient `rows`: one series, or a list of them."""
+    if rows.ndim == 1:
+        return TruncatedSeries(_series_order(len(rows)), rows)
+    return [_series(row) for row in rows]
+
+
+def test_a_stacks_series_calculus_constructs_no_series(monkeypatch):
+    # on a stack, the series calculus passes coefficient arrays from call to
+    # call: a TruncatedSeries appears only where a one-germ call returns one
+    rng = np.random.default_rng(29)
+    stack = SolutionGerm.stack([SolutionGerm(*random_soliton_point(rng), 4) for _ in range(5)])
+    germ = SolutionGerm(Soliton(), 0.3, 0.8, 3)
+    made = []
+    real_wrap, real_init = TruncatedSeries._wrap.__func__, TruncatedSeries.__init__
+
+    def wrap(cls, order, coeffs):
+        made.append("_wrap")
+        return real_wrap(cls, order, coeffs)
+
+    def init(self, *args, **kwargs):
+        made.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "_wrap", classmethod(wrap))
+    monkeypatch.setattr(TruncatedSeries, "__init__", init)
+    shapes = []
+    for kind in KINDS:
+        series = stack.invariant_series(multi_indices(2), kind, 2)
+        results = (
+            stack.invariant_series((0, 2), kind, 1),
+            series,
+            *stack.differentiate(series, kind),
+            invariant_derivative(stack, [(0, 2), (2, 0)], kind),
+            invariant_commutator(stack, (1, 1), kind),
+            reconstruct_generators(stack, kind),
+        )
+        shapes.append([np.shape(result) for result in results])
+    assert made == []
+    assert shapes == [[(5, 3), (5, 6, 6), (5, 6, 3), (5, 6, 3), (5, 2, 2), (5, 4), (5, 2)]] * 2
+    # the counters do count: a one-germ call returns series
+    germ.invariant_series([(0, 1), (0, 2)], FrameKind.X_NORMALIZED, 1)
+    assert made == ["_wrap"] * 2
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1079,14 +1158,22 @@ def test_a_stack_holds_germs_of_one_order():
     # a stack of stacks is the stack of their points
     twice = SolutionGerm.stack([stack, germ])
     assert twice.t0 == (0.3, 1.3, 0.3)
-    with pytest.raises(UsageError, match="one item per point"):
-        stack.differentiate([TruncatedSeries(2)], kind)
-    with pytest.raises(UsageError, match="as many series"):
-        stack.differentiate([[TruncatedSeries(2)], []], kind)
-    assert stack.differentiate([[], []], kind) == ([[], []], [[], []])
-    # a stack of one point still answers with a list
-    (one,) = SolutionGerm.stack([germ]).invariant_series([(0, 1)], kind, 1)
-    assert _same_bits(one, germ.invariant_series([(0, 1)], kind, 1))
+    # a stack differentiates arrays of one series order, with or without a series axis
+    with pytest.raises(UsageError, match="a stack of 2 points"):
+        stack.differentiate([TruncatedSeries(2), TruncatedSeries(2)], kind)
+    with pytest.raises(UsageError, match="a stack of 2 points"):
+        stack.differentiate(np.zeros((2, 3, 2)), kind)  # 2 coefficients are no series order
+    empty = stack.differentiate(np.zeros((2, 0, 6)), kind)
+    assert [half.shape for half in empty] == [(2, 0, 3)] * 2
+    # no series reads no frame, as on one germ: the t frame is singular at the rational point
+    singular = FrameKind.T_NORMALIZED
+    assert invariant_derivative(stack, [], singular).shape == (2, 0, 2)
+    assert invariant_derivative(SolutionGerm(Rational(), 1.3, 0.4, 4), [], singular) == []
+    # a stack of one point still answers with a point axis
+    one = SolutionGerm.stack([germ]).invariant_series([(0, 1)], kind, 1)
+    assert one.shape == (1, 1, 3) and one.tobytes() == germ.invariant_series((0, 1), kind, 1).coeffs.tobytes()
+    (pair,) = invariant_derivative(SolutionGerm.stack([germ]), (0, 1), kind).tolist()
+    assert tuple(pair) == invariant_derivative(germ, (0, 1), kind)
 
 
 def test_a_singular_point_raises_for_its_whole_stack():
