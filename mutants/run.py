@@ -67,8 +67,8 @@ MUTANTS = (
     Mutant(
         "soliton-amplitude",
         "solutions.py",
-        "return (3.0 * self.c) * s * s",
-        "return (3.0 * self.c * (1 + 1e-10)) * s * s",
+        "return _row_products((3.0 * c) * s, s)",
+        "return _row_products((3.0 * c * (1 + 1e-10)) * s, s)",
         "the soliton's amplitude is 1e-10 too large, so it solves KdV only to about 1e-10",
     ),
     Mutant(

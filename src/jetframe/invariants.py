@@ -95,7 +95,7 @@ from .group import (
     act_point,
 )
 from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
-from .solutions import _expansion, _jet_rows
+from .solutions import _expansions, _jet_rows
 from .taylor import (
     MAX_ORDER,
     TruncatedSeries,
@@ -287,7 +287,10 @@ class SolutionGerm:
 
     A stack of germs of one order (:meth:`stack`), of any solutions, holds
     one expansion row per point; `t0` and `x0` are then the tuples of the
-    points' coordinates.  Its calls, and :func:`invariant_derivative`,
+    points' coordinates.  A stack made from points (:meth:`_expanded`)
+    expands them all in one call
+    (:func:`~jetframe.solutions._expansions`), and one germ is its
+    one-point case.  Its calls, and :func:`invariant_derivative`,
     :func:`invariant_commutator` and :func:`reconstruct_generators` on it,
     run every point at once, each point bit for bit its own call.
     :meth:`jet` and :meth:`series_jet` return one jet per point; the series
@@ -299,13 +302,27 @@ class SolutionGerm:
     """
 
     def __init__(self, solution, t0, x0, order):
-        master = _expansion(solution, t0, x0, order)
-        self.t0 = float(t0)
-        self.x0 = float(x0)
-        self.order = master.order
-        self._coeffs = master.coeffs[None]  # one expansion row per point
-        self._points = [(self.t0, self.x0)]
+        self._expand([(solution, t0, x0)], order)
+        ((self.t0, self.x0),) = self._points
         self._stacked = False
+
+    @classmethod
+    def _expanded(cls, points, order):
+        """A stack of germs of order `order` at the (solution, t0, x0) `points`, in one stacked expansion.
+
+        It is :meth:`stack` of the germs of the points, bit for bit.
+        """
+        stack = cls.__new__(cls)
+        stack._expand(points, order)
+        stack.t0, stack.x0 = map(tuple, zip(*stack._points))
+        stack._stacked = True
+        return stack
+
+    def _expand(self, points, order):
+        points = list(points)
+        self._coeffs = _expansions(points, order)  # one expansion row per point
+        self.order = _series_order(self._coeffs.shape[1])
+        self._points = [(float(t0), float(x0)) for _, t0, x0 in points]
         self._frames = {}
 
     @classmethod

@@ -1,9 +1,17 @@
 """Catalog of exact solutions of u_t + u*u_x + u_xxx = 0.
 
 A solution is a map of series: given the two input series t0 + dt and
-x0 + dx, it returns the series of u around (t0, x0).  :func:`_expansion`
-builds those inputs, once for every solution, and checks what comes back;
-that is how jets are manufactured to machine precision.  The catalog covers
+x0 + dx, it returns the series of u around (t0, x0).  :func:`_expansions`
+builds those inputs for a stack of points, once for every solution, and
+checks what comes back; that is how jets are manufactured to machine
+precision.  The soliton's profile is written once, on rows of input series
+(:func:`_soliton`): the soliton points of a stack expand in one row pass,
+and ``Soliton.series(t, x)`` is its one-row case.  Every other solution's
+series runs point by point.  The verify battery draws its points first and
+expands each stack of them in one call (equivariance, invariance, phantom
+and kdv-residual through their float jets, the germ suites through their
+germs); only singular-sets expands point by point, through
+:func:`jet_of_solution`.  The catalog covers
 
 * ``Constant``  u = u0                       (trivial, frame-singular everywhere)
 * ``Rational``  u = x/t                      (t != 0)
@@ -26,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .jets import Jet, _first_non_finite, multi_indices
-from .taylor import TruncatedSeries, _derivatives, _integer, series_recip, series_sech
+from .taylor import TruncatedSeries, _compose, _derivative_table, _integer, _pos, _row_products, series_recip, triangle_size
 
 
 class Solution:
@@ -34,7 +42,7 @@ class Solution:
 
     :meth:`series` takes the series t = t0 + dt and x = x0 + dx of one order
     and returns the series of u at that order; the expansion that calls it
-    (:func:`_expansion`) checks the result.
+    (:func:`_expansions`) checks the result.
     """
 
     name = "solution"
@@ -95,9 +103,25 @@ class Soliton(Solution):
             raise UsageError(f"soliton phase must be finite, got {self.phase}")
 
     def series(self, t, x):
-        k = 0.5 * math.sqrt(self.c)
-        s = series_sech(k * (x - self.c * t - self.phase))
-        return (3.0 * self.c) * s * s
+        x._check_order(t)
+        return TruncatedSeries._wrap(x.order, _soliton(float(self.c), float(self.phase), t.coeffs, x.coeffs))
+
+
+def _soliton(c, phase, t, x):
+    """u = 3c sech^2(k (x - c t - phase)), k = sqrt(c)/2, on coefficient rows of the input series t and x.
+
+    One series takes float parameters and the 1-D rows of t and x; a stack
+    of n series takes c as an (n, 1) column and phase as n values, one per
+    row of t and x.  Each row is bit for bit the one-row call on its own
+    parameters: the sech rows come from one
+    :func:`~jetframe.taylor._compose`, and the profile is ((3c) s) s, one
+    row scale and one :func:`~jetframe.taylor._row_products`.
+    """
+    theta = x - c * t
+    theta.T[0] -= phase  # the constant term of each row
+    theta *= 0.5 * np.sqrt(c)
+    s = _compose("sech", theta.reshape(-1, theta.shape[-1]), (None,)).reshape(theta.shape)
+    return _row_products((3.0 * c) * s, s)
 
 
 @dataclass(frozen=True)
@@ -131,45 +155,73 @@ def make_solution(name, **params):
     return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 
 
-def _expansion(solution, t0, x0, order):
-    """`solution.series(t, x)` on the input series t0 + dt and x0 + dx, with its failures typed.
+def _expansions(points, order):
+    """The expansions of u at the (solution, t0, x0) `points`: one coefficient row per point, in their order.
 
-    A `solution` that is not a :class:`Solution`, a base point that is not
-    two finite real numbers, or a result that is not a series of the inputs'
-    order is a :class:`UsageError`; an arithmetic failure or a non-finite
-    coefficient (the point is too far out for double precision) is a
-    :class:`DomainError`.
+    Row i is `solution.series(t, x)` on the input series t0 + dt and x0 + dx
+    of order `order`, bit for bit.  Two or more soliton points run the
+    profile (:func:`_soliton`) once, on the rows of all of them; a lone
+    soliton point, and every other solution, runs its own series point by
+    point (for one point the row pass costs more than the one-row case, and
+    gives the same bits).  A `solution` that is not a
+    :class:`Solution`, a base point that is not two finite real numbers, or
+    a result that is not a series of the inputs' order is a
+    :class:`UsageError`; an arithmetic failure or a non-finite coefficient
+    (the point is too far out for double precision) is a
+    :class:`DomainError`, at the first such point in stack order.
     """
-    if not isinstance(solution, Solution):
-        raise UsageError(f"expected a catalog or custom Solution, got {type(solution).__name__}")
-    if not all((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v) for v in (t0, x0)):
-        raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
+    for solution, t0, x0 in points:
+        if not isinstance(solution, Solution):
+            raise UsageError(f"expected a catalog or custom Solution, got {type(solution).__name__}")
+        if not all((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v) for v in (t0, x0)):
+            raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
     order = _integer(order, "expansion order")
-    t = TruncatedSeries.affine(t0, 1.0, 0.0, order)
-    x = TruncatedSeries.affine(x0, 0.0, 1.0, order)
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-            s = solution.series(t, x)
-        if not isinstance(s, TruncatedSeries) or s.order != order:
-            raise UsageError(f"{solution.name}: series(t, x) must return a series of the inputs' order {order}")
-        finite = np.isfinite(s.coeffs).all()
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise DomainError(
-            f"{solution.name} expansion at ({t0}, {x0}) leaves double-precision range"
-        )
-    return s
+    solitons = [i for i, (solution, _, _) in enumerate(points) if type(solution) is Soliton]
+    if len(solitons) == 1:  # a lone soliton point is the one-row case: its own series(t, x), as for any class
+        solitons = []
+    rows = np.empty((len(points), triangle_size(order)))
+    failed = len(points)  # the first point whose expansion leaves double range
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        if solitons:
+            p = np.array([(points[i][0].c, points[i][0].phase, *points[i][1:]) for i in solitons], dtype=float)
+            tx = np.zeros((len(solitons), 2, rows.shape[1]))  # the rows of t0 + dt and x0 + dx
+            tx[..., 0] = p[:, 2:]
+            if order:
+                tx[:, 0, _pos(1, 0)] = tx[:, 1, _pos(0, 1)] = 1.0
+            rows[solitons] = u = _soliton(p[:, :1], p[:, 1], tx[:, 0], tx[:, 1])
+            if not np.isfinite(u).all():
+                failed = solitons[np.isfinite(u).all(axis=1).argmin()]
+        for i, (solution, t0, x0) in enumerate(points[:failed]):
+            if solitons and type(solution) is Soliton:
+                continue
+            t, x = TruncatedSeries.affine(t0, 1.0, 0.0, order), TruncatedSeries.affine(x0, 0.0, 1.0, order)
+            try:
+                s = solution.series(t, x)
+                if not isinstance(s, TruncatedSeries) or s.order != order:
+                    raise UsageError(f"{solution.name}: series(t, x) must return a series of the inputs' order {order}")
+                rows[i] = s.coeffs
+                finite = np.isfinite(s.coeffs).all()
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            if not finite:
+                failed = i
+                break
+    if failed < len(points):
+        solution, t0, x0 = points[failed]
+        raise DomainError(f"{solution.name} expansion at ({t0}, {x0}) leaves double-precision range")
+    return rows
 
 
 def _jet_rows(coeffs, order, points):
     """The dense rows of the order-`order` jets read off expansions: one row per coefficient row of `coeffs`.
 
-    The entries are i! j! times the coefficients; an entry that overflows a
-    double is a :class:`DomainError` naming its point, (t0, x0) in `points`.
+    The entries are i! j! times the coefficients of degree <= `order`, which
+    lead each row in storage order; an entry that overflows a double is a
+    :class:`DomainError` naming its point, (t0, x0) in `points`.
     """
+    factor = _derivative_table(order, 0)[1][:, 0]  # i! j!, one per alpha
     with np.errstate(over="ignore"):  # an overflow is reported below, by alpha
-        values = _derivatives(coeffs, order, 0)[..., 0]
+        values = factor * coeffs[..., : len(factor)]
     if not np.isfinite(values).all():
         i, alpha, _ = _first_non_finite(values.reshape(len(points), -1), multi_indices(order))
         raise DomainError(f"jet entry u_{alpha} at ({points[i][0]}, {points[i][1]}) overflows a double")
@@ -181,10 +233,11 @@ def jet_of_solution(solution, t0, x0, order):
 
     The solution is expanded to exactly `order` (no coefficient of degree
     <= order depends on where the expansion is cut) and the jet is read off
-    that expansion (:func:`_jet_rows`).
+    that expansion (:func:`_jet_rows`).  The expansion is the one-point
+    case of :func:`_expansions`.
     """
-    s = _expansion(solution, t0, x0, order)
-    return Jet(s.order, float(t0), float(x0), _jet_rows(s.coeffs, s.order, [(t0, x0)]))
+    rows = _expansions([(solution, t0, x0)], order)
+    return Jet(order, float(t0), float(x0), _jet_rows(rows[0], order, [(t0, x0)]))
 
 
 def kdv_residual(jet):

@@ -12,22 +12,26 @@ count shows the shortfall.  Every other suite draws away from the singular
 sets, and a typed error there is not retried: it ends the run.  A NaN
 defect, or a suite that checked nothing, fails.
 
-The three suites of the germ calculus (recurrences, commutators and
-reconstruction) and two of the free-jet suites (invariance and
-infinitesimal) draw first and evaluate second, in stacks of at most
-:data:`_STACK` samples (:func:`_stacked`).  The draw pass makes the random
-calls of the loop over samples: it builds each point's germ through its
-solution's own series, or draws each jet and group element.  The evaluate
-pass runs the germs of each frame kind as one stack
-(:meth:`~jetframe.invariants.SolutionGerm.stack`), or moves the stack's jets
-in one prolongation, lifts them in one :func:`~jetframe.group.pr_v_apply`
-per pair of basis fields and takes each frame's invariants of them in one
-call (:func:`_invariants`); every point is bit for bit its own call.  A
-typed error anywhere in a stack replays it one sample at a time from the
-generator state its draws began at, retries included, so no report depends
-on the stacking.  Equivariance stays a loop over samples through the public
-:func:`~jetframe.frame.moving_frame`, :func:`~jetframe.group.prolong_act`
-and :func:`~jetframe.frame.equivariance_defect`.
+Every suite that reads solution points (equivariance, invariance, phantom,
+kdv-residual, recurrences, commutators, reconstruction and infinitesimal)
+draws first and evaluates second, in stacks of at most :data:`_STACK`
+samples (:func:`_stacked`).  The draw pass makes the random calls of the
+loop over samples: it draws each solution point (solution, t0, x0), free
+jet and group element.  The evaluate pass expands the stack's points of
+each kind of use in one pass (:func:`_solution_jets`,
+or a germ stack of each frame kind), then runs the germ calculus on the
+stack, or moves the stack's jets in one prolongation, lifts them in one
+:func:`~jetframe.group.pr_v_apply` per pair of basis fields and takes each
+frame's invariants of them in one call (:func:`_invariants`); every point
+is bit for bit its own call.  Equivariance, phantom and kdv-residual still
+evaluate each sample through the public
+:func:`~jetframe.frame.equivariance_defect`,
+:func:`~jetframe.invariants.invariant_table` and
+:func:`~jetframe.solutions.kdv_residual`.  A typed error anywhere in a stack
+replays it one sample at a time from the generator state its draws began
+at, retries included, so no report depends on the stacking.  Only
+singular-sets stays a loop over samples, through
+:func:`~jetframe.solutions.jet_of_solution`.
 """
 
 from __future__ import annotations
@@ -187,12 +191,28 @@ def _invariants(jets):
     return np.concatenate(rows, axis=1)
 
 
-def _sample_jet(rng, free, order, kind=None, branch=None):
-    """A free jet, or a soliton jet, where a `branch` of `kind` is forced as in :func:`random_free_jet`."""
+def _draw_jet(rng, free, order, kind=None, branch=None):
+    """A free jet, or a soliton point (solution, t0, x0) to expand (:func:`_jets`).
+
+    A `branch` of `kind` is forced as in :func:`random_free_jet`.
+    """
     if free:
         return random_free_jet(rng, order, kind, branch)
-    sol, t0, x0 = random_soliton_point(rng, kind, branch)
-    return jet_of_solution(sol, t0, x0, order)
+    return random_soliton_point(rng, kind, branch)
+
+
+def _solution_jets(points, order):
+    """The float jets of order `order` at the (solution, t0, x0) `points`, read off one stack of germs."""
+    return SolutionGerm._expanded(points, order).jet(order) if points else []
+
+
+def _jets(draws, order):
+    """The jets of `draws`: each free jet as it is, and the jets of order `order` at the solution points.
+
+    The points are expanded in one pass (:func:`_solution_jets`).
+    """
+    jets = iter(_solution_jets([d for d in draws if not isinstance(d, Jet)], order))
+    return [d if isinstance(d, Jet) else next(jets) for d in draws]
 
 
 def _branch(jet, kind):
@@ -275,61 +295,75 @@ def _suite_determining_eqs(rng, samples, order):
 
 
 def _suite_equivariance(rng, samples, order):
-    for i in range(samples):
+    def draw(rng, i):
         branch = 1 if i % 2 == 0 else -1
         g = random_group_element(rng)
-        free = i % 4 < 2
-        yield _worst(
-            equivariance_defect(_sample_jet(rng, free, order, kind, branch), g, kind)
-            for kind in _KINDS
-        )
+        return g, [_draw_jet(rng, i % 4 < 2, order, kind, branch) for kind in _KINDS]
+
+    def evaluate(draws):
+        jets = iter(_jets([d for _, pair in draws for d in pair], order))  # sample-major, one per kind
+        return [_worst(equivariance_defect(next(jets), g, kind) for kind in _KINDS) for g, _ in draws]
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_invariance(rng, samples, order):
     def draw(rng, i):
-        return _sample_jet(rng, i % 2 == 0, order), random_group_element(rng)
+        return _draw_jet(rng, i % 2 == 0, order), random_group_element(rng)
 
     def evaluate(draws):
         jets, elements = zip(*draws)
+        jets = _jets(jets, order)
         return np.max(_rels(_invariants(_prolong(elements, jets)), _invariants(jets)), axis=1).tolist()
 
     return _stacked(rng, samples, draw, evaluate)
 
 
+def _phantom_defect(jet):
+    """The worst phantom, pivot and invariantized-equation defect of both frames' order-3 tables at `jet`."""
+    defects = []
+    for kind in _KINDS:
+        table = invariant_table(jet, kind, 3)
+        defects += [abs(table.phantoms[name]) for name in ("t", "x", "u")]
+        lhs = table.branch if kind is FrameKind.T_NORMALIZED else table.value((1, 0))
+        equation = lhs + table.value((0, 3))
+        defects += [abs(table.value(kind.pivot_alpha) - table.branch), abs(equation)]
+    return _worst(defects)
+
+
 def _suite_phantom(rng, samples, order):
-    for _ in range(samples):
-        sol, t0, x0 = random_soliton_point(rng)
-        jet = jet_of_solution(sol, t0, x0, 3)
-        defects = []
-        for kind in _KINDS:
-            table = invariant_table(jet, kind, 3)
-            defects += [abs(table.phantoms[name]) for name in ("t", "x", "u")]
-            lhs = table.branch if kind is FrameKind.T_NORMALIZED else table.value((1, 0))
-            equation = lhs + table.value((0, 3))
-            defects += [abs(table.value(kind.pivot_alpha) - table.branch), abs(equation)]
-        yield _worst(defects)
+    def draw(rng, i):
+        return random_soliton_point(rng)
+
+    def evaluate(points):
+        return [_phantom_defect(jet) for jet in _solution_jets(points, 3)]
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_kdv_residual(rng, samples, order):
-    for i in range(samples):
+    def draw(rng, i):
         pick = i % 3
         if pick == 0:
-            sol, t0, x0 = random_soliton_point(rng)
-        elif pick == 1:
-            sol = Rational()
+            return random_soliton_point(rng)
+        if pick == 1:
             t0 = float(rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1))
-            x0 = float(rng.uniform(-2.0, 2.0))
-        else:
-            sol = Constant(u0=float(rng.uniform(-2.0, 2.0)))
-            t0, x0 = map(float, rng.uniform(-2.0, 2.0, size=2))
-        yield abs(kdv_residual(jet_of_solution(sol, t0, x0, 3)))
+            return Rational(), t0, float(rng.uniform(-2.0, 2.0))
+        sol = Constant(u0=float(rng.uniform(-2.0, 2.0)))
+        t0, x0 = map(float, rng.uniform(-2.0, 2.0, size=2))
+        return sol, t0, x0
+
+    def evaluate(points):
+        return [abs(kdv_residual(jet)) for jet in _solution_jets(points, 3)]
+
+    return _stacked(rng, samples, draw, evaluate)
 
 
 def _suite_recurrences(rng, samples, order):
     def draw(rng, i):
         kind = _KINDS[i % 2]
         branch = 1 if i % 4 < 2 else -1
-        return kind, SolutionGerm(*random_soliton_point(rng, kind, branch), 4)
+        return kind, random_soliton_point(rng, kind, branch)
 
     def evaluate(draws):
         defects = np.empty(len(draws))
@@ -337,7 +371,7 @@ def _suite_recurrences(rng, samples, order):
             at = [j for j, (k, _) in enumerate(draws) if k is kind]
             if not at:
                 continue
-            germ = SolutionGerm.stack(draws[j][1] for j in at)
+            germ = SolutionGerm._expanded([draws[j][1] for j in at], 4)
             alphas = [alpha for alpha in multi_indices(3) if alpha not in ((0, 0), kind.pivot_alpha)]
             # the calculus first: it builds the germ's frame record, whose pivots the table then reads
             lhs = invariant_derivative(germ, alphas, kind)  # (points, alphas, 2)
@@ -354,10 +388,10 @@ def _suite_commutators(rng, samples, order):
     targets = ((0, 1), (0, 2), (1, 0))
 
     def draw(rng, i):
-        return SolutionGerm(*random_soliton_point(rng), 4)  # serves both frames and the jet
+        return random_soliton_point(rng)
 
-    def evaluate(germs):
-        germ = SolutionGerm.stack(germs)
+    def evaluate(points):
+        germ = SolutionGerm._expanded(points, 4)  # serves both frames and the jet
         defects = []
         for kind in _KINDS:
             _, dt, dx, bracket = invariant_commutator(germ, targets, kind).T  # one column per point
@@ -371,10 +405,10 @@ def _suite_commutators(rng, samples, order):
 def _suite_reconstruction(rng, samples, order):
     # one sample per frame kind that finds a nondegenerate point
     def draw(rng, i):
-        return [SolutionGerm(*random_soliton_point(rng), 3) for _ in _KINDS]
+        return [random_soliton_point(rng) for _ in _KINDS]
 
     def evaluate(draws):
-        stacks = [SolutionGerm.stack(germs) for germs in zip(*draws)]  # one per frame kind
+        stacks = [SolutionGerm._expanded(points, 3) for points in zip(*draws)]  # one per frame kind
         pairs = np.stack([reconstruct_generators(germ, kind) for germ, kind in zip(stacks, _KINDS)], axis=1)
         return _rels(pairs[..., 0], pairs[..., 1]).ravel().tolist()  # point-major, as the loop over samples
 
@@ -395,9 +429,10 @@ def _suite_infinitesimal(rng, samples, order):
     basis = VectorField.basis()
 
     def draw(rng, i):
-        return _sample_jet(rng, i % 2 == 0, min(order, 4))
+        return _draw_jet(rng, i % 2 == 0, min(order, 4))
 
-    def evaluate(jets):
+    def evaluate(draws):
+        jets = _jets(draws, min(order, 4))
         scales = 1.0 + np.abs(_invariants(jets))  # one row per jet
         derivatives = np.array([pr_v_apply(pair, _invariants, jets) for pair in (basis[:2], basis[2:])])
         return np.max(np.abs(derivatives) / scales[:, None], axis=(0, 2, 3)).tolist()

@@ -75,6 +75,13 @@ CASES = {
                                                 "--seed", "5", "--samples", str(samples), "--order", "6"]
         for samples in (1, 7, 130)
     },
+    # the two float-jet suites of solutions, written before phantom and
+    # kdv-residual drew their points first and expanded them a stack at a time
+    **{
+        f"verify-solutionjet-seed5-s{samples}-o6": ["verify", "--suites", "phantom,kdv-residual",
+                                                    "--seed", "5", "--samples", str(samples), "--order", "6"]
+        for samples in (1, 7, 130)
+    },
 }
 
 

@@ -25,7 +25,8 @@ from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 from jetframe.taylor import TruncatedSeries, _pos, _series_order, series_pow, triangle_size
 from jetframe.verify import (
-    _sample_jet,
+    _jets,
+    _draw_jet,
     random_free_jet,
     random_group_element,
     random_soliton_point,
@@ -761,7 +762,7 @@ def _same_series(a, b):
 def test_normalized_invariant_sequence_matches_scalar_calls(kind, branch):
     rng = np.random.default_rng(53 + branch)
     for i, order in enumerate((1, 2, 4, 7, 12, 12)):
-        jet = _sample_jet(rng, i % 2 == 0, order, kind, branch)
+        (jet,) = _jets([_draw_jet(rng, i % 2 == 0, order, kind, branch)], order)
         alphas = multi_indices(order)
         expected = [normalized_invariant(jet, alpha, kind) for alpha in alphas]
         got = normalized_invariant(jet, alphas, kind)

@@ -13,11 +13,12 @@ from jetframe.solutions import (
     Rational,
     Soliton,
     Solution,
+    _expansions,
     jet_of_solution,
     kdv_residual,
     make_solution,
 )
-from jetframe.taylor import TruncatedSeries
+from jetframe.taylor import TruncatedSeries, series_sech
 
 # hand differentiation of u = x/t at (t, x) = (1, 2)
 RATIONAL_JET_12 = {
@@ -202,3 +203,113 @@ def test_jet_independent_of_truncation_order(sol):
 def test_expansion_inputs_are_typed(expand, solution, t0, x0):
     with pytest.raises(UsageError, match="real numbers|Solution"):
         expand(solution, t0, x0, 2)
+
+
+# -- stacked expansions ----------------------------------------------------------
+
+
+def _one_point(solution, t0, x0, order):
+    """solution.series on the input series t0 + dt and x0 + dx of one point."""
+    return solution.series(TruncatedSeries.affine(t0, 1.0, 0.0, order), TruncatedSeries.affine(x0, 0.0, 1.0, order))
+
+
+def _soliton_by_series_arithmetic(sol, t, x):
+    """The soliton profile in TruncatedSeries arithmetic, in the order of operations its rows keep."""
+    k = 0.5 * math.sqrt(sol.c)
+    s = series_sech(k * (x - sol.c * t - sol.phase))
+    return (3.0 * sol.c) * s * s
+
+
+_BOOSTED = Custom(fn=lambda t, x: Soliton(c=1.1, phase=0.2).series(t, x - 0.7 * t) + 0.7, label="boosted")
+# x + t*x has a degree-2 term, so the soliton's phase is not affine in it
+_BENT = Custom(fn=lambda t, x: Soliton(c=0.8).series(t, x + t * x), label="bent")
+
+
+def test_a_stack_expands_each_point_as_its_own_series_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coordinate = st.floats(-3.0, 3.0)
+    solitons = st.builds(Soliton, c=st.floats(0.2, 3.0), phase=st.floats(-2.0, 2.0))
+    solutions = st.one_of(
+        solitons, solitons, st.just(Rational()), st.builds(Constant, u0=coordinate), st.sampled_from([_BOOSTED, _BENT])
+    )
+    # the rational solution is expanded away from its pole at t = 0
+    points = st.tuples(solutions, coordinate, coordinate).map(
+        lambda p: (p[0], math.copysign(max(abs(p[1]), 0.2), p[1]), p[2]) if isinstance(p[0], Rational) else p
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(points, min_size=1, max_size=9), st.sampled_from([*range(13), 30]))
+    def check(stack, order):
+        rows = _expansions(stack, order)
+        assert rows.shape == (len(stack), (order + 1) * (order + 2) // 2)
+        for row, (solution, t0, x0) in zip(rows, stack):
+            want = _one_point(solution, t0, x0, order)
+            assert row.tobytes() == want.coeffs.tobytes(), (solution, t0, x0)
+            if isinstance(solution, Soliton):
+                t, x = TruncatedSeries.affine(t0, 1.0, 0.0, order), TruncatedSeries.affine(x0, 0.0, 1.0, order)
+                assert row.tobytes() == _soliton_by_series_arithmetic(solution, t, x).coeffs.tobytes()
+
+    check()
+
+
+def test_soliton_series_on_general_rows_is_the_series_arithmetic_bit_for_bit():
+    # Custom closures and the group tests call Soliton.series on transformed,
+    # not only affine, input series
+    rng = np.random.default_rng(4)
+    for order in (0, 1, 4, 12):
+        for _ in range(5):
+            sol = Soliton(c=float(rng.uniform(0.2, 3.0)), phase=float(rng.uniform(-1.0, 1.0)))
+            t, x = (TruncatedSeries(order, rng.uniform(-1.0, 1.0, (order + 1) * (order + 2) // 2)) for _ in "tx")
+            assert sol.series(t, x).coeffs.tobytes() == _soliton_by_series_arithmetic(sol, t, x).coeffs.tobytes()
+    with pytest.raises(UsageError, match="series order mismatch"):
+        Soliton().series(TruncatedSeries(2), TruncatedSeries(3))
+
+
+_FAR_SOLITON = (Soliton(c=1e200), 0.0, 0.0)  # its phase slopes square past the double range
+_NEAR_POLE = (Rational(), 1e-300, 1.0)  # 1/t has no double coefficients there
+
+
+def _domain_message(point, order):
+    with pytest.raises(DomainError, match="leaves double-precision range") as info:
+        _expansions([point], order)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("far", [_FAR_SOLITON, _NEAR_POLE], ids=["soliton", "rational"])
+def test_a_stack_names_the_first_point_that_leaves_double_range(far):
+    fine = [(Soliton(c=1.2), 0.3, -0.4), (Rational(), 1.3, 0.4), (Soliton(), -0.2, 0.9), (Constant(2.0), 0.0, 0.0)]
+    message = _domain_message(far, 4)
+    assert f"at ({far[1]}, {far[2]})" in message
+    for at in (0, 2, 4):
+        with pytest.raises(DomainError) as info:
+            _expansions(fine[:at] + [far] + fine[at:], 4)
+        assert str(info.value) == message
+    # the first of two such points in stack order, whatever their classes
+    other = _NEAR_POLE if far is _FAR_SOLITON else _FAR_SOLITON
+    with pytest.raises(DomainError) as info:
+        _expansions([fine[0], far, fine[2], other], 4)
+    assert str(info.value) == message
+
+
+def test_a_stack_raises_the_usage_errors_of_one_point():
+    fine = (Soliton(), 0.1, 0.2)
+    wrong_order = Custom(fn=lambda t, x: TruncatedSeries.constant(1.0, 1), label="bad")
+    for point, match in (
+        (("soliton", 0.0, 0.0), "Solution"),
+        ((Soliton(), math.nan, 0.0), "real numbers"),
+        ((Rational(), 1.0, "2"), "real numbers"),
+        ((wrong_order, 0.0, 0.0), "series"),
+    ):
+        with pytest.raises(UsageError, match=match):
+            _expansions([point], 3)
+        with pytest.raises(UsageError, match=match):
+            _expansions([fine, point, fine, fine], 3)
+    for order in (-1, 31, 2.5, None):
+        with pytest.raises(UsageError, match="expansion order"):
+            _expansions([fine, fine], order)
+    # a point that leaves double range before the wrong series is reported first
+    with pytest.raises(DomainError):
+        _expansions([fine, _FAR_SOLITON, fine, (wrong_order, 0.0, 0.0)], 3)
+    with pytest.raises(UsageError, match="series"):
+        _expansions([fine, (wrong_order, 0.0, 0.0), fine, _FAR_SOLITON], 3)

@@ -232,8 +232,8 @@ def test_infinitesimal_lifts_each_jet_once_per_basis_field(monkeypatch):
 
 def test_infinitesimal_reads_lifted_invariants_as_rows(monkeypatch):
     # pr_v_apply reads the eps coefficients off the rows of _invariants, so no
-    # order-1 TruncatedSeries is wrapped; the order-4 ones are the 50 soliton
-    # jets' expansions, 7 each
+    # order-1 TruncatedSeries is wrapped, and the 50 soliton jets come from one
+    # row pass of the profile, which wraps no order-4 series either
     counts = {}
     wrap = TruncatedSeries._wrap.__func__
 
@@ -244,8 +244,7 @@ def test_infinitesimal_reads_lifted_invariants_as_rows(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "_wrap", classmethod(counted))
     (report,) = run_suite(("infinitesimal",), seed=0, samples=100)
     assert report.passed
-    assert counts.get(1, 0) == 0
-    assert counts[4] == 350
+    assert counts == {}
 
 
 def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypatch):
@@ -264,11 +263,12 @@ def test_series_calculus_suites_fail_when_the_correction_matrix_is_off(monkeypat
 def test_solution_jet_suites_fail_when_the_soliton_amplitude_is_off(monkeypatch):
     # phantom and kdv-residual read float jets of solutions; a relative error
     # of 1e-10 in the soliton's amplitude breaks the equation by about 1e-10,
-    # above their 1e-12 tolerances and below the 1e-9 they had before
+    # above their 1e-12 tolerances and below the 1e-9 they had before.  The
+    # profile is written once, for a stack's row pass and Soliton.series alike
     suites = ("phantom", "kdv-residual")
-    real_series = Soliton.series
+    real_profile = solutions._soliton
     assert all(r.passed for r in run_suite(suites, seed=0, samples=20))
-    monkeypatch.setattr(Soliton, "series", lambda self, t, x: real_series(self, t, x) * (1 + 1e-10))
+    monkeypatch.setattr(solutions, "_soliton", lambda *args: real_profile(*args) * (1 + 1e-10))
     reports = run_suite(suites, seed=0, samples=20)
     assert [r.name for r in reports] == list(suites)
     for r in reports:
@@ -364,27 +364,63 @@ def test_germ_suites_decide_each_pivot_once_per_frame(monkeypatch):
 
 def test_series_calculus_suites_expand_each_sample_point_once(monkeypatch):
     # recurrences and commutators read their float table off the germ they
-    # build, and reconstruction its order-2 jet off its germ: one expansion
-    # per sample point, or per reconstruction attempt
-    expansions, attempts = [0], [0]
-    real_expansion, real_point = invariants._expansion, verify.random_soliton_point
+    # build, and reconstruction its order-2 jet off its germ: one expanded row
+    # per drawn point, in one pass per stack, or per stack and frame kind for
+    # recurrences and reconstruction
+    passes, attempts = [], [0]
+    real_expansions, real_point = invariants._expansions, verify.random_soliton_point
 
-    def expansion(*args):
-        expansions[0] += 1
-        return real_expansion(*args)
+    def expansions(points, order):
+        passes.append(len(points))
+        return real_expansions(points, order)
 
     def point(*args):
         attempts[0] += 1
         return real_point(*args)
 
-    for module in (invariants, solutions):
-        monkeypatch.setattr(module, "_expansion", expansion)
+    monkeypatch.setattr(invariants, "_expansions", expansions)
     monkeypatch.setattr(verify, "random_soliton_point", point)
-    for suite in ("recurrences", "commutators", "reconstruction"):
-        expansions[0] = attempts[0] = 0
+    for suite, stacks in (("recurrences", 2), ("commutators", 1), ("reconstruction", 2)):
+        passes.clear()
+        attempts[0] = 0
         (report,) = run_suite((suite,), seed=0, samples=10)
         assert report.passed and report.samples >= 10
-        assert expansions[0] == attempts[0] >= report.samples, suite
+        assert len(passes) == stacks and sum(passes) == attempts[0] >= report.samples, suite
+
+
+def test_the_battery_expands_each_stack_of_soliton_points_in_one_row_pass(monkeypatch):
+    # no soliton point of a seed-0 battery is expanded alone: each stack's
+    # soliton points, or each frame kind's in recurrences and reconstruction,
+    # are one call of the profile on their rows, and Soliton.series, its
+    # one-row case, is never called; the loop over samples made 734 such calls
+    rows, series = {}, [0]
+    real_profile, real_series = solutions._soliton, Soliton.series
+
+    def profile(c, phase, t, x):
+        rows.setdefault(suite, []).append(len(x) if x.ndim == 2 else None)
+        return real_profile(c, phase, t, x)
+
+    def one_row(self, t, x):
+        series[0] += 1
+        return real_series(self, t, x)
+
+    monkeypatch.setattr(solutions, "_soliton", profile)
+    monkeypatch.setattr(Soliton, "series", one_row)
+    for suite in SUITES:
+        (report,) = run_suite((suite,), seed=0, samples=100, order=6)
+        assert report.passed, report
+    assert series == [0]
+    assert rows == {
+        "equivariance": [100],  # half the samples, one soliton jet per frame kind
+        "invariance": [50],
+        "phantom": [100],
+        "kdv-residual": [34],  # with 33 rational and 33 constant points, each its own series
+        "recurrences": [50, 50],
+        "commutators": [100],
+        "reconstruction": [100, 100],
+        "infinitesimal": [50],
+    }
+    assert sum(map(sum, rows.values())) == 734
 
 
 def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypatch):
@@ -435,16 +471,22 @@ def _loop_invariants(jet):
     return [value for kind in verify._KINDS for value in normalized_invariant(jet, multi_indices(jet.order), kind)]
 
 
+def _one_jet(rng, free, order):
+    """A free jet, or the jet of a soliton point expanded on its own."""
+    draw = verify._draw_jet(rng, free, order)
+    return draw if free else jet_of_solution(*draw, order)
+
+
 def _loop_over_samples(name, rng, samples, order):
     """The free-jet suite `name` one sample at a time, through the public one-jet calls."""
     basis = VectorField.basis()
     for i in range(samples):
         if name == "invariance":
-            jet = verify._sample_jet(rng, i % 2 == 0, order)
+            jet = _one_jet(rng, i % 2 == 0, order)
             g = verify.random_group_element(rng)
             yield verify._worst(map(verify._rel, _loop_invariants(prolong_act(g, jet)), _loop_invariants(jet)))
         else:
-            jet = verify._sample_jet(rng, i % 2 == 0, min(order, 4))
+            jet = _one_jet(rng, i % 2 == 0, min(order, 4))
             scales = [1.0 + abs(value) for value in _loop_invariants(jet)]
             yield verify._worst(
                 abs(d) / s
