@@ -113,6 +113,13 @@ MUTANTS = (
         "value[..., 0]",
         "pr_v_apply reads rows of lifted values at their constant term, not the field's slot",
     ),
+    Mutant(
+        "rho-scaling",
+        "frame.py",
+        "math.log(abs(p)) / kind.weight_denominator",
+        "math.log(abs(p)) / (kind.weight_denominator + 1)",
+        "the frame's scaling eps4 = ln|pivot| / weight divides by one more than the pivot's weight",
+    ),
 )
 
 

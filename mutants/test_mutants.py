@@ -28,6 +28,7 @@ KILLED = {
     "weight-plus-one": ["crash"],
     "r-columns-swapped": ["commutators", "reconstruction", "recurrences"],
     "eps-constant-term": ["infinitesimal"],
+    "rho-scaling": ["equivariance"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {

@@ -8,6 +8,11 @@ which first-order coordinate is normalized to +-1:
 
 The sign of the pivot selects the branch; it is preserved by the (connected)
 group, so each branch carries its own well-defined equivariant frame.
+
+:func:`moving_frame` and :func:`equivariance_defect` also take a stack, a
+list or tuple of real jets of one order (with one element per jet for the
+defect): its pivots are tested at once and each point is bit for bit its
+own call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import SingularFrameError, UsageError
 from .group import GroupElement, _weight, compose, inverse, prolong_act
-from .jets import _require_real
+from .jets import Jet, _real_stack, _require_real
 from .taylor import TruncatedSeries, _row_products
 
 SINGULAR_THRESHOLD = 1e-30
@@ -141,6 +146,16 @@ class FrameResult:
     pivot: float
 
 
+def _frame_result(t, x, u, p, branch, kind):
+    """The FrameResult of the pivot `p` of `kind` and its branch at the point (t, x, u), all Python numbers.
+
+    rho = (-t, -x, -u, ln|p| / weight): the translations and the boost
+    remove the base point and u, and the scaling pins the pivot to its sign.
+    """
+    eps4 = math.log(abs(p)) / kind.weight_denominator
+    return FrameResult(rho=GroupElement(-t, -x, -u, eps4), branch=branch, pivot=p)
+
+
 def moving_frame(jet, kind):
     """Solve the normalization equations at `jet` for the group parameters.
 
@@ -148,19 +163,44 @@ def moving_frame(jet, kind):
     eps2 = -x, eps3 = -u); the scaling eps4 = ln|pivot| / weight pins the
     pivot coordinate to branch = sign(pivot).  Applying the returned element
     to `jet` therefore lands exactly on the cross-section.
+
+    `jet` may also be a list or tuple of real jets of one order, a stack:
+    the result is the list of their frames, the pivots of all of them tested
+    at once (:func:`require_regular_pivots`), so the first singular point in
+    stack order is the SingularFrameError its own call raises.  Each frame
+    is bit for bit its own call, which tests its one pivot as a scalar
+    (:func:`require_regular_pivot`).
     """
-    _require_real(jet, "moving_frame")
-    p, branch = require_regular_pivot(jet, kind)
-    eps4 = math.log(abs(p)) / kind.weight_denominator
-    rho = GroupElement(-jet.t, -jet.x, -jet.u[(0, 0)], eps4)
-    return FrameResult(rho=rho, branch=branch, pivot=p)
+    if isinstance(jet, Jet):
+        _require_real(jet, "moving_frame")
+        return _frame_result(jet.t, jet.x, jet.u[(0, 0)], *require_regular_pivot(jet, kind), kind)
+    jets, _ = _real_stack(jet, "moving_frame")
+    data = np.stack([j.data for j in jets])
+    p, branch = require_regular_pivots(data, kind, [(j.t, j.x) for j in jets])
+    return [
+        _frame_result(j.t, j.x, u, *point, kind)
+        for j, u, point in zip(jets, data[:, 0].tolist(), zip(p.tolist(), branch.tolist()))
+    ]
 
 
 def equivariance_defect(jet, g, kind):
     """Max parameter-wise gap between frame(g . jet) and frame(jet) * g^-1.
 
     Zero (up to roundoff) is the defining property of a right moving frame.
+
+    `jet` and `g` may also be equal-length lists or tuples of real jets of
+    one order and of elements, a stack: the result is the list of one
+    defect per point, each bit for bit its own call.  The moved jets are one
+    :func:`~jetframe.group.prolong_act`, each side's frames one
+    :func:`moving_frame`, the moved side first, and the products are taken
+    point by point.
     """
-    lhs = moving_frame(prolong_act(g, jet), kind).rho
-    rhs = compose(moving_frame(jet, kind).rho, inverse(g))
-    return max(abs(a - b) for a, b in zip(lhs.params(), rhs.params()))
+    single = isinstance(jet, Jet)
+    jets, elements = ([jet], [g]) if single else (jet, g)
+    moved = moving_frame(prolong_act(elements, jets), kind)
+    frames = moving_frame(jets, kind)
+    defects = []
+    for lhs, frame, e in zip(moved, frames, elements):
+        rhs = compose(frame.rho, inverse(e))
+        defects.append(max(abs(a - b) for a, b in zip(lhs.rho.params(), rhs.params())))
+    return defects[0] if single else defects

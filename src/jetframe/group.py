@@ -27,12 +27,13 @@ and two fields at once, one in each first-order slot of the series.
 
 Batched forms are exact, not approximate: a list of outputs of one lift or a
 float array of their coefficient rows, the second field of a pair, every jet
-of a stack lifted at once, every jet of a stack moved by one prolongation
-(:func:`_prolong`), and every boost sum of a table read off one plan are
+of a stack lifted at once, every jet of a stack moved by one
+:func:`prolong_act`, and every boost sum of a table read off one plan are
 each bit-identical to computing that value alone, one term at a time.  A
-stack keeps per point, in Python, what a single call takes in Python: the
-image of each base point, the exp of each weight and the float powers of
-each boost.
+stack is a list or tuple of real jets of one order; a call on one jet is the
+stack of one.  A stack keeps per point, in Python, what a single call takes
+in Python: the image of each base point, the exp of each weight and the
+float powers of each boost.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
+from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _real_stack, _rows_for
 from .taylor import TruncatedSeries, _pos, _read_only, _row_products, _shifted, multi_indices
 
 
@@ -191,7 +192,7 @@ def _boost_powers(b, top, order):
     `b` holds the boost of each point of a stack: floats, or series rows.  A
     float power is b**k, taken point by point; a series power is the
     previous one times b.  A float power that leaves double-precision range
-    is a DomainError.
+    is a DomainError, named by the first point whose power does.
     """
     if b.ndim == 2:
         rows = np.zeros((len(b), order + 1, b.shape[1]))
@@ -200,10 +201,13 @@ def _boost_powers(b, top, order):
         for k in range(1, top + 1):
             power = rows[:, k] = _row_products(power, b)
         return rows
-    try:
-        return np.array([[x**k for k in range(top + 1)] + [0.0] * (order - top) for x in b.tolist()])
-    except OverflowError:
-        raise DomainError(f"a power up to {max(b.tolist(), key=abs)!r}**{top} of the boost overflows a double") from None
+    rows = []
+    for x in b.tolist():
+        try:
+            rows.append([x**k for k in range(top + 1)] + [0.0] * (order - top))
+        except OverflowError:
+            raise DomainError(f"a power up to {x!r}**{top} of the boost overflows a double") from None
+    return np.array(rows)
 
 
 def _transform(data, order, powers, weights, scales):
@@ -262,34 +266,38 @@ def prolong_act(g, jet):
     i.e. the boost by -eps3 followed by the scaling of weight 3*a1 + a2 + 2,
     with one math.exp per distinct weight.  A transformed coordinate that
     leaves double-precision range is a DomainError.
+
+    `g` and `jet` may also be equal-length lists or tuples of elements and
+    of real jets of one order, a stack: the result is the list of the jets
+    g[i] . jet[i].  Each image point and each exp of a weight is taken point
+    by point in Python, and the boost sums of every point are one
+    :func:`_transform`, so each jet is bit for bit its own call; a call on
+    one jet is the stack of one.  The first point whose image leaves
+    double-precision range, or else the first whose boost power or
+    transformed coordinate does, is the DomainError, as its own call names
+    it.  Anything else is a UsageError.
     """
-    _require_real(jet, "prolong_act")
-    return _prolong([g], [jet])[0]
-
-
-def _prolong(elements, jets):
-    """The jets elements[i] . jets[i] of :func:`prolong_act`, for real jets of one order, in one pass.
-
-    Each image point and each exp of a weight is taken point by point in
-    Python, and the boost sums of every point are one :func:`_transform`,
-    so each jet is bit for bit its own call.  The first point whose image
-    leaves double-precision range, or else the first whose transformed
-    coordinate does, is the DomainError, named by its alpha and element.
-    """
-    order = jets[0].order
-    images = [act_point(g, (jet.t, jet.x, float(jet.data[0]))) for g, jet in zip(elements, jets)]
-    if not order:  # no derivative coordinate, so no weight for _transform to scale by
-        return [Jet(0, t, x, [u]) for t, x, u in images]
-    weights = _boost_plan(order).weights
-    scales = np.array([[_exp_or_inf(-w * g.eps4) for w in weights] for g in elements])
-    boosts = _boost_powers(np.array([-g.eps3 for g in elements]), order, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _transform(np.stack([jet.data for jet in jets]), order, boosts, weights, scales)
-    values[:, 0] = [u for _, _, u in images]
-    bad = _first_non_finite(values, multi_indices(order))
-    if bad is not None:
-        raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
-    return [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)]
+    single = isinstance(jet, Jet)
+    elements, jets = ([g], [jet]) if single else (g, jet)
+    jets, order = _real_stack(jets, "prolong_act")
+    if not (isinstance(elements, (list, tuple)) and all(isinstance(e, GroupElement) for e in elements)):
+        raise UsageError("prolong_act takes a group element and a jet, or a list or tuple of each")
+    if len(elements) != len(jets):
+        raise UsageError(f"prolong_act pairs each jet with one element, got {len(elements)} for {len(jets)} jets")
+    images = [act_point(e, (j.t, j.x, float(j.data[0]))) for e, j in zip(elements, jets)]
+    values = np.array([[u] for _, _, u in images])
+    if order:  # an order-0 jet has no derivative coordinate, so no weight for _transform to scale by
+        weights = _boost_plan(order).weights
+        scales = np.array([[_exp_or_inf(-w * e.eps4) for w in weights] for e in elements])
+        boosts = _boost_powers(np.array([-e.eps3 for e in elements]), order, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _transform(np.stack([j.data for j in jets]), order, boosts, weights, scales)
+        values[:, 0] = [u for _, _, u in images]
+        bad = _first_non_finite(values, multi_indices(order))
+        if bad is not None:
+            raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
+    moved = [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)]
+    return moved[0] if single else moved
 
 
 @dataclass(frozen=True)
@@ -441,19 +449,12 @@ def pr_v_apply(v, F, jet):
     if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     single = isinstance(jet, Jet)
-    if not (single or isinstance(jet, (list, tuple)) and all(isinstance(j, Jet) for j in jet)):
-        raise UsageError("pr_v_apply takes a jet or a list or tuple of jets")
-    jets = [jet] if single else list(jet)
-    for j in jets:
-        _require_real(j, "pr_v_apply")
-    orders = sorted({j.order for j in jets})
-    if len(orders) != 1:
-        raise UsageError(f"a stack of jets holds one order, got {orders}")
+    jets, order = _real_stack([jet] if single else jet, "pr_v_apply")
     slots = _UNITS[: len(fields)]
     data = np.stack([j.data for j in jets])
     lift = np.zeros(data.shape + (3,))  # one order-1 series per entry
     lift[..., 0] = data
-    lift[..., [_pos(*slot) for slot in slots]] = _eta_stack(fields, data, orders[0]).transpose(0, 2, 1)
+    lift[..., [_pos(*slot) for slot in slots]] = _eta_stack(fields, data, order).transpose(0, 2, 1)
     lifted = []
     for j, rows in zip(jets, lift):
         t, x, u = j.t, j.x, float(j.data[0])

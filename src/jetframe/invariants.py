@@ -69,6 +69,11 @@ stack is bit for bit its own call.  A call on one germ runs as the stack
 of its one point, which shares the germ's frame record, and returns series
 and floats.  The seeded suites draw their germs first and evaluate each
 stack once (:mod:`jetframe.verify`).
+
+:func:`normalized_invariant` and :func:`invariant_table` also take a stack
+of float jets, a list or tuple of real jets of one order: one pass of the
+closed form over their stacked entries, with the pivots of all of them
+tested at once, and each point bit for bit its own call.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for
+from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _real_stack, _require_real, _rows_for
 from .solutions import _expansions, _jet_rows
 from .taylor import (
     MAX_ORDER,
@@ -204,15 +209,33 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     computed at `jet`; with `_dense` the result is the array of the
     invariants of the sequence `alpha` itself, one value or series row per
     alpha, for a caller that stores them as they are.
+
+    `jet` may also be a list or tuple of real jets of one order, a stack:
+    the result is the list of each jet's result, from one pass over the
+    stacked entries with the pivots of
+    :func:`~jetframe.frame.require_regular_pivots`, each bit for bit its own
+    call.  Its `_pivot` is the (pivots, branches) pair of arrays that
+    function returns, and `_dense` gives one row of invariants per jet.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
+    single = isinstance(jet, Jet)
+    if single:
+        order, data = jet.order, jet.data[None]
 
-    def pivot():
-        p, branch = require_regular_pivot(jet, kind) if _pivot is None else _pivot
-        return (p.coeffs[None] if isinstance(p, TruncatedSeries) else np.array([p])), np.array([branch])
+        def pivot():
+            p, branch = require_regular_pivot(jet, kind) if _pivot is None else _pivot
+            return (p.coeffs[None] if isinstance(p, TruncatedSeries) else np.array([p])), np.array([branch])
+    else:
+        jets, order = _real_stack(jet, "normalized_invariant")
+        data = np.stack([j.data for j in jets])
 
-    (values,) = _invariant_rows(jet.data[None], kind, alphas, jet.order, pivot)
-    return values if _dense else shape(_entries(values))
+        def pivot():
+            return require_regular_pivots(data, kind, [(j.t, j.x) for j in jets]) if _pivot is None else _pivot
+
+    values = _invariant_rows(data, kind, alphas, order, pivot)
+    if single:
+        return values[0] if _dense else shape(_entries(values[0]))
+    return values if _dense else [shape(row) for row in values.tolist()]
 
 
 @dataclass(frozen=True)
@@ -263,16 +286,37 @@ class InvariantTable:
         return _relations(self.kind, self._jet.data[None], self.order)
 
 
-def invariant_table(jet, kind, order):
-    """Tabulate every I_alpha with total order <= `order` at one jet."""
-    order = _integer(order, "table order", high=jet.order)
-    frame = moving_frame(jet, kind)
-    values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
-    t, x, u = act_point(frame.rho, (jet.t, jet.x, jet.u[(0, 0)]))
+def _tabulated(jet, frame, kind, order, values):
+    """The InvariantTable of `frame` at `jet`, with `values` the dense row of its invariants up to `order`.
+
+    The phantoms t, x and u are the image of the jet's base point under the
+    frame element rho.
+    """
+    t, x, u = act_point(frame.rho, (jet.t, jet.x, float(jet.data[0])))
     phantoms = {"t": t, "x": x, "u": u, f"u_{kind.value}": float(frame.branch)}
-    return InvariantTable(
-        kind=kind, order=order, branch=frame.branch, values=values, phantoms=phantoms
-    )
+    return InvariantTable(kind=kind, order=order, branch=frame.branch, values=values, phantoms=phantoms)
+
+
+def invariant_table(jet, kind, order):
+    """Tabulate every I_alpha with total order <= `order` at one jet.
+
+    `jet` may also be a list or tuple of real jets of one order, a stack:
+    the result is the list of their tables, from one :func:`moving_frame`
+    and one :func:`normalized_invariant` on the whole stack.  Each table's
+    phantoms come from its own frame element and base point, so each table
+    is bit for bit its own call.
+    """
+    if isinstance(jet, Jet):
+        order = _integer(order, "table order", high=jet.order)
+        frame = moving_frame(jet, kind)
+        values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
+        return _tabulated(jet, frame, kind, order, values)
+    jets, jet_order = _real_stack(jet, "invariant_table")
+    order = _integer(order, "table order", high=jet_order)
+    frames = moving_frame(jets, kind)
+    pivots = np.array([f.pivot for f in frames]), np.array([f.branch for f in frames])
+    values = normalized_invariant(jets, multi_indices(order), kind, pivots, _dense=True)
+    return [_tabulated(j, frame, kind, order, row) for j, frame, row in zip(jets, frames, values)]
 
 
 class SolutionGerm:

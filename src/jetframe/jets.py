@@ -98,6 +98,22 @@ def _require_real(jet, what):
         raise UsageError(f"{what} takes a jet of real numbers, not series")
 
 
+def _real_stack(jets, what):
+    """(the list of jets, their order) of a stack: a list or tuple of real jets of one order.
+
+    Anything else is a UsageError: an item that is not a jet, a series jet,
+    or jets of different orders, an empty stack included.
+    """
+    if not (isinstance(jets, (list, tuple)) and all(isinstance(j, Jet) for j in jets)):
+        raise UsageError(f"{what} takes a jet or a list or tuple of jets")
+    for j in jets:
+        _require_real(j, what)
+    orders = sorted({j.order for j in jets})
+    if len(orders) != 1:
+        raise UsageError(f"a stack of jets holds one order, got {orders}")
+    return list(jets), orders[0]
+
+
 def _entries(values):
     """Python floats, or TruncatedSeries rows, of an array of jet entries."""
     if values.ndim == 1:

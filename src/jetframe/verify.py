@@ -20,17 +20,19 @@ loop over samples: it draws each solution point (solution, t0, x0), free
 jet and group element.  The evaluate pass expands the stack's points of
 each kind of use in one pass (:func:`_solution_jets`,
 or a germ stack of each frame kind), then runs the germ calculus on the
-stack, or moves the stack's jets in one prolongation, lifts them in one
+stack, or moves the stack's jets in one
+:func:`~jetframe.group.prolong_act`, lifts them in one
 :func:`~jetframe.group.pr_v_apply` per pair of basis fields and takes each
-frame's invariants of them in one call (:func:`_invariants`); every point
-is bit for bit its own call.  Equivariance, phantom and kdv-residual still
-evaluate each sample through the public
-:func:`~jetframe.frame.equivariance_defect`,
-:func:`~jetframe.invariants.invariant_table` and
-:func:`~jetframe.solutions.kdv_residual`.  A typed error anywhere in a stack
-replays it one sample at a time from the generator state its draws began
-at, retries included, so no report depends on the stacking.  Only
-singular-sets stays a loop over samples, through
+frame's invariants of them in one call (:func:`_invariants`).  Equivariance
+and phantom pass each stack to the public
+:func:`~jetframe.frame.equivariance_defect` and
+:func:`~jetframe.invariants.invariant_table` once per frame kind, the
+time-normalized frame first, as a sample takes them; every point is bit
+for bit its own call.  Only kdv-residual still evaluates each sample's jet
+through :func:`~jetframe.solutions.kdv_residual`.  A typed error anywhere
+in a stack replays it one sample at a time from the generator state its
+draws began at, retries included, so no report depends on the stacking.
+Only singular-sets stays a loop over samples, through
 :func:`~jetframe.solutions.jet_of_solution`.
 """
 
@@ -47,12 +49,12 @@ from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame, 
 from .group import (
     GroupElement,
     VectorField,
-    _prolong,
     act_point,
     compose,
     determining_equation_residuals,
     inverse,
     pr_v_apply,
+    prolong_act,
 )
 from .invariants import (
     SolutionGerm,
@@ -301,8 +303,10 @@ def _suite_equivariance(rng, samples, order):
         return g, [_draw_jet(rng, i % 4 < 2, order, kind, branch) for kind in _KINDS]
 
     def evaluate(draws):
-        jets = iter(_jets([d for _, pair in draws for d in pair], order))  # sample-major, one per kind
-        return [_worst(equivariance_defect(next(jets), g, kind) for kind in _KINDS) for g, _ in draws]
+        elements = [g for g, _ in draws]
+        jets = _jets([d for _, pair in draws for d in pair], order)  # sample-major, one per kind
+        defects = [equivariance_defect(jets[k :: len(_KINDS)], elements, kind) for k, kind in enumerate(_KINDS)]
+        return [_worst(pair) for pair in zip(*defects)]
 
     return _stacked(rng, samples, draw, evaluate)
 
@@ -314,21 +318,20 @@ def _suite_invariance(rng, samples, order):
     def evaluate(draws):
         jets, elements = zip(*draws)
         jets = _jets(jets, order)
-        return np.max(_rels(_invariants(_prolong(elements, jets)), _invariants(jets)), axis=1).tolist()
+        return np.max(_rels(_invariants(prolong_act(elements, jets)), _invariants(jets)), axis=1).tolist()
 
     return _stacked(rng, samples, draw, evaluate)
 
 
-def _phantom_defect(jet):
-    """The worst phantom, pivot and invariantized-equation defect of both frames' order-3 tables at `jet`."""
-    defects = []
-    for kind in _KINDS:
-        table = invariant_table(jet, kind, 3)
-        defects += [abs(table.phantoms[name]) for name in ("t", "x", "u")]
-        lhs = table.branch if kind is FrameKind.T_NORMALIZED else table.value((1, 0))
-        equation = lhs + table.value((0, 3))
-        defects += [abs(table.value(kind.pivot_alpha) - table.branch), abs(equation)]
-    return _worst(defects)
+def _phantom_defects(table):
+    """The phantom, pivot and invariantized-equation defects of one frame's order-3 table."""
+    kind = table.kind
+    lhs = table.branch if kind is FrameKind.T_NORMALIZED else table.value((1, 0))
+    equation = lhs + table.value((0, 3))
+    return [abs(table.phantoms[name]) for name in ("t", "x", "u")] + [
+        abs(table.value(kind.pivot_alpha) - table.branch),
+        abs(equation),
+    ]
 
 
 def _suite_phantom(rng, samples, order):
@@ -336,7 +339,9 @@ def _suite_phantom(rng, samples, order):
         return random_soliton_point(rng)
 
     def evaluate(points):
-        return [_phantom_defect(jet) for jet in _solution_jets(points, 3)]
+        jets = _solution_jets(points, 3)
+        tables = [invariant_table(jets, kind, 3) for kind in _KINDS]  # one stack per frame kind
+        return [_worst(d for table in pair for d in _phantom_defects(table)) for pair in zip(*tables)]
 
     return _stacked(rng, samples, draw, evaluate)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jetframe.errors import SingularFrameError, UsageError
+from jetframe.errors import DomainError, SingularFrameError, UsageError
 from jetframe.frame import (
     FrameKind,
     equivariance_defect,
@@ -11,7 +11,7 @@ from jetframe.frame import (
     pivot_value,
     require_regular_pivot,
 )
-from jetframe.group import GroupElement, prolong_act
+from jetframe.group import GroupElement, compose, inverse, prolong_act
 from jetframe.invariants import (
     SolutionGerm,
     invariant_commutator,
@@ -22,6 +22,7 @@ from jetframe.invariants import (
 )
 from jetframe.jets import Jet, multi_indices
 from jetframe.solutions import Rational, Soliton, jet_of_solution
+from jetframe.taylor import _pos
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
 KINDS = (FrameKind.T_NORMALIZED, FrameKind.X_NORMALIZED)
@@ -178,3 +179,155 @@ def test_a_frame_kind_must_be_a_frame_kind():
         for call in calls:
             with pytest.raises(UsageError, match="FrameKind"):
                 call(kind)
+
+
+# -- stacks ---------------------------------------------------------------------
+
+
+def _stack(rng, free, order):
+    """One jet per flag of `free`: a free jet where it is set, else a soliton jet, all of `order`."""
+    return [random_free_jet(rng, order) if f else jet_of_solution(*random_soliton_point(rng), order) for f in free]
+
+
+def _bits(value):
+    """A result as exact text: a jet or an array by its bytes, anything else by repr, which tells -0.0 from 0.0."""
+    if isinstance(value, Jet):
+        return value.order, value.t.hex(), value.x.hex(), value.data.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return repr(value)
+
+
+def _scalar_equivariance_defect(jet, g, kind):
+    """frame(g . jet) against frame(jet) * g^-1, each frame from the scalar pivot test of one jet."""
+    lhs = moving_frame(prolong_act(g, jet), kind).rho
+    rhs = compose(moving_frame(jet, kind).rho, inverse(g))
+    return max(abs(a - b) for a, b in zip(lhs.params(), rhs.params()))
+
+
+def test_a_stack_is_each_points_own_call_bit_for_bit():
+    # mixed free and soliton jets: every stacked result is its point's one-jet call
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.booleans(), min_size=1, max_size=9),
+        st.integers(1, 12),
+        st.sampled_from(KINDS),
+        st.data(),
+    )
+    def check(seed, free, order, kind, data):
+        rng = np.random.default_rng(seed)
+        jets = _stack(rng, free, order)
+        elements = [random_group_element(rng) for _ in jets]
+        alpha = data.draw(st.sampled_from(multi_indices(order)))
+        some = st.lists(st.sampled_from(multi_indices(order)), min_size=1, max_size=5)
+        alphas = data.draw(st.one_of(st.just(multi_indices(order)), some))  # the whole table, or a subset
+        table_order = data.draw(st.integers(0, order))
+        pairs = (
+            (prolong_act(elements, jets), [prolong_act(g, j) for g, j in zip(elements, jets)]),
+            (moving_frame(jets, kind), [moving_frame(j, kind) for j in jets]),
+            (moving_frame(tuple(jets), kind), [moving_frame(j, kind) for j in jets]),
+            (equivariance_defect(jets, elements, kind), [_scalar_equivariance_defect(j, g, kind) for j, g in zip(jets, elements)]),
+            (equivariance_defect(jets, elements, kind), [equivariance_defect(j, g, kind) for j, g in zip(jets, elements)]),
+            (normalized_invariant(jets, alpha, kind), [normalized_invariant(j, alpha, kind) for j in jets]),
+            (normalized_invariant(jets, alphas, kind), [normalized_invariant(j, alphas, kind) for j in jets]),
+            (
+                list(normalized_invariant(jets, alphas, kind, _dense=True)),
+                [normalized_invariant(j, alphas, kind, _dense=True) for j in jets],
+            ),
+            (invariant_table(jets, kind, table_order), [invariant_table(j, kind, table_order) for j in jets]),
+        )
+        for stacked, alone in pairs:
+            assert list(map(_bits, stacked)) == list(map(_bits, alone))
+
+    check()
+
+
+def _with(jet, **entries):
+    """`jet` with the entries named like u01 (u_x) replaced."""
+    data = jet.data.copy()
+    for key, value in entries.items():
+        data[_pos(int(key[1]), int(key[2]))] = value
+    return Jet(jet.order, jet.t, jet.x, data)
+
+
+def _first_failing_point(jets, elements, spoil, calls, error):
+    """Spoil points 2 and 5 of a stack: each call raises point 2's own error, whose text differs from point 5's."""
+    jets, elements = list(jets), list(elements)
+    for at in (2, 5):
+        jets[at], elements[at] = spoil(jets[at], elements[at], at)
+    for call in calls:
+        with pytest.raises(error) as stacked:
+            call(jets, elements)
+        messages = []
+        for at in (2, 5):
+            with pytest.raises(error) as alone:
+                call(jets[at], elements[at])
+            messages.append(str(alone.value))
+        assert str(stacked.value) == messages[0] != messages[1]
+
+
+def test_a_stack_raises_the_one_jet_error_of_its_first_failing_point():
+    rng = np.random.default_rng(59)
+    jets = _stack(rng, [True, False] * 4, 4)
+    elements = [random_group_element(rng) for _ in jets]
+    for kind in KINDS:
+        frames = (
+            lambda js, gs: moving_frame(js, kind),
+            lambda js, gs: equivariance_defect(js, gs, kind),
+            lambda js, gs: normalized_invariant(js, multi_indices(4), kind),
+            lambda js, gs: invariant_table(js, kind, 3),
+        )
+        # both pivots vanish: the moved jet's too, so equivariance meets it first
+        _first_failing_point(jets, elements, lambda j, g, at: (_with(j, u01=0.0, u10=0.0), g), frames, SingularFrameError)
+        # exp(14 * 60) scales u_(4, 0) out of range; each point's own element is named
+        moved = (lambda js, gs: prolong_act(gs, js), frames[1])
+        far = {2: GroupElement(eps4=-60.0), 5: GroupElement(eps3=0.5, eps4=-60.0)}
+        _first_failing_point(jets, elements, lambda j, g, at: (j, far[at]), moved, DomainError)
+        # with |pivot| < 1 a boost sum of 1e308 leaves range: I_(0, 4) at point 2, I_(0, 2) at point 5
+        tables = (frames[2], lambda js, gs: invariant_table(js, kind, 4))
+
+        def huge(j, g, at):
+            j = _with(j, u00=0.25, u01=0.25, u10=0.25)
+            return (_with(j, u04=1e308) if at == 2 else Jet(4, j.t, j.x, np.r_[j.data[:3], [1e308] * 12])), g
+
+        _first_failing_point(jets, elements, huge, tables, DomainError)
+        # a boost power of u leaves range, named by its point's u
+        _first_failing_point(jets, elements, lambda j, g, at: (_with(j, u00=10.0 ** (100 + at)), g), tables, DomainError)
+
+
+def test_a_stack_is_real_jets_of_one_order_with_one_element_each():
+    rng = np.random.default_rng(61)
+    jets = _stack(rng, [True, False, True], 3)
+    elements = [random_group_element(rng) for _ in jets]
+    series = SolutionGerm(Soliton(), 0.3, -0.9, 4).series_jet(3, 1)
+    kind = FrameKind.X_NORMALIZED
+    calls = (
+        lambda js, gs: prolong_act(gs, js),
+        lambda js, gs: equivariance_defect(js, gs, kind),
+        lambda js, gs: moving_frame(js, kind),
+        lambda js, gs: normalized_invariant(js, (0, 1), kind),
+        lambda js, gs: invariant_table(js, kind, 2),
+    )
+    one_more = [*elements, elements[0]]
+    bad = (
+        ([*jets, random_free_jet(rng, 2)], one_more, r"one order, got \[2, 3\]"),
+        ([*jets, series], one_more, "real numbers, not series"),
+        ([*jets, jets[0].data], one_more, "a jet or a list or tuple of jets"),
+        ((jet for jet in jets), elements, "a jet or a list or tuple of jets"),
+        ([], [], r"one order, got \[\]"),
+    )
+    for call in calls:
+        for js, gs, message in bad:
+            with pytest.raises(UsageError, match=message):
+                call(js, gs)
+    for call in calls[:2]:
+        with pytest.raises(UsageError, match="one element, got 2 for 3 jets"):
+            call(jets, elements[:2])
+        with pytest.raises(UsageError, match="group element and a jet"):
+            call(jets, elements[0])
+        with pytest.raises(UsageError, match="group element and a jet"):
+            call(jets, [*elements[:2], jets[0]])

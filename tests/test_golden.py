@@ -82,6 +82,14 @@ CASES = {
                                                     "--seed", "5", "--samples", str(samples), "--order", "6"]
         for samples in (1, 7, 130)
     },
+    # the two frame suites, written before equivariance and phantom evaluated
+    # a stack of samples in one call per frame kind: 1 sample, an uneven 7, and
+    # 130, a stack of 128 and one of 2, at order 6 and at order 12
+    **{
+        f"verify-frames-seed5-s{samples}-o{order}": ["verify", "--suites", "equivariance,phantom",
+                                                     "--seed", "5", "--samples", str(samples), "--order", str(order)]
+        for samples, order in ((1, 6), (7, 6), (130, 6), (130, 12))
+    },
 }
 
 

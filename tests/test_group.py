@@ -12,7 +12,6 @@ from jetframe.group import (
     determining_equation_residuals,
     eta_alpha,
     inverse,
-    _prolong,
     pr_v_apply,
     prolong_act,
 )
@@ -455,7 +454,7 @@ def test_stacked_prolongation_is_each_jets_own_prolong_act():
     for order in (1, 4, 9):
         jets = _stack_of_jets(rng, [True, False] * 4, order)
         elements = [random_group_element(rng) for _ in jets]
-        moved = _prolong(elements, jets)
+        moved = prolong_act(elements, jets)
         for g, jet, out in zip(elements, jets, moved):
             one = prolong_act(g, jet)
             assert repr((out.order, out.t, out.x, out.data.tolist())) == repr((one.order, one.t, one.x, one.data.tolist()))
@@ -465,7 +464,7 @@ def test_stacked_prolongation_is_each_jets_own_prolong_act():
     errors = []
     for j in (2, 5):
         with pytest.raises(DomainError) as stacked:
-            _prolong(elements, jets)
+            prolong_act(elements, jets)
         with pytest.raises(DomainError) as alone:
             prolong_act(elements[j], jets[j])
         errors.append(str(alone.value))
@@ -487,11 +486,11 @@ def test_prolongation_of_an_order_zero_jet_moves_its_point():
     rng = np.random.default_rng(29)
     elements = [g, random_group_element(rng), GroupElement.identity()]
     jets = [jet, Jet(0, -1.0, 2.0, [3.0]), Jet(0, 0.7, -0.2, [0.0])]
-    assert list(map(moved, _prolong(elements, jets))) == [
+    assert list(map(moved, prolong_act(elements, jets))) == [
         (0, *act_point(e, (j.t, j.x, j.u[(0, 0)]))) for e, j in zip(elements, jets)
     ]
     with pytest.raises(DomainError, match="image of the point"):
-        _prolong([g, GroupElement(eps4=300.0)], [jet, jet])
+        prolong_act([g, GroupElement(eps4=300.0)], [jet, jet])
 
 
 def test_determining_equations_hold():

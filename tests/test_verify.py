@@ -10,11 +10,11 @@ import jetframe.invariants as invariants
 import jetframe.solutions as solutions
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, JetFrameError, UsageError
-from jetframe.frame import FrameKind
-from jetframe.group import VectorField, pr_v_apply, prolong_act
+from jetframe.frame import FrameKind, moving_frame
+from jetframe.group import VectorField, compose, inverse, pr_v_apply, prolong_act
 from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
 from jetframe.jets import Jet, multi_indices
-from jetframe.solutions import Soliton, jet_of_solution
+from jetframe.solutions import Rational, Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -182,10 +182,13 @@ def test_suite_without_samples_fails(monkeypatch):
 def test_phantom_suite_fails_when_the_frame_misses_the_cross_section(monkeypatch):
     real_frame = invariants.moving_frame
 
+    def off(frame, jet):
+        return dataclasses.replace(frame, rho=dataclasses.replace(frame.rho, eps2=-jet.x + 0.5))
+
     def off_section(jet, kind):
-        frame = real_frame(jet, kind)
-        rho = dataclasses.replace(frame.rho, eps2=-jet.x + 0.5)
-        return dataclasses.replace(frame, rho=rho)
+        # the suite frames a stack of jets at once; a table of one jet frames that jet
+        frames = real_frame(jet, kind)
+        return off(frames, jet) if isinstance(jet, Jet) else [off(f, j) for f, j in zip(frames, jet)]
 
     (healthy,) = run_suite(("phantom",), seed=0, samples=5)
     assert healthy.passed
@@ -471,17 +474,32 @@ def _loop_invariants(jet):
     return [value for kind in verify._KINDS for value in normalized_invariant(jet, multi_indices(jet.order), kind)]
 
 
-def _one_jet(rng, free, order):
+def _one_jet(rng, free, order, kind=None, branch=None):
     """A free jet, or the jet of a soliton point expanded on its own."""
-    draw = verify._draw_jet(rng, free, order)
+    draw = verify._draw_jet(rng, free, order, kind, branch)
     return draw if free else jet_of_solution(*draw, order)
 
 
+def _loop_equivariance_defect(jet, g, kind):
+    """frame(g . jet) against frame(jet) * g^-1, through the one-jet frame and prolongation."""
+    lhs = moving_frame(prolong_act(g, jet), kind).rho
+    rhs = compose(moving_frame(jet, kind).rho, inverse(g))
+    return max(abs(a - b) for a, b in zip(lhs.params(), rhs.params()))
+
+
 def _loop_over_samples(name, rng, samples, order):
-    """The free-jet suite `name` one sample at a time, through the public one-jet calls."""
+    """The suite `name` one sample at a time, through the public one-jet calls."""
     basis = VectorField.basis()
     for i in range(samples):
-        if name == "invariance":
+        if name == "equivariance":
+            branch = 1 if i % 2 == 0 else -1
+            g = verify.random_group_element(rng)
+            jets = [_one_jet(rng, i % 4 < 2, order, kind, branch) for kind in verify._KINDS]
+            yield verify._worst(_loop_equivariance_defect(jet, g, kind) for jet, kind in zip(jets, verify._KINDS))
+        elif name == "phantom":
+            jet = jet_of_solution(*verify.random_soliton_point(rng), 3)
+            yield verify._worst(d for kind in verify._KINDS for d in verify._phantom_defects(invariant_table(jet, kind, 3)))
+        elif name == "invariance":
             jet = _one_jet(rng, i % 2 == 0, order)
             g = verify.random_group_element(rng)
             yield verify._worst(map(verify._rel, _loop_invariants(prolong_act(g, jet)), _loop_invariants(jet)))
@@ -518,6 +536,18 @@ def test_free_jet_suites_give_the_loop_over_samples_defect_by_defect(monkeypatch
         assert len(stacked[0]) == samples and stacked[1] is None
 
 
+@pytest.mark.parametrize("name", ["equivariance", "phantom"])
+def test_frame_suites_give_the_loop_over_samples_defect_by_defect(monkeypatch, name):
+    # uneven stacks of 3: each sample's defect is bit for bit the one-jet
+    # frames, prolongations and tables, in the loop's order of frame kinds
+    monkeypatch.setattr(verify, "_STACK", 3)
+    suite, _ = verify._SUITES[name]
+    for seed, samples, order in ((0, 7, 6), (3, 8, 3), (11, 1, 1), (5, 10, 12)):
+        stacked = _outcome(suite(verify._suite_rng(seed, name), samples, order))
+        assert stacked == _outcome(_loop_over_samples(name, verify._suite_rng(seed, name), samples, order))
+        assert len(stacked[0]) == samples and stacked[1] is None
+
+
 def _spoiled(real, spoil, at):
     """`real` with its `at`-th draw spoiled, and every later draw that starts from the same random state."""
     states, calls = set(), [0]
@@ -540,49 +570,78 @@ def _overflowing_jet(jet):
 
 
 @pytest.mark.parametrize(
-    "name, draw, spoil, at",
+    "name, draw, spoil, at, error",
     [
         # the fifth element: its scaling exp(20 * 40) leaves range
-        ("invariance", "random_group_element", lambda g: dataclasses.replace(g, eps4=-40.0), 5),
+        ("invariance", "random_group_element", lambda g: dataclasses.replace(g, eps4=-40.0), 5, "DomainError"),
         # the third free jet, the fifth sample's: its boost sums leave range
-        ("infinitesimal", "random_free_jet", _overflowing_jet, 3),
+        ("infinitesimal", "random_free_jet", _overflowing_jet, 3, "DomainError"),
+        # the fifth element: the moved jets of both frames leave range
+        ("equivariance", "random_group_element", lambda g: dataclasses.replace(g, eps4=-40.0), 5, "DomainError"),
+        # the fifth point, moved onto u = x/t, where the time-normalized frame is singular
+        ("phantom", "random_soliton_point", lambda point: (Rational(), *point[1:]), 5, "SingularFrameError"),
     ],
 )
-def test_a_draw_that_overflows_mid_stack_ends_the_suite_as_the_loop_does(monkeypatch, name, draw, spoil, at):
-    # the fifth sample, in the middle of the second stack of 3, overflows: the
-    # stack replays one sample at a time from the random state its draws began
-    # at, so the defects before it and the DomainError are the loop's
+def test_a_draw_that_fails_mid_stack_ends_the_suite_as_the_loop_does(monkeypatch, name, draw, spoil, at, error):
+    # the fifth sample, in the middle of the second stack of 3, leaves range or
+    # meets a singular frame: the stack replays one sample at a time from the
+    # random state its draws began at, so the defects before it and the typed
+    # error are the loop's
     monkeypatch.setattr(verify, "_STACK", 3)
     monkeypatch.setattr(verify, draw, _spoiled(getattr(verify, draw), spoil, at))
     suite, _ = verify._SUITES[name]
     stacked = _outcome(suite(verify._suite_rng(0, name), 7, 6))
     loop = _outcome(_loop_over_samples(name, verify._suite_rng(0, name), 7, 6))
     assert stacked == loop
-    defects, error = loop
-    assert len(defects) == 4 and error.startswith("DomainError"), loop
+    defects, raised = loop
+    assert len(defects) == 4 and raised.startswith(error + ":"), loop
 
 
-def test_the_battery_lifts_each_stack_once_per_pair_and_prolongs_only_for_equivariance(monkeypatch):
-    # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
-    # invariance moves its stack in one private pass, so prolong_act is
-    # equivariance's, once per sample and frame
-    counts = dict.fromkeys(("pr_v_apply", "prolong_act"), 0)
+def _counted_calls(monkeypatch, owner, names):
+    """The call count of each function `names` of module `owner`, patched in every module that binds it."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, real):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return call
 
-    for name in counts:
-        real = getattr(group, name)
+    for name in names:
+        real = getattr(owner, name)
         for module in (group, frame, invariants, verify):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
+    return counts
+
+
+def test_the_battery_lifts_prolongs_and_tabulates_each_stack_once(monkeypatch):
+    # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
+    # equivariance moves its stack once per frame kind and invariance once,
+    # and phantom tabulates its stack once per frame kind
+    lifts = _counted_calls(monkeypatch, group, ("pr_v_apply", "prolong_act"))
+    tables = _counted_calls(monkeypatch, invariants, ("invariant_table", "normalized_invariant"))
     reports = run_suite(("all",), seed=0, samples=100, order=6)
     assert all(r.passed for r in reports)
-    assert counts == {"pr_v_apply": 2, "prolong_act": 200}
+    assert lifts == {"pr_v_apply": 2, "prolong_act": 3}
+    assert tables == {"invariant_table": 2, "normalized_invariant": 2}
+
+
+@pytest.mark.parametrize("name, function", [("equivariance", "equivariance_defect"), ("phantom", "invariant_table")])
+def test_the_frame_suites_call_their_frame_function_once_per_stack_and_kind(monkeypatch, name, function):
+    # 130 samples are a stack of 128 and one of 2, each passed whole, once per frame kind
+    stacks = []
+    real = getattr(verify, function)
+
+    def counted(jets, *args):
+        stacks.append((len(jets), args[-1] if function == "equivariance_defect" else args[0]))
+        return real(jets, *args)
+
+    monkeypatch.setattr(verify, function, counted)
+    (report,) = run_suite((name,), seed=5, samples=130, order=6)
+    assert report.passed and report.samples == 130
+    assert stacks == [(size, kind) for size in (128, 2) for kind in verify._KINDS]
 
 
 def test_a_free_jet_draws_its_entries_in_one_call_as_one_call_each_would():
