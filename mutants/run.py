@@ -114,6 +114,13 @@ MUTANTS = (
         "pr_v_apply reads rows of lifted values at their constant term, not the field's slot",
     ),
     Mutant(
+        "stack-rows-first-jet",
+        "jets.py",
+        "np.stack([j.data for j in jets])",
+        "np.stack([jets[0].data for j in jets])",
+        "a stack's validator stacks its first jet's entries at every point",
+    ),
+    Mutant(
         "rho-scaling",
         "frame.py",
         "math.log(abs(p)) / kind.weight_denominator",

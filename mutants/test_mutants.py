@@ -29,6 +29,7 @@ KILLED = {
     "r-columns-swapped": ["commutators", "reconstruction", "recurrences"],
     "eps-constant-term": ["infinitesimal"],
     "rho-scaling": ["equivariance"],
+    "stack-rows-first-jet": ["equivariance", "phantom"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {

@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularFrameError, UsageError
-from .group import GroupElement, _weight, compose, inverse, prolong_act
-from .jets import Jet, _real_stack, _require_real
+from .group import GroupElement, _paired_stack, _weight, compose, inverse, prolong_act
+from .jets import Jet, _require_real, _stack
 from .taylor import TruncatedSeries, _row_products
 
 SINGULAR_THRESHOLD = 1e-30
@@ -174,8 +174,7 @@ def moving_frame(jet, kind):
     if isinstance(jet, Jet):
         _require_real(jet, "moving_frame")
         return _frame_result(jet.t, jet.x, jet.u[(0, 0)], *require_regular_pivot(jet, kind), kind)
-    jets, _ = _real_stack(jet, "moving_frame")
-    data = np.stack([j.data for j in jets])
+    jets, _, data = _stack(jet, "moving_frame")
     p, branch = require_regular_pivots(data, kind, [(j.t, j.x) for j in jets])
     return [
         _frame_result(j.t, j.x, u, *point, kind)
@@ -193,14 +192,14 @@ def equivariance_defect(jet, g, kind):
     defect per point, each bit for bit its own call.  The moved jets are one
     :func:`~jetframe.group.prolong_act`, each side's frames one
     :func:`moving_frame`, the moved side first, and the products are taken
-    point by point.
+    point by point.  Any other `jet` or `g` is a UsageError that names this
+    function (:func:`~jetframe.group._paired_stack`).
     """
-    single = isinstance(jet, Jet)
-    jets, elements = ([jet], [g]) if single else (jet, g)
+    elements, jets, _, _ = _paired_stack(g, jet, "equivariance_defect")
     moved = moving_frame(prolong_act(elements, jets), kind)
     frames = moving_frame(jets, kind)
     defects = []
     for lhs, frame, e in zip(moved, frames, elements):
         rhs = compose(frame.rho, inverse(e))
         defects.append(max(abs(a - b) for a, b in zip(lhs.rho.params(), rhs.params())))
-    return defects[0] if single else defects
+    return defects[0] if isinstance(jet, Jet) else defects

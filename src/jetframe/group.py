@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _real_stack, _rows_for
+from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for, _stack
 from .taylor import TruncatedSeries, _pos, _read_only, _row_products, _shifted, multi_indices
 
 
@@ -253,6 +253,22 @@ def _exp_or_inf(x):
         return math.inf
 
 
+def _paired_stack(g, jet, what):
+    """(elements, jets, their order, their stacked entries) of a group element and a real jet, or of a stack of each.
+
+    A stack is equal-length lists or tuples of elements and of real jets of
+    one order (:func:`~jetframe.jets._stack`); anything else is a UsageError
+    that names `what`.
+    """
+    elements, jets = ([g], [jet]) if isinstance(jet, Jet) else (g, jet)
+    jets, order, data = _stack(jets, what)
+    if not (isinstance(elements, (list, tuple)) and all(isinstance(e, GroupElement) for e in elements)):
+        raise UsageError(f"{what} takes a group element and a jet, or a list or tuple of each")
+    if len(elements) != len(jets):
+        raise UsageError(f"{what} pairs each jet with one element, got {len(elements)} for {len(jets)} jets")
+    return elements, jets, order, data
+
+
 def prolong_act(g, jet):
     """Prolonged action of g on a jet; the output jet has the same order.
 
@@ -277,13 +293,7 @@ def prolong_act(g, jet):
     transformed coordinate does, is the DomainError, as its own call names
     it.  Anything else is a UsageError.
     """
-    single = isinstance(jet, Jet)
-    elements, jets = ([g], [jet]) if single else (g, jet)
-    jets, order = _real_stack(jets, "prolong_act")
-    if not (isinstance(elements, (list, tuple)) and all(isinstance(e, GroupElement) for e in elements)):
-        raise UsageError("prolong_act takes a group element and a jet, or a list or tuple of each")
-    if len(elements) != len(jets):
-        raise UsageError(f"prolong_act pairs each jet with one element, got {len(elements)} for {len(jets)} jets")
+    elements, jets, order, data = _paired_stack(g, jet, "prolong_act")
     images = [act_point(e, (j.t, j.x, float(j.data[0]))) for e, j in zip(elements, jets)]
     values = np.array([[u] for _, _, u in images])
     if order:  # an order-0 jet has no derivative coordinate, so no weight for _transform to scale by
@@ -291,13 +301,13 @@ def prolong_act(g, jet):
         scales = np.array([[_exp_or_inf(-w * e.eps4) for w in weights] for e in elements])
         boosts = _boost_powers(np.array([-e.eps3 for e in elements]), order, order)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _transform(np.stack([j.data for j in jets]), order, boosts, weights, scales)
+            values = _transform(data, order, boosts, weights, scales)
         values[:, 0] = [u for _, _, u in images]
         bad = _first_non_finite(values, multi_indices(order))
         if bad is not None:
             raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
     moved = [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)]
-    return moved[0] if single else moved
+    return moved[0] if isinstance(jet, Jet) else moved
 
 
 @dataclass(frozen=True)
@@ -449,9 +459,8 @@ def pr_v_apply(v, F, jet):
     if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     single = isinstance(jet, Jet)
-    jets, order = _real_stack([jet] if single else jet, "pr_v_apply")
+    jets, order, data = _stack([jet] if single else jet, "pr_v_apply")
     slots = _UNITS[: len(fields)]
-    data = np.stack([j.data for j in jets])
     lift = np.zeros(data.shape + (3,))  # one order-1 series per entry
     lift[..., 0] = data
     lift[..., [_pos(*slot) for slot in slots]] = _eta_stack(fields, data, order).transpose(0, 2, 1)

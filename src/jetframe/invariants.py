@@ -71,9 +71,11 @@ and floats.  The seeded suites draw their germs first and evaluate each
 stack once (:mod:`jetframe.verify`).
 
 :func:`normalized_invariant` and :func:`invariant_table` also take a stack
-of float jets, a list or tuple of real jets of one order: one pass of the
-closed form over their stacked entries, with the pivots of all of them
-tested at once, and each point bit for bit its own call.
+of jets, a list or tuple of jets of one order, real for a table, and for
+the invariants either all real or all series rows of one size, as the
+lifted jets of :func:`~jetframe.group.pr_v_apply` are: one pass of the
+closed form over their entries, stacked once, with the pivots of all of
+them tested at once, and each point bit for bit its own call.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _real_stack, _require_real, _rows_for
+from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for, _stack
 from .solutions import _expansions, _jet_rows
 from .taylor import (
     MAX_ORDER,
@@ -210,12 +212,16 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     invariants of the sequence `alpha` itself, one value or series row per
     alpha, for a caller that stores them as they are.
 
-    `jet` may also be a list or tuple of real jets of one order, a stack:
-    the result is the list of each jet's result, from one pass over the
+    `jet` may also be a list or tuple of jets of one order, a stack, whose
+    entries are all floats or all series rows of one size, as the lifted
+    jets of :func:`~jetframe.group.pr_v_apply` and the series jets of a
+    germ are; anything else is a UsageError (:func:`~jetframe.jets._stack`).
+    The result is the list of each jet's result, from one pass over the
     stacked entries with the pivots of
     :func:`~jetframe.frame.require_regular_pivots`, each bit for bit its own
     call.  Its `_pivot` is the (pivots, branches) pair of arrays that
-    function returns, and `_dense` gives one row of invariants per jet.
+    function returns, and `_dense` gives one row of invariants per jet, of
+    floats or series rows.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
     single = isinstance(jet, Jet)
@@ -226,8 +232,7 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
             p, branch = require_regular_pivot(jet, kind) if _pivot is None else _pivot
             return (p.coeffs[None] if isinstance(p, TruncatedSeries) else np.array([p])), np.array([branch])
     else:
-        jets, order = _real_stack(jet, "normalized_invariant")
-        data = np.stack([j.data for j in jets])
+        jets, order, data = _stack(jet, "normalized_invariant", series=True)
 
         def pivot():
             return require_regular_pivots(data, kind, [(j.t, j.x) for j in jets]) if _pivot is None else _pivot
@@ -235,7 +240,7 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     values = _invariant_rows(data, kind, alphas, order, pivot)
     if single:
         return values[0] if _dense else shape(_entries(values[0]))
-    return values if _dense else [shape(row) for row in values.tolist()]
+    return values if _dense else [shape(_entries(row)) for row in values]
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def invariant_table(jet, kind, order):
         frame = moving_frame(jet, kind)
         values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
         return _tabulated(jet, frame, kind, order, values)
-    jets, jet_order = _real_stack(jet, "invariant_table")
+    jets, jet_order, _ = _stack(jet, "invariant_table")
     order = _integer(order, "table order", high=jet_order)
     frames = moving_frame(jets, kind)
     pivots = np.array([f.pivot for f in frames]), np.array([f.branch for f in frames])

@@ -98,20 +98,30 @@ def _require_real(jet, what):
         raise UsageError(f"{what} takes a jet of real numbers, not series")
 
 
-def _real_stack(jets, what):
-    """(the list of jets, their order) of a stack: a list or tuple of real jets of one order.
+def _stack(jets, what, series=False):
+    """(the list of jets, their order, their stacked entries) of a stack: a list or tuple of jets of one order.
 
-    Anything else is a UsageError: an item that is not a jet, a series jet,
-    or jets of different orders, an empty stack included.
+    The entries are real, or with `series` either all real or all series
+    rows of one size; the stacked entries are one dense row per jet.
+    Anything else is a UsageError: an item that is not a jet, a series jet
+    where `what` takes only real ones, jets of different orders, an empty
+    stack included, or a mix of real and series jets or of series sizes.
     """
     if not (isinstance(jets, (list, tuple)) and all(isinstance(j, Jet) for j in jets)):
         raise UsageError(f"{what} takes a jet or a list or tuple of jets")
-    for j in jets:
-        _require_real(j, what)
+    if not series:
+        for j in jets:
+            _require_real(j, what)
     orders = sorted({j.order for j in jets})
     if len(orders) != 1:
         raise UsageError(f"a stack of jets holds one order, got {orders}")
-    return list(jets), orders[0]
+    try:
+        data = np.stack([j.data for j in jets])
+    except ValueError:  # jets of one order differ only in their layout
+        layouts = sorted({j.data.shape[1:] for j in jets})
+        named = ["real" if not layout else f"series of size {layout[0]}" for layout in layouts]
+        raise UsageError(f"a stack of jets holds real entries or series rows of one size, got {named}") from None
+    return list(jets), orders[0], data
 
 
 def _entries(values):

@@ -225,14 +225,11 @@ class TruncatedSeries:
         out[0] += other
         return TruncatedSeries._wrap(self.order, out)
 
-    # kept beside _row_products: on one series this product measures faster than a one-row stack
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries._wrap(self.order, self.coeffs * float(other))
         self._check_order(other)
-        lhs, rhs, out = _product_table(self.order)
-        products = self.coeffs[lhs] * other.coeffs[rhs]
-        return TruncatedSeries._wrap(self.order, np.bincount(out, products, triangle_size(self.order)))
+        return TruncatedSeries._wrap(self.order, _row_products(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -23,8 +23,9 @@ or a germ stack of each frame kind), then runs the germ calculus on the
 stack, or moves the stack's jets in one
 :func:`~jetframe.group.prolong_act`, lifts them in one
 :func:`~jetframe.group.pr_v_apply` per pair of basis fields and takes each
-frame's invariants of them in one call (:func:`_invariants`).  Equivariance
-and phantom pass each stack to the public
+frame's invariants of them, floats or a lift's series, in one
+:func:`~jetframe.invariants.normalized_invariant` call on the stack
+(:func:`_invariants`).  Equivariance and phantom pass each stack to the public
 :func:`~jetframe.frame.equivariance_defect` and
 :func:`~jetframe.invariants.invariant_table` once per frame kind, the
 time-normalized frame first, as a sample takes them; every point is bit
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePointError, JetFrameError, SingularFrameError, UsageError
-from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame, require_regular_pivots
+from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame
 from .group import (
     GroupElement,
     VectorField,
@@ -59,12 +60,12 @@ from .group import (
 from .invariants import (
     SolutionGerm,
     _bracket,
-    _invariant_rows,
     _recurrence,
     _relations,
     invariant_commutator,
     invariant_derivative,
     invariant_table,
+    normalized_invariant,
     reconstruct_generators,
 )
 from .jets import Jet, multi_indices
@@ -175,22 +176,13 @@ def _invariants(jets):
     """Every I_alpha of both frames up to the jets' order at each of `jets`, frame-major: one row per jet.
 
     The jets share one order, and their entries are floats or the series of
-    a lift (:func:`~jetframe.group.pr_v_apply`).  Each frame's invariants
-    of them all are one :func:`~jetframe.invariants._invariant_rows` call on
-    the stacked rows, with the pivots of
-    :func:`~jetframe.frame.require_regular_pivots`, and each jet's row is
-    bit for bit :func:`~jetframe.invariants.normalized_invariant` at that jet:
-    floats, or the coefficient rows of a lift's series.
+    a lift (:func:`~jetframe.group.pr_v_apply`).  Each frame's invariants of
+    them all are one :func:`~jetframe.invariants.normalized_invariant` call
+    on the stack, whose rows are floats or the coefficient rows of a lift's
+    series, each bit for bit that function's call at that jet.
     """
-    order = jets[0].order
-    alphas = multi_indices(order)
-    data = np.stack([jet.data for jet in jets])
-    points = [(jet.t, jet.x) for jet in jets]
-    rows = [
-        _invariant_rows(data, kind, alphas, order, lambda kind=kind: require_regular_pivots(data, kind, points))
-        for kind in _KINDS
-    ]
-    return np.concatenate(rows, axis=1)
+    alphas = multi_indices(jets[0].order)
+    return np.concatenate([normalized_invariant(jets, alphas, kind, _dense=True) for kind in _KINDS], axis=1)
 
 
 def _draw_jet(rng, free, order, kind=None, branch=None):

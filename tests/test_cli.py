@@ -362,13 +362,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_nan_defect_fails_with_strict_json(capsys, monkeypatch):
     import math
 
-    import jetframe.verify as verify
+    import jetframe.invariants as invariants
 
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")
 
     monkeypatch.setattr(
-        verify, "_invariant_rows", lambda data, kind, alphas, jet_order, pivot: np.full((len(data), len(alphas)), math.nan)
+        invariants, "_invariant_rows", lambda data, kind, alphas, jet_order, pivot: np.full((len(data), len(alphas)), math.nan)
     )
     code, out, err = run_cli(capsys, "verify", "--suites", "invariance", "--samples", "3")
     assert code == EXIT_CHECK_FAILED

@@ -11,7 +11,7 @@ from jetframe.frame import (
     pivot_value,
     require_regular_pivot,
 )
-from jetframe.group import GroupElement, compose, inverse, prolong_act
+from jetframe.group import GroupElement, VectorField, compose, inverse, pr_v_apply, prolong_act
 from jetframe.invariants import (
     SolutionGerm,
     invariant_commutator,
@@ -246,6 +246,42 @@ def test_a_stack_is_each_points_own_call_bit_for_bit():
     check()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stack_of_series_jets_is_each_jets_own_call_bit_for_bit(kind):
+    # the lifted jets that pr_v_apply hands its F, and a germ's series jets:
+    # each row of the stack is its jet's one-jet call, as are the series
+    # without _dense; real jets among series jets, or series of two sizes,
+    # are no stack
+    rng = np.random.default_rng(67)
+    some = ((0, 1), [(1, 0), (0, 0)])
+
+    def coefficients(result):
+        return [series.coeffs.tobytes() for series in (result if isinstance(result, list) else [result])]
+
+    def check(stack):
+        alphas = multi_indices(stack[0].order)
+        for alpha in (alphas, *some):
+            stacked = normalized_invariant(stack, alpha, kind, _dense=True)
+            assert list(map(_bits, stacked)) == [_bits(normalized_invariant(j, alpha, kind, _dense=True)) for j in stack]
+            stacked = normalized_invariant(stack, alpha, kind)
+            assert list(map(coefficients, stacked)) == [coefficients(normalized_invariant(j, alpha, kind)) for j in stack]
+        return [0.0] * len(stack)
+
+    for order in range(1, 7):
+        jets = _stack(rng, [True, False, True, False], order)
+        lifted = []
+        pr_v_apply(VectorField.basis()[:2], lambda js: lifted.extend(js) or check(js), jets)
+        germ = SolutionGerm._expanded([random_soliton_point(rng) for _ in range(3)], order + 2)
+        series = germ.series_jet(order, 2)
+        check(series)
+        for stack, layout in (
+            ([*series, jets[0]], r"\['real', 'series of size 6'\]"),
+            ([*series, *lifted], r"\['series of size 3', 'series of size 6'\]"),
+        ):
+            with pytest.raises(UsageError, match=f"^a stack of jets holds real entries or series rows of one size, got {layout}"):
+                normalized_invariant(stack, (0, 1), kind)
+
+
 def _with(jet, **entries):
     """`jet` with the entries named like u01 (u_x) replaced."""
     data = jet.data.copy()
@@ -305,29 +341,39 @@ def test_a_stack_is_real_jets_of_one_order_with_one_element_each():
     elements = [random_group_element(rng) for _ in jets]
     series = SolutionGerm(Soliton(), 0.3, -0.9, 4).series_jet(3, 1)
     kind = FrameKind.X_NORMALIZED
-    calls = (
-        lambda js, gs: prolong_act(gs, js),
-        lambda js, gs: equivariance_defect(js, gs, kind),
-        lambda js, gs: moving_frame(js, kind),
-        lambda js, gs: normalized_invariant(js, (0, 1), kind),
-        lambda js, gs: invariant_table(js, kind, 2),
-    )
+    calls = {
+        "prolong_act": lambda js, gs: prolong_act(gs, js),
+        "equivariance_defect": lambda js, gs: equivariance_defect(js, gs, kind),
+        "moving_frame": lambda js, gs: moving_frame(js, kind),
+        "normalized_invariant": lambda js, gs: normalized_invariant(js, (0, 1), kind),
+        "invariant_table": lambda js, gs: invariant_table(js, kind, 2),
+    }
     one_more = [*elements, elements[0]]
-    bad = (
-        ([*jets, random_free_jet(rng, 2)], one_more, r"one order, got \[2, 3\]"),
-        ([*jets, series], one_more, "real numbers, not series"),
-        ([*jets, jets[0].data], one_more, "a jet or a list or tuple of jets"),
-        ((jet for jet in jets), elements, "a jet or a list or tuple of jets"),
-        ([], [], r"one order, got \[\]"),
-    )
-    for call in calls:
+    # each error names the function called, not one it calls; only
+    # normalized_invariant takes series jets, and a real one among them is
+    # a mixed layout
+    for name, call in calls.items():
+        mixed = (
+            r"^a stack of jets holds real entries or series rows of one size, got \['real', 'series of size 3'\]"
+            if name == "normalized_invariant"
+            else f"^{name} takes a jet of real numbers, not series"
+        )
+        bad = (
+            ([*jets, random_free_jet(rng, 2)], one_more, r"^a stack of jets holds one order, got \[2, 3\]"),
+            ([*jets, series], one_more, mixed),
+            ([*jets, jets[0].data], one_more, f"^{name} takes a jet or a list or tuple of jets"),
+            ((jet for jet in jets), elements, f"^{name} takes a jet or a list or tuple of jets"),
+            ([], [], r"^a stack of jets holds one order, got \[\]"),
+        )
         for js, gs, message in bad:
             with pytest.raises(UsageError, match=message):
                 call(js, gs)
-    for call in calls[:2]:
-        with pytest.raises(UsageError, match="one element, got 2 for 3 jets"):
+    for name in ("prolong_act", "equivariance_defect"):
+        call = calls[name]
+        with pytest.raises(UsageError, match=f"^{name} pairs each jet with one element, got 2 for 3 jets"):
             call(jets, elements[:2])
-        with pytest.raises(UsageError, match="group element and a jet"):
-            call(jets, elements[0])
-        with pytest.raises(UsageError, match="group element and a jet"):
-            call(jets, [*elements[:2], jets[0]])
+        for js, gs in ((jets, elements[0]), (jets, [*elements[:2], jets[0]]), (jets[0], elements)):
+            with pytest.raises(UsageError, match=f"^{name} takes a group element and a jet"):
+                call(js, gs)
+        with pytest.raises(UsageError, match=f"^{name} takes a jet or a list or tuple of jets"):
+            call(jets[0].data, elements[0])

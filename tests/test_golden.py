@@ -46,6 +46,13 @@ CASES = {
     # the benchmark's battery (seed 0, 100 samples, order 6); CI runs it too
     "verify-all-seed0-s100-o6": ["verify", "--suites", "all", "--seed", "0", "--samples", "100",
                                  "--order", "6"],
+    # the battery at seeds 3 and 11, written before the invariance suites read
+    # their invariants through one stack entry into the closed form
+    **{
+        f"verify-all-seed{seed}-s100-o6": ["verify", "--suites", "all", "--seed", str(seed),
+                                           "--samples", "100", "--order", "6"]
+        for seed in (3, 11)
+    },
     # the battery at order 8, where the series run longer; CI runs it too
     "verify-all-seed0-s100-o8": ["verify", "--suites", "all", "--seed", "0", "--samples", "100",
                                  "--order", "8"],

@@ -130,7 +130,7 @@ def test_suite_name_order_is_canonical():
     assert [r.name for r in reports] == ["group-axioms", "phantom"]
 
 
-_REAL_ROWS = verify._invariant_rows
+_REAL_ROWS = invariants._invariant_rows
 
 
 def _nan_invariants(at=None):
@@ -150,17 +150,18 @@ def _nan_invariants(at=None):
 
 
 @pytest.mark.parametrize(
-    "formula, patched, suites",
+    "module, formula, patched, suites",
     [
-        # the suites read every alpha of a frame at every jet of a stack in one call
-        ("_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
-        ("_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),  # NaN among finite defects
-        ("_bracket", lambda *args: (math.nan, math.nan), ("commutators",)),  # the commutator coefficients
+        # the suites read every alpha of a frame at every jet of a stack in one normalized_invariant call
+        (invariants, "_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
+        # NaN among finite defects
+        (invariants, "_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),
+        (verify, "_bracket", lambda *args: (math.nan, math.nan), ("commutators",)),  # the commutator coefficients
     ],
     ids=["invariant-everywhere", "invariant-at-one-alpha", "commutator-coefficients"],
 )
-def test_nan_formula_fails_its_suites(monkeypatch, formula, patched, suites):
-    monkeypatch.setattr(verify, formula, patched)
+def test_nan_formula_fails_its_suites(monkeypatch, module, formula, patched, suites):
+    monkeypatch.setattr(module, formula, patched)
     reports = run_suite(suites, seed=0, samples=3, order=3)
     assert [r.name for r in reports] == list(suites)
     for r in reports:
@@ -619,13 +620,16 @@ def _counted_calls(monkeypatch, owner, names):
 def test_the_battery_lifts_prolongs_and_tabulates_each_stack_once(monkeypatch):
     # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
     # equivariance moves its stack once per frame kind and invariance once,
-    # and phantom tabulates its stack once per frame kind
+    # and phantom tabulates its stack once per frame kind; each frame's
+    # invariants of a stack, floats or a lift's series, are one
+    # normalized_invariant call: one per table, 2 x 2 for invariance's moved
+    # and unmoved jets, and 3 x 2 for infinitesimal's scales and two lifts
     lifts = _counted_calls(monkeypatch, group, ("pr_v_apply", "prolong_act"))
     tables = _counted_calls(monkeypatch, invariants, ("invariant_table", "normalized_invariant"))
     reports = run_suite(("all",), seed=0, samples=100, order=6)
     assert all(r.passed for r in reports)
     assert lifts == {"pr_v_apply": 2, "prolong_act": 3}
-    assert tables == {"invariant_table": 2, "normalized_invariant": 2}
+    assert tables == {"invariant_table": 2, "normalized_invariant": 2 + 4 + 6}
 
 
 @pytest.mark.parametrize("name, function", [("equivariance", "equivariance_defect"), ("phantom", "invariant_table")])
