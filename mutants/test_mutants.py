@@ -33,9 +33,9 @@ KILLED = {
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {
-    "max-condition": "the seed-0 draws reach condition 99 at most, far from 1e8; may be near-equivalent (ROADMAP items 1 and 6)",
-    "prefactor-high-weight": "every suite that relates I_alpha to something else stops at order 4 (ROADMAP items 1 and 6)",
-    "i0n-doubled": "invariance and equivariance compare a formula with itself (ROADMAP items 1 and 6)",
+    "max-condition": "the seed-0 draws reach condition 99 at most, far from 1e8; may be near-equivalent (ROADMAP items 1 and 5)",
+    "prefactor-high-weight": "every suite that relates I_alpha to something else stops at order 4 (ROADMAP items 1 and 5)",
+    "i0n-doubled": "invariance and equivariance compare a formula with itself (ROADMAP items 1 and 5)",
 }
 
 
@@ -58,7 +58,7 @@ def test_an_old_text_that_moved_fails_loudly():
 
 def test_the_unmutated_battery_fails_only_where_known(results):
     baseline, _ = results
-    # invariance on jets after prolong_act loses digits at order 12 (ROADMAP items 3 and 8)
+    # invariance on jets after prolong_act loses digits at order 12 (ROADMAP items 3 and 6)
     assert baseline == {6: [], 12: ["invariance"]}
 
 

@@ -86,9 +86,7 @@ def build_parser():
 # -- output records ------------------------------------------------------------
 
 
-# json.dumps joins list items with ", ", so between two dict records the text
-# is "}, {"; no suffix of it is also a prefix, so its matches never overlap
-_DICT_BOUNDARY = "}, {"
+_INVARIANT_KEYS = ("record", "alpha1", "alpha2", "value")
 _scan_value = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
 
@@ -96,17 +94,21 @@ _JSON_SPACE = " \t\n\r"  # what json.loads skips around a value
 def format_json_lines(records):
     """One JSON object per line; floats keep full double precision.
 
-    The text equals the records' json.dumps joined by newlines.  A list of
-    dicts is encoded in one json.dumps pass and cut at its record
-    boundaries; when "}, {" also occurs inside a record, or a record is no
-    dict, each record is encoded alone.
+    The text equals the records' json.dumps joined by newlines.  An
+    invariant record (a dict keyed record, alpha1, alpha2, value in that
+    order, with record "invariant", int alphas and a finite float value) is
+    written by one template; any other record, bools, numpy scalars, float
+    subclasses, NaN and infinities included, goes through json.dumps.
     """
-    records = list(records)
-    if all(isinstance(r, dict) for r in records):
-        body = json.dumps(records)[1:-1]
-        if body.count(_DICT_BOUNDARY) == len(records) - 1:
-            return body.replace(_DICT_BOUNDARY, "}\n{")
-    return "\n".join(json.dumps(r) for r in records)
+    lines = []
+    for r in records:
+        if type(r) is dict and tuple(r) == _INVARIANT_KEYS:
+            record, a1, a2, value = r.values()
+            if record == "invariant" and type(a1) is type(a2) is int and type(value) is float and math.isfinite(value):
+                lines.append(f'{{"record": "invariant", "alpha1": {a1}, "alpha2": {a2}, "value": {value!r}}}')
+                continue
+        lines.append(json.dumps(r))
+    return "\n".join(lines)
 
 
 def parse_json_lines(text):
@@ -114,7 +116,26 @@ def parse_json_lines(text):
 
     One JSON value per non-blank line, read as json.loads reads it; a
     malformed line raises json.JSONDecodeError.
+
+    An ASCII text with no "[", "]" or "\r" is first read in one json.loads,
+    each line as one row of an array.  A string that runs across a line
+    swallows a row boundary and leaves a row too few, and the other ASCII
+    line breaks of splitlines are invalid anywhere in JSON; so when there is
+    one row per line and no row holds two values, the rows are the lines.
+    Any other text, and any text that read rejects, is read a line at a time.
     """
+    if text.isascii() and "[" not in text and "]" not in text and "\r" not in text:
+        try:
+            rows = json.loads("[[" + text.replace("\n", "],[") + "]]")
+        except (ValueError, RecursionError):  # a row nests its line two levels deeper
+            pass
+        else:
+            if len(rows) == text.count("\n") + 1 and max(map(len, rows)) <= 1:
+                return [row[0] for row in rows if row]  # an empty row is a blank line
+    return _parse_each_line(text)
+
+
+def _parse_each_line(text):
     values = []
     for line in text.splitlines():
         if not line.strip():

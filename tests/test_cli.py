@@ -61,6 +61,57 @@ def test_json_lines_round_trip(capsys):
     assert again == records
 
 
+_INVARIANT_KEYS = ("record", "alpha1", "alpha2", "value")
+
+
+class _Float(float):
+    def __repr__(self):  # json.dumps writes float.__repr__, whatever a subclass says
+        return "_Float"
+
+
+class _Dict(dict):
+    def items(self):  # json.dumps reads a dict subclass through its items()
+        return [(key, 0) for key in self]
+
+
+def _invariant(a1=2, a2=1, value=0.5, **changes):
+    return {"record": "invariant", "alpha1": a1, "alpha2": a2, "value": value, **changes}
+
+
+# what the invariant template may take and what it must leave to json.dumps:
+# bools, numpy scalars, a float subclass, non-finite values, other key orders,
+# other key sets and other record names
+_INVARIANT_SHAPED = [
+    _invariant(),
+    _invariant(True, False),
+    _invariant(0, True),
+    _invariant(np.int64(2)),
+    _invariant(2, np.int64(1)),
+    _invariant(value=np.float64(0.1)),
+    _invariant(value=_Float(0.1)),
+    _invariant(value=float("nan")),
+    _invariant(value=float("inf")),
+    _invariant(value=-float("inf")),
+    _invariant(value=-0.0),
+    _invariant(value=5e-324),
+    _invariant(value=1.7976931348623157e308),
+    _invariant(value=3),
+    _invariant(value=True),
+    _invariant("2", "1"),
+    _invariant(-2, -1),
+    _invariant(10**30, 0),
+    {"alpha1": 2, "record": "invariant", "alpha2": 1, "value": 0.5},
+    {"record": "invariant", "alpha2": 1, "alpha1": 2, "value": 0.5},
+    {"record": "invariant", "alpha1": 2, "value": 1, "alpha2": 0.5},
+    _Dict(_invariant()),
+    {"record": "invariant", "alpha1": 2, "alpha2": 1, "value": 0.5, "extra": 1},
+    {"record": "invariant", "alpha1": 2, "alpha2": 1},
+    _invariant(record="phantom"),
+    _invariant(record="Invariant"),
+    _invariant(record=1),
+]
+
+
 def _json_values(st, keys):
     """Any JSON-encodable value, NaN and infinities included, with dicts keyed by `keys`."""
     leaves = st.one_of(
@@ -84,7 +135,23 @@ def test_format_json_lines_is_json_dumps_per_record():
     # keys and strings that contain the text between two encoded dicts
     keys = st.one_of(st.text(max_size=4), st.sampled_from(["}, {", "a}, {b", "}, {}, {", "é", "\u2028"]))
     values = _json_values(st, keys)
-    records = st.lists(st.one_of(st.dictionaries(keys, values, max_size=4), values), max_size=6)
+    # invariant-shaped dicts, most in the template's key order, with alphas and
+    # values the template must refuse among the ones it takes
+    alphas = st.one_of(st.integers(), st.booleans(), st.floats(-2, 40), st.text(max_size=2))
+
+    def invariant_shaped(record, a1, a2, value, keys):
+        fields = dict(zip(_INVARIANT_KEYS, (record, a1, a2, value)))
+        return {key: fields[key] for key in keys}
+
+    invariants = st.builds(
+        invariant_shaped,
+        st.sampled_from(["invariant", "invariant", "phantom"]),
+        alphas,
+        alphas,
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(), st.booleans(), st.none()),
+        st.one_of(st.just(_INVARIANT_KEYS), st.permutations(_INVARIANT_KEYS)),
+    )
+    records = st.lists(st.one_of(st.dictionaries(keys, values, max_size=4), invariants, values), max_size=6)
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(records)
@@ -108,12 +175,20 @@ def test_format_json_lines_is_json_dumps_per_record():
         [{"name": "Ωμέγα"}, {"名": "値"}],
         [[{}, {}], {}],
         [{}, 1, "}, {", None],
+        # invariant-shaped records beside one the template writes
+        *([record, _invariant()] for record in _INVARIANT_SHAPED),
     ],
 )
 def test_format_json_lines_hostile_records(records):
-    want = "\n".join(json.dumps(r) for r in records)
-    assert format_json_lines(records) == want
-    assert format_json_lines(iter(records)) == want
+    # the template must write only what json.dumps writes, and raise what it raises
+    try:
+        want = "\n".join(json.dumps(r) for r in records)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            format_json_lines(records)
+    else:
+        assert format_json_lines(records) == want
+        assert format_json_lines(iter(records)) == want
 
 
 def _loads_per_line(text):
@@ -127,7 +202,10 @@ def test_parse_json_lines_reads_each_line_as_json_loads():
         list('{}[]",:0123456789.-+eEtrufalsnNIiy\\') + [" ", "\t", "\r", "\n", "\x0c", "\x1f", "\xa0", "\ufeff", "\u2028"]
     )
     values = _json_values(st, st.text(max_size=3))
-    fragments = st.one_of(values.map(json.dumps), st.text(chars, max_size=12))
+    # values with "\r" between their tokens: splitlines breaks such a line
+    # where one json.loads of the whole text would read blank space
+    broken_values = values.map(lambda v: json.dumps(v, separators=(",\r", ":\t\r")))
+    fragments = st.one_of(values.map(json.dumps), broken_values, st.text(chars, max_size=12))
     texts = st.tuples(st.lists(fragments, max_size=5), st.sampled_from(["\n", "\r\n", ", ", " "])).map(
         lambda parts: parts[1].join(parts[0])
     )
@@ -149,14 +227,58 @@ def test_parse_json_lines_reads_each_line_as_json_loads():
 
 @pytest.mark.parametrize(
     "text",
-    ["1, 2", "[1\n2]", "{} {}", '{"a": [1\n2]}\n{}, {}', "{},", "\ufeff{}", "{}\n\ufeff[]", "\xa0{}", "nul"],
+    [
+        "1, 2",
+        "[1\n2]",
+        "{} {}",
+        '{"a": [1\n2]}\n{}, {}',
+        "{},",
+        "\ufeff{}",
+        "{}\n\ufeff[]",
+        "\xa0{}",
+        "nul",
+        '1, 2\n"a\nb"',
+        '0],[1\n"a\nb"',
+        '{"a": 1}, {"b": 2}\n{"c": 1\n"d": 2}',
+        "{\r}",
+        '{"b":\t\r\r0}',
+        '"a\u2028b"',
+        '"a\nb"',
+    ],
 )
 def test_parse_json_lines_rejects_what_per_line_loads_rejects(text):
-    # a parser of the joined lines as one array would accept the first four
+    # one json.loads of the lines joined as one array, or as an array of
+    # one-line rows, would accept "1, 2", "[1\n2]", "{} {}", the fourth and
+    # the last seven: a line of two values, a string or array across lines, a
+    # row boundary inside the text, "\r" (blank to JSON, a line break to
+    # splitlines) and U+2028 (a line break to splitlines only)
     with pytest.raises(json.JSONDecodeError):
         _loads_per_line(text)
     with pytest.raises(json.JSONDecodeError):
         parse_json_lines(text)
+
+
+def test_parse_json_lines_reads_the_deepest_line_json_loads_reads():
+    # a line as deep as json.loads goes, which one more array around it breaks
+    def nested(depth):
+        return '{"a": ' * depth + "1" + "}" * depth
+
+    def loads(depth):
+        try:
+            json.loads(nested(depth))
+        except RecursionError:
+            return False
+        return True
+
+    shallow, deep = 1, 1 << 17
+    assert not loads(deep)
+    while shallow + 1 < deep:
+        mid = (shallow + deep) // 2
+        shallow, deep = (mid, deep) if loads(mid) else (shallow, mid)
+    (value,) = parse_json_lines(nested(shallow) + "\n")
+    for _ in range(shallow):
+        value = value["a"]
+    assert value == 1
 
 
 def test_parse_json_lines_skips_blank_lines():

@@ -7,11 +7,13 @@ Regenerate them (only on purpose) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from jetframe.cli import EXIT_OK, main
+import jetframe.cli as cli
+from jetframe.cli import EXIT_OK, format_json_lines, main, parse_json_lines
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -106,6 +108,36 @@ def test_stdout_matches_golden_file(capsys, name):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+_JSON_LINES = sorted(name for name, argv in CASES.items() if "csv" not in argv)
+
+
+@pytest.mark.parametrize("name", _JSON_LINES)
+def test_golden_json_lines_round_trip_through_one_parse_and_the_template(monkeypatch, name):
+    # a golden text is ASCII with no bracket or "\r", so parse_json_lines reads
+    # it in one json.loads and never line by line
+    text = (GOLDEN / f"{name}.out").read_text()
+    monkeypatch.setattr(cli, "_parse_each_line", lambda text: pytest.fail("read line by line"))
+    records = parse_json_lines(text)
+    want = [json.loads(line) for line in text.splitlines() if line.strip()]
+    assert json.dumps(records) == json.dumps(want)
+    # json.dumps writes every record but the invariants, which the template writes
+    dumped, dumps = [], json.dumps
+
+    def counted_dumps(record):
+        dumped.append(record)
+        return dumps(record)
+
+    monkeypatch.setattr(cli.json, "dumps", counted_dumps)
+    assert format_json_lines(records) + "\n" == text
+    assert dumped == [r for r in records if r["record"] != "invariant"]
+
+
+def test_golden_json_lines_hold_every_record_kind():
+    records = [r for name in _JSON_LINES for r in parse_json_lines((GOLDEN / f"{name}.out").read_text())]
+    assert {r["record"] for r in records} == {"meta", "phantom", "invariant", "check"}
+    assert {r["order"] for r in records if r["record"] == "meta" and r["command"] == "eval"} == {4, 6, 12, 30}
 
 
 if __name__ == "__main__":
