@@ -127,6 +127,13 @@ MUTANTS = (
         "math.log(abs(p)) / (kind.weight_denominator + 1)",
         "the frame's scaling eps4 = ln|pivot| / weight divides by one more than the pivot's weight",
     ),
+    Mutant(
+        "cancel-scale-dropped",
+        "frame.py",
+        "scale = abs(u_t) + abs(u * u_x) if kind is _TIME else 0.0",
+        "scale = 0.0",
+        "the singular test loses its cancellation scale, so a time pivot of a few ulps of its terms is regular",
+    ),
 )
 
 

@@ -30,6 +30,7 @@ KILLED = {
     "eps-constant-term": ["infinitesimal"],
     "rho-scaling": ["equivariance"],
     "stack-rows-first-jet": ["equivariance", "phantom"],
+    "cancel-scale-dropped": ["singular-sets"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {

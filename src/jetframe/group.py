@@ -260,8 +260,8 @@ def _paired_stack(g, jet, what):
     one order (:func:`~jetframe.jets._stack`); anything else is a UsageError
     that names `what`.
     """
-    elements, jets = ([g], [jet]) if isinstance(jet, Jet) else (g, jet)
-    jets, order, data = _stack(jets, what)
+    jets, order, data = _stack(jet, what)
+    elements = [g] if isinstance(jet, Jet) else g
     if not (isinstance(elements, (list, tuple)) and all(isinstance(e, GroupElement) for e in elements)):
         raise UsageError(f"{what} takes a group element and a jet, or a list or tuple of each")
     if len(elements) != len(jets):
@@ -293,7 +293,12 @@ def prolong_act(g, jet):
     transformed coordinate does, is the DomainError, as its own call names
     it.  Anything else is a UsageError.
     """
-    elements, jets, order, data = _paired_stack(g, jet, "prolong_act")
+    moved, _ = _prolong(*_paired_stack(g, jet, "prolong_act"))
+    return moved[0] if isinstance(jet, Jet) else moved
+
+
+def _prolong(elements, jets, order, data):
+    """The moved jets of :func:`prolong_act` on a validated stack (:func:`_paired_stack`), and their stacked entries."""
     images = [act_point(e, (j.t, j.x, float(j.data[0]))) for e, j in zip(elements, jets)]
     values = np.array([[u] for _, _, u in images])
     if order:  # an order-0 jet has no derivative coordinate, so no weight for _transform to scale by
@@ -306,8 +311,7 @@ def prolong_act(g, jet):
         bad = _first_non_finite(values, multi_indices(order))
         if bad is not None:
             raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
-    moved = [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)]
-    return moved[0] if isinstance(jet, Jet) else moved
+    return [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)], values
 
 
 @dataclass(frozen=True)
@@ -459,7 +463,7 @@ def pr_v_apply(v, F, jet):
     if not 1 <= len(fields) <= len(_UNITS):
         raise UsageError(f"pr_v_apply lifts one or two fields at once, got {len(fields)}")
     single = isinstance(jet, Jet)
-    jets, order, data = _stack([jet] if single else jet, "pr_v_apply")
+    jets, order, data = _stack(jet, "pr_v_apply")
     slots = _UNITS[: len(fields)]
     lift = np.zeros(data.shape + (3,))  # one order-1 series per entry
     lift[..., 0] = data

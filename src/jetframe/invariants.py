@@ -41,7 +41,8 @@ boost sums of all alphas are one pass over the jet's dense entries
 series are one derivative gather (:func:`jetframe.taylor._derivatives`) and
 three stacked products (:func:`jetframe.taylor._row_products`).  Each
 element of the list is bit-identical to the call on that element alone.  A
-float jet's pivot and singular test come once per call.  Along a germ each
+jet's pivot and singular test come once per call, from
+:func:`~jetframe.frame.require_regular_pivots`.  Along a germ each
 point's pivot is decided once per germ and frame, float tables and a
 reconstruction's direct value included: the germ keeps one record per frame
 kind (:meth:`SolutionGerm._frame`), the tested pivot and branch and the
@@ -75,7 +76,8 @@ of jets, a list or tuple of jets of one order, real for a table, and for
 the invariants either all real or all series rows of one size, as the
 lifted jets of :func:`~jetframe.group.pr_v_apply` are: one pass of the
 closed form over their entries, stacked once, with the pivots of all of
-them tested at once, and each point bit for bit its own call.
+them tested at once.  One jet is the stack of one, so each point is bit
+for bit its own call.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegeneratePointError, DomainError, UsageError
-from .frame import FrameKind, _require_kind, moving_frame, require_regular_pivot, require_regular_pivots
+from .frame import FrameKind, _frames, _require_kind, require_regular_pivots
 from .group import (
     _UNITS,
     VectorField,
@@ -123,21 +125,22 @@ def _prefactors(p, branch, weights, w_den):
     """|p|^(-w/w_den) for each w in `weights`, at each pivot of a stack: one row per pivot.
 
     These are the fractional-power prefactors of a frame.  `p` holds the
-    pivots, floats or series rows, and `branch` their signs.  A float pivot
-    gives exp(-w*ln|p|/w_den) per weight, with ln|p| taken once, point by
-    point; series pivots give the rows of series_pow(branch*p, -w/w_den),
-    whose constant terms branch*p are positive, every pivot and weight in
-    one Horner loop (:func:`~jetframe.taylor._compose`), on the slope pairs
-    alone when every p is affine.
+    pivots, a list of Python floats or an array of series rows, and `branch`
+    their signs.  A float pivot gives exp(-w*ln|p|/w_den) per weight, with
+    ln|p| taken once, point by point; series pivots give the rows of
+    series_pow(branch*p, -w/w_den), whose constant terms branch*p are
+    positive, every pivot and weight in one Horner loop
+    (:func:`~jetframe.taylor._compose`), on the slope pairs alone when every
+    p is affine.
     A pivot just above the singular threshold can overflow this power at high
     weight; that is a DomainError, not an arithmetic crash.
     """
     try:
-        if p.ndim == 2:
+        if isinstance(p, np.ndarray):
             exponents = [-w / w_den for w in weights]
             return _compose("pow", p * branch[:, None], exponents).reshape(len(p), len(weights), -1)
         rows = []
-        for pivot in p.tolist():
+        for pivot in p:
             log_p = math.log(abs(pivot))
             rows.append([math.exp(-w * log_p / w_den) for w in weights])
         return np.array(rows)
@@ -152,13 +155,13 @@ def _table(data, kind, order, derived, pivot):
 
     `data` holds one dense row of jet entries per point and `pivot` the
     (pivots, branches) of the frame there, as :func:`require_regular_pivots`
-    gives them: series rows, or one float per point.  The
-    boost by u and the frame's scaling go through the group's transformation
-    law with the powers of u and one prefactor per weight.  Only the weights
-    and powers that the multi-indices `derived` need are computed (all of
-    positive order when None), so the row of an alpha outside them is junk,
-    never an error.  Row (0, 0), the invariantized u, is zero: 0.0, or a
-    zero series row.
+    gives them: an array of series rows, or a list of one float per point.
+    The boost by u and the frame's scaling go through the group's
+    transformation law with the powers of u and one prefactor per weight.
+    Only the weights and powers that the multi-indices `derived` need are
+    computed (all of positive order when None), so the row of an alpha
+    outside them is junk, never an error.  Row (0, 0), the invariantized u,
+    is zero: 0.0, or a zero series row.
     """
     if derived is None:
         weights, top = _boost_plan(order).weights, order
@@ -207,10 +210,7 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     the prefactor uses |pivot| with the sign carried separately.  Entries may
     be floats or truncated series; the result has the same type.  `alpha`
     may also be a sequence of multi-indices, which gives the list of their
-    invariants.  `_pivot` passes on the (p, branch) of a frame already
-    computed at `jet`; with `_dense` the result is the array of the
-    invariants of the sequence `alpha` itself, one value or series row per
-    alpha, for a caller that stores them as they are.
+    invariants.
 
     `jet` may also be a list or tuple of jets of one order, a stack, whose
     entries are all floats or all series rows of one size, as the lifted
@@ -218,29 +218,23 @@ def normalized_invariant(jet, alpha, kind, _pivot=None, _dense=False):
     germ are; anything else is a UsageError (:func:`~jetframe.jets._stack`).
     The result is the list of each jet's result, from one pass over the
     stacked entries with the pivots of
-    :func:`~jetframe.frame.require_regular_pivots`, each bit for bit its own
-    call.  Its `_pivot` is the (pivots, branches) pair of arrays that
-    function returns, and `_dense` gives one row of invariants per jet, of
-    floats or series rows.
+    :func:`~jetframe.frame.require_regular_pivots`.  One jet is the stack of
+    one, so each result is bit for bit its own call.  `_pivot` passes on the
+    (pivots, branches) that function gives at the stack, and with `_dense`
+    the result is the array of the invariants of the sequence `alpha`
+    itself, one value or series row per alpha, or one row of them per jet
+    of a stack, for a caller that stores them as they are.
     """
     alphas, shape = _one_or_many(alpha, _is_multi_index)
-    single = isinstance(jet, Jet)
-    if single:
-        order, data = jet.order, jet.data[None]
+    jets, order, data = _stack(jet, "normalized_invariant", series=True)
 
-        def pivot():
-            p, branch = require_regular_pivot(jet, kind) if _pivot is None else _pivot
-            return (p.coeffs[None] if isinstance(p, TruncatedSeries) else np.array([p])), np.array([branch])
-    else:
-        jets, order, data = _stack(jet, "normalized_invariant", series=True)
-
-        def pivot():
-            return require_regular_pivots(data, kind, [(j.t, j.x) for j in jets]) if _pivot is None else _pivot
+    def pivot():
+        return require_regular_pivots(data, kind, lambda i: (jets[i].t, jets[i].x)) if _pivot is None else _pivot
 
     values = _invariant_rows(data, kind, alphas, order, pivot)
-    if single:
-        return values[0] if _dense else shape(_entries(values[0]))
-    return values if _dense else [shape(_entries(row)) for row in values]
+    if not _dense:
+        values = [shape(_entries(row)) for row in values]
+    return values[0] if isinstance(jet, Jet) else values
 
 
 @dataclass(frozen=True)
@@ -306,21 +300,20 @@ def invariant_table(jet, kind, order):
     """Tabulate every I_alpha with total order <= `order` at one jet.
 
     `jet` may also be a list or tuple of real jets of one order, a stack:
-    the result is the list of their tables, from one :func:`moving_frame`
-    and one :func:`normalized_invariant` on the whole stack.  Each table's
-    phantoms come from its own frame element and base point, so each table
-    is bit for bit its own call.
+    the result is the list of their tables.  The frames come from one
+    pivot test on the stack as validated here, with no second validation by
+    :func:`~jetframe.frame.moving_frame`, and the invariants from one
+    :func:`normalized_invariant` on `jet` itself, which reads those pivots.
+    Each table's phantoms come from its own frame element and base point,
+    and one jet is the stack of one, so each table is bit for bit its own
+    call.
     """
-    if isinstance(jet, Jet):
-        order = _integer(order, "table order", high=jet.order)
-        frame = moving_frame(jet, kind)
-        values = normalized_invariant(jet, multi_indices(order), kind, (frame.pivot, frame.branch), _dense=True)
-        return _tabulated(jet, frame, kind, order, values)
-    jets, jet_order, _ = _stack(jet, "invariant_table")
+    jets, jet_order, data = _stack(jet, "invariant_table")
     order = _integer(order, "table order", high=jet_order)
-    frames = moving_frame(jets, kind)
-    pivots = np.array([f.pivot for f in frames]), np.array([f.branch for f in frames])
-    values = normalized_invariant(jets, multi_indices(order), kind, pivots, _dense=True)
+    frames, pivots = _frames(jets, data, kind)
+    values = normalized_invariant(jet, multi_indices(order), kind, pivots, _dense=True)
+    if isinstance(jet, Jet):
+        return _tabulated(jet, frames[0], kind, order, values)
     return [_tabulated(j, frame, kind, order, row) for j, frame, row in zip(jets, frames, values)]
 
 
@@ -445,7 +438,7 @@ class SolutionGerm:
         size = triangle_size(order)
         frame = self._frames.get(kind)
         if frame is None or frame[0].shape[1] < size:
-            p, branch = require_regular_pivots(_derivatives(self._coeffs, 1, order), kind, self._points)
+            p, branch = require_regular_pivots(_derivatives(self._coeffs, 1, order), kind, self._points.__getitem__)
             frame = self._frames[kind] = p, branch, _prefactors(p, branch, (3, 1), kind.weight_denominator)
         p, branch, scales = frame
         return p[:, :size], branch, scales[:, :, :size]
@@ -463,7 +456,7 @@ class SolutionGerm:
 
         def pivot():
             p, branch, _ = self._frame(kind, 0)
-            return p[:, 0], branch
+            return p[:, 0].tolist(), branch.tolist()
 
         return _invariant_rows(data, kind, multi_indices(order), order, pivot)
 

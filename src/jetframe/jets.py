@@ -101,12 +101,17 @@ def _require_real(jet, what):
 def _stack(jets, what, series=False):
     """(the list of jets, their order, their stacked entries) of a stack: a list or tuple of jets of one order.
 
-    The entries are real, or with `series` either all real or all series
-    rows of one size; the stacked entries are one dense row per jet.
-    Anything else is a UsageError: an item that is not a jet, a series jet
-    where `what` takes only real ones, jets of different orders, an empty
-    stack included, or a mix of real and series jets or of series sizes.
+    One jet is the stack of one, its entries read as they are.  The entries
+    are real, or with `series` either all real or all series rows of one
+    size; the stacked entries are one dense row per jet.  Anything else is a
+    UsageError: an item that is not a jet, a series jet where `what` takes
+    only real ones, jets of different orders, an empty stack included, or a
+    mix of real and series jets or of series sizes.
     """
+    if isinstance(jets, Jet):
+        if not series:
+            _require_real(jets, what)
+        return [jets], jets.order, jets.data[None]
     if not (isinstance(jets, (list, tuple)) and all(isinstance(j, Jet) for j in jets)):
         raise UsageError(f"{what} takes a jet or a list or tuple of jets")
     if not series:

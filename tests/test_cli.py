@@ -18,7 +18,7 @@ from jetframe.cli import (
     parse_json_lines,
 )
 import jetframe.cli as cli
-from jetframe.frame import require_regular_pivot
+from jetframe.frame import require_regular_pivots
 from jetframe.solutions import CATALOG
 from jetframe.verify import SUITES
 
@@ -320,12 +320,12 @@ def test_strict_positive_policy_rejects_before_the_prefactor_overflows(capsys):
 def test_eval_tests_the_pivot_once(capsys, monkeypatch):
     calls = []
 
-    def counted(jet, kind):
+    def counted(data, kind, at):
         calls.append(kind)
-        return require_regular_pivot(jet, kind)
+        return require_regular_pivots(data, kind, at)
 
     for module in ("jetframe.frame", "jetframe.invariants"):
-        monkeypatch.setattr(f"{module}.require_regular_pivot", counted)
+        monkeypatch.setattr(f"{module}.require_regular_pivots", counted)
     for policy in ("auto", "strict-positive"):
         calls.clear()
         code, _, _ = run_cli(

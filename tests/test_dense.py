@@ -21,7 +21,7 @@ import pytest
 
 from jetframe import taylor
 from jetframe.errors import DomainError, UsageError
-from jetframe.frame import FrameKind, require_regular_pivot
+from jetframe.frame import FrameKind, pivot_value
 from jetframe.group import (
     GroupElement,
     VectorField,
@@ -77,7 +77,8 @@ def ref_invariants(jet, alphas, kind):
     u = dict(jet.u)
     derived = [alpha for alpha in alphas if sum(alpha) > 0]
     weights = {3 * a1 + a2 + 2 for a1, a2 in derived}
-    p, branch = require_regular_pivot(jet, kind)
+    p = pivot_value(jet, kind)
+    branch = 1 if (p.value if isinstance(p, TruncatedSeries) else p) > 0 else -1
     w_den = kind.weight_denominator
     if isinstance(p, TruncatedSeries):
         prefactors = {w: series_pow(branch * p, -w / w_den) for w in weights}

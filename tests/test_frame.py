@@ -9,7 +9,7 @@ from jetframe.frame import (
     equivariance_defect,
     moving_frame,
     pivot_value,
-    require_regular_pivot,
+    require_regular_pivots,
 )
 from jetframe.group import GroupElement, VectorField, compose, inverse, pr_v_apply, prolong_act
 from jetframe.invariants import (
@@ -21,7 +21,7 @@ from jetframe.invariants import (
     reconstruct_generators,
 )
 from jetframe.jets import Jet, multi_indices
-from jetframe.solutions import Rational, Soliton, jet_of_solution
+from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
 from jetframe.taylor import _pos
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
@@ -157,7 +157,7 @@ def test_a_frame_kind_must_be_a_frame_kind():
     series = germ.invariant_series((0, 2), FrameKind.X_NORMALIZED, 1)
     calls = (
         lambda kind: pivot_value(jet, kind),
-        lambda kind: require_regular_pivot(jet, kind),
+        lambda kind: require_regular_pivots(jet.data[None], kind, None),
         lambda kind: moving_frame(jet, kind),
         lambda kind: invariant_table(jet, kind, 3),
         lambda kind: normalized_invariant(jet, (1, 1), kind),
@@ -199,7 +199,7 @@ def _bits(value):
 
 
 def _scalar_equivariance_defect(jet, g, kind):
-    """frame(g . jet) against frame(jet) * g^-1, each frame from the scalar pivot test of one jet."""
+    """frame(g . jet) against frame(jet) * g^-1, each from the public one-jet calls of prolong_act and moving_frame."""
     lhs = moving_frame(prolong_act(g, jet), kind).rho
     rhs = compose(moving_frame(jet, kind).rho, inverse(g))
     return max(abs(a - b) for a, b in zip(lhs.params(), rhs.params()))
@@ -280,6 +280,102 @@ def test_a_stack_of_series_jets_is_each_jets_own_call_bit_for_bit(kind):
         ):
             with pytest.raises(UsageError, match=f"^a stack of jets holds real entries or series rows of one size, got {layout}"):
                 normalized_invariant(stack, (0, 1), kind)
+
+
+def _base(c):
+    """A float, or the constant term of a series."""
+    return c if isinstance(c, float) else c.value
+
+
+def _reference_pivots(jets, kind):
+    """Each jet's (pivot, branch) of `kind`, or the SingularFrameError text of the first singular jet.
+
+    Point by point: the pivot of pivot_value, and the singular test and the
+    branch written out on its base-point values as Python floats.
+    """
+    pivots = []
+    for jet in jets:
+        with np.errstate(over="ignore", invalid="ignore"):  # u * u_x of entries near 1e200
+            p = pivot_value(jet, kind)
+        p0, u, u_t, u_x = _base(p), *(_base(jet.u[a]) for a in ((0, 0), (1, 0), (0, 1)))
+        scale = abs(u_t) + abs(u * u_x) if kind is FrameKind.T_NORMALIZED else 0.0
+        if abs(p0) < 1e-30 or abs(p0) <= 32.0 * np.finfo(float).eps * scale:
+            return f"singular frame: pivot {kind.pivot_name} = {p0!r} (at (t, x) = ({_base(jet.t)}, {_base(jet.x)}))"
+        pivots.append((p, 1 if p0 > 0 else -1))
+    return pivots
+
+
+def _pivot_points(rng):
+    """The order-2 jets of one list of points, in three layouts.
+
+    The points: soliton jets, u = x/t on either side of t = 0, the 1e-13
+    near miss of the singular-sets suite, a constant, and entries near 1e200,
+    where u * u_x overflows.  The layouts: float jets, the series jets of
+    germs (the near miss and the 1e200 entries edited into constant terms of
+    the series rows), and the lifted jets of pr_v_apply on the float jets.
+    """
+    solutions = [
+        random_soliton_point(rng),
+        (Rational(), 1.3, 0.4),
+        (Rational(), 1.3, 0.4),  # the near miss
+        (Constant(0.5), 0.2, -0.7),
+        random_soliton_point(rng),  # the 1e200 entries
+        (Rational(), -0.8, 1.1),
+        random_soliton_point(rng, FrameKind.X_NORMALIZED, -1),
+    ]
+    floats = [jet_of_solution(*point, 2) for point in solutions]
+    series = [SolutionGerm(*point, 3).series_jet(2, 1) for point in solutions]
+
+    def near_miss(jet):
+        data = jet.data.copy()
+        u, u_t, u_x = (_base(jet.u[a]) for a in ((0, 0), (1, 0), (0, 1)))
+        data[(_pos(1, 0),) + (0,) * (data.ndim - 1)] = u_t + 1e-13 * (abs(u_t) + abs(u * u_x))
+        return Jet(2, jet.t, jet.x, data)
+
+    def huge(jet):
+        data = jet.data.copy()
+        for alpha in ((0, 0), (0, 1)):
+            data[(_pos(*alpha),) + (0,) * (data.ndim - 1)] = 1e200
+        return Jet(2, jet.t, jet.x, data)
+
+    for jets in (floats, series):
+        jets[2], jets[4] = near_miss(jets[2]), huge(jets[4])
+    lifted = []
+    pr_v_apply(VectorField.basis()[:2], lambda js: lifted.extend(js) or [0.0] * len(js), floats)
+    return floats, series, lifted
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_pivot_test_of_a_stack_is_each_points_own_test(kind):
+    # stacks of 1, 2 and 7 points, from each start of the rotated list of
+    # points and from its regular points alone, in float rows and in the
+    # series rows of a germ and of a lift: the pivots and branches of an
+    # in-test reference point by point, or its message for the first
+    # singular point
+    met = set()
+    for layout, jets in enumerate(_pivot_points(np.random.default_rng(71))):
+        regular = [j for j in jets if not isinstance(_reference_pivots([j], kind), str)]
+        for size in (1, 2, 7):
+            for points in [jets[start:] + jets[:start] for start in range(len(jets))] + [regular]:
+                stack = [points[k % len(points)] for k in range(size)]
+                want = _reference_pivots(stack, kind)
+                data = np.stack([j.data for j in stack])
+                at = lambda i: (stack[i].t, stack[i].x)  # noqa: E731
+                met.add((layout, size, isinstance(want, str)))
+                if isinstance(want, str):
+                    with pytest.raises(SingularFrameError) as err:
+                        require_regular_pivots(data, kind, at)
+                    assert str(err.value) == want
+                    continue
+                p, branch = require_regular_pivots(data, kind, at)
+                assert list(branch) == [b for _, b in want]
+                if data.ndim == 2:  # float rows give lists of Python numbers
+                    assert (type(p), type(branch)) == (list, list)
+                    assert list(map(repr, p)) == [repr(q) for q, _ in want]
+                else:
+                    assert [row.tobytes() for row in p] == [q.coeffs.tobytes() for q, _ in want]
+    # every layout and size meets a regular stack and a singular one
+    assert met == {(layout, size, singular) for layout in range(3) for size in (1, 2, 7) for singular in (False, True)}
 
 
 def _with(jet, **entries):

@@ -2,6 +2,7 @@
 
 The files under tests/data/golden/ were written by the dict-backed jet code
 that preceded the dense jet layout; any change to a printed digit fails here.
+The `.err` files hold the stderr of evals that exit 2 on a singular frame.
 Regenerate them (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import jetframe.cli as cli
-from jetframe.cli import EXIT_OK, format_json_lines, main, parse_json_lines
+from jetframe.cli import EXIT_DOMAIN, EXIT_OK, format_json_lines, main, parse_json_lines
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -101,6 +102,17 @@ CASES = {
     },
 }
 
+# evals whose frame is singular or whose pivot the branch policy rejects,
+# written before one jet ran as the stack of one: exit 2, stderr compared
+FRAME_ERRORS = {
+    "eval-rational-t-singular-o4": ["eval", "--solution", "rational", "--t0", "0.7", "--x0", "0.3",
+                                    "--frame", "t", "--order", "4"],
+    "eval-constant-x-singular-o4": ["eval", "--solution", "constant", "--u0", "0.5", "--frame", "x",
+                                    "--order", "4"],
+    "eval-soliton-x-strict-positive-o4": ["eval", "--solution", "soliton", "--x0", "0.9", "--frame", "x",
+                                          "--order", "4", "--branch-policy", "strict-positive"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_file(capsys, name):
@@ -108,6 +120,15 @@ def test_stdout_matches_golden_file(capsys, name):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_ERRORS))
+def test_frame_error_stderr_matches_golden_file(capsys, name):
+    code = main(FRAME_ERRORS[name])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / f"{name}.err").read_text()
 
 
 _JSON_LINES = sorted(name for name, argv in CASES.items() if "csv" not in argv)
@@ -150,3 +171,8 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(buffer):
             assert main(argv) == EXIT_OK, name
         (GOLDEN / f"{name}.out").write_text(buffer.getvalue())
+    for name, argv in FRAME_ERRORS.items():
+        buffer = io.StringIO()
+        with contextlib.redirect_stderr(buffer):
+            assert main(argv) == EXIT_DOMAIN, name
+        (GOLDEN / f"{name}.err").write_text(buffer.getvalue())

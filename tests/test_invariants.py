@@ -8,7 +8,7 @@ from jetframe.errors import (
     SingularFrameError,
     UsageError,
 )
-from jetframe.frame import FrameKind, equivariance_defect, moving_frame, pivot_value, require_regular_pivot
+from jetframe.frame import FrameKind, equivariance_defect, moving_frame, pivot_value
 from jetframe.group import GroupElement, VectorField, eta_alpha, pr_v_apply, prolong_act
 from jetframe.invariants import (
     InvariantTable,
@@ -460,20 +460,20 @@ def test_reconstruction_is_the_four_table_algorithm_bit_for_bit(kind):
 def test_reconstruction_solves_R_once_and_tests_the_pivot_once(monkeypatch):
     # the probe tables share one correction solve, and the direct value
     # reads the pivot of the germ's frame: no float jet is tested
-    real_solve, real_pivot = np.linalg.solve, invariants.require_regular_pivot
+    real_solve, real_pivot = np.linalg.solve, invariants.require_regular_pivots
     solves, pivots = [], []
 
     def solve(a, b):
         solves.append(np.shape(a))
         return real_solve(a, b)
 
-    def pivot(jet, kind):
-        if jet.data.ndim == 1:  # the float jet; series jets belong to the germ calculus
+    def pivot(data, kind, at):
+        if data.ndim == 2:  # float rows; series rows belong to the germ calculus
             pivots.append(kind)
-        return real_pivot(jet, kind)
+        return real_pivot(data, kind, at)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    monkeypatch.setattr(invariants, "require_regular_pivot", pivot)
+    monkeypatch.setattr(invariants, "require_regular_pivots", pivot)
     rng = np.random.default_rng(41)
     for kind in KINDS:
         for branch in (1, -1):
@@ -583,7 +583,6 @@ def test_the_closed_forms_keep_taking_series_jets():
     for value in (
         normalized_invariant(jet, (0, 2), kind),
         pivot_value(jet, kind),
-        require_regular_pivot(jet, kind)[0],
         eta_alpha(VectorField.scaling(), (0, 2), jet),
         kdv_residual(jet),
     ):
@@ -831,7 +830,8 @@ def per_series_derivatives(germ, s, kind):
     # pivot and prefactors, and three TruncatedSeries products
     order = s.order - 1
     jet = germ.series_jet(1, order)
-    p, branch = require_regular_pivot(jet, kind)
+    p = pivot_value(jet, kind)
+    branch = 1 if p.value > 0 else -1
     scale_t, scale_x = (series_pow(branch * p, -w / kind.weight_denominator) for w in (3, 1))
     rows = s.derivatives(1, order)
     dt, dx = (TruncatedSeries(order, rows[_pos(*e)]) for e in ((1, 0), (0, 1)))
@@ -904,9 +904,9 @@ def test_germ_tests_each_frame_pivot_once(monkeypatch):
     real_pivot, tested = invariants.require_regular_pivots, []
     real_prefactors, computed = invariants._prefactors, []
 
-    def pivot(rows, kind, points):
+    def pivot(rows, kind, at):
         tested.append(kind)
-        return real_pivot(rows, kind, points)
+        return real_pivot(rows, kind, at)
 
     def prefactors(p, branch, weights, w_den):
         if tuple(weights) == (3, 1):

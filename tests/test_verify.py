@@ -181,19 +181,19 @@ def test_suite_without_samples_fails(monkeypatch):
 
 
 def test_phantom_suite_fails_when_the_frame_misses_the_cross_section(monkeypatch):
-    real_frame = invariants.moving_frame
+    real_frames = invariants._frames
 
     def off(frame, jet):
         return dataclasses.replace(frame, rho=dataclasses.replace(frame.rho, eps2=-jet.x + 0.5))
 
-    def off_section(jet, kind):
-        # the suite frames a stack of jets at once; a table of one jet frames that jet
-        frames = real_frame(jet, kind)
-        return off(frames, jet) if isinstance(jet, Jet) else [off(f, j) for f, j in zip(frames, jet)]
+    def off_section(jets, data, kind):
+        # a table reads the frames of its stack through the kernel it shares with moving_frame
+        frames, pivots = real_frames(jets, data, kind)
+        return [off(f, j) for f, j in zip(frames, jets)], pivots
 
     (healthy,) = run_suite(("phantom",), seed=0, samples=5)
     assert healthy.passed
-    monkeypatch.setattr(invariants, "moving_frame", off_section)
+    monkeypatch.setattr(invariants, "_frames", off_section)
     (report,) = run_suite(("phantom",), seed=0, samples=5)
     assert report.passed is False
     assert report.max_defect > 0.1
@@ -346,12 +346,12 @@ def test_germ_suites_decide_each_pivot_once_per_frame(monkeypatch):
     tested, prefactors = [], []
     real_pivots, real_prefactors = invariants.require_regular_pivots, invariants._prefactors
 
-    def pivots(rows, kind, points):
-        tested.append(len(points))
-        return real_pivots(rows, kind, points)
+    def pivots(rows, kind, at):
+        tested.append(len(rows))
+        return real_pivots(rows, kind, at)
 
     def counted_prefactors(p, branch, weights, w_den):
-        prefactors.append("series" if p.ndim == 2 else "float")
+        prefactors.append("series" if isinstance(p, np.ndarray) else "float")
         return real_prefactors(p, branch, weights, w_den)
 
     monkeypatch.setattr(invariants, "require_regular_pivots", pivots)
@@ -619,16 +619,17 @@ def _counted_calls(monkeypatch, owner, names):
 
 def test_the_battery_lifts_prolongs_and_tabulates_each_stack_once(monkeypatch):
     # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
-    # equivariance moves its stack once per frame kind and invariance once,
-    # and phantom tabulates its stack once per frame kind; each frame's
-    # invariants of a stack, floats or a lift's series, are one
+    # equivariance moves its stack once per frame kind, through the kernel of
+    # prolong_act on the pair it has validated, and invariance once, through
+    # prolong_act itself; phantom tabulates its stack once per frame kind;
+    # each frame's invariants of a stack, floats or a lift's series, are one
     # normalized_invariant call: one per table, 2 x 2 for invariance's moved
     # and unmoved jets, and 3 x 2 for infinitesimal's scales and two lifts
-    lifts = _counted_calls(monkeypatch, group, ("pr_v_apply", "prolong_act"))
+    lifts = _counted_calls(monkeypatch, group, ("pr_v_apply", "prolong_act", "_prolong"))
     tables = _counted_calls(monkeypatch, invariants, ("invariant_table", "normalized_invariant"))
     reports = run_suite(("all",), seed=0, samples=100, order=6)
     assert all(r.passed for r in reports)
-    assert lifts == {"pr_v_apply": 2, "prolong_act": 3}
+    assert lifts == {"pr_v_apply": 2, "prolong_act": 1, "_prolong": 3}
     assert tables == {"invariant_table": 2, "normalized_invariant": 2 + 4 + 6}
 
 
