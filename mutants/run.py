@@ -121,6 +121,20 @@ MUTANTS = (
         "a stack's validator stacks its first jet's entries at every point",
     ),
     Mutant(
+        "rational-rows-column-major",
+        "solutions.py",
+        "return _row_products(x, _compose(\"pow\", t, (-1,)).reshape(t.shape))",
+        "return _row_products(x, _compose(\"pow\", t, (-1,)).reshape(t.shape[::-1]).T)",
+        "a stack's 1/t rows are read column-major, so each rational row mixes the coefficients of several points",
+    ),
+    Mutant(
+        "rational-rows-first-point",
+        "solutions.py",
+        "return _row_products(x, _compose(\"pow\", t, (-1,)).reshape(t.shape))",
+        "return _row_products(x, _compose(\"pow\", t[:1], (-1,)))",
+        "every rational row of a stack reads the first point's 1/t",
+    ),
+    Mutant(
         "rho-scaling",
         "frame.py",
         "math.log(abs(p)) / kind.weight_denominator",

@@ -63,7 +63,8 @@ invariant rows, R and the eta rows (:func:`_relations`), the recurrences
 (:func:`_recurrence`) and the bracket coefficients (:func:`_bracket`).
 Only what must stay a per-point Python float operation for its bits is
 taken point by point: ln|pivot| and exp in the float prefactors, the float
-powers of u, and the Taylor coefficients of a composition.  Products and
+powers of u, and the powers a0 ** (r - k) behind the Taylor coefficients of
+a composition, which are then columns over the stack.  Products and
 sums keep their per-point order, and each LAPACK solve or condition number
 runs once per matrix with one point's right-hand sides, so each point of a
 stack is bit for bit its own call.  A call on one germ runs as the stack

@@ -4,9 +4,13 @@ A solution is a map of series: given the two input series t0 + dt and
 x0 + dx, it returns the series of u around (t0, x0).  :func:`_expansions`
 builds those inputs for a stack of points, once for every solution, and
 checks what comes back; that is how jets are manufactured to machine
-precision.  The soliton's profile is written once, on rows of input series
-(:func:`_soliton`): the soliton points of a stack expand in one row pass,
-and ``Soliton.series(t, x)`` is its one-row case.  Every other solution's
+precision.  Each catalog class writes its profile on the coefficient rows
+of a stack of input series (``_rows``), so the points of one catalog class
+in a stack expand in one row pass, each bit for bit its own
+``series(t, x)``.  The soliton's profile is written once, on rows of any
+input series (:func:`_soliton`), and ``Soliton.series(t, x)`` is its
+one-row case; ``Rational.series`` runs x * series_recip(t), the two
+kernels its rows run, in series arithmetic.  A ``Custom`` solution's
 series runs point by point.  The verify battery draws its points first and
 expands each stack of them in one call (equivariance, invariance, phantom
 and kdv-residual through their float jets, the germ suites through their
@@ -74,6 +78,12 @@ class Constant(Solution):
     def series(self, t, x):
         return TruncatedSeries.constant(self.u0, t.order)
 
+    @staticmethod
+    def _rows(solutions, t, x):
+        u = np.zeros(t.shape)
+        u[:, 0] = [s.u0 for s in solutions]
+        return u
+
 
 @dataclass(frozen=True)
 class Rational(Solution):
@@ -85,6 +95,11 @@ class Rational(Solution):
         if t.value == 0.0:
             raise DomainError("rational solution x/t is undefined at t = 0")
         return x * series_recip(t)
+
+    @staticmethod
+    def _rows(solutions, t, x):
+        # series(t, x) on each row: series_recip is one _compose, and x * 1/t one _row_products
+        return _row_products(x, _compose("pow", t, (-1,)).reshape(t.shape))
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,11 @@ class Soliton(Solution):
     def series(self, t, x):
         x._check_order(t)
         return TruncatedSeries._wrap(x.order, _soliton(float(self.c), float(self.phase), t.coeffs, x.coeffs))
+
+    @staticmethod
+    def _rows(solutions, t, x):
+        p = np.array([(s.c, s.phase) for s in solutions], dtype=float)
+        return _soliton(p[:, :1], p[:, 1], t, x)
 
 
 def _soliton(c, phase, t, x):
@@ -159,16 +179,16 @@ def _expansions(points, order):
     """The expansions of u at the (solution, t0, x0) `points`: one coefficient row per point, in their order.
 
     Row i is `solution.series(t, x)` on the input series t0 + dt and x0 + dx
-    of order `order`, bit for bit.  Two or more soliton points run the
-    profile (:func:`_soliton`) once, on the rows of all of them; a lone
-    soliton point, and every other solution, runs its own series point by
-    point (for one point the row pass costs more than the one-row case, and
-    gives the same bits).  A `solution` that is not a
-    :class:`Solution`, a base point that is not two finite real numbers, or
-    a result that is not a series of the inputs' order is a
-    :class:`UsageError`; an arithmetic failure or a non-finite coefficient
-    (the point is too far out for double precision) is a
-    :class:`DomainError`, at the first such point in stack order.
+    of order `order`, bit for bit.  The points of each catalog class with
+    two or more points in the stack run its profile once, on the rows of all
+    of them (:func:`_row_passes`); a lone point, and every point of any
+    other class, runs its own series point by point (for one point the row
+    pass costs more than the one-row case, and gives the same bits).  A
+    `solution` that is not a :class:`Solution`, a base point that is not
+    two finite real numbers, or a result that is not a series of the
+    inputs' order is a :class:`UsageError`; an arithmetic failure or a
+    non-finite coefficient (the point is too far out for double precision)
+    is a :class:`DomainError`, at the first such point in stack order.
     """
     for solution, t0, x0 in points:
         if not isinstance(solution, Solution):
@@ -176,24 +196,16 @@ def _expansions(points, order):
         if not all((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v) for v in (t0, x0)):
             raise UsageError(f"base point must be two finite real numbers, got (t0, x0) = ({t0!r}, {x0!r})")
     order = _integer(order, "expansion order")
-    solitons = [i for i, (solution, _, _) in enumerate(points) if type(solution) is Soliton]
-    if len(solitons) == 1:  # a lone soliton point is the one-row case: its own series(t, x), as for any class
-        solitons = []
     rows = np.empty((len(points), triangle_size(order)))
+    own = range(len(points))  # the points that run their own series(t, x), in stack order
     failed = len(points)  # the first point whose expansion leaves double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        if solitons:
-            p = np.array([(points[i][0].c, points[i][0].phase, *points[i][1:]) for i in solitons], dtype=float)
-            tx = np.zeros((len(solitons), 2, rows.shape[1]))  # the rows of t0 + dt and x0 + dx
-            tx[..., 0] = p[:, 2:]
-            if order:
-                tx[:, 0, _pos(1, 0)] = tx[:, 1, _pos(0, 1)] = 1.0
-            rows[solitons] = u = _soliton(p[:, :1], p[:, 1], tx[:, 0], tx[:, 1])
-            if not np.isfinite(u).all():
-                failed = solitons[np.isfinite(u).all(axis=1).argmin()]
-        for i, (solution, t0, x0) in enumerate(points[:failed]):
-            if solitons and type(solution) is Soliton:
-                continue
+        if len(points) > 1:
+            own, failed = _row_passes(points, order, rows)
+        for i in own:
+            if i >= failed:
+                break
+            solution, t0, x0 = points[i]
             t, x = TruncatedSeries.affine(t0, 1.0, 0.0, order), TruncatedSeries.affine(x0, 0.0, 1.0, order)
             try:
                 s = solution.series(t, x)
@@ -210,6 +222,38 @@ def _expansions(points, order):
         solution, t0, x0 = points[failed]
         raise DomainError(f"{solution.name} expansion at ({t0}, {x0}) leaves double-precision range")
     return rows
+
+
+def _row_passes(points, order, rows):
+    """Fill `rows` with one row pass per catalog class that has two or more of the `points`.
+
+    Returns the points left to run their own series(t, x), in stack order,
+    and the first point whose row leaves double range (len(points) if none).
+    A row pass that raises (Python's ``**`` overflowing, or x/t at t = 0)
+    leaves its points to their own series, which raise their own errors in
+    stack order.
+    """
+    classes = {}
+    for i, (solution, _, _) in enumerate(points):
+        classes.setdefault(type(solution), []).append(i)
+    own, failed = [], len(points)
+    for cls, at in classes.items():
+        if len(at) == 1 or cls not in _CATALOG.values():  # each catalog class has its row pass, `cls._rows`
+            own += at
+            continue
+        tx = np.zeros((len(at), 2, rows.shape[1]))  # the rows of t0 + dt and x0 + dx
+        tx[..., 0] = [points[i][1:] for i in at]
+        if order:
+            tx[:, 0, _pos(1, 0)] = tx[:, 1, _pos(0, 1)] = 1.0
+        try:
+            rows[at] = u = cls._rows([points[i][0] for i in at], tx[:, 0], tx[:, 1])
+        except (ArithmeticError, DomainError):
+            own += at
+            continue
+        finite = np.isfinite(u).all(axis=1)
+        if not finite.all():
+            failed = min(failed, at[finite.argmin()])
+    return sorted(own), failed
 
 
 def _jet_rows(coeffs, order, points):

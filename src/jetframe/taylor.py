@@ -23,10 +23,13 @@ product's every pair, and the result is the same bit for bit.  Many
 exponents, as the prefactors |pivot|^(-w/d) of every weight w of a frame,
 stack their rows end to end in one loop over one table
 (:func:`_stacked_pairs`); many inner series, as the pivots of a stack of
-germs, run in the same loop, one block of rows each.  Row-wise products of
-many series (:func:`_row_products`) are one bincount as well.  Tables are
-cached per order and per number of exponents, never per number of rows of a
-stack: a stack's tables are shifted copies made for the call.
+germs, run in the same loop, one block of rows each.  The outer map's
+Taylor coefficients of many rows come as columns over the rows: one sech
+recurrence on the columns, one flat pass of Python's powers for pow.
+Row-wise products of many series (:func:`_row_products`) are one bincount
+as well.  Tables are cached per order and per number of exponents, never
+per number of rows of a stack: a stack's tables are shifted copies made for
+the call.
 """
 
 from __future__ import annotations
@@ -337,47 +340,73 @@ def _require_pow_domain(a0, exponents):
             )
 
 
+def _in_pow_domain(values, exponents):
+    """Each a0 of `values` once it passes its domain test, so the first failing point raises in stack order."""
+    for a0 in values:
+        if a0 <= 0.0:
+            _require_pow_domain(a0, exponents)
+        yield a0
+
+
+def _sech_seed(a0):
+    """(sech(a0), tanh(a0)) of a Python float, in math."""
+    try:
+        s = 1.0 / math.cosh(a0)
+    except OverflowError:  # |a0| > ~710.5: sech(a0) = 2 exp(-|a0|) to double precision, subnormal or zero
+        s = 2.0 * math.exp(-abs(a0))
+    return s, math.tanh(a0)
+
+
 def _univariate_coeffs(kind, a0, n):
-    """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind` at a0; pow's are made in :func:`_compose`."""
+    """Taylor coefficients f^(k)(a0)/k! of the univariate map `kind`, k = 0..n; pow's are made in :func:`_compose`.
+
+    `a0` is a Python float, which gives n + 1 floats, or a list of them,
+    which gives n + 1 columns, one entry per point.  One recurrence runs on
+    either: its sums are plain ``+`` left to right from the int 0 on floats
+    and on arrays alike, so each column entry is its point's float bit for
+    bit.  (The builtin ``sum`` would not do: from Python 3.12 it compensates
+    a sum of floats, and adds arrays plainly.)
+    """
     if kind == "sech":
         # coupled recurrences from s' = -s*t and t' = s^2, t = tanh
-        try:
-            s = [1.0 / math.cosh(a0)]
-        except OverflowError:  # |a0| > ~710.5: sech(a0) = 2 exp(-|a0|) to double precision, subnormal or zero
-            s = [2.0 * math.exp(-abs(a0))]
-        t = [math.tanh(a0)]
+        if isinstance(a0, list):
+            s, t = map(np.array, zip(*map(_sech_seed, a0)))
+        else:
+            s, t = _sech_seed(a0)
+        s, t = [s], [t]
         for k in range(n):  # the sums pair s[m] with t[k-m] and s[k-m], m = 0..k
-            s_next = -sum(map(operator.mul, s, reversed(t))) / (k + 1)
-            t.append(sum(map(operator.mul, s, reversed(s))) / (k + 1))
+            s_next = -functools.reduce(operator.add, map(operator.mul, s, reversed(t)), 0) / (k + 1)
+            t.append(functools.reduce(operator.add, map(operator.mul, s, reversed(s)), 0) / (k + 1))
             s.append(s_next)
         return s
     raise UsageError(f"unknown analytic function {kind!r}; pick pow or sech")
 
 
 def _horner(coeffs, b, pairs):
-    """Rows of sum_k c[k] b^k by Horner's rule, one per row c of `coeffs`, laid end to end.
+    """Rows of sum_k c[k] b^k by Horner's rule, laid end to end.
 
-    b is given by its coefficients: one series, or the rows of a stack of
-    series, each the b of one block of len(coeffs) // len(b) consecutive rows.
-    Each step r*b + c[k] is one bincount of the products r[lhs]*b[rhs] over
-    the (lhs, rhs, out) rows `pairs` of :func:`_stacked_pairs` for one block,
-    as in ``TruncatedSeries.__mul__``, shifted block by block, then c[k]
-    added to each row's constant term.
+    coeffs[k] holds c[k] of every row: a float for one row, or a column of
+    one entry per row.  b is given by its coefficients: one series, or the
+    rows of a stack of series, each the b of one block of rows // len(b)
+    consecutive rows.  Each step r*b + c[k] is one bincount of the products
+    r[lhs]*b[rhs] over the (lhs, rhs, out) rows `pairs` of
+    :func:`_stacked_pairs` for one block, as in ``TruncatedSeries.__mul__``,
+    shifted block by block, then c[k] added to each row's constant term.
     """
     lhs, rhs, out = pairs
     size = b.shape[-1]
-    blocks, rows = b.size // size, len(coeffs)
+    if isinstance(coeffs[-1], float):  # one row: a scalar add at position 0 costs less than a strided one
+        rows, heads = 1, 0
+    else:  # every row's constant term, as one strided view
+        rows, heads = len(coeffs[-1]), slice(None, None, size)
+    blocks = b.size // size
     if blocks > 1:
         lhs, out = (_shifted(table, blocks, rows // blocks * size) for table in (lhs, out))
         rhs = _shifted(rhs, blocks, size)
-    if rows == 1:  # a scalar add at position 0 costs less than a strided one
-        heads, steps = 0, coeffs[0]
-    else:  # every row's constant term, as one strided view
-        heads, steps = slice(None, None, size), np.array(coeffs).T
     factors = b.ravel()[rhs]
     r = np.zeros(rows * size)
-    r[heads] = steps[-1]
-    for c in reversed(steps[:-1]):
+    r[heads] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         r = np.bincount(out, r[lhs] * factors, r.size)
         r[heads] += c
     return r
@@ -399,20 +428,34 @@ def _compose(kind, a, exponents):
     product bit for bit.  Any other b, or a non-finite slope-pair result in
     any row, takes every pair of the product table for every row.
 
-    The Taylor coefficients of pow build each exponent's binomials
-    (:func:`_pow_terms`) once per call; only the domain test and the powers
-    a0 ** (r - k) are taken point by point, in Python, for their bits.
+    One row (one series and one exponent) takes its Taylor coefficients as
+    Python floats; more rows take them as columns with one entry per row,
+    from the same arithmetic.  The sech coefficients run one recurrence
+    (:func:`_univariate_coeffs`) on the columns, seeded point by point in
+    math.  The pow coefficients build each exponent's binomials
+    (:func:`_pow_terms`) once per call.  The domain test and the powers
+    a0 ** (r - k) are Python's: for a stack, one flat pass over the points,
+    exponents and k, and one array product applies the binomials; one
+    series keeps Python's products, which cost less there.
     """
     rows, order, values = a, _series_order(a.shape[1]), a[:, 0].tolist()
     if kind == "pow":
         pows = [_pow_terms(r, order) for r in exponents]
-        coeffs = []
-        for a0 in values:
+        if len(values) == 1:  # one series: Python's products, floats for one exponent and columns for many
+            (a0,) = values
             if a0 <= 0.0:
                 _require_pow_domain(a0, [r for r, _ in pows])
-            coeffs += [[binom * a0 ** power for binom, power in terms] for _, terms in pows]
+            coeffs = [[binom * a0 ** power for binom, power in terms] for _, terms in pows]
+            coeffs = coeffs[0] if len(coeffs) == 1 else np.array(coeffs).T
+        else:
+            domain = _in_pow_domain(values, [r for r, _ in pows])
+            powers = [a0 ** power for a0 in domain for _, terms in pows for _, power in terms]
+            binoms = [binom for _, terms in pows for binom, _ in terms]
+            with np.errstate(over="ignore"):  # as a float product overflows: silently, to inf
+                coeffs = (np.reshape(powers, (len(values), -1)) * binoms).reshape(-1, order + 1).T
     else:
-        coeffs = [_univariate_coeffs(kind, a0, order) for a0 in values for _ in exponents]
+        one = len(values) * len(exponents) == 1
+        coeffs = _univariate_coeffs(kind, values[0] if one else [a0 for a0 in values for _ in exponents], order)
     # an order-0 series takes no Horner step; a finite a(0) makes b(0) exactly 0.0
     if order and all(map(math.isfinite, values)) and not np.count_nonzero(rows[..., 3:]):
         with np.errstate(all="ignore"):  # a non-finite result is rerun densely, warnings included

@@ -401,10 +401,11 @@ def test_stacked_horner_rows_are_the_single_rows_bit_for_bit():
         b = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
         coeffs = data.draw(st.lists(st.lists(entries, min_size=order + 1, max_size=order + 1),
                                     min_size=rows, max_size=rows))
-        stacked = taylor._horner(coeffs, b, _stacked_pairs(order, rows, slopes))
+        # many rows give _horner their coefficients as columns, one row alone as floats
+        stacked = taylor._horner(np.array(coeffs).T, b, _stacked_pairs(order, rows, slopes))
         assert stacked.shape == (rows * size,)
         for k, c in enumerate(coeffs):
-            alone = taylor._horner([c], b, _stacked_pairs(order, 1, slopes))
+            alone = taylor._horner(c, b, _stacked_pairs(order, 1, slopes))
             assert stacked[k * size:(k + 1) * size].tobytes() == alone.tobytes(), (order, rows, slopes, k)
             if not slopes:
                 want = TruncatedSeries.constant(c[-1], order)

@@ -313,3 +313,64 @@ def test_a_stack_raises_the_usage_errors_of_one_point():
         _expansions([fine, _FAR_SOLITON, fine, (wrong_order, 0.0, 0.0)], 3)
     with pytest.raises(UsageError, match="series"):
         _expansions([fine, (wrong_order, 0.0, 0.0), fine, _FAR_SOLITON], 3)
+
+
+_TIMES_TWO = Custom(fn=lambda t, x: Rational().series(t, x) * 2.0, label="twice-rational")
+
+
+def _catalog_point(rng, cls):
+    t0, x0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+    if cls is Soliton:
+        return Soliton(c=float(rng.uniform(0.2, 3.0)), phase=float(rng.uniform(-2.0, 2.0))), t0, x0
+    if cls is Rational:  # away from its pole at t = 0, with a signed zero for x0 now and then
+        return Rational(), math.copysign(max(abs(t0), 0.2), t0), x0 if rng.uniform() < 0.8 else -0.0
+    if cls is Constant:  # an int u0 goes through the same float conversion in a row pass
+        return Constant(u0=float(rng.uniform(-2.0, 2.0)) if rng.uniform() < 0.7 else int(rng.integers(-3, 4))), t0, x0
+    return _TIMES_TWO if rng.uniform() < 0.5 else _BOOSTED, t0, x0
+
+
+@pytest.mark.parametrize("order", (0, 1, 4, 12))
+@pytest.mark.parametrize("count", (1, 2, 7))
+def test_a_shuffled_catalog_stack_expands_each_point_as_its_own_series_bit_for_bit(monkeypatch, order, count):
+    rng = np.random.default_rng(100 * order + count)
+    points = [_catalog_point(rng, cls) for cls in (Soliton, Rational, Constant, Custom) for _ in range(count)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    own = {id(solution) for solution, _, _ in points}
+    calls = dict.fromkeys((Soliton, Rational, Constant), 0)  # series(t, x) calls on the stack's own catalog points
+
+    def counted(real):
+        def series(self, t, x):
+            calls[type(self)] += id(self) in own  # not the calls the Custom closures make
+            return real(self, t, x)
+
+        return series
+
+    for cls in calls:
+        monkeypatch.setattr(cls, "series", counted(cls.series))
+    rows = _expansions(points, order)
+    # two or more points of a catalog class take its row pass; a lone one its own series
+    assert calls == dict.fromkeys(calls, 1 if count == 1 else 0)
+    monkeypatch.undo()
+    for row, (solution, t0, x0) in zip(rows, points):
+        assert row.tobytes() == _one_point(solution, t0, x0, order).coeffs.tobytes(), (solution, t0, x0)
+
+
+def test_a_rational_row_pass_that_fails_leaves_each_point_its_own_error_in_stack_order():
+    near = (Rational(), -1e-300, 0.5)  # its row pass overflows Python's ** at order 4
+    rationals = [(Rational(), 1.3, 0.4), (Rational(), -0.7, 1.1)]
+    solitons = [_FAR_SOLITON, (Soliton(), 0.1, 0.2)]
+    for stack, first in (
+        ([rationals[0], near, *solitons, rationals[1]], near),
+        ([*solitons, rationals[0], near, rationals[1]], _FAR_SOLITON),
+        ([rationals[0], solitons[1], near, solitons[0]], near),
+    ):
+        with pytest.raises(DomainError) as info:
+            _expansions(stack, 4)
+        assert str(info.value) == _domain_message(first, 4)
+    # x/t at t = 0 is its own error only where it is the first failing point
+    pole = (Rational(), 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^rational solution x/t is undefined at t = 0$"):
+        _expansions([rationals[0], pole, *solitons, rationals[1]], 4)
+    with pytest.raises(DomainError) as info:
+        _expansions([*solitons, rationals[0], pole, rationals[1]], 4)
+    assert str(info.value) == _domain_message(_FAR_SOLITON, 4)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,3 +322,137 @@ def test_kernel_results_own_their_coefficients():
     assert series.value == 1.0
     with pytest.raises(UsageError):
         TruncatedSeries(2, np.ones(triangle_size(3)))
+
+
+# -- stacked composition -------------------------------------------------------
+
+
+def _alone(kind, a, exponents):
+    """The rows of _compose on each series of the stack `a` and each exponent alone, end to end."""
+    return np.concatenate([taylor._compose(kind, row[None], (r,)) for row in a for r in exponents])
+
+
+def _stack(order, a0s, rng, dense=False):
+    """Series of `order` with the constant terms `a0s`: affine with random slopes, or with every coefficient drawn."""
+    a = np.zeros((len(a0s), triangle_size(order)))
+    top = triangle_size(order) if dense else triangle_size(min(order, 1))
+    a[:, 1:top] = rng.uniform(-1.5, 1.5, size=(len(a0s), top - 1))
+    a[:, 0] = a0s
+    return a
+
+
+# signed zeros, cosh overflowing (|a0| > ~710.5) and ordinary points
+SECH_POINTS = (0.0, -0.0, 800.0, -800.0, -750.0, 710.6, 709.0, 0.3, -1.7, 25.0)
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 6, 12))
+def test_a_stacks_sech_composition_is_each_rows_own_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    # the recurrence on columns gives each point's floats, signed zeros included
+    columns = taylor._univariate_coeffs("sech", list(SECH_POINTS), order)
+    for p, a0 in enumerate(SECH_POINTS):
+        alone = taylor._univariate_coeffs("sech", a0, order)
+        assert np.array([c[p] for c in columns]).tobytes() == np.array(alone).tobytes(), a0
+    for dense in (False, True):
+        a = _stack(order, SECH_POINTS, rng, dense)
+        assert taylor._compose("sech", a, (None,)).tobytes() == _alone("sech", a, (None,)).tobytes(), dense
+
+
+# integers r >= 0 (whose terms past k = r are zero), negative integers, fractions
+POW_EXPONENTS = (0, 1, 2, 3, 3.0, -1, -2, -0.6, 0.5, -1 / 3, -14 / 5, 2.5)
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 5, 12))
+def test_a_stacks_pow_composition_is_each_rows_own_bit_for_bit(order):
+    rng = np.random.default_rng(10 + order)
+    for dense in (False, True):
+        a = _stack(order, (0.7, 1e-3, 3.1, 1e5, 1.0, 0.05), rng, dense)
+        for exponents in ([r] for r in POW_EXPONENTS):
+            assert taylor._compose("pow", a, exponents).tobytes() == _alone("pow", a, exponents).tobytes(), exponents
+        # many exponents at once, as a frame's prefactors
+        assert taylor._compose("pow", a, POW_EXPONENTS).tobytes() == _alone("pow", a, POW_EXPONENTS).tobytes()
+        # a negative or zero constant term under integer exponents
+        a = _stack(order, (-1.9, 0.4, -0.0, 0.0, -3.3), rng, dense)
+        integers = (0, 1, 2, 3, 3.0)
+        assert taylor._compose("pow", a, integers).tobytes() == _alone("pow", a, integers).tobytes()
+
+
+def test_a_stack_with_a_non_finite_slope_pair_row_reruns_every_row_densely(monkeypatch):
+    # the affine rows' slope pairs give the dense products bit for bit, so a
+    # stack that reruns densely still gives each row its own call
+    rng = np.random.default_rng(5)
+    a = _stack(2, (0.7, 1.0, 2.2), rng)
+    a[1, 1:3] = 1.2e154  # coefficient (1, 1) of 1/a sums two finite products past the double range
+    tables = []
+    horner = taylor._horner
+    monkeypatch.setattr(taylor, "_horner", lambda coeffs, b, pairs: tables.append(pairs) or horner(coeffs, b, pairs))
+    got = taylor._compose("pow", a, (-1, 2))
+    assert tables == [taylor._stacked_pairs(2, 2, True), taylor._stacked_pairs(2, 2, False)]
+    assert not np.isfinite(got).all()
+    assert got.tobytes() == _alone("pow", a, (-1, 2)).tobytes()
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_row():
+    rng = np.random.default_rng(6)
+    for order in (0, 3):
+        a = _stack(order, (0.7, 1.2, -0.5, 0.0), rng)
+        with pytest.raises(DomainError, match=r"positive constant term, got -0\.5$"):
+            taylor._compose("pow", a, (2, -0.6))
+        with pytest.raises(DomainError, match="negative power"):
+            taylor._compose("pow", a[[0, 3, 2]], (2, -1))
+    # a power that leaves the double range raises Python's OverflowError at its
+    # row, before a later row's domain error, and after an earlier one's
+    a = _stack(4, (0.7, 1e-300, -0.5), rng)
+    with pytest.raises(OverflowError):
+        taylor._compose("pow", a, (-0.6,))
+    with pytest.raises(DomainError, match="positive constant term"):
+        taylor._compose("pow", a[[0, 2, 1]], (-0.6,))
+    # a binomial times a power just inside the double range can leave it: as a
+    # float product that is inf without a warning, so the stack warns only
+    # where the row alone does, in the dense rerun
+    a = _stack(2, (10 ** -64.2, 1.0), rng)
+    for stack in (a[:1], a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in multiply"):
+                taylor._compose("pow", stack, (-14 / 5,))
+
+
+def test_a_stacks_composition_takes_no_numpy_transcendental(monkeypatch):
+    # the seeds and powers are math's and Python's on each point, whose bits
+    # numpy's vectorized kernels need not keep
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy transcendental ran")
+
+    a = _stack(6, (0.3, -1.7, 800.0, 0.9), np.random.default_rng(7))
+    sech, powers = taylor._compose("sech", a, (None,)), taylor._compose("pow", abs(a), (-1 / 3, -2, 0.5))
+    for name in ("power", "exp", "log", "cosh", "tanh"):
+        monkeypatch.setattr(np, name, refuse)
+    assert taylor._compose("sech", a, (None,)).tobytes() == sech.tobytes()
+    assert taylor._compose("pow", abs(a), (-1 / 3, -2, 0.5)).tobytes() == powers.tobytes()
+
+
+def test_the_sech_recurrence_adds_plainly_left_to_right(monkeypatch):
+    # the builtin sum compensates a sum of floats from Python 3.12 on, and
+    # adds arrays plainly: a row's floats and its column entries agree bit for
+    # bit only if the recurrence adds plainly on both, as this loop does
+    def plain(a0, n):
+        s, t = [1.0 / math.cosh(a0)], [math.tanh(a0)]
+        for k in range(n):
+            ds = dt = 0
+            for m in range(k + 1):
+                ds, dt = ds + s[m] * t[k - m], dt + s[m] * s[k - m]
+            t.append(dt / (k + 1))
+            s.append(-ds / (k + 1))
+        return s
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the builtin sum ran")
+
+    monkeypatch.setattr(taylor, "sum", refuse, raising=False)
+    points = [a0 for a0 in SECH_POINTS if abs(a0) < 710.0]
+    columns = taylor._univariate_coeffs("sech", points, 12)
+    for p, a0 in enumerate(points):
+        expected = np.array(plain(a0, 12)).tobytes()
+        assert np.array(taylor._univariate_coeffs("sech", a0, 12)).tobytes() == expected, a0
+        assert np.array([c[p] for c in columns]).tobytes() == expected, a0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import jetframe.frame as frame
 import jetframe.group as group
 import jetframe.invariants as invariants
 import jetframe.solutions as solutions
+import jetframe.taylor as taylor
 import jetframe.verify as verify
 from jetframe.errors import DegeneratePointError, JetFrameError, UsageError
 from jetframe.frame import FrameKind, moving_frame
 from jetframe.group import VectorField, compose, inverse, pr_v_apply, prolong_act
 from jetframe.invariants import SolutionGerm, invariant_table, normalized_invariant
 from jetframe.jets import Jet, multi_indices
-from jetframe.solutions import Rational, Soliton, jet_of_solution
+from jetframe.solutions import Constant, Rational, Soliton, jet_of_solution
 from jetframe.taylor import TruncatedSeries
 from jetframe.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -418,13 +420,42 @@ def test_the_battery_expands_each_stack_of_soliton_points_in_one_row_pass(monkey
         "equivariance": [100],  # half the samples, one soliton jet per frame kind
         "invariance": [50],
         "phantom": [100],
-        "kdv-residual": [34],  # with 33 rational and 33 constant points, each its own series
+        "kdv-residual": [34],  # beside a row pass of 33 rational and one of 33 constant points
         "recurrences": [50, 50],
         "commutators": [100],
         "reconstruction": [100, 100],
         "infinitesimal": [50],
     }
     assert sum(map(sum, rows.values())) == 734
+
+
+def test_the_battery_expands_rational_and_constant_stacks_in_row_passes_and_runs_sech_once_per_composition(monkeypatch):
+    # a seed-0 battery runs Rational.series only for the points singular-sets
+    # expands one at a time (133 calls before, 33 of them in kdv-residual) and
+    # Constant.series never (33 before); the sech recurrence runs once per
+    # composition on the columns of all its rows, where it ran once per row
+    series, recurrences, compositions = Counter(), [0], []
+    for cls in (Rational, Constant):
+        monkeypatch.setattr(cls, "series", lambda self, t, x, real=cls.series: series.update([(suite, self.name)]) or real(self, t, x))
+    real_coeffs, real_compose = taylor._univariate_coeffs, solutions._compose
+
+    def coeffs(kind, a0, n):
+        recurrences[0] += 1
+        return real_coeffs(kind, a0, n)
+
+    def compose(kind, a, exponents):
+        if kind == "sech":
+            compositions.append(len(a))
+        return real_compose(kind, a, exponents)
+
+    monkeypatch.setattr(taylor, "_univariate_coeffs", coeffs)
+    monkeypatch.setattr(solutions, "_compose", compose)
+    for suite in SUITES:
+        (report,) = run_suite((suite,), seed=0, samples=100, order=6)
+        assert report.passed, report
+    assert series == {("singular-sets", "rational"): 100}
+    assert recurrences[0] == len(compositions) == 10
+    assert sum(compositions) == 734
 
 
 def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypatch):
