@@ -31,6 +31,7 @@ KILLED = {
     "rho-scaling": ["equivariance"],
     "stack-rows-first-jet": ["equivariance", "phantom"],
     "rational-rows-column-major": ["kdv-residual"],
+    "rational-rows-first-point": ["kdv-residual"],
     "cancel-scale-dropped": ["singular-sets"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
@@ -38,8 +39,6 @@ SURVIVORS = {
     "max-condition": "the seed-0 draws reach condition 99 at most, far from 1e8; may be near-equivalent (ROADMAP items 1 and 5)",
     "prefactor-high-weight": "every suite that relates I_alpha to something else stops at order 4 (ROADMAP items 1 and 5)",
     "i0n-doubled": "invariance and equivariance compare a formula with itself (ROADMAP items 1 and 5)",
-    "rational-rows-first-point": "x/(t + c) solves KdV too, so kdv-residual passes a row with another point's 1/t, and no suite "
-    "compares a stacked row with its own point's jet (ROADMAP item 9)",
 }
 
 

@@ -2,9 +2,12 @@
 
 Each suite draws its own deterministic random stream from (seed, suite name),
 evaluates a battery of sample points and reports the worst defect against a
-tolerance.  Two jet generators are used: unconstrained random jets (the
-algebraic identities hold on the whole jet space) and jets of exact catalog
-solutions (the invariantized-equation identities hold only on solutions).
+tolerance.  Every draw comes from the suite's :class:`_Stream`, which reads
+the doubles of a numpy generator seeded with (seed, suite name) a block at
+a time and makes of them that generator's own uniform draws, bit for bit.
+Two jet generators are used: unconstrained random jets (the algebraic
+identities hold on the whole jet space) and jets of exact catalog solutions
+(the invariantized-equation identities hold only on solutions).
 Only reconstruction retries a draw: a singular or degenerate point is
 drawn again a bounded number of times (:func:`_retrying`), and a sample
 that finds no admissible point is not counted, so the report's sample
@@ -30,11 +33,12 @@ frame's invariants of them, floats or a lift's series, in one
 :func:`~jetframe.invariants.invariant_table` once per frame kind, the
 time-normalized frame first, as a sample takes them; every point is bit
 for bit its own call.  Only kdv-residual still evaluates each sample's jet
-through :func:`~jetframe.solutions.kdv_residual`.  A typed error anywhere
-in a stack replays it one sample at a time from the generator state its
+through :func:`~jetframe.solutions.kdv_residual`, and it compares each jet
+of u = x/t with that solution's closed form too.  A typed error anywhere
+in a stack replays it one sample at a time from the stream position its
 draws began at, retries included, so no report depends on the stacking.
-Only singular-sets stays a loop over samples, through
-:func:`~jetframe.solutions.jet_of_solution`.
+Group-axioms, determining-eqs and singular-sets stay loops over samples,
+singular-sets through :func:`~jetframe.solutions.jet_of_solution`.
 """
 
 from __future__ import annotations
@@ -96,8 +100,72 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+# the doubles a stream reads off its generator at a time
+_BLOCK = 1024
+
+
+class _Stream:
+    """A suite's uniform draws, read off its generator's doubles a block at a time.
+
+    :meth:`uniform` is :meth:`numpy.random.Generator.uniform` on the same
+    doubles: ``low + (high - low) * d`` for each next double d of
+    ``Generator.random``, so every draw is the generator's own, bit for bit,
+    without a numpy call per scalar draw.  :meth:`hold` keeps the doubles
+    from the current position on, so that :meth:`rewind` can return there;
+    older doubles are dropped when a block is read, so the stream holds at
+    most the draws since the hold and one block, however many it has made.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._doubles = np.empty(0)  # the buffered doubles, the first at position self._first
+        self._first = 0
+        self._next = 0  # index in self._doubles of the next double
+        self._held = None  # the position :meth:`hold` keeps the doubles from
+
+    @property
+    def position(self):
+        """The number of doubles drawn so far."""
+        return self._first + self._next
+
+    def hold(self):
+        """Keep the doubles from the current position on, and return that position."""
+        self._held = self.position
+        return self._held
+
+    def rewind(self, position):
+        """Draw again from `position`, a position :meth:`hold` returned."""
+        self._next = position - self._first
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """A float in [low, high), or a float array of `size`; a bad range raises as the generator's does."""
+        low = float(low)
+        span = float(high) - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0.0:
+            raise ValueError("high - low < 0")
+        n = 1 if size is None else size
+        at = self._next
+        if at + n > len(self._doubles):
+            at = self._read(n)
+        self._next = at + n
+        if size is None:
+            return low + span * self._doubles.item(at)
+        return low + span * self._doubles[at : at + n]
+
+    def _read(self, n):
+        """Drop the doubles before the held position (or the next one), read a block; the next double's index."""
+        drop = (self.position if self._held is None else self._held) - self._first
+        block = self._rng.random(max(_BLOCK, n))
+        self._doubles = np.concatenate([self._doubles[drop:], block])
+        self._first += drop
+        self._next -= drop
+        return self._next
+
+
 def _suite_rng(seed, name):
-    return np.random.default_rng([seed % 2**32, zlib.crc32(name.encode())])
+    return _Stream(np.random.default_rng([seed % 2**32, zlib.crc32(name.encode())]))
 
 
 # -- random generators --------------------------------------------------------
@@ -238,9 +306,10 @@ def _stacked(rng, samples, draw, evaluate, replay=None):
 
     A stack draws its samples first, ``draw(rng, i)`` for each sample i in
     order, then ``evaluate(draws)`` gives their defects, all at once.  A
-    typed error anywhere in a stack rewinds `rng` to where its draws began
-    and replays the stack one sample at a time: ``replay(rng, i)`` yields
-    sample i's defects, by default those of a stack of that sample alone.
+    typed error anywhere in a stack sets the stream `rng` back to the
+    position its draws began at, which it holds, and replays the stack one
+    sample at a time: ``replay(rng, i)`` yields sample i's defects, by
+    default those of a stack of that sample alone.
     The replay meets each sample as the loop over samples does, and yields
     each sample's defects before the next sample is drawn, so neither the
     defects nor a typed error that ends them depend on the stacking.
@@ -251,11 +320,11 @@ def _stacked(rng, samples, draw, evaluate, replay=None):
 
     for start in range(0, samples, _STACK):
         stack = range(start, min(start + _STACK, samples))
-        state = rng.bit_generator.state
+        held = rng.hold()
         try:
             defects = evaluate([draw(rng, i) for i in stack])
         except JetFrameError:
-            rng.bit_generator.state = state
+            rng.rewind(held)
             defects = (defect for i in stack for defect in replay(rng, i))
         yield from defects
 
@@ -351,9 +420,27 @@ def _suite_kdv_residual(rng, samples, order):
         return sol, t0, x0
 
     def evaluate(points):
-        return [abs(kdv_residual(jet)) for jet in _solution_jets(points, 3)]
+        jets = _solution_jets(points, 3)
+        # a jet of u = x/t is compared with that solution's closed form too
+        return [
+            _worst([abs(kdv_residual(jet)), *(_rational_gaps(jet) if isinstance(sol, Rational) else ())])
+            for (sol, _, _), jet in zip(points, jets)
+        ]
 
     return _stacked(rng, samples, draw, evaluate)
+
+
+def _rational_gaps(jet):
+    """The :func:`_rel` gaps of a jet of u = x/t from that solution's closed form at the jet's own (t, x).
+
+    d_t^i u = (-1)^i i! x/t^(i+1), d_x d_t^i u = (-1)^i i!/t^(i+1), and
+    every entry with two or more x-derivatives is 0.  A residual cannot see
+    a jet of another point's x/t, since x/(t + c) solves KdV too.
+    """
+    t, x = jet.t, jet.x
+    for (i, j), value in zip(multi_indices(jet.order), jet.data.tolist()):
+        exact = (-1) ** i * math.factorial(i) * (x if j == 0 else 1.0) / t ** (i + 1) if j < 2 else 0.0
+        yield _rel(value, exact)
 
 
 def _suite_recurrences(rng, samples, order):

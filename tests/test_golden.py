@@ -56,6 +56,11 @@ CASES = {
                                            "--samples", "100", "--order", "6"]
         for seed in (3, 11)
     },
+    # the battery at 300 samples, written before the suites read their draws
+    # off a buffered stream: each stacked suite crosses the stack boundaries
+    # at 128 and 256, and every suite many of the stream's blocks
+    "verify-all-seed0-s300-o6": ["verify", "--suites", "all", "--seed", "0", "--samples", "300",
+                                 "--order", "6"],
     # the battery at order 8, where the series run longer; CI runs it too
     "verify-all-seed0-s100-o8": ["verify", "--suites", "all", "--seed", "0", "--samples", "100",
                                  "--order", "8"],

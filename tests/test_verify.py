@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -461,7 +462,7 @@ def test_the_battery_expands_rational_and_constant_stacks_in_row_passes_and_runs
 def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypatch):
     # with the conditioning bound lowered, some seed-0 points are degenerate: a
     # stack that holds one raises, and the suite replays that stack one sample
-    # at a time from the random state before its draws, retries included; the
+    # at a time from the stream position before its draws, retries included; the
     # report is the one the loop over samples gives, and later stacks run whole
     monkeypatch.setattr(invariants, "_MAX_CONDITION", 40.0)
     monkeypatch.setattr(verify, "_STACK", 3)
@@ -497,9 +498,11 @@ def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypat
     (report,) = run_suite(("reconstruction",), seed=0, samples=samples)
     assert (report.samples, report.max_defect) == (len(defects), max(defects))
     assert [3, True] in stacks and [3, False] in stacks, stacks
-    # defect by defect too: a replay from anywhere but the saved state meets other points
+    # defect by defect too: a replay from anywhere but the held position meets
+    # other points, and the bare generator's replay from its saved state agrees
     suite, _ = verify._SUITES["reconstruction"]
     assert list(suite(verify._suite_rng(0, "reconstruction"), samples, 6)) == defects
+    assert list(suite(_Bare(0, "reconstruction"), samples, 6)) == defects
 
 
 def _loop_invariants(jet):
@@ -546,6 +549,24 @@ def _loop_over_samples(name, rng, samples, order):
             )
 
 
+class _Bare:
+    """A suite's generator drawn from directly, as before the stream: a replay sets back its state."""
+
+    def __init__(self, seed, name):
+        self.generator = verify._suite_rng(seed, name)._rng
+        self.uniform = self.generator.uniform
+
+    @property
+    def position(self):
+        return self.generator.bit_generator.state["state"]["state"]
+
+    def hold(self):
+        return self.generator.bit_generator.state
+
+    def rewind(self, state):
+        self.generator.bit_generator.state = state
+
+
 def _outcome(defects):
     """The defects a suite yields, as reprs, up to the typed error that ends it, if one does."""
     seen = []
@@ -581,16 +602,16 @@ def test_frame_suites_give_the_loop_over_samples_defect_by_defect(monkeypatch, n
 
 
 def _spoiled(real, spoil, at):
-    """`real` with its `at`-th draw spoiled, and every later draw that starts from the same random state."""
-    states, calls = set(), [0]
+    """`real` with its `at`-th draw spoiled, and every later draw that starts at the same position of the stream."""
+    positions, calls = set(), [0]
 
     def draw(rng, *args):
-        state = rng.bit_generator.state["state"]["state"]
+        position = rng.position
         value = real(rng, *args)
         calls[0] += 1
         if calls[0] == at:
-            states.add(state)
-        return spoil(value) if state in states else value
+            positions.add(position)
+        return spoil(value) if position in positions else value
 
     return draw
 
@@ -617,16 +638,20 @@ def _overflowing_jet(jet):
 def test_a_draw_that_fails_mid_stack_ends_the_suite_as_the_loop_does(monkeypatch, name, draw, spoil, at, error):
     # the fifth sample, in the middle of the second stack of 3, leaves range or
     # meets a singular frame: the stack replays one sample at a time from the
-    # random state its draws began at, so the defects before it and the typed
+    # stream position its draws began at, so the defects before it and the typed
     # error are the loop's
     monkeypatch.setattr(verify, "_STACK", 3)
-    monkeypatch.setattr(verify, draw, _spoiled(getattr(verify, draw), spoil, at))
+    real = getattr(verify, draw)
+    monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
     suite, _ = verify._SUITES[name]
     stacked = _outcome(suite(verify._suite_rng(0, name), 7, 6))
     loop = _outcome(_loop_over_samples(name, verify._suite_rng(0, name), 7, 6))
     assert stacked == loop
     defects, raised = loop
     assert len(defects) == 4 and raised.startswith(error + ":"), loop
+    # and on the bare generator, whose state the replay sets back
+    monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
+    assert _outcome(suite(_Bare(0, name), 7, 6)) == stacked
 
 
 def _counted_calls(monkeypatch, owner, names):
@@ -696,3 +721,96 @@ def test_a_free_jet_draws_its_entries_in_one_call_as_one_call_each_would():
             jet, want = verify.random_free_jet(rng, order), one_call_per_entry(ref, order)
             assert repr((jet.t, jet.x, jet.data.tolist())) == repr((want.t, want.x, want.data.tolist()))
         assert rng.uniform() == ref.uniform()
+
+
+def test_the_stream_draws_the_generators_own_uniforms_bit_for_bit(monkeypatch):
+    # random replays of uniform calls on a stream and on a generator of the
+    # same seed: scalar and size draws, int bounds, low > high, ranges past
+    # the double range, and rewinds to the last hold, over blocks of every
+    # length.  Generator.uniform computes low + (high - low) * d on the same
+    # doubles; a numpy built to fuse that into one multiply-add gives other
+    # bits, and fails here.  A bad range raises the generator's error and
+    # draws nothing
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    bounds = st.one_of(st.floats(-1e6, 1e6), st.floats(), st.integers(-(2**62), 2**62), st.integers(-3, 3))
+    draws = st.tuples(bounds, bounds, st.sampled_from([None, 1, 2, 3, 4, 28]))
+    steps = st.lists(st.one_of(draws, st.sampled_from(["default", "hold", "rewind"])), max_size=80)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 64, verify._BLOCK]), steps)
+    def check(seed, block, steps):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        stream, generator = verify._Stream(np.random.default_rng(seed)), np.random.default_rng(seed)
+        held = stream.hold(), generator.bit_generator.state
+        for step in [*steps, "default"]:
+            if step == "hold":
+                held = stream.hold(), generator.bit_generator.state
+            elif step == "rewind":
+                stream.rewind(held[0])
+                generator.bit_generator.state = held[1]
+            else:
+                args = () if step == "default" else step
+                try:
+                    b = generator.uniform(*args)
+                except (OverflowError, ValueError) as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        stream.uniform(*args)
+                    continue
+                a = stream.uniform(*args)
+                assert type(a) is type(b), step
+                if isinstance(b, float):
+                    assert a.hex() == b.hex(), step
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), step
+
+    check()
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_every_suite_draws_on_its_stream_the_bare_generators_defects(monkeypatch, name):
+    # uneven stacks of 3, and blocks of 5 doubles as well as the stream's own:
+    # each defect, and the sample count, are bit for bit those of the suite
+    # drawing from its generator directly, as it did before the stream
+    monkeypatch.setattr(verify, "_STACK", 3)
+    suite, _ = verify._SUITES[name]
+    for block in (5, verify._BLOCK):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        for seed, samples, order in ((0, 7, 6), (3, 8, 3), (11, 1, 1), (5, 10, 4)):
+            stream = _outcome(suite(verify._suite_rng(seed, name), samples, order))
+            assert stream == _outcome(suite(_Bare(seed, name), samples, order))
+            assert len(stream[0]) >= samples and stream[1] is None
+
+
+@pytest.mark.parametrize("name, per_sample", [("group-axioms", 15), ("kdv-residual", None)])
+def test_the_stream_holds_one_stacks_draws_and_one_block_at_most(monkeypatch, name, per_sample):
+    # 5000 samples draw tens of blocks; the stream keeps only the doubles of
+    # the current stack (of the current sample, in a loop over samples) and
+    # the block it has just read
+    streams, holds, held = [], [], []
+    real_rng, real_hold, real_read = verify._suite_rng, verify._Stream.hold, verify._Stream._read
+
+    def hold(self):
+        holds.append(real_hold(self))
+        return holds[-1]
+
+    def read(self, n):
+        at = real_read(self, n)
+        held.append(len(self._doubles))
+        return at
+
+    monkeypatch.setattr(verify, "_suite_rng", lambda seed, name: streams.append(real_rng(seed, name)) or streams[-1])
+    monkeypatch.setattr(verify._Stream, "hold", hold)
+    monkeypatch.setattr(verify._Stream, "_read", read)
+    (report,) = run_suite((name,), seed=0, samples=5000)
+    assert report.passed and report.samples == 5000
+    (stream,) = streams
+    if per_sample is None:  # stacked: one hold at the start of each stack
+        assert len(holds) == math.ceil(5000 / verify._STACK)
+        starts = [*holds, stream.position]
+        most = max(b - a for a, b in zip(starts, starts[1:]))
+    else:  # a loop over samples, which never holds
+        assert holds == [] and stream.position == 5000 * per_sample
+        most = per_sample
+    assert stream.position > 15 * verify._BLOCK and len(held) > 15
+    assert max(held) <= most + verify._BLOCK
