@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for, _stack
+from .jets import Jet, _checked, _entries, _first_non_finite, _is_multi_index, _one_or_many, _rows_for, _stack
 from .taylor import TruncatedSeries, _pos, _read_only, _row_products, _shifted, multi_indices
 
 
@@ -311,7 +311,8 @@ def _prolong(elements, jets, order, data):
         bad = _first_non_finite(values, multi_indices(order))
         if bad is not None:
             raise DomainError(f"transformed u_{bad[1]} under {elements[bad[0]]} leaves double-precision range")
-    return [Jet(order, t, x, row) for (t, x, _), row in zip(images, values)], values
+    values.flags.writeable = False  # finite rows at images in range: the moved jets share them
+    return [_checked(order, t, x, row) for (t, x, _), row in zip(images, values)], values
 
 
 @dataclass(frozen=True)
@@ -456,7 +457,10 @@ def pr_v_apply(v, F, jet):
     one eta pass lifts them all, F is called once on the list of lifted
     jets and returns one item per jet (a list, a tuple or an array), and
     the result is the list of one result per jet, each bit for bit the call
-    on that jet alone.  A call on one jet is the stack of one.  Jets of
+    on that jet alone; a float array (jets, ..., 3) of rows of series is
+    read with one pass per slot.  A call on one jet is the stack of one.
+    The lifted jets share the lift's read-only rows
+    (:func:`~jetframe.jets._checked`).  Jets of
     different orders, or a series jet, are a UsageError.
     """
     fields, shape = _one_or_many(v, lambda arg: isinstance(arg, VectorField))
@@ -468,11 +472,12 @@ def pr_v_apply(v, F, jet):
     lift = np.zeros(data.shape + (3,))  # one order-1 series per entry
     lift[..., 0] = data
     lift[..., [_pos(*slot) for slot in slots]] = _eta_stack(fields, data, order).transpose(0, 2, 1)
+    lift.flags.writeable = False  # series rows of a validated stack: the lifted jets share them
     lifted = []
-    for j, rows in zip(jets, lift):
-        t, x, u = j.t, j.x, float(j.data[0])
-        lifted.append(Jet(
-            j.order,
+    for j, u, rows in zip(jets, data[:, 0].tolist(), lift):
+        t, x = j.t, j.x
+        lifted.append(_checked(
+            order,
             _lift(t, *(w.tau(t, x, u) for w in fields)),
             _lift(x, *(w.xi(t, x, u) for w in fields)),
             rows,
@@ -481,6 +486,8 @@ def pr_v_apply(v, F, jet):
     per_jet = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim > 0
     if not per_jet or len(values) != len(jets):
         raise UsageError(f"a jet function on a stack of {len(jets)} jets returns a list of one item per jet")
+    if isinstance(values, np.ndarray) and values.ndim >= 3:  # rows of series per jet: one read per slot
+        return [shape(list(pair)) for pair in zip(*(_eps_coefficient(values, slot) for slot in slots))]
     results = [shape([_eps_coefficient(value, slot) for slot in slots]) for value in values]
     return results[0] if single else results
 

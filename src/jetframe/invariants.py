@@ -104,7 +104,7 @@ from .group import (
     _weight,
     act_point,
 )
-from .jets import Jet, MultiIndex, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for, _stack
+from .jets import Jet, MultiIndex, _checked, _entries, _first_non_finite, _is_multi_index, _one_or_many, _require_real, _rows_for, _stack
 from .solutions import _expansions, _jet_rows
 from .taylor import (
     MAX_ORDER,
@@ -412,13 +412,21 @@ class SolutionGerm:
         cut, so this is :func:`~jetframe.solutions.jet_of_solution` bit for bit.
         """
         order = _integer(order, "jet order", high=self.order)
-        rows = _jet_rows(self._coeffs, order, self._points)
-        return self._results([Jet(order, t, x, row) for (t, x), row in zip(self._points, rows)])
+        return self._jets(order, _jet_rows(self._coeffs, order, self._points))
 
     def series_jet(self, jet_order, order):
         """Jet at the base point whose entries are the order-`order` series of every u_alpha."""
         rows = _derivatives(self._coeffs, jet_order, order)  # one row of series per point and u_alpha
-        return self._results([Jet(jet_order, t, x, row) for (t, x), row in zip(self._points, rows)])
+        return self._jets(_integer(jet_order, "derivative order"), rows)
+
+    def _jets(self, order, rows):
+        """The jets of order `order` at the points, on `rows`: a fresh array of checked entries, one row per point.
+
+        The jets share the rows, which are set read-only first
+        (:func:`~jetframe.jets._checked`).
+        """
+        rows.flags.writeable = False
+        return self._results([_checked(order, t, x, row) for (t, x), row in zip(self._points, rows)])
 
     def _frame(self, kind, order):
         """(pivot rows, branches, prefactor rows) of the frame `kind` at each point, at series order `order`.

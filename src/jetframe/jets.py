@@ -178,9 +178,11 @@ class Jet:
     order <= `order` to real entries, or as an array of the layout of
     `data`, the one form that takes series entries; either is copied.  Real
     coordinates must be finite; t and x are finite real numbers, or series
-    in a lift along a flow.  Jets compare equal when order, t, x and every
-    entry are equal (0.0 == -0.0); they are not hashable.
-    Instances are immutable: operations return new jets.
+    in a lift along a flow.  The jets the program builds from rows it has
+    already checked (:func:`_checked`) share those rows, read-only down to
+    their base array, and are not validated again.  Jets compare equal when
+    order, t, x and every entry are equal (0.0 == -0.0); they are not
+    hashable.  Instances are immutable: operations return new jets.
     """
 
     order: int
@@ -233,3 +235,15 @@ class Jet:
                 f"jet of order {self.order} has no entry for alpha={alpha}"
             ) from None
 
+
+def _checked(order, t, x, data):
+    """A jet on `data`, a row of entries its caller has already checked, with nothing copied or validated.
+
+    `data` is one dense row of a stack array, or such an array itself, that
+    the caller built, checked and set read-only before slicing its rows; the
+    jet shares it.  `order` is an int, and t and x are what :class:`Jet`
+    takes: finite floats, or the series of a lift.
+    """
+    jet = object.__new__(Jet)
+    jet.__dict__.update(order=order, t=t, x=x, data=data)
+    return jet

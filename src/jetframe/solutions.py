@@ -37,8 +37,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .jets import Jet, _first_non_finite, multi_indices
-from .taylor import TruncatedSeries, _compose, _derivative_table, _integer, _pos, _row_products, series_recip, triangle_size
+from .jets import _checked, _first_non_finite, multi_indices
+from .taylor import (
+    TruncatedSeries,
+    _compose,
+    _derivative_table,
+    _integer,
+    _pos,
+    _row_products,
+    _series_order,
+    series_recip,
+    triangle_size,
+)
 
 
 class Solution:
@@ -278,10 +288,13 @@ def jet_of_solution(solution, t0, x0, order):
     The solution is expanded to exactly `order` (no coefficient of degree
     <= order depends on where the expansion is cut) and the jet is read off
     that expansion (:func:`_jet_rows`).  The expansion is the one-point
-    case of :func:`_expansions`.
+    case of :func:`_expansions`, which validates the point and the order.
     """
     rows = _expansions([(solution, t0, x0)], order)
-    return Jet(order, float(t0), float(x0), _jet_rows(rows[0], order, [(t0, x0)]))
+    order = _series_order(rows.shape[1])  # the order as an int
+    data = _jet_rows(rows[0], order, [(t0, x0)])
+    data.flags.writeable = False  # finite entries: the jet shares them
+    return _checked(order, float(t0), float(x0), data)
 
 
 def kdv_residual(jet):

@@ -26,10 +26,10 @@ or a germ stack of each frame kind), then runs the germ calculus on the
 stack, or moves the stack's jets in one
 :func:`~jetframe.group.prolong_act`, lifts them in one
 :func:`~jetframe.group.pr_v_apply` per pair of basis fields and takes each
-frame's invariants of them, floats or a lift's series, in one
-:func:`~jetframe.invariants.normalized_invariant` call on the stack
-(:func:`_invariants`).  Equivariance and phantom pass each stack to the public
-:func:`~jetframe.frame.equivariance_defect` and
+frame's invariants of them, floats or a lift's series, in one pass of the
+kernel of :func:`~jetframe.invariants.normalized_invariant` on the stack,
+validated once (:func:`_invariants`).  Equivariance and phantom pass each
+stack to the public :func:`~jetframe.frame.equivariance_defect` and
 :func:`~jetframe.invariants.invariant_table` once per frame kind, the
 time-normalized frame first, as a sample takes them; every point is bit
 for bit its own call.  Only kdv-residual still evaluates each sample's jet
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePointError, JetFrameError, SingularFrameError, UsageError
-from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame
+from .frame import FrameKind, _require_kind, equivariance_defect, moving_frame, require_regular_pivots
 from .group import (
     GroupElement,
     VectorField,
@@ -64,15 +64,15 @@ from .group import (
 from .invariants import (
     SolutionGerm,
     _bracket,
+    _invariant_rows,
     _recurrence,
     _relations,
     invariant_commutator,
     invariant_derivative,
     invariant_table,
-    normalized_invariant,
     reconstruct_generators,
 )
-from .jets import Jet, multi_indices
+from .jets import Jet, _checked, _stack, multi_indices
 from .solutions import Constant, Rational, Soliton, jet_of_solution, kdv_residual
 from .taylor import _integer, _pos
 
@@ -171,9 +171,13 @@ def _suite_rng(seed, name):
 # -- random generators --------------------------------------------------------
 
 
+def _uniforms(rng, n, low, high):
+    """`n` scalar draws in [low, high): the doubles of one size draw, in its order, without the array."""
+    return [rng.uniform(low, high) for _ in range(n)]
+
+
 def random_group_element(rng):
-    e = rng.uniform(-1.0, 1.0, size=4)
-    return GroupElement(*map(float, e))
+    return GroupElement(*_uniforms(rng, 4, -1.0, 1.0))
 
 
 def random_free_jet(rng, order, kind=None, branch=None):
@@ -184,6 +188,7 @@ def random_free_jet(rng, order, kind=None, branch=None):
     """
     if branch is not None:
         _require_kind(kind)
+    order = _integer(order, "jet order")
     values = rng.uniform(-_JET_BOUND, _JET_BOUND, size=len(multi_indices(order)))  # in storage order
     sx, st = (
         branch if k is kind and branch is not None else (1 if rng.uniform() < 0.5 else -1)
@@ -193,8 +198,9 @@ def random_free_jet(rng, order, kind=None, branch=None):
     values[u_x] = sx * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
     pivot = st * float(rng.uniform(_MIN_PIVOT, _JET_BOUND))
     values[u_t] = pivot - values[u] * values[u_x]
-    t, x = rng.uniform(-1.5, 1.5, size=2)
-    return Jet(order=order, t=float(t), x=float(x), u=values)
+    t, x = _uniforms(rng, 2, -1.5, 1.5)
+    values.flags.writeable = False  # bounded draws: the jet shares them
+    return _checked(order, t, x, values)
 
 
 # the time-normalized pivot of the soliton vanishes where 3*sech(theta)^2 = 1
@@ -244,13 +250,20 @@ def _invariants(jets):
     """Every I_alpha of both frames up to the jets' order at each of `jets`, frame-major: one row per jet.
 
     The jets share one order, and their entries are floats or the series of
-    a lift (:func:`~jetframe.group.pr_v_apply`).  Each frame's invariants of
-    them all are one :func:`~jetframe.invariants.normalized_invariant` call
-    on the stack, whose rows are floats or the coefficient rows of a lift's
-    series, each bit for bit that function's call at that jet.
+    a lift (:func:`~jetframe.group.pr_v_apply`).  The stack is validated and
+    stacked once (:func:`~jetframe.jets._stack`), and each frame's
+    invariants of it are one pass of the kernel of
+    :func:`~jetframe.invariants.normalized_invariant`, on rows of floats or
+    on the coefficient rows of a lift's series, each bit for bit that
+    function's call at that jet.
     """
-    alphas = multi_indices(jets[0].order)
-    return np.concatenate([normalized_invariant(jets, alphas, kind, _dense=True) for kind in _KINDS], axis=1)
+    jets, order, data = _stack(jets, "the invariants of a stack", series=True)
+    alphas = multi_indices(order)
+
+    def pivot(kind):
+        return lambda: require_regular_pivots(data, kind, lambda i: (jets[i].t, jets[i].x))
+
+    return np.concatenate([_invariant_rows(data, kind, alphas, order, pivot(kind)) for kind in _KINDS], axis=1)
 
 
 def _draw_jet(rng, free, order, kind=None, branch=None):
@@ -339,7 +352,7 @@ def _suite_group_axioms(rng, samples, order):
     ident = GroupElement.identity().params()
     for _ in range(samples):
         g1, g2, g3 = (random_group_element(rng) for _ in range(3))
-        p = tuple(map(float, rng.uniform(-2.0, 2.0, size=3)))
+        p = tuple(_uniforms(rng, 3, -2.0, 2.0))
         pairs = (
             (compose(compose(g1, g2), g3).params(), compose(g1, compose(g2, g3)).params()),
             (compose(g1, inverse(g1)).params(), ident),
@@ -352,8 +365,8 @@ def _suite_group_axioms(rng, samples, order):
 def _suite_determining_eqs(rng, samples, order):
     fields = list(VectorField.basis())
     for i in range(samples):
-        v = fields[i % 4] if i % 2 == 0 else VectorField(*map(float, rng.uniform(-2, 2, size=4)))
-        t, x, u = map(float, rng.uniform(-2.0, 2.0, size=3))
+        v = fields[i % 4] if i % 2 == 0 else VectorField(*_uniforms(rng, 4, -2.0, 2.0))
+        t, x, u = _uniforms(rng, 3, -2.0, 2.0)
         yield _worst(abs(r) for r in determining_equation_residuals(v, t, x, u))
 
 
@@ -416,7 +429,7 @@ def _suite_kdv_residual(rng, samples, order):
             t0 = float(rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1))
             return Rational(), t0, float(rng.uniform(-2.0, 2.0))
         sol = Constant(u0=float(rng.uniform(-2.0, 2.0)))
-        t0, x0 = map(float, rng.uniform(-2.0, 2.0, size=2))
+        t0, x0 = _uniforms(rng, 2, -2.0, 2.0)
         return sol, t0, x0
 
     def evaluate(points):

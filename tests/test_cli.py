@@ -484,13 +484,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_nan_defect_fails_with_strict_json(capsys, monkeypatch):
     import math
 
-    import jetframe.invariants as invariants
+    import jetframe.verify as verify
 
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")
 
-    monkeypatch.setattr(
-        invariants, "_invariant_rows", lambda data, kind, alphas, jet_order, pivot: np.full((len(data), len(alphas)), math.nan)
+    monkeypatch.setattr(  # the invariant kernel the invariance suite calls
+        verify, "_invariant_rows", lambda data, kind, alphas, jet_order, pivot: np.full((len(data), len(alphas)), math.nan)
     )
     code, out, err = run_cli(capsys, "verify", "--suites", "invariance", "--samples", "3")
     assert code == EXIT_CHECK_FAILED

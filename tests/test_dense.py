@@ -9,6 +9,8 @@ standard against Horner's rule with one dense series product per step.
 """
 
 import abc
+import contextlib
+import io
 import math
 import numbers
 import re
@@ -19,7 +21,7 @@ from collections.abc import Mapping, Sized
 import numpy as np
 import pytest
 
-from jetframe import taylor
+from jetframe import cli, taylor, verify
 from jetframe.errors import DomainError, UsageError
 from jetframe.frame import FrameKind, pivot_value
 from jetframe.group import (
@@ -502,6 +504,70 @@ def test_series_jet_rows_are_read_only():
     assert isinstance(entry, TruncatedSeries) and entry.order == 2
     with pytest.raises(ValueError):
         entry.coeffs[0] = 1.0
+
+
+def _checked_sites():
+    """Every site that builds jets on rows it has checked, with the jets it builds: one jet and a stack each."""
+    rng = np.random.default_rng(61)
+    points = [random_soliton_point(rng) for _ in range(3)]
+    free = [random_free_jet(rng, 4) for _ in range(3)]
+    elements = [random_group_element(rng) for _ in free]
+    germ, stack = SolutionGerm(*points[0], 5), SolutionGerm._expanded(points, 5)
+    lifted = []  # the lifted jets F receives, alone and in a stack
+    pr_v_apply(VectorField.scaling(), lambda j: lifted.append(j) or 0.0, free[0])
+    pr_v_apply(VectorField.basis()[:2], lambda js: lifted.extend(js) or [0.0] * len(js), free)
+    return {
+        "prolong_act": [prolong_act(elements[0], free[0]), *prolong_act(elements, free)],
+        "SolutionGerm.jet": [germ.jet(4), *stack.jet(4)],
+        "SolutionGerm.series_jet": [germ.series_jet(2, 3), *stack.series_jet(2, 3)],
+        "jet_of_solution": [jet_of_solution(*points[1], 4)],
+        "random_free_jet": [random_free_jet(verify._suite_rng(0, "free"), 4), random_free_jet(rng, 4)],
+        "pr_v_apply": lifted,
+    }
+
+
+def test_checked_jets_are_the_validated_jets_and_read_only_all_the_way_down():
+    # a jet built on rows the program has checked shares them, unvalidated:
+    # it must be the jet the public constructor builds on a copy, and no write
+    # may reach its entries, through the jet or through the array it views
+    def fields(jet):
+        t, x = (c.coeffs.tolist() if isinstance(c, TruncatedSeries) else c for c in (jet.t, jet.x))
+        return repr((jet.order, type(jet.order), t, x, jet.data.tolist()))
+
+    for site, jets in _checked_sites().items():
+        assert len(jets) >= 1, site
+        for jet in jets:
+            assert fields(jet) == fields(Jet(jet.order, jet.t, jet.x, jet.data.copy())), site
+            assert not jet.data.flags.writeable, site
+            for array in (jet.data, jet.data.base):
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array.flat[0] = array.flat[0]
+
+
+def test_only_the_jets_from_outside_are_validated(monkeypatch):
+    # the jets built on checked rows skip Jet.__init__: a seed-0 battery
+    # validates only its 200 invariant tables' jets and its 100 singular-sets
+    # near misses, and an eval only its invariant table's jet
+    validated = [0]
+    real = Jet.__init__
+
+    def counted(self, *args, **kwargs):
+        validated[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet, "__init__", counted)
+    assert all(r.passed for r in verify.run_suite(("all",), seed=0, samples=100, order=6))
+    assert validated == [300]
+    for argv in (
+        ["--solution", "soliton", "--t0", "0.3", "--x0", "-0.9", "--frame", "x", "--order", "12"],
+        ["--solution", "rational", "--t0", "1.5", "--x0", "0.4", "--frame", "x", "--order", "4"],
+        ["--solution", "soliton", "--t0", "-0.2", "--x0", "0.1", "--frame", "t", "--order", "4"],
+    ):
+        validated[0] = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", *argv]) == 0
+        assert validated == [1], argv
 
 
 def test_jet_equality_compares_order_base_point_and_entries():

@@ -19,7 +19,7 @@ from jetframe.invariants import normalized_invariant
 from jetframe.frame import FrameKind
 from jetframe.jets import Jet, _entries, multi_indices
 from jetframe.solutions import Custom, Soliton, jet_of_solution
-from jetframe.taylor import TruncatedSeries
+from jetframe.taylor import TruncatedSeries, _pos
 from jetframe import verify
 from jetframe.verify import random_free_jet, random_group_element, random_soliton_point
 
@@ -437,6 +437,15 @@ def test_pr_v_rows_are_float_arrays_of_the_lifts_coefficients():
     v = VectorField.scaling()
     with pytest.raises(DomainError, match="not finite"):
         pr_v_apply(v, lambda j: j.data + np.array([0.0, math.inf, math.inf]), jet)
+
+    def last_not_finite(lifted):
+        # a stack array, read one slot at a time: only its last point's flow derivative is not finite
+        rows = np.stack([j.data for j in lifted])
+        rows[-1, -1, _pos(1, 0)] = math.inf
+        return rows
+
+    with pytest.raises(DomainError, match="not finite"):
+        pr_v_apply(v, last_not_finite, [jet] * 5)
     rows = np.zeros((2, 3))
     bad = (rows[0], np.array(1.5), rows.astype(int), rows.astype(object), np.zeros((2, 2)), np.zeros((2, 4)))
     for value in bad:
@@ -444,6 +453,9 @@ def test_pr_v_rows_are_float_arrays_of_the_lifts_coefficients():
             pr_v_apply(v, lambda j: value, jet)
         with pytest.raises(UsageError, match="real numbers"):
             pr_v_apply(v, lambda lifted: [value] * len(lifted), [jet] * 2)
+    for stack in (np.zeros((2, 2, 3), dtype=int), np.zeros((2, 2, 4))):  # whole stack arrays
+        with pytest.raises(UsageError, match="real numbers"):
+            pr_v_apply(v, lambda lifted: stack, [jet] * 2)
     for value in (np.array(1.5), verify._invariants([jet, jet])[:1]):
         with pytest.raises(UsageError, match="one item per jet"):
             pr_v_apply(v, lambda lifted: value, [jet] * 2)

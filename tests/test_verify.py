@@ -155,10 +155,10 @@ def _nan_invariants(at=None):
 @pytest.mark.parametrize(
     "module, formula, patched, suites",
     [
-        # the suites read every alpha of a frame at every jet of a stack in one normalized_invariant call
-        (invariants, "_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
+        # the suites read every alpha of a frame at every jet of a stack in one pass of the kernel they call
+        (verify, "_invariant_rows", _nan_invariants(), ("invariance", "infinitesimal")),
         # NaN among finite defects
-        (invariants, "_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),
+        (verify, "_invariant_rows", _nan_invariants((1, 1)), ("invariance", "infinitesimal")),
         (verify, "_bracket", lambda *args: (math.nan, math.nan), ("commutators",)),  # the commutator coefficients
     ],
     ids=["invariant-everywhere", "invariant-at-one-alpha", "commutator-coefficients"],
@@ -677,16 +677,27 @@ def test_the_battery_lifts_prolongs_and_tabulates_each_stack_once(monkeypatch):
     # infinitesimal lifts its stack of 100 jets once per pair of basis fields;
     # equivariance moves its stack once per frame kind, through the kernel of
     # prolong_act on the pair it has validated, and invariance once, through
-    # prolong_act itself; phantom tabulates its stack once per frame kind;
-    # each frame's invariants of a stack, floats or a lift's series, are one
-    # normalized_invariant call: one per table, 2 x 2 for invariance's moved
-    # and unmoved jets, and 3 x 2 for infinitesimal's scales and two lifts
+    # prolong_act itself; phantom tabulates its stack once per frame kind,
+    # and each table reads its invariants in one normalized_invariant call;
+    # the other suites' invariants of a stack, floats or a lift's series, are
+    # one _invariants call, which validates and stacks its jets once: 2 for
+    # invariance's moved and unmoved jets, and 3 for infinitesimal's scales
+    # and two lifts
     lifts = _counted_calls(monkeypatch, group, ("pr_v_apply", "prolong_act", "_prolong"))
     tables = _counted_calls(monkeypatch, invariants, ("invariant_table", "normalized_invariant"))
+    stacks = _counted_calls(monkeypatch, verify, ("_invariants",))
+    real_stack = verify._stack
+
+    def stacked(*args, **kwargs):
+        stacks["_stack"] = stacks.get("_stack", 0) + 1
+        return real_stack(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_stack", stacked)
     reports = run_suite(("all",), seed=0, samples=100, order=6)
     assert all(r.passed for r in reports)
     assert lifts == {"pr_v_apply": 2, "prolong_act": 1, "_prolong": 3}
-    assert tables == {"invariant_table": 2, "normalized_invariant": 2 + 4 + 6}
+    assert tables == {"invariant_table": 2, "normalized_invariant": 2}
+    assert stacks == {"_invariants": 2 + 3, "_stack": 2 + 3}
 
 
 @pytest.mark.parametrize("name, function", [("equivariance", "equivariance_defect"), ("phantom", "invariant_table")])
