@@ -51,6 +51,13 @@ MUTANTS = (
         "reconstruction accepts systems with condition number up to 1e16",
     ),
     Mutant(
+        "max-condition-low",
+        "invariants.py",
+        "_MAX_CONDITION = 1e8",
+        "_MAX_CONDITION = 40.0",
+        "reconstruction rejects systems with condition number above 40, which the space frame's draws reach",
+    ),
+    Mutant(
         "prefactor-high-weight",
         "invariants.py",
         "rows.append([math.exp(-w * log_p / w_den) for w in weights])",

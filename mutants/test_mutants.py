@@ -33,6 +33,7 @@ KILLED = {
     "rational-rows-column-major": ["kdv-residual"],
     "rational-rows-first-point": ["kdv-residual"],
     "cancel-scale-dropped": ["singular-sets"],
+    "max-condition-low": ["crash"],
 }
 # survivor -> why the battery misses it, and the ROADMAP item meant to kill it
 SURVIVORS = {

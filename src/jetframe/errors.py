@@ -29,8 +29,10 @@ class SingularFrameError(DomainError):
         super().__init__(msg)
 
 
-class DegeneratePointError(JetFrameError):
+class DegeneratePointError(DomainError):
     """The reconstruction system is too ill-conditioned to solve at this base point.
 
-    Generic points are fine; the caller should pick another base point.
+    Generic points are fine; at this one the system's condition number
+    exceeds its bound, so the point lies outside the domain of the
+    reconstruction, and the CLI exits 2 on it, as on any domain error.
     """

@@ -3,6 +3,8 @@
 The files under tests/data/golden/ were written by the dict-backed jet code
 that preceded the dense jet layout; any change to a printed digit fails here.
 The `.err` files hold the stderr of evals that exit 2 on a singular frame.
+Every invariant an eval file prints is also held to its case's bound
+against the 60-digit values of tests/oracle.py.
 Regenerate them (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+import oracle
 
 import jetframe.cli as cli
 from jetframe.cli import EXIT_DOMAIN, EXIT_OK, format_json_lines, main, parse_json_lines
@@ -164,6 +168,55 @@ def test_golden_json_lines_hold_every_record_kind():
     records = [r for name in _JSON_LINES for r in parse_json_lines((GOLDEN / f"{name}.out").read_text())]
     assert {r["record"] for r in records} == {"meta", "phantom", "invariant", "check"}
     assert {r["order"] for r in records if r["record"] == "meta" and r["command"] == "eval"} == {4, 6, 12, 30}
+
+
+# the worst relative error of each golden eval's nonzero invariants against
+# the 60-digit oracle of tests/oracle.py, as measured on the committed files
+# and rounded up at the second digit.  The closed form sums terms as large
+# as (|u| + c)^a1, which amplify the soliton jet's rounding with the order
+_ORACLE_BOUNDS = {
+    **{f"eval-soliton-{frame}-{branch}-o4": 5.1e-15 for frame in ("t", "x") for branch in _SOLITON_POINTS},
+    **{f"eval-soliton-{frame}-{branch}-o12": 5.8e-11 for frame in ("t", "x") for branch in _SOLITON_POINTS},
+    "eval-soliton-x-pos-o30": 2.0e-3,
+    "eval-soliton-t-csv-o5": 1.7e-15,
+    "eval-rational-x-pos-o6": 1.6e-15,
+    "eval-rational-x-neg-o6": 1.6e-15,
+    "eval-rational-x-pos-o30": 1.6e-15,
+}
+# an exact zero (every I[a1,0] of u = x/t in the space frame) printed as a
+# residue of its cancelling terms: at most this fraction of their size
+_ORACLE_ZERO_BOUND = 2.0e-16
+
+
+def _invariant_values(name):
+    """{alpha: value} of the invariant records of the golden eval `name`, JSON lines or CSV."""
+    text = (GOLDEN / f"{name}.out").read_text()
+    if "csv" in CASES[name]:
+        rows = (line.split(",") for line in text.split("alpha1,alpha2,value\n", 1)[1].splitlines())
+        return {(int(a1), int(a2)): float(value) for a1, a2, value in rows}
+    return {(r["alpha1"], r["alpha2"]): r["value"] for r in parse_json_lines(text) if r["record"] == "invariant"}
+
+
+def test_every_golden_eval_case_has_an_oracle_bound():
+    assert sorted(_ORACLE_BOUNDS) == sorted(name for name, argv in CASES.items() if argv[0] == "eval")
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BOUNDS))
+def test_golden_eval_values_are_within_their_bound_of_the_oracle(name):
+    argv = CASES[name]
+    args = dict(zip(argv[1::2], argv[2::2]))
+    exact = oracle.invariants(
+        args["--solution"], float(args.get("--t0", 0.0)), float(args.get("--x0", 0.0)), args["--frame"],
+        int(args["--order"]), c=float(args.get("--c", 1.0)), phase=float(args.get("--phase", 0.0)),
+    )
+    values = _invariant_values(name)
+    assert values.keys() == exact.keys()
+    for alpha, (value, terms) in exact.items():
+        got = values[alpha]
+        if abs(value) > terms * 1e-40:
+            assert abs(got - value) <= _ORACLE_BOUNDS[name] * abs(value), (alpha, got, value)
+        else:  # an exact zero, up to 60-digit roundoff: measured against its terms
+            assert abs(got) <= _ORACLE_ZERO_BOUND * terms, (alpha, got, terms)
 
 
 if __name__ == "__main__":

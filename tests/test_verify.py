@@ -77,7 +77,7 @@ def test_report_invariant_passed_iff_within_tolerance():
         assert name in DEFAULT_TOLERANCES
     reports = run_suite(suites=("all",), seed=5, samples=6, order=6)
     # one count per sample checked: reconstruction checks each frame kind
-    # that found a nondegenerate point, singular-sets at least 5 points
+    # once per sample, singular-sets at least 5 points
     expected = {"reconstruction": 12, "singular-sets": max(6, 5)}
     for r in reports:
         assert r.samples == expected.get(r.name, 6)
@@ -173,10 +173,8 @@ def test_nan_formula_fails_its_suites(monkeypatch, module, formula, patched, sui
 
 
 def test_suite_without_samples_fails(monkeypatch):
-    def degenerate(*args):
-        raise DegeneratePointError("every draw is degenerate")
-
-    monkeypatch.setattr(verify, "reconstruct_generators", degenerate)
+    # a suite that yields no defect checked nothing
+    monkeypatch.setitem(verify._SUITES, "reconstruction", (lambda rng, samples, order: iter(()), 1e-12))
     (report,) = run_suite(("reconstruction",), seed=0, samples=1, order=4)
     assert report.samples == 0
     assert report.max_defect == math.inf
@@ -459,50 +457,61 @@ def test_the_battery_expands_rational_and_constant_stacks_in_row_passes_and_runs
     assert sum(compositions) == 734
 
 
-def test_a_degenerate_point_replays_its_stack_as_the_loop_over_samples(monkeypatch):
-    # with the conditioning bound lowered, some seed-0 points are degenerate: a
-    # stack that holds one raises, and the suite replays that stack one sample
-    # at a time from the stream position before its draws, retries included; the
-    # report is the one the loop over samples gives, and later stacks run whole
+def test_a_degenerate_point_ends_the_suite_as_the_loop_over_samples_does(monkeypatch):
+    # with the conditioning bound lowered to 40, some points of the space
+    # frame are degenerate: at seed 0 the first sample's, at seed 2 the
+    # fifth's, in the middle of the second stack of 3.  The stack that holds
+    # it evaluates its draws again one sample at a time, so the suite yields
+    # the defects of the loop over samples and ends with its error
     monkeypatch.setattr(invariants, "_MAX_CONDITION", 40.0)
     monkeypatch.setattr(verify, "_STACK", 3)
-    samples, rng = 12, verify._suite_rng(0, "reconstruction")
-    defects, degenerate = [], [0]
-
-    def attempt(kind):
-        try:
-            return invariants.reconstruct_generators(SolutionGerm(*verify.random_soliton_point(rng, kind), 3), kind)
-        except DegeneratePointError:
-            degenerate[0] += 1
-            raise
-
-    for _ in range(samples):
-        for kind in verify._KINDS:
-            pair = verify._retrying(lambda kind=kind: attempt(kind))
-            if pair is not None:
-                defects.append(verify._rel(*pair))
-    assert degenerate[0] > 0
-
-    stacks = []  # (points, raised) of each call on a stack
+    calls = []  # (points, raised) of each call, time-normalized frame first
     real = verify.reconstruct_generators
 
     def counted(germ, kind):
-        if isinstance(germ.t0, tuple):
-            stacks.append([len(germ.t0), True])
-            result = real(germ, kind)
-            stacks[-1][1] = False
-            return result
-        return real(germ, kind)
+        calls.append((len(germ.t0), True))
+        result = real(germ, kind)
+        calls[-1] = (len(germ.t0), False)
+        return result
 
     monkeypatch.setattr(verify, "reconstruct_generators", counted)
-    (report,) = run_suite(("reconstruction",), seed=0, samples=samples)
-    assert (report.samples, report.max_defect) == (len(defects), max(defects))
-    assert [3, True] in stacks and [3, False] in stacks, stacks
-    # defect by defect too: a replay from anywhere but the held position meets
-    # other points, and the bare generator's replay from its saved state agrees
     suite, _ = verify._SUITES["reconstruction"]
-    assert list(suite(verify._suite_rng(0, "reconstruction"), samples, 6)) == defects
-    assert list(suite(_Bare(0, "reconstruction"), samples, 6)) == defects
+    whole, one = [(3, False)] * 2, [(1, False)] * 2  # a stack of 3, and one sample, that both frames pass
+    for seed, before, want in (
+        (0, 0, [(3, False), (3, True), (1, False), (1, True)]),
+        # the first stack runs whole, then samples 3 and 4 of the second one at a time
+        (2, 4, [*whole, (3, False), (3, True), *one, (1, False), (1, True)]),
+    ):
+        loop = _outcome(_loop_over_samples("reconstruction", verify._suite_rng(seed, "reconstruction"), 12, 6))
+        defects, raised = loop
+        assert len(defects) == 2 * before and raised.startswith("DegeneratePointError: reconstruction at"), loop
+        calls.clear()
+        assert _outcome(suite(verify._suite_rng(seed, "reconstruction"), 12, 6)) == loop
+        assert calls == want
+        with pytest.raises(DegeneratePointError):
+            run_suite(("reconstruction",), seed=seed, samples=12)
+
+
+def test_reconstruction_draws_lie_far_inside_the_conditioning_bound(monkeypatch):
+    # why no draw needs a retry: with the bound lowered from 1e8 to 1e3, no
+    # point of the band _draw_theta draws from is degenerate in either frame.
+    # A grid of |theta| over the band, its edges included, for each speed the
+    # band's soliton ranges over, both signs, and 3000 of the suites' own
+    # draws; the condition number depends on theta alone, and peaks at about
+    # 100, in the space frame at |theta| = 0.25
+    monkeypatch.setattr(invariants, "_MAX_CONDITION", 1e3)
+    lo, hi, cut, star = 0.25, 2.0, 0.22, verify._THETA_STAR
+    grid = np.linspace(lo, hi, 1401)
+    mags = sorted({*grid[np.abs(grid - star) >= cut].tolist(), lo, star - cut, star + cut, hi})
+    assert len(mags) >= 1000
+    points = [
+        (Soliton(c=c), 0.0, sign * mag / (0.5 * math.sqrt(c))) for c in (0.6, 1.0, 1.6) for sign in (1, -1) for mag in mags
+    ]
+    rng = verify._suite_rng(0, "reconstruction")
+    points += [verify.random_soliton_point(rng) for _ in range(3000)]
+    germ = SolutionGerm._expanded(points, 3)
+    for kind in verify._KINDS:
+        assert invariants.reconstruct_generators(germ, kind).shape == (len(points), 2)
 
 
 def _loop_invariants(jet):
@@ -538,6 +547,13 @@ def _loop_over_samples(name, rng, samples, order):
             jet = _one_jet(rng, i % 2 == 0, order)
             g = verify.random_group_element(rng)
             yield verify._worst(map(verify._rel, _loop_invariants(prolong_act(g, jet)), _loop_invariants(jet)))
+        elif name == "reconstruction":
+            # a point of its own for each frame kind; the sample's two defects once both are evaluated
+            points = [verify.random_soliton_point(rng) for _ in verify._KINDS]
+            yield from [
+                verify._rel(*invariants.reconstruct_generators(SolutionGerm(*point, 3), kind))
+                for point, kind in zip(points, verify._KINDS)
+            ]
         else:
             jet = _one_jet(rng, i % 2 == 0, min(order, 4))
             scales = [1.0 + abs(value) for value in _loop_invariants(jet)]
@@ -550,21 +566,10 @@ def _loop_over_samples(name, rng, samples, order):
 
 
 class _Bare:
-    """A suite's generator drawn from directly, as before the stream: a replay sets back its state."""
+    """A suite's generator drawn from directly, as before the stream."""
 
     def __init__(self, seed, name):
-        self.generator = verify._suite_rng(seed, name)._rng
-        self.uniform = self.generator.uniform
-
-    @property
-    def position(self):
-        return self.generator.bit_generator.state["state"]["state"]
-
-    def hold(self):
-        return self.generator.bit_generator.state
-
-    def rewind(self, state):
-        self.generator.bit_generator.state = state
+        self.uniform = verify._suite_rng(seed, name)._rng.uniform
 
 
 def _outcome(defects):
@@ -602,16 +607,13 @@ def test_frame_suites_give_the_loop_over_samples_defect_by_defect(monkeypatch, n
 
 
 def _spoiled(real, spoil, at):
-    """`real` with its `at`-th draw spoiled, and every later draw that starts at the same position of the stream."""
-    positions, calls = set(), [0]
+    """`real` with its `at`-th call spoiled: a fresh one for each run, since no suite draws a sample twice."""
+    calls = [0]
 
-    def draw(rng, *args):
-        position = rng.position
-        value = real(rng, *args)
+    def draw(*args):
         calls[0] += 1
-        if calls[0] == at:
-            positions.add(position)
-        return spoil(value) if position in positions else value
+        value = real(*args)
+        return spoil(value) if calls[0] == at else value
 
     return draw
 
@@ -633,23 +635,27 @@ def _overflowing_jet(jet):
         ("equivariance", "random_group_element", lambda g: dataclasses.replace(g, eps4=-40.0), 5, "DomainError"),
         # the fifth point, moved onto u = x/t, where the time-normalized frame is singular
         ("phantom", "random_soliton_point", lambda point: (Rational(), *point[1:]), 5, "SingularFrameError"),
+        # the fifth sample's point of the space frame, moved onto its degenerate set
+        ("reconstruction", "random_soliton_point", lambda point: (Soliton(), 0.0, 2.2924316695611773), 10,
+         "DegeneratePointError"),
     ],
 )
 def test_a_draw_that_fails_mid_stack_ends_the_suite_as_the_loop_does(monkeypatch, name, draw, spoil, at, error):
-    # the fifth sample, in the middle of the second stack of 3, leaves range or
-    # meets a singular frame: the stack replays one sample at a time from the
-    # stream position its draws began at, so the defects before it and the typed
-    # error are the loop's
+    # the fifth sample, in the middle of the second stack of 3, leaves range,
+    # meets a singular frame or a degenerate point: the stack evaluates the
+    # draws it holds again one sample at a time, so the defects before it (two
+    # per sample in reconstruction) and the typed error are the loop's
     monkeypatch.setattr(verify, "_STACK", 3)
     real = getattr(verify, draw)
-    monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
     suite, _ = verify._SUITES[name]
+    monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
     stacked = _outcome(suite(verify._suite_rng(0, name), 7, 6))
+    monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
     loop = _outcome(_loop_over_samples(name, verify._suite_rng(0, name), 7, 6))
     assert stacked == loop
     defects, raised = loop
-    assert len(defects) == 4 and raised.startswith(error + ":"), loop
-    # and on the bare generator, whose state the replay sets back
+    assert len(defects) == 4 * (2 if name == "reconstruction" else 1) and raised.startswith(error + ":"), loop
+    # and on the bare generator
     monkeypatch.setattr(verify, draw, _spoiled(real, spoil, at))
     assert _outcome(suite(_Bare(0, name), 7, 6)) == stacked
 
@@ -735,45 +741,37 @@ def test_a_free_jet_draws_its_entries_in_one_call_as_one_call_each_would():
 
 
 def test_the_stream_draws_the_generators_own_uniforms_bit_for_bit(monkeypatch):
-    # random replays of uniform calls on a stream and on a generator of the
-    # same seed: scalar and size draws, int bounds, low > high, ranges past
-    # the double range, and rewinds to the last hold, over blocks of every
-    # length.  Generator.uniform computes low + (high - low) * d on the same
-    # doubles; a numpy built to fuse that into one multiply-add gives other
-    # bits, and fails here.  A bad range raises the generator's error and
-    # draws nothing
+    # random sequences of uniform calls on a stream and on a generator of the
+    # same seed: scalar and size draws, int bounds, low > high and ranges past
+    # the double range, over blocks of every length.  Generator.uniform
+    # computes low + (high - low) * d on the same doubles; a numpy built to
+    # fuse that into one multiply-add gives other bits, and fails here.  A
+    # bad range raises the generator's error and draws nothing
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     bounds = st.one_of(st.floats(-1e6, 1e6), st.floats(), st.integers(-(2**62), 2**62), st.integers(-3, 3))
     draws = st.tuples(bounds, bounds, st.sampled_from([None, 1, 2, 3, 4, 28]))
-    steps = st.lists(st.one_of(draws, st.sampled_from(["default", "hold", "rewind"])), max_size=80)
+    steps = st.lists(st.one_of(draws, st.just("default")), max_size=80)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 64, verify._BLOCK]), steps)
     def check(seed, block, steps):
         monkeypatch.setattr(verify, "_BLOCK", block)
         stream, generator = verify._Stream(np.random.default_rng(seed)), np.random.default_rng(seed)
-        held = stream.hold(), generator.bit_generator.state
         for step in [*steps, "default"]:
-            if step == "hold":
-                held = stream.hold(), generator.bit_generator.state
-            elif step == "rewind":
-                stream.rewind(held[0])
-                generator.bit_generator.state = held[1]
+            args = () if step == "default" else step
+            try:
+                b = generator.uniform(*args)
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    stream.uniform(*args)
+                continue
+            a = stream.uniform(*args)
+            assert type(a) is type(b), step
+            if isinstance(b, float):
+                assert a.hex() == b.hex(), step
             else:
-                args = () if step == "default" else step
-                try:
-                    b = generator.uniform(*args)
-                except (OverflowError, ValueError) as exc:
-                    with pytest.raises(type(exc), match=re.escape(str(exc))):
-                        stream.uniform(*args)
-                    continue
-                a = stream.uniform(*args)
-                assert type(a) is type(b), step
-                if isinstance(b, float):
-                    assert a.hex() == b.hex(), step
-                else:
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), step
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), step
 
     check()
 
@@ -794,16 +792,11 @@ def test_every_suite_draws_on_its_stream_the_bare_generators_defects(monkeypatch
 
 
 @pytest.mark.parametrize("name, per_sample", [("group-axioms", 15), ("kdv-residual", None)])
-def test_the_stream_holds_one_stacks_draws_and_one_block_at_most(monkeypatch, name, per_sample):
-    # 5000 samples draw tens of blocks; the stream keeps only the doubles of
-    # the current stack (of the current sample, in a loop over samples) and
-    # the block it has just read
-    streams, holds, held = [], [], []
-    real_rng, real_hold, real_read = verify._suite_rng, verify._Stream.hold, verify._Stream._read
-
-    def hold(self):
-        holds.append(real_hold(self))
-        return holds[-1]
+def test_the_stream_holds_one_block_and_one_draw_at_most(monkeypatch, name, per_sample):
+    # 5000 samples draw tens of blocks; the stream keeps only the doubles not
+    # yet drawn, fewer than one scalar draw's, and the block it has just read
+    streams, held = [], []
+    real_rng, real_read = verify._suite_rng, verify._Stream._read
 
     def read(self, n):
         at = real_read(self, n)
@@ -811,17 +804,10 @@ def test_the_stream_holds_one_stacks_draws_and_one_block_at_most(monkeypatch, na
         return at
 
     monkeypatch.setattr(verify, "_suite_rng", lambda seed, name: streams.append(real_rng(seed, name)) or streams[-1])
-    monkeypatch.setattr(verify._Stream, "hold", hold)
     monkeypatch.setattr(verify._Stream, "_read", read)
     (report,) = run_suite((name,), seed=0, samples=5000)
     assert report.passed and report.samples == 5000
-    (stream,) = streams
-    if per_sample is None:  # stacked: one hold at the start of each stack
-        assert len(holds) == math.ceil(5000 / verify._STACK)
-        starts = [*holds, stream.position]
-        most = max(b - a for a, b in zip(starts, starts[1:]))
-    else:  # a loop over samples, which never holds
-        assert holds == [] and stream.position == 5000 * per_sample
-        most = per_sample
-    assert stream.position > 15 * verify._BLOCK and len(held) > 15
-    assert max(held) <= most + verify._BLOCK
+    assert len(streams) == 1 and len(held) > 15
+    if per_sample is not None:  # a fixed count of scalar draws per sample: one block read per _BLOCK of them
+        assert len(held) == math.ceil(5000 * per_sample / verify._BLOCK)
+    assert max(held) <= verify._BLOCK + 1
